@@ -1,7 +1,7 @@
 #include "exec/aggregate.h"
 
-#include <cassert>
-#include <cstring>
+#include <functional>
+#include <string_view>
 
 namespace nodb {
 
@@ -36,16 +36,96 @@ void AppendKeyBytes(const ColumnVector& col, size_t row, std::string* key) {
   }
 }
 
-/// Ordering for MIN/MAX across the types we support.
-int CompareValues(const Value& a, const Value& b) {
-  if (a.is_string()) {
-    return a.str().compare(b.str());
+/// Folds rows [0, n) of one aggregate's input into the state at(i)
+/// returns for row i: the one global state, or the row's group's. Each
+/// case is one typed loop; sums add in row order.
+template <typename StateAt>
+void Accumulate(AggFunc func, const ColumnVector* input, size_t n,
+                StateAt at) {
+  if (func == AggFunc::kCountStar) {
+    for (size_t i = 0; i < n; ++i) ++at(i).count;
+    return;
   }
-  double x = a.AsDouble();
-  double y = b.AsDouble();
-  if (x < y) return -1;
-  if (x > y) return 1;
-  return 0;
+  const uint8_t* valid = input->validity();  // aggregates skip NULLs
+  auto extreme = [&](auto better) {
+    switch (input->type()) {
+      case DataType::kString:
+        for (size_t i = 0; i < n; ++i) {
+          if (!valid[i]) continue;
+          std::string_view v = input->GetString(i);
+          auto& s = at(i);
+          if (!s.has_value || better(v, std::string_view(s.ext_s))) {
+            s.ext_s.assign(v.data(), v.size());
+            s.has_value = true;
+          }
+        }
+        return;
+      case DataType::kDouble: {
+        // NaN never replaces an extreme, nor is it replaced once held.
+        const double* v = input->double_data();
+        for (size_t i = 0; i < n; ++i) {
+          auto& s = at(i);
+          if (valid[i] && (!s.has_value || better(v[i], s.ext_d))) {
+            s.ext_d = v[i];
+            s.has_value = true;
+          }
+        }
+        return;
+      }
+      case DataType::kInt64:
+      case DataType::kDate: {
+        const int64_t* v = input->int64_data();
+        for (size_t i = 0; i < n; ++i) {
+          auto& s = at(i);
+          if (valid[i] && (!s.has_value || better(v[i], s.ext_i))) {
+            s.ext_i = v[i];
+            s.has_value = true;
+          }
+        }
+        return;
+      }
+    }
+  };
+  switch (func) {
+    case AggFunc::kCountStar:
+      break;
+    case AggFunc::kCount:
+      for (size_t i = 0; i < n; ++i) at(i).count += valid[i];
+      break;
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      // A NULL row adds +0.0, which leaves any sum that starts at +0.0
+      // bit-for-bit unchanged.
+      if (input->type() == DataType::kDouble) {
+        const double* v = input->double_data();
+        for (size_t i = 0; i < n; ++i) {
+          auto& s = at(i);
+          s.count += valid[i];
+          s.dsum += valid[i] ? v[i] : 0.0;
+        }
+      } else if (func == AggFunc::kSum) {
+        const int64_t* v = input->int64_data();
+        for (size_t i = 0; i < n; ++i) {
+          auto& s = at(i);
+          s.count += valid[i];
+          s.isum = WrappingAdd(s.isum, valid[i] ? v[i] : 0);
+        }
+      } else {
+        const int64_t* v = input->int64_data();
+        for (size_t i = 0; i < n; ++i) {
+          auto& s = at(i);
+          s.count += valid[i];
+          s.dsum += valid[i] ? static_cast<double>(v[i]) : 0.0;
+        }
+      }
+      break;
+    case AggFunc::kMin:
+      extreme(std::less<>());
+      break;
+    case AggFunc::kMax:
+      extreme(std::greater<>());
+      break;
+  }
 }
 
 }  // namespace
@@ -131,54 +211,43 @@ Status HashAggregateOperator::Open() {
   return child_->Open();
 }
 
-void HashAggregateOperator::UpdateState(AggState* state,
-                                        const AggregateSpec& spec,
-                                        const ColumnVector* input,
-                                        size_t row) {
-  if (spec.func == AggFunc::kCountStar) {
-    ++state->count;
-    return;
-  }
-  if (input->IsNull(row)) return;  // aggregates skip NULLs
-  switch (spec.func) {
-    case AggFunc::kCountStar:
-      break;
-    case AggFunc::kCount:
-      ++state->count;
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      ++state->count;
-      if (input->type() == DataType::kDouble) {
-        state->dsum += input->GetDouble(row);
-      } else {
-        state->isum += input->GetInt64(row);
-        state->dsum += static_cast<double>(input->GetInt64(row));
-      }
-      break;
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      Value v = input->GetValue(row);
-      if (!state->has_value) {
-        state->extreme = std::move(v);
-        state->has_value = true;
-      } else {
-        int cmp = CompareValues(v, state->extreme);
-        if ((spec.func == AggFunc::kMin && cmp < 0) ||
-            (spec.func == AggFunc::kMax && cmp > 0)) {
-          state->extreme = std::move(v);
-        }
-      }
-      break;
+void HashAggregateOperator::AssignGroups(
+    const std::vector<std::shared_ptr<ColumnVector>>& key_cols,
+    size_t rows) {
+  std::string key;
+  group_ids_.resize(rows);
+  for (size_t row = 0; row < rows; ++row) {
+    key.clear();
+    for (const auto& col : key_cols) AppendKeyBytes(*col, row, &key);
+    // Probe before inserting: a hit, the common case, allocates nothing.
+    auto it = group_index_.find(key);
+    if (it != group_index_.end()) {
+      group_ids_[row] = it->second;
+      continue;
     }
+    group_ids_[row] = groups_.size();
+    group_index_.emplace(key, groups_.size());
+    Group g;
+    g.keys.reserve(key_cols.size());
+    for (const auto& col : key_cols) {
+      g.keys.push_back(col->GetValue(row));  // NOLINT(row-value): new group
+    }
+    g.states.resize(aggregates_.size());
+    groups_.push_back(std::move(g));
   }
 }
 
 Status HashAggregateOperator::ConsumeChild() {
-  std::string key;
+  // Global aggregation has exactly one group, even over empty input.
+  if (group_by_.empty()) {
+    Group g;
+    g.states.resize(aggregates_.size());
+    groups_.push_back(std::move(g));
+  }
   while (true) {
     NODB_ASSIGN_OR_RETURN(BatchPtr batch, child_->Next());
     if (batch == nullptr) break;
+    const size_t rows = batch->num_rows();
 
     // Evaluate group keys and aggregate inputs once per batch.
     std::vector<std::shared_ptr<ColumnVector>> key_cols;
@@ -196,30 +265,24 @@ Status HashAggregateOperator::ConsumeChild() {
       }
     }
 
-    for (size_t row = 0; row < batch->num_rows(); ++row) {
-      key.clear();
-      for (const auto& col : key_cols) AppendKeyBytes(*col, row, &key);
-      auto [it, inserted] = group_index_.emplace(key, groups_.size());
-      if (inserted) {
-        Group g;
-        g.keys.reserve(key_cols.size());
-        for (const auto& col : key_cols) g.keys.push_back(col->GetValue(row));
-        g.states.resize(aggregates_.size());
-        groups_.push_back(std::move(g));
-      }
-      Group& group = groups_[it->second];
+    if (group_by_.empty()) {
       for (size_t a = 0; a < aggregates_.size(); ++a) {
-        UpdateState(&group.states[a], aggregates_[a], agg_inputs[a].get(),
-                    row);
+        // Fold into a local copy, which the loop can keep in registers.
+        AggState& global = groups_[0].states[a];
+        AggState s = std::move(global);
+        Accumulate(aggregates_[a].func, agg_inputs[a].get(), rows,
+                   [&s](size_t) -> AggState& { return s; });
+        global = std::move(s);
       }
+      continue;
     }
-  }
-
-  // Global aggregation emits exactly one row even for empty input.
-  if (group_by_.empty() && groups_.empty()) {
-    Group g;
-    g.states.resize(aggregates_.size());
-    groups_.push_back(std::move(g));
+    AssignGroups(key_cols, rows);
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      Accumulate(aggregates_[a].func, agg_inputs[a].get(), rows,
+                 [&](size_t i) -> AggState& {
+                   return groups_[group_ids_[i]].states[a];
+                 });
+    }
   }
   return Status::OK();
 }
@@ -240,7 +303,18 @@ Value HashAggregateOperator::Finalize(const AggState& state,
       return Value::Double(state.dsum / static_cast<double>(state.count));
     case AggFunc::kMin:
     case AggFunc::kMax:
-      return state.has_value ? state.extreme : Value::Null();
+      if (!state.has_value) return Value::Null();
+      switch (out_type) {
+        case DataType::kInt64:
+          return Value::Int64(state.ext_i);
+        case DataType::kDate:
+          return Value::Date(state.ext_i);
+        case DataType::kDouble:
+          return Value::Double(state.ext_d);
+        case DataType::kString:
+          return Value::String(state.ext_s);
+      }
+      break;
   }
   return Value::Null();
 }
@@ -263,7 +337,7 @@ Result<BatchPtr> HashAggregateOperator::Next() {
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       row.push_back(Finalize(g.states[a], aggregates_[a], agg_types_[a]));
     }
-    out->AppendRow(row);
+    out->AppendRow(row);  // NOLINT(row-value): once per result row
   }
   emit_cursor_ += n;
   return out;

@@ -26,7 +26,13 @@ struct AggregateSpec {
 
 /// Hash aggregation (blocking): consumes the child fully, then emits
 /// one row per group. With no GROUP BY keys a single global group is
-/// emitted even over empty input, matching SQL semantics.
+/// emitted even over empty input, matching SQL semantics; it has one
+/// state per aggregate and no key or hash probe at all.
+///
+/// Each aggregate folds a whole batch with one typed loop over its
+/// input's arrays (per row's group when grouping). Floating-point sums
+/// accumulate in row order, batch after batch — never reassociated —
+/// so results are byte-identical however the input is batched.
 class HashAggregateOperator final : public ExecOperator {
  public:
   static Result<OperatorPtr> Create(OperatorPtr child,
@@ -39,13 +45,16 @@ class HashAggregateOperator final : public ExecOperator {
   std::shared_ptr<Schema> output_schema() const override { return schema_; }
 
  private:
-  /// Running state for one (group, aggregate) pair.
+  /// Running state for one (group, aggregate) pair. MIN/MAX keep the
+  /// extreme in the carrier of the input's type.
   struct AggState {
     int64_t count = 0;
-    int64_t isum = 0;
+    int64_t isum = 0;  // wraps on overflow (two's complement)
     double dsum = 0;
     bool has_value = false;
-    Value extreme;  // MIN/MAX carrier
+    int64_t ext_i = 0;  // INT / DATE extreme
+    double ext_d = 0;   // DOUBLE extreme
+    std::string ext_s;  // STRING extreme
   };
 
   struct Group {
@@ -64,8 +73,11 @@ class HashAggregateOperator final : public ExecOperator {
         schema_(std::move(schema)) {}
 
   Status ConsumeChild();
-  void UpdateState(AggState* state, const AggregateSpec& spec,
-                   const ColumnVector* input, size_t row);
+  /// Maps every row of `key_cols` to its group, creating groups on
+  /// first sight; fills group_ids_.
+  void AssignGroups(
+      const std::vector<std::shared_ptr<ColumnVector>>& key_cols,
+      size_t rows);
   Value Finalize(const AggState& state, const AggregateSpec& spec,
                  DataType out_type) const;
 
@@ -77,6 +89,7 @@ class HashAggregateOperator final : public ExecOperator {
 
   std::unordered_map<std::string, size_t> group_index_;
   std::vector<Group> groups_;
+  std::vector<size_t> group_ids_;  // per row of the current batch
   size_t emit_cursor_ = 0;
   bool consumed_ = false;
 };

@@ -46,8 +46,7 @@ Result<BatchPtr> ColumnStoreScan::Next() {
   for (size_t p : projection_) {
     const ColumnVector& src = table_->column(p);
     auto dst = std::make_shared<ColumnVector>(src.type());
-    dst->Reserve(n);
-    for (size_t i = 0; i < n; ++i) dst->AppendFrom(src, cursor_ + i);
+    dst->AppendRange(src, cursor_, n);
     cols.push_back(std::move(dst));
   }
   cursor_ += n;

@@ -1,5 +1,7 @@
 #include "exec/distinct.h"
 
+#include "exec/filter.h"
+
 namespace nodb {
 
 namespace {
@@ -45,22 +47,16 @@ Result<BatchPtr> DistinctOperator::Next() {
     NODB_ASSIGN_OR_RETURN(BatchPtr batch, child_->Next());
     if (batch == nullptr) return BatchPtr();
 
-    auto out = std::make_shared<RecordBatch>(batch->schema());
-    size_t kept = 0;
+    sel_.clear();
     for (size_t i = 0; i < batch->num_rows(); ++i) {
       key.clear();
       for (size_t c = 0; c < batch->num_columns(); ++c) {
         SerializeCell(batch->column(c), i, &key);
       }
-      if (!seen_.insert(key).second) continue;
-      for (size_t c = 0; c < batch->num_columns(); ++c) {
-        out->column(c).AppendFrom(batch->column(c), i);
-      }
-      ++kept;
+      if (seen_.insert(key).second) sel_.push_back(static_cast<uint32_t>(i));
     }
-    if (kept == 0) continue;
-    out->SetNumRows(kept);
-    return out;
+    if (sel_.empty()) continue;
+    return GatherRows(*batch, sel_.data(), sel_.size());
   }
 }
 

@@ -1,9 +1,11 @@
 #ifndef NODB_EXEC_DISTINCT_H_
 #define NODB_EXEC_DISTINCT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "exec/operator.h"
 
@@ -26,6 +28,7 @@ class DistinctOperator final : public ExecOperator {
  private:
   OperatorPtr child_;
   std::unordered_set<std::string> seen_;
+  std::vector<uint32_t> sel_;  // rows of the current batch seen first
 };
 
 }  // namespace nodb

@@ -1,7 +1,9 @@
 #include "exec/expr.h"
 
-#include <cassert>
-#include <cmath>
+#include <algorithm>
+#include <functional>
+#include <string_view>
+#include <type_traits>
 
 #include "util/logging.h"
 
@@ -9,38 +11,170 @@ namespace nodb {
 
 namespace {
 
-/// Emits a boolean (kInt64 0/1) column.
-std::shared_ptr<ColumnVector> MakeBoolColumn(size_t reserve) {
-  auto col = std::make_shared<ColumnVector>(DataType::kInt64);
-  col->Reserve(reserve);
-  return col;
-}
-
 bool IsComparableNumeric(DataType t) {
   return t == DataType::kInt64 || t == DataType::kDouble ||
          t == DataType::kDate;
 }
 
-template <typename T>
-bool ApplyCompare(CompareOp op, const T& a, const T& b) {
+// ------------------------------------------------------------- kernels
+//
+// Every kernel below runs one tight loop over a batch's typed arrays and
+// writes a pre-sized result in place (ColumnVector::WriteFixed). The
+// operator and the operand types are dispatched once per batch, by the
+// With* helpers, into template instantiations. A NULL result row keeps
+// payload 0, exactly as ColumnVector::AppendNull leaves it.
+
+/// Calls `fn` with the comparison functor for `op`.
+template <typename Fn>
+void WithCompareOp(CompareOp op, Fn&& fn) {
   switch (op) {
     case CompareOp::kEq:
-      return a == b;
+      return fn(std::equal_to<>());
     case CompareOp::kNe:
-      return a != b;
+      return fn(std::not_equal_to<>());
     case CompareOp::kLt:
-      return a < b;
+      return fn(std::less<>());
     case CompareOp::kLe:
-      return a <= b;
+      return fn(std::less_equal<>());
     case CompareOp::kGt:
-      return a > b;
+      return fn(std::greater<>());
     case CompareOp::kGe:
-      return a >= b;
+      return fn(std::greater_equal<>());
   }
-  return false;
+}
+
+/// Calls `fn` with the payload array of a numeric column: int64 for
+/// INT and DATE, double for DOUBLE.
+template <typename Fn>
+void WithNumericData(const ColumnVector& col, Fn&& fn) {
+  if (col.type() == DataType::kDouble) {
+    fn(col.double_data());
+  } else {
+    fn(col.int64_data());
+  }
+}
+
+/// The type two numeric operands meet in: INT/DATE against INT/DATE
+/// stays int64-exact, a DOUBLE on either side takes both to double.
+template <typename A, typename B>
+using CommonNumeric =
+    std::conditional_t<std::is_same_v<A, int64_t> && std::is_same_v<B, int64_t>,
+                       int64_t, double>;
+
+/// Operand views the loops index uniformly: a typed array, a string
+/// column, or one scalar repeated for every row.
+template <typename T>
+struct ArrayIn {
+  const T* v;
+  T operator[](size_t i) const { return v[i]; }
+};
+struct StringIn {
+  const ColumnVector* col;
+  std::string_view operator[](size_t i) const { return col->GetString(i); }
+};
+template <typename T>
+struct ScalarIn {
+  T v;
+  T operator[](size_t) const { return v; }
+};
+
+/// out[i] = cmp(l[i], r[i]) in rows whose `valid` byte is set, else 0.
+template <typename C, typename L, typename R, typename Cmp>
+void CompareLoop(L l, R r, Cmp cmp, const uint8_t* valid, size_t n,
+                 int64_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<int64_t>(
+                 cmp(static_cast<C>(l[i]), static_cast<C>(r[i]))) &
+             valid[i];
+  }
+}
+
+/// A literal as the one scalar LiteralExpr::Evaluate repeats per row,
+/// converted to the literal's declared type as AppendValue would.
+struct Scalar {
+  bool null = true;
+  int64_t i = 0;        // kInt64 / kDate
+  double d = 0;         // kDouble
+  std::string_view s;   // kString; views the literal's Value
+};
+
+Scalar ScalarOf(const LiteralExpr& lit) {
+  Scalar out;
+  const Value& v = lit.value();
+  if (v.is_null()) return out;
+  out.null = false;
+  switch (lit.type()) {
+    case DataType::kInt64:
+      out.i = v.int64();
+      break;
+    case DataType::kDouble:
+      out.d = v.is_double() ? v.dbl() : v.AsDouble();
+      break;
+    case DataType::kString:
+      out.s = v.str();
+      break;
+    case DataType::kDate:
+      out.i = v.is_date() ? v.date_days() : v.int64();
+      break;
+  }
+  return out;
+}
+
+/// Arithmetic functors: int64 operands wrap (two's complement), double
+/// operands follow IEEE.
+struct AddOp {
+  int64_t operator()(int64_t a, int64_t b) const { return WrappingAdd(a, b); }
+  double operator()(double a, double b) const { return a + b; }
+};
+struct SubOp {
+  int64_t operator()(int64_t a, int64_t b) const { return WrappingSub(a, b); }
+  double operator()(double a, double b) const { return a - b; }
+};
+struct MulOp {
+  int64_t operator()(int64_t a, int64_t b) const { return WrappingMul(a, b); }
+  double operator()(double a, double b) const { return a * b; }
+};
+
+/// Calls `fn` with the functor for +, - or * (division is separate: it
+/// always yields double and a zero divisor yields NULL).
+template <typename Fn>
+void WithArithOp(ArithOp op, Fn&& fn) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return fn(AddOp());
+    case ArithOp::kSub:
+      return fn(SubOp());
+    case ArithOp::kMul:
+      return fn(MulOp());
+    case ArithOp::kDiv:
+      break;
+  }
+}
+
+/// out_valid[i] = a[i] & b[i].
+void AndValidity(const uint8_t* a, const uint8_t* b, size_t n,
+                 uint8_t* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = a[i] & b[i];
 }
 
 }  // namespace
+
+CompareOp MirrorCompareOp(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    case CompareOp::kEq:
+    case CompareOp::kNe:
+      break;
+  }
+  return op;
+}
 
 std::string_view CompareOpToString(CompareOp op) {
   switch (op) {
@@ -100,9 +234,28 @@ Result<DataType> LiteralExpr::OutputType(const Schema&) const {
 
 Result<std::shared_ptr<ColumnVector>> LiteralExpr::Evaluate(
     const RecordBatch& batch) const {
+  const size_t n = batch.num_rows();
+  const Scalar s = ScalarOf(*this);
   auto col = std::make_shared<ColumnVector>(type_);
-  col->Reserve(batch.num_rows());
-  for (size_t i = 0; i < batch.num_rows(); ++i) col->AppendValue(value_);
+  if (type_ == DataType::kString) {
+    col->Reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (s.null) {
+        col->AppendNull();
+      } else {
+        col->AppendString(s.s);
+      }
+    }
+    return col;
+  }
+  ColumnVector::FixedWriter w = col->WriteFixed(n);
+  if (s.null) {
+    std::fill_n(w.validity, n, 0);
+  } else if (w.doubles != nullptr) {
+    std::fill_n(w.doubles, n, s.d);
+  } else {
+    std::fill_n(w.ints, n, s.i);
+  }
   return col;
 }
 
@@ -123,30 +276,71 @@ Result<DataType> CompareExpr::OutputType(const Schema& schema) const {
 
 Result<std::shared_ptr<ColumnVector>> CompareExpr::Evaluate(
     const RecordBatch& batch) const {
+  const size_t n = batch.num_rows();
+  auto out = std::make_shared<ColumnVector>(DataType::kInt64);
+
+  // A literal on either side is compared as one scalar, never expanded
+  // into a column; on the left, the operator is mirrored.
+  const auto* lit = dynamic_cast<const LiteralExpr*>(right_.get());
+  const Expr* other = left_.get();
+  CompareOp op = op_;
+  if (lit == nullptr) {
+    lit = dynamic_cast<const LiteralExpr*>(left_.get());
+    if (lit != nullptr) {
+      other = right_.get();
+      op = MirrorCompareOp(op_);
+    }
+  }
+  if (lit != nullptr) {
+    NODB_ASSIGN_OR_RETURN(auto col, other->Evaluate(batch));
+    ColumnVector::FixedWriter w = out->WriteFixed(n);
+    const Scalar s = ScalarOf(*lit);
+    if (s.null) {
+      std::fill_n(w.validity, n, 0);
+      return out;
+    }
+    std::copy_n(col->validity(), n, w.validity);
+    WithCompareOp(op, [&](auto cmp) {
+      if (col->type() == DataType::kString) {
+        CompareLoop<std::string_view>(StringIn{col.get()},
+                                      ScalarIn<std::string_view>{s.s}, cmp,
+                                      w.validity, n, w.ints);
+        return;
+      }
+      WithNumericData(*col, [&](const auto* a) {
+        using A = std::remove_const_t<std::remove_pointer_t<decltype(a)>>;
+        if (lit->type() == DataType::kDouble) {
+          CompareLoop<double>(ArrayIn<A>{a}, ScalarIn<double>{s.d}, cmp,
+                              w.validity, n, w.ints);
+        } else {
+          CompareLoop<CommonNumeric<A, int64_t>>(
+              ArrayIn<A>{a}, ScalarIn<int64_t>{s.i}, cmp, w.validity, n,
+              w.ints);
+        }
+      });
+    });
+    return out;
+  }
+
   NODB_ASSIGN_OR_RETURN(auto lhs, left_->Evaluate(batch));
   NODB_ASSIGN_OR_RETURN(auto rhs, right_->Evaluate(batch));
-  size_t n = batch.num_rows();
-  auto out = MakeBoolColumn(n);
-
-  const bool strings = lhs->type() == DataType::kString;
-  // Integer-exact path when neither side is floating point.
-  const bool int_exact = !strings && lhs->type() != DataType::kDouble &&
-                         rhs->type() != DataType::kDouble;
-  for (size_t i = 0; i < n; ++i) {
-    if (lhs->IsNull(i) || rhs->IsNull(i)) {
-      out->AppendNull();
-      continue;
+  ColumnVector::FixedWriter w = out->WriteFixed(n);
+  AndValidity(lhs->validity(), rhs->validity(), n, w.validity);
+  WithCompareOp(op_, [&](auto cmp) {
+    if (lhs->type() == DataType::kString) {
+      CompareLoop<std::string_view>(StringIn{lhs.get()}, StringIn{rhs.get()},
+                                    cmp, w.validity, n, w.ints);
+      return;
     }
-    bool pass;
-    if (strings) {
-      pass = ApplyCompare(op_, lhs->GetString(i), rhs->GetString(i));
-    } else if (int_exact) {
-      pass = ApplyCompare(op_, lhs->GetInt64(i), rhs->GetInt64(i));
-    } else {
-      pass = ApplyCompare(op_, lhs->GetNumeric(i), rhs->GetNumeric(i));
-    }
-    out->AppendInt64(pass ? 1 : 0);
-  }
+    WithNumericData(*lhs, [&](const auto* a) {
+      WithNumericData(*rhs, [&](const auto* b) {
+        using A = std::remove_const_t<std::remove_pointer_t<decltype(a)>>;
+        using B = std::remove_const_t<std::remove_pointer_t<decltype(b)>>;
+        CompareLoop<CommonNumeric<A, B>>(ArrayIn<A>{a}, ArrayIn<B>{b}, cmp,
+                                         w.validity, n, w.ints);
+      });
+    });
+  });
   return out;
 }
 
@@ -177,47 +371,38 @@ Result<DataType> LogicalExpr::OutputType(const Schema& schema) const {
 Result<std::shared_ptr<ColumnVector>> LogicalExpr::Evaluate(
     const RecordBatch& batch) const {
   NODB_ASSIGN_OR_RETURN(auto lhs, left_->Evaluate(batch));
-  size_t n = batch.num_rows();
-  auto out = MakeBoolColumn(n);
+  const size_t n = batch.num_rows();
+  auto out = std::make_shared<ColumnVector>(DataType::kInt64);
+  ColumnVector::FixedWriter w = out->WriteFixed(n);
+  const uint8_t* lv = lhs->validity();
+  const int64_t* l = lhs->int64_data();
 
   if (op_ == LogicalOp::kNot) {
     for (size_t i = 0; i < n; ++i) {
-      if (lhs->IsNull(i)) {
-        out->AppendNull();
-      } else {
-        out->AppendInt64(lhs->GetInt64(i) != 0 ? 0 : 1);
-      }
+      w.validity[i] = lv[i];
+      w.ints[i] = lv[i] & (l[i] == 0);
     }
     return out;
   }
 
   NODB_ASSIGN_OR_RETURN(auto rhs, right_->Evaluate(batch));
+  const uint8_t* rv = rhs->validity();
+  const int64_t* r = rhs->int64_data();
+  // Three-valued logic on "known true" / "known false" bits: AND is
+  // false if either side is known false, true if both are known true,
+  // else unknown (NULL); OR is the dual.
+  const bool is_and = op_ == LogicalOp::kAnd;
   for (size_t i = 0; i < n; ++i) {
-    // Three-valued logic: unknown (NULL) combines per SQL rules.
-    int l = lhs->IsNull(i) ? -1 : (lhs->GetInt64(i) != 0 ? 1 : 0);
-    int r = rhs->IsNull(i) ? -1 : (rhs->GetInt64(i) != 0 ? 1 : 0);
-    int v;
-    if (op_ == LogicalOp::kAnd) {
-      if (l == 0 || r == 0) {
-        v = 0;
-      } else if (l == -1 || r == -1) {
-        v = -1;
-      } else {
-        v = 1;
-      }
-    } else {  // OR
-      if (l == 1 || r == 1) {
-        v = 1;
-      } else if (l == -1 || r == -1) {
-        v = -1;
-      } else {
-        v = 0;
-      }
-    }
-    if (v == -1) {
-      out->AppendNull();
+    const uint8_t lt = lv[i] & (l[i] != 0);
+    const uint8_t lf = lv[i] & (l[i] == 0);
+    const uint8_t rt = rv[i] & (r[i] != 0);
+    const uint8_t rf = rv[i] & (r[i] == 0);
+    if (is_and) {
+      w.validity[i] = lf | rf | (lt & rt);
+      w.ints[i] = lt & rt;
     } else {
-      out->AppendInt64(v);
+      w.validity[i] = lt | rt | (lf & rf);
+      w.ints[i] = lt | rt;
     }
   }
   return out;
@@ -250,61 +435,51 @@ Result<std::shared_ptr<ColumnVector>> ArithExpr::Evaluate(
     const RecordBatch& batch) const {
   NODB_ASSIGN_OR_RETURN(auto lhs, left_->Evaluate(batch));
   NODB_ASSIGN_OR_RETURN(auto rhs, right_->Evaluate(batch));
-  size_t n = batch.num_rows();
-  bool int_out = op_ != ArithOp::kDiv &&
-                 lhs->type() != DataType::kDouble &&
-                 rhs->type() != DataType::kDouble;
-  auto out = std::make_shared<ColumnVector>(
-      int_out ? DataType::kInt64 : DataType::kDouble);
-  out->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (lhs->IsNull(i) || rhs->IsNull(i)) {
-      out->AppendNull();
-      continue;
-    }
-    if (int_out) {
-      int64_t a = lhs->GetInt64(i);
-      int64_t b = rhs->GetInt64(i);
-      int64_t v = 0;
-      switch (op_) {
-        case ArithOp::kAdd:
-          v = a + b;
-          break;
-        case ArithOp::kSub:
-          v = a - b;
-          break;
-        case ArithOp::kMul:
-          v = a * b;
-          break;
-        case ArithOp::kDiv:
-          break;  // unreachable: division always emits double
+  const size_t n = batch.num_rows();
+  const bool int_out = op_ != ArithOp::kDiv &&
+                       lhs->type() != DataType::kDouble &&
+                       rhs->type() != DataType::kDouble;
+  auto out = std::make_shared<ColumnVector>(int_out ? DataType::kInt64
+                                                    : DataType::kDouble);
+  ColumnVector::FixedWriter w = out->WriteFixed(n);
+  uint8_t* valid = w.validity;
+  AndValidity(lhs->validity(), rhs->validity(), n, valid);
+
+  if (int_out) {
+    const int64_t* a = lhs->int64_data();
+    const int64_t* b = rhs->int64_data();
+    WithArithOp(op_, [&](auto fn) {
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t v = fn(a[i], b[i]);
+        w.ints[i] = valid[i] ? v : 0;
       }
-      out->AppendInt64(v);
-    } else {
-      double a = lhs->GetNumeric(i);
-      double b = rhs->GetNumeric(i);
-      double v = 0;
-      switch (op_) {
-        case ArithOp::kAdd:
-          v = a + b;
-          break;
-        case ArithOp::kSub:
-          v = a - b;
-          break;
-        case ArithOp::kMul:
-          v = a * b;
-          break;
-        case ArithOp::kDiv:
-          if (b == 0) {
-            out->AppendNull();  // SQL engines yield error; we yield NULL
-            continue;
-          }
-          v = a / b;
-          break;
-      }
-      out->AppendDouble(v);
-    }
+    });
+    return out;
   }
+
+  WithNumericData(*lhs, [&](const auto* a) {
+    WithNumericData(*rhs, [&](const auto* b) {
+      if (op_ == ArithOp::kDiv) {
+        for (size_t i = 0; i < n; ++i) {
+          const double y = static_cast<double>(b[i]);
+          // SQL engines raise an error on x / 0; this one yields NULL.
+          if (valid[i] && y != 0) {
+            w.doubles[i] = static_cast<double>(a[i]) / y;
+          } else {
+            valid[i] = 0;
+          }
+        }
+        return;
+      }
+      WithArithOp(op_, [&](auto fn) {
+        for (size_t i = 0; i < n; ++i) {
+          const double v =
+              fn(static_cast<double>(a[i]), static_cast<double>(b[i]));
+          w.doubles[i] = valid[i] ? v : 0.0;
+        }
+      });
+    });
+  });
   return out;
 }
 
@@ -323,11 +498,13 @@ Result<DataType> IsNullExpr::OutputType(const Schema& schema) const {
 Result<std::shared_ptr<ColumnVector>> IsNullExpr::Evaluate(
     const RecordBatch& batch) const {
   NODB_ASSIGN_OR_RETURN(auto in, input_->Evaluate(batch));
-  size_t n = batch.num_rows();
-  auto out = MakeBoolColumn(n);
+  const size_t n = batch.num_rows();
+  auto out = std::make_shared<ColumnVector>(DataType::kInt64);
+  ColumnVector::FixedWriter w = out->WriteFixed(n);
+  const uint8_t* valid = in->validity();
+  const int64_t when_valid = negated_ ? 1 : 0;
   for (size_t i = 0; i < n; ++i) {
-    bool is_null = in->IsNull(i);
-    out->AppendInt64((is_null != negated_) ? 1 : 0);
+    w.ints[i] = valid[i] ? when_valid : 1 - when_valid;
   }
   return out;
 }
@@ -374,15 +551,13 @@ bool LikeExpr::Match(std::string_view text, std::string_view pattern) {
 Result<std::shared_ptr<ColumnVector>> LikeExpr::Evaluate(
     const RecordBatch& batch) const {
   NODB_ASSIGN_OR_RETURN(auto in, input_->Evaluate(batch));
-  size_t n = batch.num_rows();
-  auto out = MakeBoolColumn(n);
+  const size_t n = batch.num_rows();
+  auto out = std::make_shared<ColumnVector>(DataType::kInt64);
+  ColumnVector::FixedWriter w = out->WriteFixed(n);
+  const uint8_t* valid = in->validity();
+  std::copy_n(valid, n, w.validity);
   for (size_t i = 0; i < n; ++i) {
-    if (in->IsNull(i)) {
-      out->AppendNull();
-      continue;
-    }
-    bool m = Match(in->GetString(i), pattern_);
-    out->AppendInt64((m != negated_) ? 1 : 0);
+    if (valid[i]) w.ints[i] = Match(in->GetString(i), pattern_) != negated_;
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef NODB_EXEC_EXPR_H_
 #define NODB_EXEC_EXPR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,12 +28,32 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv };
 std::string_view CompareOpToString(CompareOp op);
 std::string_view ArithOpToString(ArithOp op);
 
+/// The operator with its operands swapped: `a op b` == `b Mirror(op) a`.
+CompareOp MirrorCompareOp(CompareOp op);
+
+/// Two's-complement int64 arithmetic. Computed in uint64_t, where
+/// overflow wraps instead of being undefined behaviour.
+inline int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
 /// A scalar expression evaluated column-at-a-time over a RecordBatch.
 ///
 /// Expressions are produced by the SQL binder with column references
 /// already resolved to positional indices into the operator's input
 /// schema. Booleans are represented as kInt64 columns holding 0/1/NULL
-/// (SQL three-valued logic).
+/// (SQL three-valued logic). Every node evaluates a whole batch with
+/// one typed loop over the operands' arrays; there is no row-at-a-time
+/// evaluator.
 class Expr {
  public:
   virtual ~Expr() = default;
@@ -94,7 +115,10 @@ class LiteralExpr final : public Expr {
   DataType type_;
 };
 
-/// left <op> right with NULL-propagating semantics.
+/// left <op> right with NULL-propagating semantics. INT/DATE against
+/// INT/DATE compares int64-exactly; a DOUBLE on either side compares in
+/// double (IEEE: any comparison with NaN but <> is false). A literal on
+/// either side is compared as one scalar, never expanded into a column.
 class CompareExpr final : public Expr {
  public:
   CompareExpr(CompareOp op, ExprPtr left, ExprPtr right)
@@ -145,8 +169,9 @@ class LogicalExpr final : public Expr {
   ExprPtr right_;
 };
 
-/// left <op> right. INT op INT stays INT (except /), everything else
-/// computes in double. DATE participates as its day number.
+/// left <op> right. INT op INT stays INT (except /) and wraps on
+/// overflow (two's complement); everything else computes in double.
+/// DATE participates as its day number. x / 0 yields NULL.
 class ArithExpr final : public Expr {
  public:
   ArithExpr(ArithOp op, ExprPtr left, ExprPtr right)

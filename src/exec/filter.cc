@@ -2,6 +2,38 @@
 
 namespace nodb {
 
+size_t SelectTrue(const ColumnVector& mask, const uint32_t* in, size_t n,
+                  uint32_t* out) {
+  const uint8_t* valid = mask.validity();
+  const int64_t* v = mask.int64_data();
+  size_t k = 0;
+  // Branch-free compaction: every candidate is written, and the cursor
+  // advances only past the ones that pass.
+  if (in == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      out[k] = static_cast<uint32_t>(i);
+      k += valid[i] & (v[i] != 0);
+    }
+  } else {
+    for (size_t j = 0; j < n; ++j) {
+      const uint32_t i = in[j];
+      out[k] = i;
+      k += valid[i] & (v[i] != 0);
+    }
+  }
+  return k;
+}
+
+BatchPtr GatherRows(const RecordBatch& batch, const uint32_t* sel,
+                    size_t n) {
+  auto out = std::make_shared<RecordBatch>(batch.schema());
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    out->column(c).AppendSelected(batch.column(c), sel, n);
+  }
+  out->SetNumRows(n);
+  return out;
+}
+
 Status FilterOperator::Open() { return child_->Open(); }
 
 Result<BatchPtr> FilterOperator::Next() {
@@ -10,27 +42,12 @@ Result<BatchPtr> FilterOperator::Next() {
     if (batch == nullptr) return BatchPtr();
     NODB_ASSIGN_OR_RETURN(auto mask, predicate_->Evaluate(*batch));
 
-    size_t n = batch->num_rows();
-    size_t passing = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!mask->IsNull(i) && mask->GetInt64(i) != 0) ++passing;
-    }
+    const size_t n = batch->num_rows();
+    sel_.resize(n);
+    const size_t passing = SelectTrue(*mask, nullptr, n, sel_.data());
     if (passing == 0) continue;       // fully filtered; pull next batch
     if (passing == n) return batch;   // nothing filtered; pass through
-
-    auto out = std::make_shared<RecordBatch>(batch->schema());
-    for (size_t c = 0; c < batch->num_columns(); ++c) {
-      ColumnVector& dst = out->column(c);
-      dst.Reserve(passing);
-      const ColumnVector& src = batch->column(c);
-      for (size_t i = 0; i < n; ++i) {
-        if (!mask->IsNull(i) && mask->GetInt64(i) != 0) {
-          dst.AppendFrom(src, i);
-        }
-      }
-    }
-    out->SetNumRows(passing);
-    return out;
+    return GatherRows(*batch, sel_.data(), passing);
   }
 }
 

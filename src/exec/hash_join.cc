@@ -92,10 +92,14 @@ Status HashJoinOperator::BuildTable() {
       NODB_RETURN_NOT_OK(col.status());
       key_cols.push_back(*col);
     }
+    if (rows + batch->num_rows() > UINT32_MAX) {
+      return Status::InvalidArgument("join build side exceeds 2^32 rows");
+    }
+    for (size_t c = 0; c < batch->num_columns(); ++c) {
+      build_rows_->column(c).AppendRange(batch->column(c), 0,
+                                         batch->num_rows());
+    }
     for (size_t i = 0; i < batch->num_rows(); ++i) {
-      for (size_t c = 0; c < batch->num_columns(); ++c) {
-        build_rows_->column(c).AppendFrom(batch->column(c), i);
-      }
       key.clear();
       bool valid = true;
       for (const auto& col : key_cols) {
@@ -128,9 +132,8 @@ Result<BatchPtr> HashJoinOperator::Next() {
       key_cols.push_back(std::move(col));
     }
 
-    auto out = std::make_shared<RecordBatch>(schema_);
-    size_t out_rows = 0;
-    size_t probe_cols = batch->num_columns();
+    probe_sel_.clear();
+    build_sel_.clear();
     for (size_t i = 0; i < batch->num_rows(); ++i) {
       key.clear();
       bool valid = true;
@@ -143,17 +146,23 @@ Result<BatchPtr> HashJoinOperator::Next() {
       if (!valid) continue;
       auto [lo, hi] = table_.equal_range(key);
       for (auto it = lo; it != hi; ++it) {
-        for (size_t c = 0; c < probe_cols; ++c) {
-          out->column(c).AppendFrom(batch->column(c), i);
-        }
-        for (size_t c = 0; c < build_rows_->num_columns(); ++c) {
-          out->column(probe_cols + c)
-              .AppendFrom(build_rows_->column(c), it->second);
-        }
-        ++out_rows;
+        probe_sel_.push_back(static_cast<uint32_t>(i));
+        build_sel_.push_back(static_cast<uint32_t>(it->second));
       }
     }
+    const size_t out_rows = probe_sel_.size();
     if (out_rows == 0) continue;
+    auto out = std::make_shared<RecordBatch>(schema_);
+    const size_t probe_cols = batch->num_columns();
+    for (size_t c = 0; c < probe_cols; ++c) {
+      out->column(c).AppendSelected(batch->column(c), probe_sel_.data(),
+                                    out_rows);
+    }
+    for (size_t c = 0; c < build_rows_->num_columns(); ++c) {
+      out->column(probe_cols + c)
+          .AppendSelected(build_rows_->column(c), build_sel_.data(),
+                          out_rows);
+    }
     out->SetNumRows(out_rows);
     return out;
   }

@@ -1,6 +1,7 @@
 #ifndef NODB_EXEC_HASH_JOIN_H_
 #define NODB_EXEC_HASH_JOIN_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -47,6 +48,9 @@ class HashJoinOperator final : public ExecOperator {
   BatchPtr build_rows_;  // materialized build side
   std::unordered_multimap<std::string, size_t> table_;
   bool built_ = false;
+  // Matches of the current probe batch: probe row, build row.
+  std::vector<uint32_t> probe_sel_;
+  std::vector<uint32_t> build_sel_;
 };
 
 }  // namespace nodb

@@ -27,11 +27,7 @@ Result<BatchPtr> LimitOperator::Next() {
 
     auto out = std::make_shared<RecordBatch>(batch->schema());
     for (size_t c = 0; c < batch->num_columns(); ++c) {
-      ColumnVector& dst = out->column(c);
-      dst.Reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        dst.AppendFrom(batch->column(c), begin + i);
-      }
+      out->column(c).AppendRange(batch->column(c), begin, take);
     }
     out->SetNumRows(take);
     return out;

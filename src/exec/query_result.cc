@@ -23,10 +23,8 @@ Result<QueryResult> QueryResult::Drain(ExecOperator* op, BatchSink* sink) {
       continue;  // streamed, not materialized
     }
     for (size_t c = 0; c < batch->num_columns(); ++c) {
-      ColumnVector& dst = result.rows_->column(c);
-      for (size_t i = 0; i < batch->num_rows(); ++i) {
-        dst.AppendFrom(batch->column(c), i);
-      }
+      result.rows_->column(c).AppendRange(batch->column(c), 0,
+                                          batch->num_rows());
     }
     rows += batch->num_rows();
   }
@@ -49,7 +47,8 @@ std::vector<std::string> QueryResult::CanonicalRows() const {
     std::string line;
     for (size_t c = 0; c < rows_->num_columns(); ++c) {
       if (c > 0) line += "|";
-      line += rows_->column(c).GetValue(i).ToString();
+      const ColumnVector& col = rows_->column(c);
+      line += col.GetValue(i).ToString();  // NOLINT(row-value): rendering
     }
     out.push_back(std::move(line));
   }
@@ -68,7 +67,8 @@ std::string QueryResult::ToString(size_t max_rows) const {
   for (size_t i = 0; i < n; ++i) {
     for (size_t c = 0; c < rows_->num_columns(); ++c) {
       if (c > 0) out += " | ";
-      out += rows_->column(c).GetValue(i).ToString();
+      const ColumnVector& col = rows_->column(c);
+      out += col.GetValue(i).ToString();  // NOLINT(row-value): rendering
     }
     out += "\n";
   }

@@ -22,12 +22,13 @@ Status SortOperator::Materialize() {
     BatchPtr batch = *next;
     if (batch == nullptr) break;
     for (size_t c = 0; c < batch->num_columns(); ++c) {
-      ColumnVector& dst = materialized_->column(c);
-      for (size_t i = 0; i < batch->num_rows(); ++i) {
-        dst.AppendFrom(batch->column(c), i);
-      }
+      materialized_->column(c).AppendRange(batch->column(c), 0,
+                                           batch->num_rows());
     }
     rows += batch->num_rows();
+    if (rows > UINT32_MAX) {
+      return Status::InvalidArgument("ORDER BY input exceeds 2^32 rows");
+    }
   }
   materialized_->SetNumRows(rows);
 
@@ -41,9 +42,9 @@ Status SortOperator::Materialize() {
   }
 
   order_.resize(rows);
-  for (size_t i = 0; i < rows; ++i) order_[i] = i;
+  for (size_t i = 0; i < rows; ++i) order_[i] = static_cast<uint32_t>(i);
   std::stable_sort(
-      order_.begin(), order_.end(), [&](size_t a, size_t b) {
+      order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
         for (size_t k = 0; k < keys_.size(); ++k) {
           const ColumnVector& col = *key_cols[k];
           bool an = col.IsNull(a);
@@ -58,9 +59,13 @@ Status SortOperator::Materialize() {
           } else if (col.type() == DataType::kString) {
             cmp = col.GetString(a).compare(col.GetString(b));
             cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+          } else if (col.type() == DataType::kDouble) {
+            double x = col.GetDouble(a);
+            double y = col.GetDouble(b);
+            cmp = x < y ? -1 : (x > y ? 1 : 0);
           } else {
-            double x = col.GetNumeric(a);
-            double y = col.GetNumeric(b);
+            int64_t x = col.GetInt64(a);
+            int64_t y = col.GetInt64(b);
             cmp = x < y ? -1 : (x > y ? 1 : 0);
           }
           if (cmp != 0) return keys_[k].ascending ? cmp < 0 : cmp > 0;
@@ -80,11 +85,8 @@ Result<BatchPtr> SortOperator::Next() {
   size_t n = std::min(RecordBatch::kDefaultBatchRows, total - emit_cursor_);
   auto out = std::make_shared<RecordBatch>(materialized_->schema());
   for (size_t c = 0; c < materialized_->num_columns(); ++c) {
-    ColumnVector& dst = out->column(c);
-    dst.Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      dst.AppendFrom(materialized_->column(c), order_[emit_cursor_ + i]);
-    }
+    out->column(c).AppendSelected(materialized_->column(c),
+                                  order_.data() + emit_cursor_, n);
   }
   out->SetNumRows(n);
   emit_cursor_ += n;

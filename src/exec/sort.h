@@ -1,6 +1,7 @@
 #ifndef NODB_EXEC_SORT_H_
 #define NODB_EXEC_SORT_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,7 +18,8 @@ struct SortKey {
 
 /// Blocking in-memory sort. NULLs order first ascending / last
 /// descending (PostgreSQL's NULLS semantics inverted — we use the
-/// MySQL/SQLite convention of NULLs-first on ASC).
+/// MySQL/SQLite convention of NULLs-first on ASC). INT and DATE keys
+/// order int64-exactly, DOUBLE keys as doubles, STRING keys bytewise.
 class SortOperator final : public ExecOperator {
  public:
   SortOperator(OperatorPtr child, std::vector<SortKey> keys)
@@ -35,7 +37,7 @@ class SortOperator final : public ExecOperator {
   OperatorPtr child_;
   std::vector<SortKey> keys_;
   BatchPtr materialized_;             // all input rows, concatenated
-  std::vector<size_t> order_;         // row permutation
+  std::vector<uint32_t> order_;       // row permutation
   size_t emit_cursor_ = 0;
   bool sorted_ = false;
 };

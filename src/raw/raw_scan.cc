@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "csv/value_parser.h"
+#include "exec/filter.h"
 #include "simd/simd.h"
 #include "util/stopwatch.h"
 
@@ -140,23 +141,7 @@ Status RawScanOperator::Open() {
       ref = dynamic_cast<const ColumnRefExpr*>(cmp->right().get());
       lit = dynamic_cast<const LiteralExpr*>(cmp->left().get());
       if (ref == nullptr || lit == nullptr) continue;
-      // Mirror the operator: lit < col  ==  col > lit.
-      switch (op) {
-        case CompareOp::kLt:
-          op = CompareOp::kGt;
-          break;
-        case CompareOp::kLe:
-          op = CompareOp::kGe;
-          break;
-        case CompareOp::kGt:
-          op = CompareOp::kLt;
-          break;
-        case CompareOp::kGe:
-          op = CompareOp::kLe;
-          break;
-        default:
-          break;
-      }
+      op = MirrorCompareOp(op);  // lit < col  ==  col > lit
     }
     if (!ZoneEligibleType(ref->type())) continue;
     ZonePredicate zp;
@@ -543,13 +528,16 @@ Result<BatchPtr> RawScanOperator::Next() {
     if (store_block_) {
       if (row_ < store_until_row_) {
         size_t rel = static_cast<size_t>(row_ - block_first_row_);
+        size_t take = static_cast<size_t>(std::min<uint64_t>(
+            store_until_row_ - row_,
+            RecordBatch::kDefaultBatchRows - emitted));
         for (size_t i = 0; i < store_segments_.size(); ++i) {
-          out->column(i).AppendFrom(*store_segments_[i], rel);
+          out->column(i).AppendRange(*store_segments_[i], rel, take);
         }
-        ++metrics_->rows_scanned;
-        ++metrics_->rows_from_store;
-        ++row_;
-        ++emitted;
+        metrics_->rows_scanned += take;
+        metrics_->rows_from_store += take;
+        row_ += take;
+        emitted += take;
         continue;
       }
       store_block_ = false;
@@ -783,7 +771,7 @@ Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
   auto probe = std::make_shared<RecordBatch>(schema_, std::move(view),
                                              rows);
   NODB_ASSIGN_OR_RETURN(size_t passing,
-                        EvaluatePushdown(*probe, &pd_pass_));
+                        EvaluatePushdown(*probe, &pd_sel_));
 
   BatchPtr out;
   if (passing == rows) {
@@ -791,17 +779,7 @@ Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
     // zero-copy serving survives pushdown.
     out = std::move(probe);
   } else {
-    out = std::make_shared<RecordBatch>(schema_);
-    if (passing > 0) {
-      for (size_t c = 0; c < store_segments_.size(); ++c) {
-        ColumnVector& dst = out->column(c);
-        dst.Reserve(passing);
-        for (size_t r = 0; r < rows; ++r) {
-          if (pd_pass_[r]) dst.AppendFrom(*store_segments_[c], r);
-        }
-      }
-      out->SetNumRows(passing);
-    }
+    out = GatherRows(*probe, pd_sel_.data(), passing);
   }
   ++metrics_->store_block_hits;
   metrics_->rows_scanned += rows;
@@ -815,20 +793,16 @@ Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
 }
 
 Result<size_t> RawScanOperator::EvaluatePushdown(
-    const RecordBatch& batch, std::vector<char>* pass) const {
+    const RecordBatch& batch, std::vector<uint32_t>* sel) const {
   const size_t n = batch.num_rows();
-  pass->assign(n, 1);
+  sel->resize(n);
   size_t passing = n;
-  for (const ExprPtr& predicate : predicates_) {
-    NODB_ASSIGN_OR_RETURN(auto mask, predicate->Evaluate(batch));
-    for (size_t i = 0; i < n; ++i) {
-      if (!(*pass)[i]) continue;
-      // SQL WHERE semantics: NULL folds to "drop", like FilterOperator.
-      if (mask->IsNull(i) || mask->GetInt64(i) == 0) {
-        (*pass)[i] = 0;
-        --passing;
-      }
-    }
+  for (size_t p = 0; p < predicates_.size() && passing > 0; ++p) {
+    NODB_ASSIGN_OR_RETURN(auto mask, predicates_[p]->Evaluate(batch));
+    // The first conjunct selects from all rows; each later one narrows
+    // that selection in place. Same rule as FilterOperator.
+    passing = SelectTrue(*mask, p == 0 ? nullptr : sel->data(), passing,
+                         sel->data());
   }
   return passing;
 }
@@ -1014,7 +988,7 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
       }
     }
     RecordBatch probe(schema_, std::move(columns), rows);
-    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(probe, &pd_pass_));
+    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(probe, &pd_sel_));
   }
 
   // ---- phase 2: qualifying rows only — tokenize/convert the
@@ -1024,38 +998,42 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
   std::vector<uint32_t> p2_starts(p2_idx.size());
   std::vector<uint32_t> p2_ends(p2_idx.size());
   if (passing > 0) {
-    for (size_t i = 0; i < n_slots; ++i) out->column(i).Reserve(passing);
-    for (size_t r = 0; r < rows; ++r) {
-      if (!pd_pass_[r]) continue;
-      if (!p2_idx.empty()) {
-        uint64_t start = pd_bounds_[r].first;
-        uint64_t end = pd_bounds_[r].second;
-        if (end > start) {
-          NODB_RETURN_NOT_OK(reader_->ReadAt(
-              start, static_cast<size_t>(end - start), &line));
-        } else {
-          line = Slice();
+    // Columns already in binary form (phase-1 parsed or cache-resident)
+    // are gathered whole; only the phase-2 columns parse row by row.
+    {
+      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
+      for (size_t i = 0; i < n_slots; ++i) {
+        const ColumnVector* src =
+            built[i] != nullptr ? built[i].get() : cached[i].get();
+        if (src == nullptr) {
+          out->column(i).Reserve(passing);
+          continue;
         }
-        // Blind-row attribution happened in phase 1 (when predicate
-        // columns probed) — count here only when phase 2 is the row's
-        // first tokenize pass.
-        NODB_RETURN_NOT_OK(TokenizeSpans(line, first + r, plan,
-                                         probe_attrs, p2_idx,
-                                         p2_starts.data(), p2_ends.data(),
-                                         /*count_blind=*/p1_idx.empty()));
+        NODB_CHECK(src->size() >= rows);
+        out->column(i).AppendSelected(*src, pd_sel_.data(), passing);
       }
+    }
+    for (size_t k = 0; k < passing && !p2_idx.empty(); ++k) {
+      const size_t r = pd_sel_[k];
+      uint64_t start = pd_bounds_[r].first;
+      uint64_t end = pd_bounds_[r].second;
+      if (end > start) {
+        NODB_RETURN_NOT_OK(reader_->ReadAt(
+            start, static_cast<size_t>(end - start), &line));
+      } else {
+        line = Slice();
+      }
+      // Blind-row attribution happened in phase 1 (when predicate
+      // columns probed) — count here only when phase 2 is the row's
+      // first tokenize pass.
+      NODB_RETURN_NOT_OK(TokenizeSpans(line, first + r, plan, probe_attrs,
+                                       p2_idx, p2_starts.data(),
+                                       p2_ends.data(),
+                                       /*count_blind=*/p1_idx.empty()));
       size_t k2 = 0;
       PhaseTimer timer(&metrics_->convert_ns, reader_.get());
       for (size_t i = 0; i < n_slots; ++i) {
-        if (built[i] != nullptr) {
-          out->column(i).AppendFrom(*built[i], r);
-          continue;
-        }
-        if (cached[i] != nullptr) {
-          NODB_CHECK(r < cached[i]->size());
-          out->column(i).AppendFrom(*cached[i], r);
-          continue;
-        }
+        if (built[i] != nullptr || cached[i] != nullptr) continue;
         Slice raw =
             CsvTokenizer::RawField(line, p2_starts[k2], p2_ends[k2] + 1);
         Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);

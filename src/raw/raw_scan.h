@@ -121,11 +121,12 @@ class RawScanOperator final : public ExecOperator {
   Result<bool> TryPushdownStoreBlock(uint64_t block, BatchPtr* staged);
   Result<BatchPtr> PushdownRawBlock(uint64_t block);
 
-  /// Evaluates every pushed conjunct over `batch`, folding SQL
-  /// three-valued logic to keep/drop (NULL drops). Fills `pass`
-  /// (size = batch rows) and returns the number of qualifying rows.
+  /// Evaluates every pushed conjunct over `batch` and narrows one
+  /// selection vector through them with SelectTrue (SQL WHERE: NULL
+  /// drops). Fills `sel` with the qualifying rows, in order, and
+  /// returns their number.
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
-                                  std::vector<char>* pass) const;
+                                  std::vector<uint32_t>* sel) const;
 
   /// Tokenizes the spans of `subset` (indices into `probe_attrs`,
   /// which the block plan was prepared with) for one row, writing into
@@ -231,7 +232,7 @@ class RawScanOperator final : public ExecOperator {
 
   // Reused per-block pushdown scratch.
   std::vector<std::pair<uint64_t, uint64_t>> pd_bounds_;  // row byte spans
-  std::vector<char> pd_pass_;
+  std::vector<uint32_t> pd_sel_;  // qualifying rows of the block
 };
 
 }  // namespace nodb

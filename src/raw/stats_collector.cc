@@ -522,23 +522,7 @@ std::optional<double> StatsSelectivityEstimator::EstimateSelectivity(
     if (stats == nullptr) {
       stats = stats_for(*cmp->right());
       literal_side = cmp->left().get();
-      // Mirror the operator: lit < col  ==  col > lit.
-      switch (op) {
-        case CompareOp::kLt:
-          op = CompareOp::kGt;
-          break;
-        case CompareOp::kLe:
-          op = CompareOp::kGe;
-          break;
-        case CompareOp::kGt:
-          op = CompareOp::kLt;
-          break;
-        case CompareOp::kGe:
-          op = CompareOp::kLe;
-          break;
-        default:
-          break;
-      }
+      op = MirrorCompareOp(op);  // lit < col  ==  col > lit
     }
     if (stats == nullptr) return std::nullopt;
     const auto* lit = dynamic_cast<const LiteralExpr*>(literal_side);

@@ -119,6 +119,85 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
   }
 }
 
+ColumnVector::FixedWriter ColumnVector::WriteFixed(size_t n) {
+  assert(size() == 0 && type_ != DataType::kString);
+  FixedWriter w;
+  validity_.assign(n, 1);
+  w.validity = validity_.data();
+  if (type_ == DataType::kDouble) {
+    doubles_.assign(n, 0.0);
+    w.doubles = doubles_.data();
+  } else {
+    ints_.assign(n, 0);
+    w.ints = ints_.data();
+  }
+  return w;
+}
+
+void ColumnVector::AppendSelected(const ColumnVector& src,
+                                  const uint32_t* sel, size_t n) {
+  assert(src.type_ == type_ && &src != this);
+  const size_t base = size();
+  validity_.resize(base + n);
+  uint8_t* valid = validity_.data() + base;
+  for (size_t k = 0; k < n; ++k) valid[k] = src.validity_[sel[k]];
+  switch (type_) {
+    case DataType::kInt64:
+    case DataType::kDate: {
+      ints_.resize(base + n);
+      int64_t* out = ints_.data() + base;
+      for (size_t k = 0; k < n; ++k) out[k] = src.ints_[sel[k]];
+      break;
+    }
+    case DataType::kDouble: {
+      doubles_.resize(base + n);
+      double* out = doubles_.data() + base;
+      for (size_t k = 0; k < n; ++k) out[k] = src.doubles_[sel[k]];
+      break;
+    }
+    case DataType::kString:
+      str_offsets_.reserve(str_offsets_.size() + n);
+      for (size_t k = 0; k < n; ++k) {
+        uint32_t begin = src.str_offsets_[sel[k]];
+        uint32_t end = src.str_offsets_[sel[k] + 1];
+        str_data_.append(src.str_data_.data() + begin, end - begin);
+        str_offsets_.push_back(static_cast<uint32_t>(str_data_.size()));
+      }
+      break;
+  }
+}
+
+void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
+                               size_t n) {
+  assert(src.type_ == type_ && &src != this && begin + n <= src.size());
+  if (n == 0) return;
+  validity_.insert(validity_.end(), src.validity_.begin() + begin,
+                   src.validity_.begin() + begin + n);
+  switch (type_) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      ints_.insert(ints_.end(), src.ints_.begin() + begin,
+                   src.ints_.begin() + begin + n);
+      break;
+    case DataType::kDouble:
+      doubles_.insert(doubles_.end(), src.doubles_.begin() + begin,
+                      src.doubles_.begin() + begin + n);
+      break;
+    case DataType::kString: {
+      // One copy of the byte run, then the offsets rebased onto it.
+      const uint32_t first = src.str_offsets_[begin];
+      const uint32_t shift = static_cast<uint32_t>(str_data_.size());
+      str_data_.append(src.str_data_.data() + first,
+                       src.str_offsets_[begin + n] - first);
+      str_offsets_.reserve(str_offsets_.size() + n);
+      for (size_t k = 1; k <= n; ++k) {
+        str_offsets_.push_back(shift + (src.str_offsets_[begin + k] - first));
+      }
+      break;
+    }
+  }
+}
+
 size_t ColumnVector::MemoryUsage() const {
   return validity_.capacity() * sizeof(uint8_t) +
          ints_.capacity() * sizeof(int64_t) +

@@ -18,6 +18,15 @@ namespace nodb {
 /// as a shared byte buffer plus offsets. This is both the executor's
 /// batch column and the unit stored by the NoDB raw-data cache (the
 /// paper's cache "holds binary data", i.e. exactly this representation).
+///
+/// Two kinds of call live here. The executor's hot path works a batch
+/// at a time: the typed array accessors (validity(), int64_data(),
+/// double_data()), the in-place kernel writer WriteFixed(), and the
+/// gathers AppendSelected() / AppendRange(). The Append*/Get* calls for
+/// one row serve parsers and row-wise consumers. GetValue() and
+/// AppendValue() build or unpack a `Value` per cell and are for engine
+/// edges only — literals, group keys, result rendering and tests — never
+/// for a per-row loop inside an operator.
 class ColumnVector {
  public:
   explicit ColumnVector(DataType type) : type_(type) {
@@ -35,7 +44,7 @@ class ColumnVector {
   void AppendString(Slice v);
   /// Days since epoch (type must be kDate).
   void AppendDate(int64_t days);
-  /// Appends a Value of matching type (or null).
+  /// Appends a Value of matching type (or null). Engine edges only.
   void AppendValue(const Value& v);
 
   bool IsNull(size_t i) const { return validity_[i] == 0; }
@@ -57,7 +66,34 @@ class ColumnVector {
   /// Materializes row `i` as a Value (engine edges / tests only).
   Value GetValue(size_t i) const;
 
+  // ---- batch-at-a-time access (the executor's kernels) ----
+
+  /// size() bytes, 1 = valid, 0 = NULL.
+  const uint8_t* validity() const { return validity_.data(); }
+  /// size() payloads of a kInt64 or kDate column (0 in NULL rows).
+  const int64_t* int64_data() const { return ints_.data(); }
+  /// size() payloads of a kDouble column (0 in NULL rows).
+  const double* double_data() const { return doubles_.data(); }
+
+  /// The arrays of a fixed-width column, for a kernel to fill in place.
+  /// `ints` is set for kInt64/kDate columns, `doubles` for kDouble.
+  struct FixedWriter {
+    uint8_t* validity = nullptr;
+    int64_t* ints = nullptr;
+    double* doubles = nullptr;
+  };
+  /// Sizes an empty fixed-width column to `n` rows, all valid with zero
+  /// payloads, and returns its arrays. A kernel that writes a NULL also
+  /// leaves that row's payload 0, as AppendNull does.
+  FixedWriter WriteFixed(size_t n);
+
+  /// Appends rows sel[0..n) of `src` (same type), in that order.
+  void AppendSelected(const ColumnVector& src, const uint32_t* sel,
+                      size_t n);
+  /// Appends rows [begin, begin + n) of `src` (same type).
+  void AppendRange(const ColumnVector& src, size_t begin, size_t n);
   /// Copies row `i` of `src` (same type) onto the end of this column.
+  /// For a row-at-a-time producer; gathers use the two calls above.
   void AppendFrom(const ColumnVector& src, size_t i);
 
   /// Approximate heap footprint; used for cache accounting.

@@ -181,6 +181,50 @@ TEST(ExprTest, ArithmeticTypesAndDivision) {
   EXPECT_TRUE((*zvals)->IsNull(0));
 }
 
+/// A one-column INT table holding `values` in order.
+std::shared_ptr<ColumnStoreTable> IntTable(const std::vector<int64_t>& values) {
+  auto table = std::make_shared<ColumnStoreTable>(
+      Schema::Make({{"x", DataType::kInt64}}));
+  for (int64_t v : values) table->column(0).AppendInt64(v);
+  table->SetNumRows(values.size());
+  return table;
+}
+
+TEST(ExprTest, IntegerArithmeticWrapsOnOverflow) {
+  // Two's complement, defined: no signed-overflow UB under UBSan.
+  auto table = IntTable({INT64_MAX, INT64_MIN, 3});
+  RecordBatch batch = MakeBatch(table);
+  auto x = Col(0, "x", DataType::kInt64);
+  auto plus = ArithExpr(ArithOp::kAdd, x, Lit(1)).Evaluate(batch);
+  ASSERT_TRUE(plus.ok());
+  EXPECT_EQ((*plus)->GetInt64(0), INT64_MIN);
+  EXPECT_EQ((*plus)->GetInt64(2), 4);
+  auto minus = ArithExpr(ArithOp::kSub, x, Lit(1)).Evaluate(batch);
+  ASSERT_TRUE(minus.ok());
+  EXPECT_EQ((*minus)->GetInt64(1), INT64_MAX);
+  auto times = ArithExpr(ArithOp::kMul, x, Lit(100000000000)).Evaluate(batch);
+  ASSERT_TRUE(times.ok());
+  EXPECT_EQ((*times)->GetInt64(0),
+            static_cast<int64_t>(uint64_t{INT64_MAX} * 100000000000u));
+  EXPECT_EQ((*times)->GetInt64(2), 300000000000);
+}
+
+TEST(ExprTest, LiteralOnTheLeftMirrorsTheOperator) {
+  auto table = MakeTable();
+  RecordBatch batch = MakeBatch(table);
+  // 3 < id  ==  id > 3; 'dan' <= name  ==  name >= 'dan'.
+  auto lt = Cmp(CompareOp::kLt, Lit(3), Col(0, "id", DataType::kInt64))
+                ->Evaluate(batch);
+  auto le = Cmp(CompareOp::kLe, LitS("dan"),
+                Col(1, "name", DataType::kString))
+                ->Evaluate(batch);
+  ASSERT_TRUE(lt.ok() && le.ok());
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ((*lt)->GetInt64(i), i + 1 > 3 ? 1 : 0) << i;
+    EXPECT_EQ((*le)->GetInt64(i), i >= 3 ? 1 : 0) << i;
+  }
+}
+
 TEST(ExprTest, IsNullAndNegation) {
   auto table = MakeTable();
   RecordBatch batch = MakeBatch(table);
@@ -286,6 +330,39 @@ TEST(OperatorTest, HashAggregateGlobal) {
   EXPECT_DOUBLE_EQ(row[5].dbl(), 4.5);
 }
 
+TEST(OperatorTest, MinMaxOverBigIntsIsExact) {
+  // 2^53 and 2^53 + 1 are the same double; MIN/MAX must still tell them
+  // apart.
+  const int64_t big = int64_t{1} << 53;
+  auto table = IntTable({big, big + 1, big});
+  auto scan = std::make_unique<ColumnStoreScan>(table,
+                                                std::vector<size_t>{0});
+  std::vector<AggregateSpec> aggs;
+  aggs.push_back({AggFunc::kMin, Col(0, "x", DataType::kInt64), "mn"});
+  aggs.push_back({AggFunc::kMax, Col(0, "x", DataType::kInt64), "mx"});
+  auto agg = HashAggregateOperator::Create(std::move(scan), {}, {},
+                                           std::move(aggs));
+  ASSERT_TRUE(agg.ok());
+  auto result = QueryResult::Drain(agg->get());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->Row(0)[0], Value::Int64(big));
+  EXPECT_EQ(result->Row(0)[1], Value::Int64(big + 1));
+}
+
+TEST(OperatorTest, IntegerSumWrapsOnOverflow) {
+  auto table = IntTable({INT64_MAX, 1, 5});
+  auto scan = std::make_unique<ColumnStoreScan>(table,
+                                                std::vector<size_t>{0});
+  std::vector<AggregateSpec> aggs;
+  aggs.push_back({AggFunc::kSum, Col(0, "x", DataType::kInt64), "s"});
+  auto agg = HashAggregateOperator::Create(std::move(scan), {}, {},
+                                           std::move(aggs));
+  ASSERT_TRUE(agg.ok());
+  auto result = QueryResult::Drain(agg->get());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->Row(0)[0], Value::Int64(INT64_MIN + 5));
+}
+
 TEST(OperatorTest, HashAggregateEmptyInputEmitsOneRow) {
   auto schema = Schema::Make({{"x", DataType::kInt64}});
   auto table = std::make_shared<ColumnStoreTable>(schema);
@@ -352,6 +429,27 @@ TEST(OperatorTest, SortDescendingMultiKeyIsStable) {
   EXPECT_DOUBLE_EQ(result->Row(0)[2].dbl(), 4.5);
   // NULLs last on descending.
   EXPECT_TRUE(result->Row(5)[2].is_null());
+}
+
+TEST(OperatorTest, SortOrdersBigIntsExactly) {
+  const int64_t big = int64_t{1} << 53;
+  for (bool ascending : {true, false}) {
+    auto table = IntTable({big + 1, big, big + 2});
+    auto scan = std::make_unique<ColumnStoreScan>(table,
+                                                  std::vector<size_t>{0});
+    std::vector<SortKey> keys;
+    keys.push_back({Col(0, "x", DataType::kInt64), ascending});
+    SortOperator sort(std::move(scan), std::move(keys));
+    auto result = QueryResult::Drain(&sort);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->num_rows(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      int64_t expected = ascending ? big + static_cast<int64_t>(i)
+                                   : big + 2 - static_cast<int64_t>(i);
+      EXPECT_EQ(result->Row(i)[0], Value::Int64(expected))
+          << (ascending ? "ASC" : "DESC") << " row " << i;
+    }
+  }
 }
 
 TEST(OperatorTest, LimitAndOffset) {

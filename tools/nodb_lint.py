@@ -52,6 +52,13 @@ generic linter cannot know:
                    util/ plus the streaming/cancel/config headers);
                    including scan, store, cache, SQL or persistence
                    internals from the wire layer is a layering bug
+  row-value        GetValue( / AppendValue( / AppendRow( in
+                   src/exec/*.cc and src/raw/*.cc: operators and scans
+                   work on typed arrays a batch at a time, and a Value
+                   per row is the cost the kernels removed. A site that
+                   runs once per group or per result row (group-key
+                   capture, aggregate finalize, result rendering) says
+                   so on the line: `NOLINT(row-value): reason`
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
@@ -91,6 +98,8 @@ VOID_DISCARD_RE = re.compile(r"^\s*\(void\)\s*[\w:]+(?:\.\w+|->\w+)*\s*\(")
 DROP_CALL_RE = re.compile(r"\.\s*DropBlocksFrom\s*\(|\w+_\.\s*Clear\s*\(")
 ISA_MACRO_RE = re.compile(r"\bNODB_HAVE_[A-Z0-9_]+\b")
 INCLUDE_RE = re.compile(r'^#include\s+(["<])([^">]+)[">]')
+ROW_VALUE_RE = re.compile(r"\b(?:GetValue|AppendValue|AppendRow)\s*\(")
+ROW_VALUE_DIRS = ("src/exec/", "src/raw/")
 SPAN_CALL_RE = re.compile(r"\b(?:OpenSpan|EmitSpan|ScopedSpan)\s*\(")
 SPAN_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
 SPAN_COMPONENTS = {"query", "scan", "exec", "cache", "map", "store",
@@ -436,6 +445,20 @@ def check_server_seam(path, lines, problems):
             "public execution seam headers")
 
 
+def check_row_values(path, lines, code, problems):
+    if not path.startswith(ROW_VALUE_DIRS) or not path.endswith(".cc"):
+        return
+    for i, line in enumerate(code, start=1):
+        m = ROW_VALUE_RE.search(line)
+        if not m or "NOLINT(row-value): " in lines[i - 1]:
+            continue
+        problems.append(
+            f"{path}:{i}: [row-value] per-row Value call "
+            f"{m.group(0).rstrip('(').strip()}() in an operator or scan; "
+            "use the typed batch API in types/column_vector.h, or mark a "
+            "once-per-group/result site `NOLINT(row-value): reason`")
+
+
 def check_file(path):
     problems = []
     with open(path, "rb") as f:
@@ -456,6 +479,7 @@ def check_file(path):
     check_isa_siblings(path, lines, problems)
     check_span_names(path, lines, code, problems)
     check_server_seam(path, lines, problems)
+    check_row_values(path, lines, code, problems)
     return problems
 
 
