@@ -42,6 +42,8 @@ class NoDbEngine::Factory final : public ScanFactory {
   /// The planner offers single-table conjuncts here; the raw scan can
   /// evaluate any bound expression, so with pushdown enabled every
   /// offered conjunct is consumed and runs two-phase inside the scan.
+  /// The row limit is passed on only when the scan took every
+  /// conjunct, so no filter above it drops rows the limit counted.
   Result<OperatorPtr> CreatePushdownScan(
       const std::string& table, const std::vector<size_t>& projection,
       ScanPushdown* pushdown) override {
@@ -51,10 +53,11 @@ class NoDbEngine::Factory final : public ScanFactory {
     NODB_RETURN_NOT_OK(engine_->MaybeParallelPrewarm(state, attrs));
     auto scan = std::make_unique<RawScanOperator>(state, std::move(attrs),
                                                   metrics_);
-    if (pushdown != nullptr && !pushdown->conjuncts.empty() &&
-        engine_->config_.enable_pushdown) {
+    if (pushdown != nullptr &&
+        (pushdown->conjuncts.empty() || engine_->config_.enable_pushdown)) {
       scan->SetPushdownPredicates(pushdown->conjuncts);
       pushdown->pushed.assign(pushdown->conjuncts.size(), true);
+      scan->SetRowLimit(pushdown->row_limit);
     }
     return OperatorPtr(std::move(scan));
   }

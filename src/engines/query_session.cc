@@ -18,10 +18,7 @@ Result<QueryOutcome> QuerySession::ExecuteStreaming(
   obs::ScopedSessionLabel label(client_id_);
   ScopedQueryCancel cancel_scope(cancel);
   Result<QueryOutcome> outcome = engine_->ExecuteStreaming(sql, sink);
-  if (outcome.ok()) {
-    totals_.AddQuery(outcome->metrics);
-    history_.push_back(outcome->metrics);
-  }
+  if (outcome.ok()) totals_.AddQuery(outcome->metrics);
   return outcome;
 }
 

@@ -12,9 +12,9 @@
 namespace nodb {
 
 /// One client's handle onto a shared engine: delegates execution and
-/// keeps that client's own metrics history and running totals, so a
-/// many-client deployment can attribute cost per session while the
-/// engine's adaptive state stays shared underneath.
+/// keeps that client's running totals, so a many-client deployment can
+/// attribute cost per session while the engine's adaptive state stays
+/// shared underneath.
 ///
 /// A session is single-threaded by design (one per client/worker);
 /// cross-session concurrency is the engine's job.
@@ -23,28 +23,26 @@ class QuerySession {
   QuerySession(Engine* engine, std::string client_id)
       : engine_(engine), client_id_(std::move(client_id)) {}
 
-  /// Runs `sql` on the shared engine and records the outcome in this
-  /// session's history.
+  /// Runs `sql` on the shared engine and folds the outcome into this
+  /// session's totals.
   Result<QueryOutcome> Execute(std::string_view sql);
 
   /// Server-shaped execution: batches stream to `sink` (null = fully
   /// materialize, as Execute), and `cancel` (null = uncancellable) is
   /// installed on the executing thread so the drain can be abandoned
   /// at any batch boundary. Cancelled queries are not folded into this
-  /// session's history — they produced no answer.
+  /// session's totals — they produced no answer.
   Result<QueryOutcome> ExecuteStreaming(std::string_view sql,
                                         BatchSink* sink,
                                         const QueryCancelFlag* cancel);
 
   const std::string& client_id() const { return client_id_; }
   const EngineTotals& totals() const { return totals_; }
-  const std::vector<QueryMetrics>& history() const { return history_; }
 
  private:
   Engine* engine_;
   std::string client_id_;
   EngineTotals totals_;
-  std::vector<QueryMetrics> history_;
 };
 
 /// What one query of a concurrent batch did, stamped against the

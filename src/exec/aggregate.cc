@@ -61,11 +61,13 @@ void Accumulate(AggFunc func, const ColumnVector* input, size_t n,
         }
         return;
       case DataType::kDouble: {
-        // NaN never replaces an extreme, nor is it replaced once held.
+        // CompareDoubles orders NaN above every number, so the answer
+        // does not depend on row order.
         const double* v = input->double_data();
         for (size_t i = 0; i < n; ++i) {
           auto& s = at(i);
-          if (valid[i] && (!s.has_value || better(v[i], s.ext_d))) {
+          if (valid[i] &&
+              (!s.has_value || better(CompareDoubles(v[i], s.ext_d), 0))) {
             s.ext_d = v[i];
             s.has_value = true;
           }

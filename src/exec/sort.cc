@@ -60,9 +60,7 @@ Status SortOperator::Materialize() {
             cmp = col.GetString(a).compare(col.GetString(b));
             cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
           } else if (col.type() == DataType::kDouble) {
-            double x = col.GetDouble(a);
-            double y = col.GetDouble(b);
-            cmp = x < y ? -1 : (x > y ? 1 : 0);
+            cmp = CompareDoubles(col.GetDouble(a), col.GetDouble(b));
           } else {
             int64_t x = col.GetInt64(a);
             int64_t y = col.GetInt64(b);

@@ -359,9 +359,12 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
     }
   };
 
+  // Each fragment is walked in runs of rows that share one block, so
+  // its parsed values are copied with one AppendRange per run.
   uint64_t row = 0;
   for (const Fragment& frag : frags) {
-    for (size_t r = 0; r < frag.row_starts.size(); ++r, ++row) {
+    const size_t frag_rows = frag.row_starts.size();
+    for (size_t r = 0; r < frag_rows;) {
       if (row % rows_per_block == 0) {
         if (row > 0) commit_block(row / rows_per_block - 1);
         if (use_map && !attrs.empty()) {
@@ -378,15 +381,21 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
           }
         }
       }
+      const size_t run = static_cast<size_t>(std::min<uint64_t>(
+          frag_rows - r, rows_per_block - row % rows_per_block));
       if (builder.has_value()) {
-        builder->AddRow(&frag.span_starts[r * num_attrs],
-                        &frag.span_ends[r * num_attrs]);
+        for (size_t k = r; k < r + run; ++k) {
+          builder->AddRow(&frag.span_starts[k * num_attrs],
+                          &frag.span_ends[k * num_attrs]);
+        }
       }
       if (parse_values) {
         for (size_t j = 0; j < num_attrs; ++j) {
-          building[j]->AppendFrom(*frag.columns[j], r);
+          building[j]->AppendRange(*frag.columns[j], r, run);
         }
       }
+      r += run;
+      row += run;
     }
   }
   if (row > 0) commit_block((row - 1) / rows_per_block);

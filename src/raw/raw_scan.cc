@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "csv/value_parser.h"
 #include "exec/filter.h"
@@ -176,24 +177,15 @@ Status RawScanOperator::Open() {
   NODB_RETURN_NOT_OK(reader_->Refresh());
 
   row_ = 0;
+  rows_emitted_ = 0;
   exhausted_ = false;
-  current_block_ = UINT64_MAX;
-  block_plan_.reset();
-  chunk_builder_.reset();
   window_first_ = 0;
   window_rows_ = 0;
   window_bounds_.clear();
-  store_block_ = false;
-  store_tail_ = false;
-  store_until_row_ = 0;
   store_segments_.clear();
-  block_has_building_ = false;
-  attr_states_.clear();
-  attr_states_.resize(projection_.size());
-  for (size_t i = 0; i < projection_.size(); ++i) {
-    attr_states_[i].attr = projection_[i];
-    attr_states_[i].type =
-        state_->info().schema->field(projection_[i]).type;
+  types_.clear();
+  for (uint32_t attr : projection_) {
+    types_.push_back(state_->info().schema->field(attr).type);
   }
 
   // Header line: data rows start after it.
@@ -333,121 +325,6 @@ bool RawScanOperator::SegmentCoversBlock(size_t segment_rows,
   return false;
 }
 
-Status RawScanOperator::EnterBlock(uint64_t row) {
-  NODB_RETURN_NOT_OK(CommitBlock());
-
-  const NoDbConfig& config = state_->config();
-  const uint32_t rows_per_block = config.rows_per_block;
-  current_block_ = row / rows_per_block;
-  block_first_row_ = current_block_ * rows_per_block;
-  store_block_ = false;
-  block_has_building_ = false;
-
-  // Resolve cache residency per attribute. A segment counts only when
-  // it provably covers the whole block (partial tail segments are
-  // rebuilt — bounded by one block of work).
-  PositionalMap& map = state_->map();
-
-  std::vector<uint32_t> probe_attrs;
-  probe_slot_.clear();
-  for (size_t i = 0; i < attr_states_.size(); ++i) {
-    AttrState& st = attr_states_[i];
-    st.cached.reset();
-    st.building.reset();
-    bool promote = use_store_ && promote_attr_[i] &&
-                   !state_->store().Contains(st.attr, current_block_);
-    if (use_cache_) {
-      auto seg = state_->cache().Get(st.attr, current_block_);
-      if (seg != nullptr && SegmentCoversBlock(seg->size(), current_block_)) {
-        st.cached = std::move(seg);
-        ++metrics_->cache_block_hits;
-        continue;
-      }
-      ++metrics_->cache_block_misses;
-    }
-    probe_attrs.push_back(st.attr);
-    probe_slot_.push_back(i);
-    // Zone maps piggyback on the same full-block segments the cache
-    // and statistics build; a missing summary is worth one block of
-    // accumulation even when those components are off.
-    bool want_zone = collect_zones_ && ZoneEligibleType(st.type) &&
-                     !state_->zones().Contains(st.attr, current_block_);
-    if (use_cache_ || use_stats_ || promote || want_zone) {
-      st.building = std::make_unique<ColumnVector>(st.type);
-      st.building->Reserve(rows_per_block);
-      block_has_building_ = true;
-    }
-  }
-
-  block_plan_.reset();
-  chunk_builder_.reset();
-  chunk_attrs_.clear();
-  if (use_map_ && !probe_attrs.empty()) {
-    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    block_plan_ = map.PrepareBlock(block_first_row_, probe_attrs);
-    if (map.ShouldIndexCombination(*block_plan_)) {
-      chunk_attrs_ = probe_attrs;
-      chunk_builder_ = map.StartChunk(block_first_row_, chunk_attrs_);
-    }
-  }
-
-  span_start_.assign(probe_attrs.size(), 0);
-  span_end_.assign(probe_attrs.size(), 0);
-  probe_identity_.resize(probe_attrs.size());
-  for (size_t j = 0; j < probe_identity_.size(); ++j) {
-    probe_identity_[j] = j;
-  }
-  probe_attrs_ = std::move(probe_attrs);
-  return Status::OK();
-}
-
-Status RawScanOperator::CommitBlock() {
-  if (current_block_ == UINT64_MAX) return Status::OK();
-  PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-  if (chunk_builder_.has_value()) {
-    if (chunk_builder_->rows() > 0) {
-      state_->map().CommitChunk(std::move(*chunk_builder_));
-    }
-    chunk_builder_.reset();
-  }
-  for (size_t i = 0; i < attr_states_.size(); ++i) {
-    AttrState& st = attr_states_[i];
-    bool promote = use_store_ && promote_attr_[i];
-    if (st.building == nullptr || st.building->size() == 0) {
-      st.building.reset();
-      // Piggybacked promotion from the cache: the segment that served
-      // this block is already fully parsed — hand it to the store
-      // instead of re-parsing later. Zone maps summarize it the same
-      // way.
-      if (st.cached != nullptr) {
-        MaybeObserveZone(st.attr, current_block_, *st.cached);
-        if (promote &&
-            SegmentCoversBlock(st.cached->size(), current_block_)) {
-          state_->store().Promote(st.attr, current_block_, st.cached,
-                                  store_generation_);
-        }
-      }
-      continue;
-    }
-    std::shared_ptr<ColumnVector> segment(st.building.release());
-    MaybeObserveZone(st.attr, current_block_, *segment);
-    if (use_stats_) {
-      state_->stats().ObserveBlock(st.attr, current_block_, *segment);
-    }
-    if (use_cache_) {
-      state_->cache().Put(st.attr, current_block_, segment);
-    }
-    // Piggybacked promotion of the segment this scan just parsed;
-    // admitted only when it provably covers the whole block (a scan
-    // abandoned mid-block leaves nothing half-promoted).
-    if (promote && SegmentCoversBlock(segment->size(), current_block_)) {
-      state_->store().Promote(st.attr, current_block_, segment,
-                              store_generation_);
-    }
-  }
-  return Status::OK();
-}
-
 bool RawScanOperator::FetchStoreBlock(uint64_t block, size_t* rows) {
   const uint32_t rows_per_block = state_->config().rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
@@ -479,203 +356,22 @@ bool RawScanOperator::FetchStoreBlock(uint64_t block, size_t* rows) {
   return true;
 }
 
-Result<bool> RawScanOperator::TryEnterStoreBlock(uint64_t row) {
-  const uint32_t rows_per_block = state_->config().rows_per_block;
-  const uint64_t block = row / rows_per_block;
-  size_t rows = 0;
-  if (!FetchStoreBlock(block, &rows)) return false;
-  NODB_RETURN_NOT_OK(CommitBlock());
-  // Store-served blocks summarize into the zone maps too: the
-  // segments are fully parsed, so the pass is one cheap scan.
-  {
-    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    for (size_t i = 0; i < store_segments_.size(); ++i) {
-      MaybeObserveZone(projection_[i], block, *store_segments_[i]);
-    }
-  }
-  current_block_ = block;
-  block_first_row_ = block * uint64_t{rows_per_block};
-  block_plan_.reset();
-  chunk_builder_.reset();
-  chunk_attrs_.clear();
-  probe_attrs_.clear();
-  probe_slot_.clear();
-  for (AttrState& st : attr_states_) {
-    st.cached.reset();
-    st.building.reset();
-  }
-  block_has_building_ = false;
-  store_block_ = true;
-  store_tail_ = rows < rows_per_block;  // only the file's last block may
-  store_until_row_ = block_first_row_ + rows;
-  ++metrics_->store_block_hits;
-  return true;
-}
-
 Result<BatchPtr> RawScanOperator::Next() {
-  if (!predicates_.empty()) return NextPushdown();
-  if (exhausted_) return BatchPtr();
-
-  auto out = std::make_shared<RecordBatch>(schema_);
-  const uint32_t rows_per_block = state_->config().rows_per_block;
-  size_t emitted = 0;
-  Slice line;
-
-  while (emitted < RecordBatch::kDefaultBatchRows) {
-    // ---- store fast path: the current block is fully materialized —
-    // rows come straight out of the promoted segments, with no row
-    // location, map lookup, tokenizing or parsing.
-    if (store_block_) {
-      if (row_ < store_until_row_) {
-        size_t rel = static_cast<size_t>(row_ - block_first_row_);
-        size_t take = static_cast<size_t>(std::min<uint64_t>(
-            store_until_row_ - row_,
-            RecordBatch::kDefaultBatchRows - emitted));
-        for (size_t i = 0; i < store_segments_.size(); ++i) {
-          out->column(i).AppendRange(*store_segments_[i], rel, take);
-        }
-        metrics_->rows_scanned += take;
-        metrics_->rows_from_store += take;
-        row_ += take;
-        emitted += take;
-        continue;
-      }
-      store_block_ = false;
-      if (store_tail_) {
-        // The served block was the file's known tail: end of scan.
-        exhausted_ = true;
-        current_block_ = UINT64_MAX;
-        break;
-      }
-    }
-    if (serve_store_ && row_ / rows_per_block != current_block_) {
-      NODB_ASSIGN_OR_RETURN(bool served, TryEnterStoreBlock(row_));
-      if (served) continue;
-    }
-
-    uint64_t start = 0;
-    uint64_t end = 0;
-    NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(row_, &start, &end));
-    if (!ok) {
-      exhausted_ = true;
-      NODB_RETURN_NOT_OK(CommitBlock());
-      current_block_ = UINT64_MAX;
-      break;
-    }
-    if (row_ / rows_per_block != current_block_) {
-      NODB_RETURN_NOT_OK(EnterBlock(row_));
-    }
-    uint64_t rel = row_ - block_first_row_;
-
-    // Read the tuple's bytes (the reader accounts physical I/O). A
-    // fully-cached block never touches the raw file at all — the
-    // paper's "eliminating the need to access hot raw data".
-    if (!probe_attrs_.empty() && end > start) {
-      NODB_RETURN_NOT_OK(
-          reader_->ReadAt(start, static_cast<size_t>(end - start), &line));
-      // CRLF line endings: the tokenizer treats a trailing '\r' as part
-      // of the terminator, so the raw record passes through untrimmed.
-    } else {
-      line = Slice();
-    }
-
-    // ---- cached attributes: copy binary values straight through.
-    for (size_t i = 0; i < attr_states_.size(); ++i) {
-      const AttrState& st = attr_states_[i];
-      if (st.cached == nullptr) continue;
-      NODB_CHECK(rel < st.cached->size());
-      out->column(i).AppendFrom(*st.cached, rel);
-    }
-
-    // ---- selective tokenizing: spans for the uncached attributes.
-    if (!probe_attrs_.empty()) {
-      NODB_RETURN_NOT_OK(TokenizeSpans(line, row_, block_plan_,
-                                       probe_attrs_, probe_identity_,
-                                       span_start_.data(),
-                                       span_end_.data(),
-                                       /*count_blind=*/true));
-    }
-
-    // ---- selective parsing/conversion of exactly those spans.
-    if (!probe_attrs_.empty()) {
-      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-      for (size_t j = 0; j < probe_attrs_.size(); ++j) {
-        size_t slot = probe_slot_[j];
-        const AttrState& st = attr_states_[slot];
-        Slice raw = CsvTokenizer::RawField(line, span_start_[j],
-                                           span_end_[j] + 1);
-        Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-        Status s = ValueParser::ParseInto(text, st.type, &out->column(slot));
-        if (!s.ok()) {
-          return Status::ParseError(
-              table_name_ + ": row " + std::to_string(row_) +
-              ", attribute " + std::to_string(st.attr) + ": " +
-              s.message());
-        }
-        ++metrics_->fields_converted;
-      }
-    }
-
-    // ---- NoDB side effects: teach the map, grow the cache segments.
-    if (!probe_attrs_.empty() &&
-        (chunk_builder_.has_value() || block_has_building_)) {
-      PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-      if (chunk_builder_.has_value()) {
-        chunk_builder_->AddRow(span_start_.data(), span_end_.data());
-      }
-      for (size_t j = 0; j < probe_attrs_.size(); ++j) {
-        size_t slot = probe_slot_[j];
-        AttrState& st = attr_states_[slot];
-        if (st.building != nullptr) {
-          const ColumnVector& col = out->column(slot);
-          st.building->AppendFrom(col, col.size() - 1);
-        }
-      }
-    }
-
-    // Tier attribution: a row whose every needed column came from the
-    // cache never touched the raw bytes (empty projections count here
-    // too); anything tokenized or parsed is a raw-tier row.
-    if (probe_attrs_.empty()) {
-      ++metrics_->rows_from_cache;
-    } else {
-      ++metrics_->rows_from_raw;
-    }
-    ++metrics_->rows_scanned;
-    ++row_;
-    ++emitted;
+  BatchPtr out;
+  while (out == nullptr && !exhausted_ && rows_emitted_ < row_limit_) {
+    NODB_ASSIGN_OR_RETURN(out, ProcessBlock());
+    // A skipped or fully filtered block: keep walking. The operator
+    // contract forbids empty non-final batches (drains stop on them).
+    if (out != nullptr && out->num_rows() == 0) out.reset();
   }
-
   metrics_->io_ns += reader_->io_nanos();
   metrics_->bytes_read += reader_->bytes_read();
   reader_->ResetCounters();
-
-  if (emitted == 0) return BatchPtr();
-  out->SetNumRows(emitted);
+  if (out != nullptr) rows_emitted_ += out->num_rows();
   return out;
 }
 
-// --------------------------------------------------------------- pushdown
-
-Result<BatchPtr> RawScanOperator::NextPushdown() {
-  while (!exhausted_) {
-    NODB_ASSIGN_OR_RETURN(BatchPtr batch, ProcessPushdownBlock());
-    if (batch != nullptr && batch->num_rows() > 0) {
-      metrics_->io_ns += reader_->io_nanos();
-      metrics_->bytes_read += reader_->bytes_read();
-      reader_->ResetCounters();
-      return batch;
-    }
-    // A skipped or fully filtered block: keep walking. The operator
-    // contract forbids empty non-final batches (drains stop on them).
-  }
-  metrics_->io_ns += reader_->io_nanos();
-  metrics_->bytes_read += reader_->bytes_read();
-  reader_->ResetCounters();
-  return BatchPtr();
-}
-
-Result<BatchPtr> RawScanOperator::ProcessPushdownBlock() {
+Result<BatchPtr> RawScanOperator::ProcessBlock() {
   const uint32_t rows_per_block = state_->config().rows_per_block;
   const uint64_t block = row_ / rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
@@ -703,12 +399,11 @@ Result<BatchPtr> RawScanOperator::ProcessPushdownBlock() {
 
   if (serve_store_) {
     BatchPtr staged;
-    NODB_ASSIGN_OR_RETURN(bool served,
-                          TryPushdownStoreBlock(block, &staged));
+    NODB_ASSIGN_OR_RETURN(bool served, TryStoreBlock(block, &staged));
     if (served) return staged;
   }
 
-  return PushdownRawBlock(block);
+  return RawBlock(block);
 }
 
 bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
@@ -745,8 +440,8 @@ bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
   return false;
 }
 
-Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
-                                                    BatchPtr* staged) {
+Result<bool> RawScanOperator::TryStoreBlock(uint64_t block,
+                                            BatchPtr* staged) {
   const uint32_t rows_per_block = state_->config().rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
   size_t rows = 0;
@@ -771,7 +466,7 @@ Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
   auto probe = std::make_shared<RecordBatch>(schema_, std::move(view),
                                              rows);
   NODB_ASSIGN_OR_RETURN(size_t passing,
-                        EvaluatePushdown(*probe, &pd_sel_));
+                        EvaluatePushdown(*probe, &sel_));
 
   BatchPtr out;
   if (passing == rows) {
@@ -779,7 +474,7 @@ Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
     // zero-copy serving survives pushdown.
     out = std::move(probe);
   } else {
-    out = GatherRows(*probe, pd_sel_.data(), passing);
+    out = GatherRows(*probe, sel_.data(), passing);
   }
   ++metrics_->store_block_hits;
   metrics_->rows_scanned += rows;
@@ -796,6 +491,10 @@ Result<size_t> RawScanOperator::EvaluatePushdown(
     const RecordBatch& batch, std::vector<uint32_t>* sel) const {
   const size_t n = batch.num_rows();
   sel->resize(n);
+  if (predicates_.empty()) {
+    std::iota(sel->begin(), sel->end(), uint32_t{0});
+    return n;
+  }
   size_t passing = n;
   for (size_t p = 0; p < predicates_.size() && passing > 0; ++p) {
     NODB_ASSIGN_OR_RETURN(auto mask, predicates_[p]->Evaluate(batch));
@@ -866,14 +565,22 @@ Status RawScanOperator::TokenizeSpans(
   return Status::OK();
 }
 
-Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
-  const NoDbConfig& config = state_->config();
-  const uint32_t rows_per_block = config.rows_per_block;
+Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
+  const uint32_t rows_per_block = state_->config().rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
   PositionalMap& map = state_->map();
+  // Without conjuncts every column is phase 1 and every row qualifies,
+  // so each located row is an emitted one: locate only the rows the
+  // row limit still wants.
+  const bool filtered = !predicates_.empty();
+  const uint64_t want =
+      filtered ? rows_per_block
+               : std::min<uint64_t>(rows_per_block,
+                                    row_limit_ - rows_emitted_);
 
   // ---- resolve cache residency and split the probes into phases:
-  // predicate columns parse for every row (phase 1), the rest only for
+  // phase-1 columns (the predicate columns, or all of them when there
+  // are no conjuncts) parse for every row, the rest only for
   // qualifying rows (phase 2).
   const size_t n_slots = projection_.size();
   std::vector<std::shared_ptr<const ColumnVector>> cached(n_slots);
@@ -892,10 +599,10 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
       }
       ++metrics_->cache_block_misses;
     }
-    if (pred_slot_[i]) {
+    if (!filtered || pred_slot_[i]) {
       p1_idx.push_back(probe_attrs.size());
-      built[i] = std::make_shared<ColumnVector>(attr_states_[i].type);
-      built[i]->Reserve(rows_per_block);
+      built[i] = std::make_shared<ColumnVector>(types_[i]);
+      built[i]->Reserve(static_cast<size_t>(want));
     } else {
       p2_idx.push_back(probe_attrs.size());
     }
@@ -919,18 +626,20 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
     }
   }
 
-  // ---- phase 1: locate every row of the block, tokenize and convert
-  // only the predicate columns.
-  pd_bounds_.clear();
+  // ---- phase 1: locate every wanted row of the block, tokenize and
+  // convert only the phase-1 columns.
+  bounds_.clear();
   std::vector<uint32_t> p1_starts(p1_idx.size());
   std::vector<uint32_t> p1_ends(p1_idx.size());
   Slice line;
-  for (uint64_t r = first; r < first + rows_per_block; ++r) {
+  for (uint64_t r = first; r < first + want; ++r) {
     uint64_t start = 0;
     uint64_t end = 0;
     NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(r, &start, &end));
     if (!ok) break;
-    pd_bounds_.emplace_back(start, end);
+    bounds_.emplace_back(start, end);
+    // A fully-cached block never touches the raw file at all — the
+    // paper's "eliminating the need to access hot raw data".
     if (p1_idx.empty()) continue;
     if (end > start) {
       NODB_RETURN_NOT_OK(
@@ -948,8 +657,8 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
         Slice raw =
             CsvTokenizer::RawField(line, p1_starts[k], p1_ends[k] + 1);
         Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-        Status s = ValueParser::ParseInto(text, attr_states_[slot].type,
-                                          built[slot].get());
+        Status s =
+            ValueParser::ParseInto(text, types_[slot], built[slot].get());
         if (!s.ok()) {
           return Status::ParseError(
               table_name_ + ": row " + std::to_string(r) +
@@ -957,7 +666,7 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
               s.message());
         }
         ++metrics_->fields_converted;
-        ++metrics_->pushdown_phase1_fields;
+        if (filtered) ++metrics_->pushdown_phase1_fields;
       }
     }
     if (chunk.has_value()) {
@@ -965,99 +674,105 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
       chunk->AddRow(p1_starts.data(), p1_ends.data());
     }
   }
-  const size_t rows = pd_bounds_.size();
+  const size_t rows = bounds_.size();
   if (rows == 0) {
     exhausted_ = true;
     return BatchPtr();
   }
+  // The row limit stopped the block early: its segments and chunk do
+  // not cover it, so it teaches nothing (like an abandoned scan).
+  const bool cut_short = rows == want && want < rows_per_block;
 
-  // ---- vectorize the conjuncts over the partial batch. Slots no
-  // predicate references hold empty placeholder columns.
+  // ---- vectorize the conjuncts over the partial batch. Slots with
+  // no segment yet (phase 2) hold empty placeholder columns.
   size_t passing = 0;
   {
     std::vector<std::shared_ptr<ColumnVector>> columns(n_slots);
     for (size_t i = 0; i < n_slots; ++i) {
       if (built[i] != nullptr) {
         columns[i] = built[i];
-      } else if (pred_slot_[i] && cached[i] != nullptr) {
+      } else if (cached[i] != nullptr) {
         NODB_CHECK(cached[i]->size() >= rows);
         columns[i] = std::const_pointer_cast<ColumnVector>(cached[i]);
       } else {
-        columns[i] =
-            std::make_shared<ColumnVector>(attr_states_[i].type);
+        columns[i] = std::make_shared<ColumnVector>(types_[i]);
       }
     }
     RecordBatch probe(schema_, std::move(columns), rows);
-    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(probe, &pd_sel_));
+    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(probe, &sel_));
   }
 
   // ---- phase 2: qualifying rows only — tokenize/convert the
   // remaining columns and form the output tuples (the paper's
-  // selective tuple formation, now predicate-aware).
-  auto out = std::make_shared<RecordBatch>(schema_);
+  // selective tuple formation, now predicate-aware). Columns already
+  // in binary form (phase-1 parsed or cache-resident) are gathered
+  // whole; when every row qualifies, a segment of exactly the block's
+  // rows is handed out as-is.
+  std::vector<std::shared_ptr<ColumnVector>> out_cols(n_slots);
+  {
+    PhaseTimer timer(&metrics_->convert_ns, reader_.get());
+    for (size_t i = 0; i < n_slots; ++i) {
+      std::shared_ptr<const ColumnVector> src = built[i];
+      if (src == nullptr) src = cached[i];
+      if (src != nullptr && passing == rows && src->size() == rows) {
+        out_cols[i] = std::const_pointer_cast<ColumnVector>(src);
+        continue;
+      }
+      out_cols[i] = std::make_shared<ColumnVector>(types_[i]);
+      if (src == nullptr) {
+        out_cols[i]->Reserve(passing);
+      } else if (passing == rows) {
+        out_cols[i]->AppendRange(*src, 0, rows);
+      } else {
+        out_cols[i]->AppendSelected(*src, sel_.data(), passing);
+      }
+    }
+  }
   std::vector<uint32_t> p2_starts(p2_idx.size());
   std::vector<uint32_t> p2_ends(p2_idx.size());
-  if (passing > 0) {
-    // Columns already in binary form (phase-1 parsed or cache-resident)
-    // are gathered whole; only the phase-2 columns parse row by row.
-    {
-      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-      for (size_t i = 0; i < n_slots; ++i) {
-        const ColumnVector* src =
-            built[i] != nullptr ? built[i].get() : cached[i].get();
-        if (src == nullptr) {
-          out->column(i).Reserve(passing);
-          continue;
-        }
-        NODB_CHECK(src->size() >= rows);
-        out->column(i).AppendSelected(*src, pd_sel_.data(), passing);
-      }
+  for (size_t k = 0; k < passing && !p2_idx.empty(); ++k) {
+    const size_t r = sel_[k];
+    uint64_t start = bounds_[r].first;
+    uint64_t end = bounds_[r].second;
+    if (end > start) {
+      NODB_RETURN_NOT_OK(
+          reader_->ReadAt(start, static_cast<size_t>(end - start), &line));
+    } else {
+      line = Slice();
     }
-    for (size_t k = 0; k < passing && !p2_idx.empty(); ++k) {
-      const size_t r = pd_sel_[k];
-      uint64_t start = pd_bounds_[r].first;
-      uint64_t end = pd_bounds_[r].second;
-      if (end > start) {
-        NODB_RETURN_NOT_OK(reader_->ReadAt(
-            start, static_cast<size_t>(end - start), &line));
-      } else {
-        line = Slice();
+    // Blind-row attribution happened in phase 1 (when predicate
+    // columns probed) — count here only when phase 2 is the row's
+    // first tokenize pass.
+    NODB_RETURN_NOT_OK(TokenizeSpans(line, first + r, plan, probe_attrs,
+                                     p2_idx, p2_starts.data(),
+                                     p2_ends.data(),
+                                     /*count_blind=*/p1_idx.empty()));
+    PhaseTimer timer(&metrics_->convert_ns, reader_.get());
+    for (size_t k2 = 0; k2 < p2_idx.size(); ++k2) {
+      size_t slot = probe_slots[p2_idx[k2]];
+      Slice raw =
+          CsvTokenizer::RawField(line, p2_starts[k2], p2_ends[k2] + 1);
+      Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
+      Status s =
+          ValueParser::ParseInto(text, types_[slot], out_cols[slot].get());
+      if (!s.ok()) {
+        return Status::ParseError(
+            table_name_ + ": row " + std::to_string(first + r) +
+            ", attribute " + std::to_string(projection_[slot]) + ": " +
+            s.message());
       }
-      // Blind-row attribution happened in phase 1 (when predicate
-      // columns probed) — count here only when phase 2 is the row's
-      // first tokenize pass.
-      NODB_RETURN_NOT_OK(TokenizeSpans(line, first + r, plan, probe_attrs,
-                                       p2_idx, p2_starts.data(),
-                                       p2_ends.data(),
-                                       /*count_blind=*/p1_idx.empty()));
-      size_t k2 = 0;
-      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-      for (size_t i = 0; i < n_slots; ++i) {
-        if (built[i] != nullptr || cached[i] != nullptr) continue;
-        Slice raw =
-            CsvTokenizer::RawField(line, p2_starts[k2], p2_ends[k2] + 1);
-        Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-        Status s = ValueParser::ParseInto(text, attr_states_[i].type,
-                                          &out->column(i));
-        if (!s.ok()) {
-          return Status::ParseError(
-              table_name_ + ": row " + std::to_string(first + r) +
-              ", attribute " + std::to_string(projection_[i]) + ": " +
-              s.message());
-        }
-        ++metrics_->fields_converted;
-        ++metrics_->pushdown_phase2_fields;
-        ++k2;
-      }
+      ++metrics_->fields_converted;
+      ++metrics_->pushdown_phase2_fields;
     }
-    out->SetNumRows(passing);
   }
+  auto out = std::make_shared<RecordBatch>(schema_, std::move(out_cols),
+                                           passing);
 
   // ---- side effects: phase-1 columns covered the whole block, so
-  // they feed the map, cache, statistics, zone maps and promotion
-  // exactly like a predicate-free scan's segments; phase-2 columns
-  // were only parsed for qualifying rows and teach nothing.
-  {
+  // they feed the map, cache, statistics, zone maps and promotion;
+  // phase-2 columns were only parsed for qualifying rows and teach
+  // nothing.
+  if (!cut_short) {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
     if (chunk.has_value() && chunk->rows() > 0) {
       map.CommitChunk(std::move(*chunk));
@@ -1096,7 +811,8 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
     metrics_->rows_from_raw += rows;
   }
   row_ = first + rows;
-  if (rows < rows_per_block) exhausted_ = true;  // end of file
+  // End of file, or the row limit is reached.
+  if (rows < rows_per_block) exhausted_ = true;
   return out;
 }
 

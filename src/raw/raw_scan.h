@@ -17,34 +17,38 @@ namespace nodb {
 /// The in-situ scan operator — PostgresRaw's replacement for the leaf
 /// of a conventional query plan (paper §3).
 ///
-/// For every tuple it:
-///   1. locates the tuple's byte range (from the positional map's row
-///      index when known, otherwise by scanning for the newline and
-///      teaching the map);
-///   2. serves each requested attribute from the binary cache when the
-///      block segment is resident;
-///   3. otherwise finds the attribute's span: exactly from a positional
-///      map chunk, or by tokenizing from the nearest map anchor — never
-///      past the last requested attribute (*selective tokenizing*);
-///   4. converts only those spans to binary (*selective parsing*) and
-///      emits batches containing only the requested columns
-///      (*selective tuple formation* together with the columnar
-///      filter);
+/// The scan works one row-block (`rows_per_block` rows) at a time, and
+/// each call of Next() returns one block's rows. Per block it:
+///   1. skips the block when a zone map proves it disjoint from a
+///      pushed range/equality conjunct;
+///   2. serves the block from the shadow column store when every
+///      needed column is materialized there — no row location, no
+///      positional-map lookup, no tokenizing, no value parsing;
+///   3. otherwise locates the block's rows (from the positional map's
+///      row index when known, else by scanning for newlines and
+///      teaching the map) and, in **phase 1**, finds and converts the
+///      spans of the phase-1 columns — exactly from a map chunk, or by
+///      tokenizing from the nearest map anchor, never past the last
+///      requested attribute (*selective tokenizing* and *selective
+///      parsing*). Cache-resident segments need no parsing;
+///   4. evaluates the pushed conjuncts over that partial batch and, in
+///      **phase 2**, parses the remaining columns for qualifying rows
+///      only (*selective tuple formation*, predicate-aware);
 ///   5. as side effects populates the map (per the distance policy),
-///      the cache and the statistics for the touched blocks — and,
-///      for attributes whose access heat crossed the promotion
-///      threshold, hands the fully parsed (or cache-resident) block
-///      segments to the shadow column store (piggybacked promotion:
-///      the scan that parsed a hot column pays for it exactly once).
+///      the cache, the statistics and the zone maps for the block —
+///      and, for attributes whose access heat crossed the promotion
+///      threshold, hands the fully parsed (or cache-resident) segments
+///      to the shadow column store (piggybacked promotion: the scan
+///      that parsed a hot column pays for it exactly once).
 ///
-/// The scan builds a **hybrid block plan**: blocks all of whose needed
-/// columns are already materialized in the shadow store are emitted
-/// straight from the store — no row location, no positional-map
-/// lookup, no tokenizing, no value parsing — while the remaining
-/// blocks take the raw/cache path above, and the two interleave
-/// freely. Results are byte-identical either way. Store serving
-/// requires the positional-map component (the raw residue relies on
-/// it to locate rows after a served block).
+/// A scan with no pushed conjuncts runs the same pipeline: every
+/// column is phase 1 and every row qualifies. A block in which every
+/// row qualifies and no phase-2 column is left is emitted as its
+/// segments (freshly parsed, cache-resident or store-resident) with no
+/// copy. Store-served and raw blocks interleave freely and results are
+/// byte-identical either way. Store serving requires the
+/// positional-map component (the raw residue relies on it to locate
+/// rows after a served block).
 ///
 /// All NoDB structures honor the per-table NoDbConfig; with everything
 /// disabled this operator *is* the paper's "Baseline" external-files
@@ -56,10 +60,10 @@ namespace nodb {
 /// per block it snapshots the published row bounds (SnapshotRows) and
 /// pins a chunk plan (PrepareBlock), then locates, tokenizes and
 /// parses rows without any locking; finished segments and chunks are
-/// published in short exclusive sections at block commit. Only the
-/// undiscovered tail serializes (the map's discovery baton) — queries
-/// never wait on each other's parsing, only on publication of rows
-/// nobody has walked yet.
+/// published in short exclusive sections at the end of the block. Only
+/// the undiscovered tail serializes (the map's discovery baton) —
+/// queries never wait on each other's parsing, only on publication of
+/// rows nobody has walked yet.
 class RawScanOperator final : public ExecOperator {
  public:
   /// `projection`: table attribute indices to emit, ascending. May be
@@ -84,21 +88,19 @@ class RawScanOperator final : public ExecOperator {
   /// like SQL WHERE). Call before Open.
   void SetPushdownPredicates(std::vector<ExprPtr> predicates);
 
+  /// Caps the rows this scan emits: the consumer stops after `limit`
+  /// rows (LIMIT + OFFSET above a scan that took every conjunct). The
+  /// scan stops after the block that reaches it, and a block with no
+  /// conjuncts locates and parses only the rows still wanted. A block
+  /// cut short this way teaches nothing: no map chunk, cache segment,
+  /// statistics, zone entry or promotion. Call before Open.
+  void SetRowLimit(uint64_t limit) { row_limit_ = limit; }
+
   Status Open() override;
   Result<BatchPtr> Next() override;
   std::shared_ptr<Schema> output_schema() const override { return schema_; }
 
  private:
-  /// Per-needed-attribute working state for the current block.
-  struct AttrState {
-    uint32_t attr = 0;
-    DataType type = DataType::kInt64;
-    std::shared_ptr<const ColumnVector> cached;  // resident segment
-    std::unique_ptr<ColumnVector> building;      // cache/stats segment
-  };
-
-  Status EnterBlock(uint64_t row);
-  Status CommitBlock();
   Result<bool> LocateRow(uint64_t row, uint64_t* start, uint64_t* end);
 
   /// A pushed `col op literal` conjunct in zone-checkable form.
@@ -110,21 +112,19 @@ class RawScanOperator final : public ExecOperator {
     double lit_d = 0;
   };
 
-  /// ---- pushdown path (predicates_ non-empty). One call processes
-  /// exactly one row-block: zone-skips it, serves it from the store,
-  /// or runs the two-phase raw/cache parse — and returns the block's
-  /// qualifying rows (possibly an empty batch; nullptr only for a
-  /// skipped block).
-  Result<BatchPtr> NextPushdown();
-  Result<BatchPtr> ProcessPushdownBlock();
+  /// Processes exactly one row-block: zone-skips it, serves it from
+  /// the store, or runs the two-phase raw/cache parse — and returns the
+  /// block's qualifying rows (possibly an empty batch; nullptr for a
+  /// skipped block or the end of the file).
+  Result<BatchPtr> ProcessBlock();
   bool ZoneSkipsBlock(uint64_t block, uint64_t* rows_in_block) const;
-  Result<bool> TryPushdownStoreBlock(uint64_t block, BatchPtr* staged);
-  Result<BatchPtr> PushdownRawBlock(uint64_t block);
+  Result<bool> TryStoreBlock(uint64_t block, BatchPtr* staged);
+  Result<BatchPtr> RawBlock(uint64_t block);
 
   /// Evaluates every pushed conjunct over `batch` and narrows one
   /// selection vector through them with SelectTrue (SQL WHERE: NULL
   /// drops). Fills `sel` with the qualifying rows, in order, and
-  /// returns their number.
+  /// returns their number; with no conjuncts every row qualifies.
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
                                   std::vector<uint32_t>* sel) const;
 
@@ -153,17 +153,11 @@ class RawScanOperator final : public ExecOperator {
                         const ColumnVector& segment);
 
   /// Fetches `block`'s promoted segments into store_segments_ and runs
-  /// the serve-time validation shared by both store paths: all
-  /// attributes must agree on the row count, and a short segment must
+  /// the serve-time validation: all attributes must agree on the row count, and a short segment must
   /// match the completed row index *right now* (a stale pre-append
   /// tail fails, is evicted, and the block re-parses raw). False when
   /// the block is absent or stale; `*rows` is its row count on success.
   bool FetchStoreBlock(uint64_t block, size_t* rows);
-
-  /// Tries to serve the block containing `row` (a block boundary)
-  /// entirely from the shadow store. On success commits the previous
-  /// block and arms the store fast path.
-  Result<bool> TryEnterStoreBlock(uint64_t row);
 
   RawTableState* state_;
   std::vector<uint32_t> projection_;
@@ -187,15 +181,19 @@ class RawScanOperator final : public ExecOperator {
   uint64_t store_generation_ = 0;  // file generation this scan parses
   uint64_t zone_generation_ = 0;   // ditto, for zone-map observation
 
-  // Predicate pushdown (empty = legacy row-at-a-time path).
+  std::vector<DataType> types_;  // per projection slot
+
+  // Predicate pushdown (empty = every row qualifies).
   std::vector<ExprPtr> predicates_;
-  std::vector<bool> pred_slot_;          // projection slot is phase-1
+  std::vector<bool> pred_slot_;          // projection slot feeds a conjunct
   std::vector<ZonePredicate> zone_preds_;  // zone-checkable conjuncts
 
-  uint64_t row_ = 0;
+  uint64_t row_ = 0;           // first row of the next block
   uint64_t local_offset_ = 0;  // discovery cursor when the map is off
   bool exhausted_ = false;
   uint64_t header_skip_ = 0;   // bytes of header line (has_header files)
+  uint64_t row_limit_ = UINT64_MAX;  // see SetRowLimit
+  uint64_t rows_emitted_ = 0;
 
   // Lock-free row location: published bounds of rows
   // [window_first_, window_first_ + window_rows_), snapshotted from the
@@ -204,35 +202,15 @@ class RawScanOperator final : public ExecOperator {
   uint32_t window_rows_ = 0;
   std::vector<uint64_t> window_bounds_;
 
-  // Store fast path: rows [block_first_row_, store_until_row_) are
-  // emitted straight from store_segments_ (parallel to projection_).
-  bool store_block_ = false;
-  bool store_tail_ = false;  // served block is the file's last
-  uint64_t store_until_row_ = 0;
+  // Store-served block segments (parallel to projection_).
   std::vector<std::shared_ptr<const ColumnVector>> store_segments_;
   std::vector<bool> promote_attr_;  // projection slot is promotion-hot
 
-  // Current block state.
-  uint64_t current_block_ = UINT64_MAX;
-  uint64_t block_first_row_ = 0;
-  bool block_has_building_ = false;  // some attr accumulates a segment
-  std::vector<AttrState> attr_states_;
-  std::optional<PositionalMap::BlockPlan> block_plan_;
-  std::optional<PositionalMap::ChunkBuilder> chunk_builder_;
-  std::vector<uint32_t> probe_attrs_;  // attrs not served by the cache
-  std::vector<size_t> probe_slot_;     // probe j -> attr_states_ index
-  std::vector<size_t> probe_identity_;  // 0..n-1, TokenizeSpans subset
-  std::vector<uint32_t> chunk_attrs_;  // attrs recorded in the builder
-
-  // Reused per-row scratch.
+  // Reused per-row and per-block scratch.
   std::vector<uint32_t> starts_;
-  std::vector<uint32_t> span_start_;  // per projection slot
-  std::vector<uint32_t> span_end_;
   std::string decode_scratch_;
-
-  // Reused per-block pushdown scratch.
-  std::vector<std::pair<uint64_t, uint64_t>> pd_bounds_;  // row byte spans
-  std::vector<uint32_t> pd_sel_;  // qualifying rows of the block
+  std::vector<std::pair<uint64_t, uint64_t>> bounds_;  // row byte spans
+  std::vector<uint32_t> sel_;  // qualifying rows of the block
 };
 
 }  // namespace nodb

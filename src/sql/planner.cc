@@ -529,6 +529,14 @@ Result<OperatorPtr> PlanSelect(const SelectStatement& stmt,
     ScanPushdown pushdown;
     pushdown.conjuncts = conjuncts;
     pushdown.pushed.assign(conjuncts.size(), false);
+    // Only Project sits between the scan and Limit: the scan's rows
+    // are the rows Limit counts.
+    if (stmt.limit.has_value() && !has_aggregate && !stmt.has_join &&
+        stmt.order_by.empty() && !stmt.distinct) {
+      pushdown.row_limit = *stmt.limit > UINT64_MAX - stmt.offset
+                               ? UINT64_MAX
+                               : *stmt.limit + stmt.offset;
+    }
     NODB_ASSIGN_OR_RETURN(
         OperatorPtr scan,
         factory->CreatePushdownScan(table, slot.projection, &pushdown));

@@ -1,6 +1,7 @@
 #ifndef NODB_SQL_PLANNER_H_
 #define NODB_SQL_PLANNER_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,9 +26,15 @@ class PlanProfiler;
 /// `conjuncts`, pre-sized to false); the planner keeps a FilterOperator
 /// above the scan for every conjunct left unpushed, so a factory that
 /// ignores the offer still yields a correct plan.
+///
+/// `row_limit` is how many rows the plan consumes at most if the scan
+/// takes every conjunct: LIMIT + OFFSET (saturating) for a single-table
+/// query with no aggregate, GROUP BY, ORDER BY or DISTINCT, else
+/// UINT64_MAX. A factory may stop its scan there.
 struct ScanPushdown {
   std::vector<ExprPtr> conjuncts;
   std::vector<bool> pushed;
+  uint64_t row_limit = UINT64_MAX;
 };
 
 /// Supplies leaf scans to the planner.

@@ -97,28 +97,6 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
-void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
-  assert(src.type_ == type_);
-  if (src.IsNull(i)) {
-    AppendNull();
-    return;
-  }
-  switch (type_) {
-    case DataType::kInt64:
-    case DataType::kDate:
-      validity_.push_back(1);
-      ints_.push_back(src.ints_[i]);
-      break;
-    case DataType::kDouble:
-      validity_.push_back(1);
-      doubles_.push_back(src.doubles_[i]);
-      break;
-    case DataType::kString:
-      AppendString(src.GetString(i));
-      break;
-  }
-}
-
 ColumnVector::FixedWriter ColumnVector::WriteFixed(size_t n) {
   assert(size() == 0 && type_ != DataType::kString);
   FixedWriter w;

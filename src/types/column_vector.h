@@ -92,9 +92,6 @@ class ColumnVector {
                       size_t n);
   /// Appends rows [begin, begin + n) of `src` (same type).
   void AppendRange(const ColumnVector& src, size_t begin, size_t n);
-  /// Copies row `i` of `src` (same type) onto the end of this column.
-  /// For a row-at-a-time producer; gathers use the two calls above.
-  void AppendFrom(const ColumnVector& src, size_t i);
 
   /// Approximate heap footprint; used for cache accounting.
   size_t MemoryUsage() const;

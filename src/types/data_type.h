@@ -1,6 +1,7 @@
 #ifndef NODB_TYPES_DATA_TYPE_H_
 #define NODB_TYPES_DATA_TYPE_H_
 
+#include <cmath>
 #include <string>
 #include <string_view>
 
@@ -30,6 +31,15 @@ Result<DataType> DataTypeFromString(std::string_view name);
 /// True for types whose computations run on numbers (kInt64, kDouble,
 /// kDate).
 bool IsNumeric(DataType type);
+
+/// The one order on DOUBLE values, shared by ORDER BY and MIN/MAX
+/// (PostgreSQL's): NaN equals NaN and is greater than every other
+/// number, which makes it a strict weak ordering. Returns -1, 0 or 1.
+inline int CompareDoubles(double x, double y) {
+  if (std::isnan(x)) return std::isnan(y) ? 0 : 1;
+  if (std::isnan(y)) return -1;
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
 
 }  // namespace nodb
 

@@ -13,7 +13,7 @@ namespace nodb {
 /// A horizontal slice of a table: a schema plus equal-length columns.
 ///
 /// Operators exchange batches of kDefaultBatchRows rows (volcano-style,
-/// vectorized). Columns are owned via shared_ptr so projections can
+/// vectorized); the raw scan emits one batch per row-block. Columns are owned via shared_ptr so projections can
 /// re-arrange them without copying payloads.
 class RecordBatch {
  public:

@@ -3,10 +3,10 @@
 // on randomly generated expression trees over randomly generated
 // batches (including NULLs, NaNs, int64 overflow and all type
 // combinations the binder permits), at batch sizes around the
-// executor's 1024-row batch. FilterOperator and a global
-// HashAggregateOperator are checked against the same reference, since
-// the engine-vs-engine equivalence suites run the same kernels on both
-// sides and cannot catch a kernel bug.
+// executor's 1024-row batch. FilterOperator, a global
+// HashAggregateOperator and DOUBLE ordering are checked against the
+// same reference, since the engine-vs-engine equivalence suites run
+// the same kernels on both sides and cannot catch a kernel bug.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "exec/expr.h"
 #include "exec/filter.h"
 #include "exec/query_result.h"
+#include "exec/sort.h"
 #include "util/random.h"
 
 namespace nodb {
@@ -136,6 +137,13 @@ Value EvalRef(const Expr& e, const std::vector<Value>& row) {
   }
   ADD_FAILURE() << "unsupported node in reference: " << e.ToString();
   return Value::Null();
+}
+
+/// PostgreSQL's DOUBLE order, written out independently: NaN equals NaN
+/// and is greater than every other number.
+bool RefDoubleLess(double x, double y) {
+  if (std::isnan(y)) return !std::isnan(x);
+  return !std::isnan(x) && x < y;
 }
 
 /// Result equality: doubles bit-for-bit (so -0.0 differs from 0.0), any
@@ -356,7 +364,8 @@ std::unique_ptr<ColumnStoreScan> ScanAll(
 
 /// Reference for one global aggregate over `inputs` (one Value per row;
 /// unused for COUNT(*)). Sums add in row order from +0.0; MIN/MAX keep
-/// the first value and replace it only with a strictly better one.
+/// the first value and replace it only with a strictly better one,
+/// ordering doubles by RefDoubleLess.
 Value RefAggregate(AggFunc func, DataType in_type,
                    const std::vector<Value>& inputs, size_t rows) {
   if (func == AggFunc::kCountStar) {
@@ -384,8 +393,8 @@ Value RefAggregate(AggFunc func, DataType in_type,
         better = func == AggFunc::kMin ? v.str() < best.str()
                                        : v.str() > best.str();
       } else if (v.is_double()) {
-        better = func == AggFunc::kMin ? v.dbl() < best.dbl()
-                                       : v.dbl() > best.dbl();
+        better = func == AggFunc::kMin ? RefDoubleLess(v.dbl(), best.dbl())
+                                       : RefDoubleLess(best.dbl(), v.dbl());
       } else {
         better = func == AggFunc::kMin ? RefInt(v) < RefInt(best)
                                        : RefInt(v) > RefInt(best);
@@ -529,6 +538,71 @@ TEST_P(ExprPropertySweep, GlobalAggregateMatchesReference) {
           << "seed " << seed << " rows " << rows << " " << aggs[a].name
           << ": got " << got[a].ToString() << " want "
           << expected.ToString();
+    }
+  }
+}
+
+// DOUBLE MIN/MAX and ORDER BY follow one total order (NaN above every
+// number), so shuffling the input rows changes neither answer.
+TEST_P(ExprPropertySweep, DoubleOrderIgnoresRowOrder) {
+  uint64_t seed = GetParam();
+  Random rng(seed + 3000);
+  auto schema = TestSchema();
+  const size_t d1 = 3;
+  for (size_t rows : kBatchSizes) {
+    auto table = RandomTable(schema, rows, &rng);
+    std::vector<uint32_t> perm(rows);
+    for (size_t r = 0; r < rows; ++r) perm[r] = static_cast<uint32_t>(r);
+    for (size_t r = rows; r > 1; --r) {
+      std::swap(perm[r - 1], perm[rng.Uniform(r)]);
+    }
+    auto shuffled = std::make_shared<ColumnStoreTable>(schema);
+    for (size_t c = 0; c < schema->num_fields(); ++c) {
+      shuffled->column(c).AppendSelected(table->column(c), perm.data(),
+                                         rows);
+    }
+    shuffled->SetNumRows(rows);
+
+    // One row of MIN(d1), MAX(d1), then d1 in ascending and descending
+    // order.
+    auto answers = [&](const std::shared_ptr<ColumnStoreTable>& t) {
+      std::vector<Value> out;
+      auto d1_ref =
+          std::make_shared<ColumnRefExpr>(d1, "d1", DataType::kDouble);
+      auto agg = HashAggregateOperator::Create(
+          ScanAll(t), {}, {},
+          {{AggFunc::kMin, d1_ref, "min"}, {AggFunc::kMax, d1_ref, "max"}});
+      EXPECT_TRUE(agg.ok());
+      auto extremes = QueryResult::Drain(agg->get());
+      EXPECT_TRUE(extremes.ok());
+      for (const Value& v : extremes->Row(0)) out.push_back(v);
+      for (bool ascending : {true, false}) {
+        auto key = std::make_shared<ColumnRefExpr>(0, "d1", DataType::kDouble);
+        SortOperator sort(
+            std::make_unique<ColumnStoreScan>(t, std::vector<size_t>{d1}),
+            {{key, ascending}});
+        auto sorted = QueryResult::Drain(&sort);
+        EXPECT_TRUE(sorted.ok());
+        for (size_t r = 0; r < sorted->num_rows(); ++r) {
+          Value v = sorted->Row(r)[0];
+          if (r > 0 && !v.is_null() && !out.back().is_null()) {
+            double prev = out.back().dbl();
+            EXPECT_FALSE(ascending ? RefDoubleLess(v.dbl(), prev)
+                                   : RefDoubleLess(prev, v.dbl()))
+                << "seed " << seed << " rows " << rows << " row " << r;
+          }
+          out.push_back(std::move(v));
+        }
+      }
+      return out;
+    };
+    std::vector<Value> want = answers(table);
+    std::vector<Value> got = answers(shuffled);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(SameValue(got[i], want[i]))
+          << "seed " << seed << " rows " << rows << " value " << i << ": got "
+          << got[i].ToString() << " want " << want[i].ToString();
     }
   }
 }

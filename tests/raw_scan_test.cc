@@ -865,6 +865,99 @@ TEST_F(RawScanTest, PushdownServesFromShadowStoreWithZoneSkips) {
   EXPECT_EQ(metrics.rows_scanned + metrics.zone_skipped_rows, 400u);
 }
 
+// ------------------------------------------- one block pipeline
+
+/// Conjunct-free scans return one batch per block, and a block in which
+/// every row qualifies leaves the scan as its segments, uncopied:
+/// freshly parsed (the segments the scan handed the cache),
+/// cache-resident, and store-resident.
+TEST_F(RawScanTest, ConjunctFreeBlocksLeaveAsTheirSegments) {
+  auto info = WriteFixture("zc", 150, 4);  // blocks of 64, 64 and 22
+  const std::vector<uint32_t> attrs = {1, 3};
+  enum class Tier { kFresh, kCache, kStore };
+  for (Tier tier : {Tier::kFresh, Tier::kCache, Tier::kStore}) {
+    NoDbConfig config = SmallBlocks(true, true, true);
+    config.enable_store = tier == Tier::kStore;
+    config.promote_after_accesses = 1;
+    RawTableState state(info, config);
+    if (tier != Tier::kFresh) VerifyScan(&state, attrs, 150);
+
+    ScanMetrics metrics;
+    RawScanOperator scan(&state, attrs, &metrics);
+    ASSERT_TRUE(scan.Open().ok());
+    uint64_t block = 0;
+    while (true) {
+      auto batch = scan.Next();
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      if (*batch == nullptr) break;
+      for (size_t i = 0; i < attrs.size(); ++i) {
+        std::shared_ptr<const ColumnVector> segment =
+            tier == Tier::kStore ? state.store().Get(attrs[i], block)
+                                 : state.cache().Get(attrs[i], block);
+        ASSERT_NE(segment, nullptr) << "block " << block;
+        EXPECT_EQ((*batch)->column_ptr(i).get(), segment.get())
+            << "tier " << static_cast<int>(tier) << " block " << block;
+      }
+      ++block;
+    }
+    EXPECT_EQ(block, 3u);
+    EXPECT_EQ(metrics.rows_scanned, 150u);
+    if (tier == Tier::kFresh) {
+      EXPECT_EQ(metrics.rows_from_raw, 150u);
+    } else {
+      EXPECT_EQ(metrics.fields_converted, 0u);
+      EXPECT_EQ(tier == Tier::kStore ? metrics.rows_from_store
+                                     : metrics.rows_from_cache,
+                150u);
+    }
+  }
+}
+
+/// A row limit inside a block locates and parses only the wanted rows,
+/// and the block cut short teaches nothing; a block the limit does not
+/// cut teaches as usual.
+TEST_F(RawScanTest, BlockCutShortByRowLimitTeachesNothing) {
+  auto info = WriteFixture("cut", 300, 5);
+  NoDbConfig config = SmallBlocks(true, true, true);
+  config.enable_store = true;
+  config.promote_after_accesses = 1;
+  RawTableState state(info, config);
+  VerifyScan(&state, {0}, 300);
+  const size_t segments = state.cache().num_segments();
+  const size_t chunks = state.map().num_chunks();
+  const size_t zones = state.zones().num_entries();
+  const size_t promoted = state.store().num_segments();
+
+  auto check = [&](uint64_t limit, size_t expected_rows) {
+    ScanMetrics metrics;
+    RawScanOperator scan(&state, {1, 3}, &metrics);
+    scan.SetRowLimit(limit);
+    QueryResult result = MustDrain(&scan);
+    ASSERT_EQ(result.num_rows(), expected_rows);
+    for (size_t r = 0; r < expected_rows; ++r) {
+      ASSERT_EQ(result.Row(r)[1], Value::Int64(static_cast<int64_t>(
+                                      r * 100 + 3)));
+    }
+    EXPECT_EQ(metrics.rows_scanned, expected_rows);
+    EXPECT_EQ(metrics.fields_converted, 2 * expected_rows);
+  };
+
+  check(10, 10);
+  EXPECT_EQ(state.cache().num_segments(), segments);
+  EXPECT_EQ(state.map().num_chunks(), chunks);
+  EXPECT_EQ(state.zones().num_entries(), zones);
+  EXPECT_EQ(state.store().num_segments(), promoted);
+
+  // 70 rows: block 0 whole, then 6 rows of block 1 — only block 0
+  // lands in the cache, the zone maps and the store.
+  check(70, 70);
+  EXPECT_EQ(state.cache().num_segments(), segments + 2);
+  EXPECT_EQ(state.zones().num_entries(), zones + 2);
+  EXPECT_EQ(state.store().num_segments(), promoted + 2);
+  EXPECT_TRUE(state.cache().Contains(1, 0));
+  EXPECT_FALSE(state.cache().Contains(1, 1));
+}
+
 TEST_F(RawScanTest, ParallelPrewarmBuildsZoneMaps) {
   auto info = WriteFixture("pz", 300, 4);
   RawTableState state(info, SmallBlocks(true, true, true));

@@ -203,6 +203,21 @@ class PlannerTest : public ::testing::Test, public ScanFactory {
     return Status::NotFound("no table " + table);
   }
 
+  Result<OperatorPtr> CreatePushdownScan(
+      const std::string& table, const std::vector<size_t>& projection,
+      ScanPushdown* pushdown) override {
+    last_row_limit_[table] = pushdown->row_limit;
+    return CreateScan(table, projection);
+  }
+
+  /// The row limit the planner offered to `table`'s scan for `sql`.
+  uint64_t RowLimitFor(const std::string& sql,
+                       const std::string& table = "people") {
+    last_row_limit_.clear();
+    EXPECT_TRUE(Run(sql).ok()) << sql;
+    return last_row_limit_.at(table);
+  }
+
   Result<QueryResult> Run(const std::string& sql) {
     NODB_ASSIGN_OR_RETURN(auto plan, PlanSql(sql, this));
     return QueryResult::Drain(plan.get());
@@ -211,6 +226,7 @@ class PlannerTest : public ::testing::Test, public ScanFactory {
   std::shared_ptr<ColumnStoreTable> people_;
   std::shared_ptr<ColumnStoreTable> pets_;
   std::map<std::string, std::vector<size_t>> last_projection_;
+  std::map<std::string, uint64_t> last_row_limit_;
 };
 
 Result<int64_t> PlannerTest::ParseDateForTest(const char* s) {
@@ -366,6 +382,41 @@ TEST_F(PlannerTest, LimitOffsetEndToEnd) {
   ASSERT_EQ(result->num_rows(), 2u);
   EXPECT_EQ(result->Row(0)[0], Value::Int64(2));
   EXPECT_EQ(result->Row(1)[0], Value::Int64(3));
+}
+
+TEST_F(PlannerTest, ScanRowLimitOnlyWhenScanRowsReachLimit) {
+  EXPECT_EQ(RowLimitFor("SELECT id FROM people LIMIT 2"), 2u);
+  EXPECT_EQ(RowLimitFor("SELECT id FROM people LIMIT 2 OFFSET 1"), 3u);
+  EXPECT_EQ(RowLimitFor("SELECT id FROM people WHERE age > 1 LIMIT 2"), 2u);
+  EXPECT_EQ(RowLimitFor("SELECT id FROM people"), UINT64_MAX);
+  EXPECT_EQ(RowLimitFor("SELECT id FROM people ORDER BY id LIMIT 2"),
+            UINT64_MAX);
+  EXPECT_EQ(RowLimitFor("SELECT DISTINCT age FROM people LIMIT 2"),
+            UINT64_MAX);
+  EXPECT_EQ(RowLimitFor("SELECT COUNT(*) AS n FROM people LIMIT 2"),
+            UINT64_MAX);
+  EXPECT_EQ(RowLimitFor("SELECT age, COUNT(*) AS n FROM people "
+                        "GROUP BY age LIMIT 1"),
+            UINT64_MAX);
+  const char* join =
+      "SELECT p.name, q.pet FROM people p JOIN pets q ON p.id = q.owner "
+      "LIMIT 1";
+  EXPECT_EQ(RowLimitFor(join, "people"), UINT64_MAX);
+  EXPECT_EQ(last_row_limit_.at("pets"), UINT64_MAX);
+  // LIMIT + OFFSET saturates instead of wrapping.
+  EXPECT_EQ(RowLimitFor("SELECT id FROM people LIMIT 9223372036854775807 "
+                        "OFFSET 9223372036854775807"),
+            UINT64_MAX - 1);
+  auto stmt = ParseSelect("SELECT id FROM people LIMIT 1 OFFSET 5");
+  ASSERT_TRUE(stmt.ok());
+  stmt->limit = UINT64_MAX - 1;
+  last_row_limit_.clear();
+  auto plan = PlanSelect(*stmt, this);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(last_row_limit_.at("people"), UINT64_MAX);
+  auto result = QueryResult::Drain(plan->get());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->num_rows(), 0u);
 }
 
 TEST_F(PlannerTest, DistinctDeduplicatesRows) {

@@ -155,17 +155,6 @@ TEST(ColumnVectorTest, DateAndNumericViews) {
   EXPECT_EQ(col.GetValue(0), Value::Date(100));
 }
 
-TEST(ColumnVectorTest, AppendFromCopiesAcrossVectors) {
-  ColumnVector src(DataType::kString);
-  src.AppendString("keep");
-  src.AppendNull();
-  ColumnVector dst(DataType::kString);
-  dst.AppendFrom(src, 0);
-  dst.AppendFrom(src, 1);
-  EXPECT_EQ(dst.GetString(0), "keep");
-  EXPECT_TRUE(dst.IsNull(1));
-}
-
 TEST(ColumnVectorTest, AppendValueDispatchesByType) {
   ColumnVector col(DataType::kDouble);
   col.AppendValue(Value::Double(2.5));
