@@ -7,6 +7,22 @@
 
 namespace nodb {
 
+namespace {
+
+/// One storage tier's line: utilization, bytes vs budget and counters.
+std::string TierLine(const char* label, const SegmentStore& tier) {
+  return std::string(label) + MonitorPanel::Bar(tier.utilization()) + "  " +
+         FormatBytes(tier.bytes_used()) + " / " +
+         FormatBytes(tier.budget_bytes()) + ", " +
+         std::to_string(tier.num_segments()) + " segments, " +
+         std::to_string(tier.promotions()) + " admitted, " +
+         std::to_string(tier.evictions()) + " evicted, hits " +
+         std::to_string(tier.hits()) + " / misses " +
+         std::to_string(tier.misses()) + "\n";
+}
+
+}  // namespace
+
 std::string MonitorPanel::Bar(double fraction, size_t width) {
   if (fraction < 0) fraction = 0;
   double shown = std::min(fraction, 1.0);
@@ -26,27 +42,14 @@ std::string MonitorPanel::RenderTableState(const RawTableState& state) {
   out += "=== PostgresRaw monitoring: table '" + state.info().name +
          "' ===\n";
   const PositionalMap& map = state.map();
-  const RawCache& cache = state.cache();
 
   out += "positional map  " + Bar(map.utilization()) + "  " +
          FormatBytes(map.bytes_used()) + " / " +
          FormatBytes(map.budget_bytes()) + ", " +
          std::to_string(map.num_chunks()) + " chunks, " +
          std::to_string(map.evictions()) + " evictions\n";
-  out += "cache           " + Bar(cache.utilization()) + "  " +
-         FormatBytes(cache.bytes_used()) + " / " +
-         FormatBytes(cache.budget_bytes()) + ", " +
-         std::to_string(cache.num_segments()) + " segments, hits " +
-         std::to_string(cache.hits()) + " / misses " +
-         std::to_string(cache.misses()) + "\n";
-  const ShadowStore& store = state.store();
-  out += "shadow store    " + Bar(store.utilization()) + "  " +
-         FormatBytes(store.bytes_used()) + " / " +
-         FormatBytes(store.budget_bytes()) + ", " +
-         std::to_string(store.num_segments()) + " segments, " +
-         std::to_string(store.promotions()) + " promotions, hits " +
-         std::to_string(store.hits()) + " / evictions " +
-         std::to_string(store.evictions()) + "\n";
+  out += TierLine("cache           ", state.cache());
+  out += TierLine("shadow store    ", state.store());
   out += "tuple index     " + std::to_string(map.known_rows()) +
          " rows known" +
          std::string(map.rows_complete() ? " (complete)" : " (partial)") +
@@ -110,8 +113,7 @@ std::string MonitorPanel::RenderBreakdown(const std::string& label,
 
 std::string MonitorPanel::RenderStorageTiers(const RawTableState& state) {
   const PositionalMap& map = state.map();
-  const RawCache& cache = state.cache();
-  const ShadowStore& store = state.store();
+  const SegmentStore& store = state.store();
   const uint64_t known = map.known_rows();
 
   std::string out;
@@ -122,17 +124,8 @@ std::string MonitorPanel::RenderStorageTiers(const RawTableState& state) {
          std::to_string(map.num_chunks()) + " chunks, " +
          std::to_string(known) + " rows known" +
          (map.rows_complete() ? " (complete)" : " (partial)") + "\n";
-  out += "raw cache       " + FormatBytes(cache.bytes_used()) + " / " +
-         FormatBytes(cache.budget_bytes()) + ", " +
-         std::to_string(cache.num_segments()) + " segments, hits " +
-         std::to_string(cache.hits()) + " / misses " +
-         std::to_string(cache.misses()) + "\n";
-  out += "shadow store    " + FormatBytes(store.bytes_used()) + " / " +
-         FormatBytes(store.budget_bytes()) + ", " +
-         std::to_string(store.num_segments()) + " segments, " +
-         std::to_string(store.promotions()) + " promotions, " +
-         std::to_string(store.evictions()) + " evictions, block hits " +
-         std::to_string(store.hits()) + "\n";
+  out += TierLine("raw cache       ", state.cache());
+  out += TierLine("shadow store    ", store);
   out += "zone maps       " + std::to_string(state.zones().num_entries()) +
          " (attribute, block) summaries\n";
 

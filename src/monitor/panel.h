@@ -25,7 +25,7 @@ class MonitorPanel {
   static std::string RenderTableState(const RawTableState& state);
 
   /// The storage-tier report (the shell's \tiers command): raw file →
-  /// RawCache → shadow store, with per-tier bytes vs budgets, hit
+  /// cache → shadow store, with per-tier bytes vs budgets, hit
   /// counters and the promoted columns' heat and coverage.
   static std::string RenderStorageTiers(const RawTableState& state);
 

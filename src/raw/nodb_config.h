@@ -29,7 +29,8 @@ struct NoDbConfig {
   bool enable_positional_map = true;
   size_t positional_map_budget = 64u << 20;  // bytes
 
-  /// Binary raw-data cache (paper §3.2).
+  /// Binary raw-data cache (paper §3.2): the cache-tier SegmentStore
+  /// (store/segment_store.h) of recently parsed segments.
   bool enable_cache = true;
   size_t cache_budget = 256u << 20;  // bytes
 
@@ -53,7 +54,7 @@ struct NoDbConfig {
   /// block); NULL-bearing blocks are never skipped.
   bool enable_zone_maps = true;
 
-  /// Shadow column store (store/shadow_store.h): heat-driven background
+  /// Shadow column store (store/segment_store.h): heat-driven background
   /// materialization of hot columns — the paper's adaptive-loading end
   /// state where frequently accessed raw data gradually becomes loaded
   /// data. Serving from the store requires the positional map (the

@@ -214,6 +214,9 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
   const bool use_zones = config.enable_zone_maps;
   const bool parse_values =
       (use_cache || use_stats || use_zones) && !attrs.empty();
+  // Generations are snapshotted before the reader takes the file
+  // handle, so a concurrent rewrite fences this pass's inserts.
+  const uint64_t cache_generation = state->cache().generation();
   const uint64_t zone_generation = state->zones().generation();
 
   BufferedReader reader(state->file(), config.read_buffer_bytes);
@@ -354,7 +357,7 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
         state->stats().ObserveBlock(attrs[j], block, *segment);
       }
       if (use_cache) {
-        state->cache().Put(attrs[j], block, segment);
+        state->cache().Put(attrs[j], block, segment, cache_generation);
       }
     }
   };

@@ -26,7 +26,7 @@ struct ParallelScanStats {
 /// (selective tokenizing/parsing, as the serial scan would), and
 /// accumulates a local fragment. Fragments are then merged on the
 /// calling thread *in file order*, so the resulting PositionalMap,
-/// RawCache and StatsCollector contents — and therefore all query
+/// cache tier and StatsCollector contents — and therefore all query
 /// results — are byte-identical to what the serial RawScanOperator
 /// produces, for any thread count.
 ///

@@ -97,11 +97,12 @@ Status RawScanOperator::Open() {
   // Serving from the store needs the map: the raw residue of a hybrid
   // plan locates rows through it after a store-served block.
   serve_store_ = use_store_ && use_map_ && !projection_.empty();
-  // Snapshot the store generation *before* taking the file handle: if
-  // the file is rewritten after this point, the generation moves on
-  // and this scan's promotions are rejected rather than poisoning the
-  // cleared store with old-file segments.
+  // Snapshot the store and cache generations *before* taking the file
+  // handle: if the file is rewritten after this point, the generations
+  // move on and this scan's inserts are rejected rather than poisoning
+  // the cleared tiers with old-file segments.
   store_generation_ = state_->store().generation();
+  cache_generation_ = state_->cache().generation();
   // Zone maps follow the same discipline: collect summaries whenever
   // the config asks for them, but prune blocks only when predicates
   // were pushed and the map can resume the scan at the next block.
@@ -787,17 +788,15 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
           state_->stats().ObserveBlock(attr, block, *built[i]);
         }
         if (use_cache_) {
-          state_->cache().Put(attr, block, built[i]);
+          state_->cache().Put(attr, block, built[i], cache_generation_);
         }
         if (promote && SegmentCoversBlock(built[i]->size(), block)) {
-          state_->store().Promote(attr, block, built[i],
-                                  store_generation_);
+          state_->store().Put(attr, block, built[i], store_generation_);
         }
       } else if (cached[i] != nullptr) {
         MaybeObserveZone(attr, block, *cached[i]);
         if (promote) {
-          state_->store().Promote(attr, block, cached[i],
-                                  store_generation_);
+          state_->store().Put(attr, block, cached[i], store_generation_);
         }
       }
     }

@@ -179,6 +179,7 @@ class RawScanOperator final : public ExecOperator {
   bool collect_zones_ = false;  // summarize full blocks into zone maps
   bool skip_zones_ = false;     // prune blocks via zone maps (needs map)
   uint64_t store_generation_ = 0;  // file generation this scan parses
+  uint64_t cache_generation_ = 0;  // ditto, for cache inserts
   uint64_t zone_generation_ = 0;   // ditto, for zone-map observation
 
   std::vector<DataType> types_;  // per projection slot

@@ -43,7 +43,7 @@ struct ScanMetrics {
   /// Storage-tier attribution: every scanned row lands in exactly one
   /// bucket. `rows_from_store`: all needed columns came from a shadow-
   /// store block (no row location, tokenizing or parsing at all).
-  /// `rows_from_cache`: every needed column was a RawCache segment hit
+  /// `rows_from_cache`: every needed column was a cache-tier segment hit
   /// (rows located, nothing tokenized; includes empty projections).
   /// `rows_from_raw`: at least one column was tokenized/parsed from
   /// the raw bytes.

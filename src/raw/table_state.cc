@@ -1,5 +1,7 @@
 #include "raw/table_state.h"
 
+#include "obs/metrics.h"
+
 namespace nodb {
 
 RawTableState::RawTableState(RawTableInfo info, const NoDbConfig& config)
@@ -10,9 +12,22 @@ RawTableState::RawTableState(RawTableInfo info, const NoDbConfig& config)
       access_counts_(info_.schema->num_fields(), 0),
       map_(config.positional_map_budget, config.rows_per_block,
            config.max_covering_chunks),
-      cache_(config.cache_budget),
+      cache_(config.cache_budget,
+             obs::MetricsRegistry::Global().GetCounter(
+                 "nodb_cache_insertions_total",
+                 "Segments inserted into a table's cache tier"),
+             obs::MetricsRegistry::Global().GetCounter(
+                 "nodb_cache_evictions_total",
+                 "Segments evicted from a cache tier by its budget")),
       stats_(info_.schema),
-      store_(config.store_budget) {}
+      store_(config.store_budget,
+             obs::MetricsRegistry::Global().GetCounter(
+                 "nodb_store_promotions_total",
+                 "Column segments promoted into a shadow store"),
+             obs::MetricsRegistry::Global().GetCounter(
+                 "nodb_store_evictions_total",
+                 "Column segments evicted from a shadow store by its "
+                 "budget")) {}
 
 Status RawTableState::Open() {
   MutexLock lock(mu_);
@@ -57,12 +72,17 @@ Result<FileChange> RawTableState::CheckForUpdates() {
       map_.ReopenForAppend();
       // No generation bump: surviving blocks stay valid, and stale
       // producers racing the drop are fenced by serve-time tail
-      // re-validation against the live row index.
-      store_.DropBlocksFrom(map_.known_rows() / config_.rows_per_block);
+      // re-validation against the live row index (the store's
+      // FetchStoreBlock, the cache's SegmentCoversBlock).
+      const uint64_t frontier = map_.known_rows() / config_.rows_per_block;
+      store_.DropBlocksFrom(frontier);
+      // The cache truncates the same way, so its stale frontier-block
+      // segment (no generation bump) is never even probed again.
+      cache_.DropBlocksFrom(frontier);
       // The zone maps truncate exactly like the store: the frontier
       // block's summary no longer covers it, earlier full blocks stay
       // (fenced the same way — tail re-validation, not generations).
-      zones_.DropBlocksFrom(map_.known_rows() / config_.rows_per_block);
+      zones_.DropBlocksFrom(frontier);
       promoted_rows_ = UINT64_MAX;  // re-arm the background promoter
     } else {
       change = FileChange::kRewritten;
@@ -227,6 +247,9 @@ persist::RecoveryReport RawTableState::Thaw(persist::AdaptiveImage image,
     // frontier are valid, and the serve-time tail re-validation fences
     // the one possibly-stale frontier block (see comment above).
     store_.DropBlocksFrom(frontier);
+    // Same generation story for the cache (empty unless queries beat
+    // the thaw here): no bump, tail re-validation fences the frontier.
+    cache_.DropBlocksFrom(frontier);
     zones_.DropBlocksFrom(frontier);
     if (report.store_recovered) {
       report.store_segments_recovered = store_.num_segments();

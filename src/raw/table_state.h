@@ -12,9 +12,8 @@
 #include "persist/image.h"
 #include "raw/nodb_config.h"
 #include "raw/positional_map.h"
-#include "raw/raw_cache.h"
 #include "raw/stats_collector.h"
-#include "store/shadow_store.h"
+#include "store/segment_store.h"
 #include "util/mutex.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
@@ -82,12 +81,12 @@ class RawTableState {
 
   PositionalMap& map() { return map_; }
   const PositionalMap& map() const { return map_; }
-  RawCache& cache() { return cache_; }
-  const RawCache& cache() const { return cache_; }
+  SegmentStore& cache() { return cache_; }
+  const SegmentStore& cache() const { return cache_; }
   StatsCollector& stats() { return stats_; }
   const StatsCollector& stats() const { return stats_; }
-  ShadowStore& store() { return store_; }
-  const ShadowStore& store() const { return store_; }
+  SegmentStore& store() { return store_; }
+  const SegmentStore& store() const { return store_; }
   ZoneMaps& zones() { return zones_; }
   const ZoneMaps& zones() const { return zones_; }
 
@@ -134,7 +133,7 @@ class RawTableState {
 
   /// Freezes the four persistent structures into serializable images.
   /// Safe while queries are in flight: each structure exports a
-  /// consistent cut under its own lock (the RawCache is deliberately
+  /// consistent cut under its own lock (the cache tier is deliberately
   /// not persisted — it is a recency cache, cheaply re-earned, and its
   /// hottest contents are promoted into the store anyway).
   persist::AdaptiveImage Freeze() const;
@@ -174,13 +173,12 @@ class RawTableState {
   ///
   ///   1. RawTableState::mu_        (this lock: handle/flags/claims)
   ///   2. PositionalMap::discovery_mu_  then  PositionalMap::mu_
-  ///   3. ShadowStore::mu_
-  ///   4. RawCache::mu_
-  ///   5. StatsCollector / AttributeStats / ZoneMaps mu_
+  ///   3. SegmentStore::mu_     (cache_ or store_, never both)
+  ///   4. StatsCollector / AttributeStats / ZoneMaps mu_
   ///
   /// The component structures never call back up the stack (a map
-  /// operation cannot touch the store, a store operation cannot touch
-  /// the cache, ...), so holding an outer lock while entering an inner
+  /// operation cannot touch a segment tier, one tier never touches the
+  /// other, ...), so holding an outer lock while entering an inner
   /// structure is safe and the reverse never happens. ACQUIRED_BEFORE
   /// on PositionalMap::discovery_mu_ encodes the one intra-structure
   /// edge; NoDbEngine's locks (states_mu_, promo_mu_, pool_mu_,
@@ -205,9 +203,9 @@ class RawTableState {
   std::atomic<uint64_t> queries_executed_{0};
 
   PositionalMap map_;
-  RawCache cache_;
+  SegmentStore cache_;  // recently parsed segments (paper §3.2)
   StatsCollector stats_;
-  ShadowStore store_;
+  SegmentStore store_;  // promoted full-block segments of hot columns
   ZoneMaps zones_;
 };
 

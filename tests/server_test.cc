@@ -22,7 +22,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
-#include "store/shadow_store.h"
+#include "store/segment_store.h"
 
 namespace nodb {
 namespace server {
@@ -685,30 +685,30 @@ std::shared_ptr<const ColumnVector> SegmentOfBytes(size_t n) {
   return col;
 }
 
-TEST(TenantTest, ShadowStoreEvictsOverShareOwnerFirst) {
+TEST(TenantTest, SegmentStoreEvictsOverShareOwnerFirst) {
   // Budget fits ~4 segments; tenant A promotes 3, tenant B promotes 2.
   // A is over its fair share (budget/2), so the fourth-plus promotions
   // evict A's oldest segments — B's stay resident.
   auto probe = SegmentOfBytes(1024);
   size_t seg_bytes;
   {
-    ShadowStore sizer(1u << 20);
-    sizer.Promote(0, 0, probe, 0);
+    SegmentStore sizer(1u << 20);
+    sizer.Put(0, 0, probe, 0);
     seg_bytes = sizer.bytes_used();
   }
-  ShadowStore store(seg_bytes * 4);
+  SegmentStore store(seg_bytes * 4);
   uint32_t a = obs::TenantIdFor("store-a");
   uint32_t b = obs::TenantIdFor("store-b");
   {
     obs::ScopedTenantLabel label(a);
-    store.Promote(0, 0, SegmentOfBytes(1024), 0);
-    store.Promote(0, 1, SegmentOfBytes(1024), 0);
-    store.Promote(0, 2, SegmentOfBytes(1024), 0);
+    store.Put(0, 0, SegmentOfBytes(1024), 0);
+    store.Put(0, 1, SegmentOfBytes(1024), 0);
+    store.Put(0, 2, SegmentOfBytes(1024), 0);
   }
   {
     obs::ScopedTenantLabel label(b);
-    store.Promote(1, 0, SegmentOfBytes(1024), 0);
-    store.Promote(1, 1, SegmentOfBytes(1024), 0);
+    store.Put(1, 0, SegmentOfBytes(1024), 0);
+    store.Put(1, 1, SegmentOfBytes(1024), 0);
   }
   // Over budget by one segment: the victim must be A's least recent
   // (attr 0, block 0), never B's.
@@ -718,6 +718,36 @@ TEST(TenantTest, ShadowStoreEvictsOverShareOwnerFirst) {
   EXPECT_TRUE(store.Contains(1, 1));
   EXPECT_EQ(store.bytes_used_by(a), 2 * seg_bytes);
   EXPECT_EQ(store.bytes_used_by(b), 2 * seg_bytes);
+}
+
+TEST(TenantTest, SegmentStoreKeepsTheSegmentItJustAdmitted) {
+  // Tenants A and B each hold 1 KiB; tenant C then adds 2 KiB to a
+  // budget one byte short of all three. C is the only owner over its
+  // fair share, but the entry inserted last is never the victim: the
+  // LRU tail (A's segment) goes instead.
+  auto charged = [](size_t n) {
+    SegmentStore sizer(1u << 20);
+    sizer.Put(0, 0, SegmentOfBytes(n), 0);
+    return sizer.bytes_used();
+  };
+  SegmentStore store(2 * charged(1024) + charged(2048) - 1);
+  {
+    obs::ScopedTenantLabel label(obs::TenantIdFor("newest-a"));
+    store.Put(0, 0, SegmentOfBytes(1024), 0);
+  }
+  {
+    obs::ScopedTenantLabel label(obs::TenantIdFor("newest-b"));
+    store.Put(1, 0, SegmentOfBytes(1024), 0);
+  }
+  {
+    obs::ScopedTenantLabel label(obs::TenantIdFor("newest-c"));
+    store.Put(2, 0, SegmentOfBytes(2048), 0);
+  }
+  EXPECT_EQ(store.evictions(), 1u);
+  EXPECT_TRUE(store.Contains(2, 0));
+  EXPECT_FALSE(store.Contains(0, 0));
+  EXPECT_TRUE(store.Contains(1, 0));
+  EXPECT_LE(store.bytes_used(), store.budget_bytes());
 }
 
 TEST(TenantTest, StatsCollectorPartitionsHeatByTenant) {

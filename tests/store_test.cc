@@ -1,8 +1,8 @@
-// Tests for the shadow column store subsystem: ShadowStore unit
-// behavior (LRU budget, all-or-nothing block probes, invalidation),
-// access-heat tracking, piggybacked and background promotion, hybrid
-// store/cache/raw serving, append/rewrite lifecycle, and byte-identical
-// results under concurrent promotion.
+// Tests for the shadow column store subsystem: access-heat tracking,
+// piggybacked and background promotion, hybrid store/cache/raw
+// serving, append/rewrite lifecycle (generation fencing of both
+// segment tiers), and byte-identical results under concurrent
+// promotion. SegmentStore's unit cases live in segment_store_test.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 #include "raw/raw_scan.h"
 #include "raw/table_state.h"
 #include "store/promoter.h"
-#include "store/shadow_store.h"
+#include "store/segment_store.h"
 
 namespace nodb {
 namespace {
@@ -30,113 +30,6 @@ std::shared_ptr<const ColumnVector> MakeSegment(size_t rows,
     col->AppendInt64(start + static_cast<int64_t>(i));
   }
   return col;
-}
-
-TEST(ShadowStoreTest, PromoteGetContainsAndCoverage) {
-  ShadowStore store(1 << 20);
-  EXPECT_EQ(store.Get(0, 0), nullptr);
-  EXPECT_FALSE(store.Contains(0, 0));
-
-  store.Promote(0, 0, MakeSegment(64, 0), store.generation());
-  store.Promote(0, 1, MakeSegment(64, 64), store.generation());
-  store.Promote(3, 0, MakeSegment(64, 0), store.generation());
-  EXPECT_TRUE(store.Contains(0, 0));
-  EXPECT_TRUE(store.Contains(3, 0));
-  EXPECT_EQ(store.num_segments(), 3u);
-  EXPECT_EQ(store.promotions(), 3u);
-  EXPECT_EQ(store.rows_materialized(0), 128u);
-  EXPECT_EQ(store.rows_materialized(3), 64u);
-  EXPECT_EQ(store.rows_materialized(1), 0u);
-
-  auto seg = store.Get(0, 1);
-  ASSERT_NE(seg, nullptr);
-  EXPECT_EQ(seg->GetInt64(0), 64);
-
-  // Duplicate promotion is a no-op: the resident segment parsed the
-  // same bytes.
-  store.Promote(0, 0, MakeSegment(64, 1000), store.generation());
-  EXPECT_EQ(store.promotions(), 3u);
-  EXPECT_EQ(store.Get(0, 0)->GetInt64(0), 0);
-
-  EXPECT_EQ(store.MaterializedAttributes(),
-            (std::vector<uint32_t>{0, 3}));
-}
-
-TEST(ShadowStoreTest, GetBlockIsAllOrNothing) {
-  ShadowStore store(1 << 20);
-  store.Promote(0, 2, MakeSegment(64, 0), store.generation());
-  store.Promote(5, 2, MakeSegment(64, 100), store.generation());
-
-  std::vector<std::shared_ptr<const ColumnVector>> segs;
-  EXPECT_TRUE(store.GetBlock({0, 5}, 2, &segs));
-  ASSERT_EQ(segs.size(), 2u);
-  EXPECT_EQ(segs[1]->GetInt64(0), 100);
-  EXPECT_EQ(store.hits(), 1u);
-
-  // One attribute missing: nothing is returned, one miss counted.
-  EXPECT_FALSE(store.GetBlock({0, 3, 5}, 2, &segs));
-  EXPECT_TRUE(segs.empty());
-  EXPECT_EQ(store.misses(), 1u);
-}
-
-TEST(ShadowStoreTest, LruEvictionUnderBudget) {
-  size_t one_segment = MakeSegment(64, 0)->MemoryUsage();
-  ShadowStore store(one_segment * 2 + one_segment / 2);
-  store.Promote(0, 0, MakeSegment(64, 0), store.generation());
-  store.Promote(0, 1, MakeSegment(64, 64), store.generation());
-  EXPECT_EQ(store.evictions(), 0u);
-
-  // Touch block 0 so block 1 is the LRU victim.
-  ASSERT_NE(store.Get(0, 0), nullptr);
-  store.Promote(0, 2, MakeSegment(64, 128), store.generation());
-  EXPECT_EQ(store.evictions(), 1u);
-  EXPECT_TRUE(store.Contains(0, 0));
-  EXPECT_FALSE(store.Contains(0, 1));
-  EXPECT_TRUE(store.Contains(0, 2));
-  EXPECT_LE(store.bytes_used(), store.budget_bytes());
-  EXPECT_EQ(store.rows_materialized(0), 128u);
-
-  // A segment larger than the whole budget is rejected silently.
-  ShadowStore tiny(8);
-  tiny.Promote(0, 0, MakeSegment(64, 0), tiny.generation());
-  EXPECT_EQ(tiny.num_segments(), 0u);
-}
-
-TEST(ShadowStoreTest, DropBlocksFromAndClear) {
-  ShadowStore store(1 << 20);
-  store.Promote(0, 0, MakeSegment(64, 0), store.generation());
-  store.Promote(0, 1, MakeSegment(64, 64), store.generation());
-  store.Promote(1, 2, MakeSegment(32, 0), store.generation());
-
-  store.DropBlocksFrom(1);
-  EXPECT_TRUE(store.Contains(0, 0));
-  EXPECT_FALSE(store.Contains(0, 1));
-  EXPECT_FALSE(store.Contains(1, 2));
-  EXPECT_EQ(store.rows_materialized(0), 64u);
-  EXPECT_EQ(store.rows_materialized(1), 0u);
-
-  store.Clear();
-  EXPECT_EQ(store.num_segments(), 0u);
-  EXPECT_EQ(store.bytes_used(), 0u);
-  EXPECT_EQ(store.rows_materialized(0), 0u);
-}
-
-TEST(ShadowStoreTest, StaleGenerationPromotionsAreRejected) {
-  ShadowStore store(1 << 20);
-  uint64_t before = store.generation();
-  store.Promote(0, 0, MakeSegment(64, 0), before);
-  ASSERT_TRUE(store.Contains(0, 0));
-
-  // A rewrite clears the store and moves the generation: an in-flight
-  // pass that parsed the old file must not repopulate it.
-  store.Clear();
-  EXPECT_NE(store.generation(), before);
-  store.Promote(0, 0, MakeSegment(64, 999), before);
-  EXPECT_EQ(store.num_segments(), 0u);
-
-  store.Promote(0, 0, MakeSegment(64, 7), store.generation());
-  ASSERT_TRUE(store.Contains(0, 0));
-  EXPECT_EQ(store.Get(0, 0)->GetInt64(0), 7);
 }
 
 // ---------------------------------------------------------------------
@@ -311,7 +204,7 @@ TEST_F(StoreScanTest, HybridPlanServesStorePrefixAndCacheTail) {
   for (uint64_t block = 0; block < 5; ++block) {
     auto seg = state.cache().Get(3, block);
     ASSERT_NE(seg, nullptr);
-    state.store().Promote(3, block, seg, state.store().generation());
+    state.store().Put(3, block, seg, state.store().generation());
   }
 
   ScanMetrics mixed;
@@ -425,6 +318,50 @@ TEST_F(StoreScanTest, RewriteDropsStoreAndHeat) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 30u);
   EXPECT_EQ(result->Row(0)[0], Value::Int64(7));
+}
+
+TEST_F(StoreScanTest, ScanOpenedBeforeRewriteCannotRefillTheCache) {
+  // A scan that took its file handle before a rewrite parses the old
+  // file to the end; none of its segments may enter the cache of the
+  // new generation. The map and store are off, so the cache is the one
+  // tier that could serve stale rows (the map is not generation-pinned
+  // per query yet).
+  auto info = WriteFixture("t", 8, 2);
+  NoDbConfig config;
+  config.rows_per_block = 4;
+  config.enable_positional_map = false;
+  config.enable_store = false;
+  RawTableState state(info, config);
+  ASSERT_TRUE(state.Open().ok());
+
+  RawScanOperator stale(&state, {0, 1}, nullptr);
+  ASSERT_TRUE(stale.Open().ok());
+  std::string fresh;
+  for (int r = 0; r < 8; ++r) fresh += "7,8\n";
+  ASSERT_TRUE(WriteFileAtomic(info.path, fresh).ok());
+  auto change = state.CheckForUpdates();
+  ASSERT_TRUE(change.ok());
+  ASSERT_EQ(*change, FileChange::kRewritten);
+  ASSERT_EQ(state.cache().num_segments(), 0u);
+
+  size_t stale_rows = 0;
+  while (true) {
+    auto batch = stale.Next();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    if (*batch == nullptr) break;
+    stale_rows += (*batch)->num_rows();
+  }
+  EXPECT_EQ(stale_rows, 8u);  // the old file, through the old handle
+  EXPECT_EQ(state.cache().num_segments(), 0u);
+
+  RawScanOperator scan(&state, {0, 1}, nullptr);
+  auto result = QueryResult::Drain(&scan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 8u);
+  for (size_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(result->Row(r)[0], Value::Int64(7)) << "row " << r;
+    EXPECT_EQ(result->Row(r)[1], Value::Int64(8)) << "row " << r;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -101,6 +101,39 @@ TEST_F(TableStateTest, AppendKeepsStructuresAndScansTail) {
   EXPECT_EQ(state.map().known_rows(), 150u);
 }
 
+TEST_F(TableStateTest, AppendTruncatesTheCacheAtTheFrontier) {
+  // 100 rows in 16-row blocks: block 6 holds the 4-row tail. A clean
+  // append grows it, so both segment tiers drop it; full blocks stay.
+  ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 100)).ok());
+  RawTableState state(Info(), Config());
+  ASSERT_TRUE(state.Open().ok());
+  EXPECT_EQ(*ScanCount(&state), 100u);
+  ASSERT_TRUE(state.cache().Contains(0, 6));
+  ASSERT_TRUE(state.cache().Contains(1, 6));
+
+  auto app = OpenAppendableFile(path_);
+  ASSERT_TRUE(app.ok());
+  ASSERT_TRUE((*app)->Append(Rows(100, 150)).ok());
+  ASSERT_TRUE((*app)->Close().ok());
+  auto change = state.CheckForUpdates();
+  ASSERT_TRUE(change.ok());
+  ASSERT_EQ(*change, FileChange::kAppended);
+
+  EXPECT_FALSE(state.cache().Contains(0, 6));
+  EXPECT_FALSE(state.cache().Contains(1, 6));
+  EXPECT_TRUE(state.cache().Contains(0, 5));
+
+  RawScanOperator scan(&state, {0, 1}, nullptr);
+  auto result = QueryResult::Drain(&scan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 150u);
+  for (size_t r = 0; r < 150; ++r) {
+    const auto v = static_cast<int64_t>(r);
+    ASSERT_EQ(result->Row(r)[0], Value::Int64(v)) << "row " << r;
+    ASSERT_EQ(result->Row(r)[1], Value::Int64(v * 2)) << "row " << r;
+  }
+}
+
 TEST_F(TableStateTest, RewriteDropsEverything) {
   ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 100)).ok());
   RawTableState state(Info(), Config());
