@@ -114,7 +114,7 @@ inline bool FastParseDouble(const char* p, size_t size, double* out) {
 
 }  // namespace
 
-Result<int64_t> ValueParser::ParseInt64(Slice text) {
+bool ValueParser::TryParseInt64(Slice text, int64_t* out) {
   Slice digits = StripLeadingPlus(text);
   const char* p = digits.data();
   size_t size = digits.size();
@@ -148,30 +148,43 @@ Result<int64_t> ValueParser::ParseInt64(Slice text) {
     }
     if (all_digits) {
       const int64_t value = static_cast<int64_t>(magnitude);
-      return negative ? -value : value;
+      *out = negative ? -value : value;
+      return true;
     }
   }
   // Slow path: 19/20-digit values near the int64 limits, and every
   // malformed input (from_chars owns rejection and overflow).
-  int64_t value = 0;
   auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), value);
-  if (ec != std::errc() || ptr != digits.data() + digits.size()) {
+      std::from_chars(digits.data(), digits.data() + digits.size(), *out);
+  return ec == std::errc() && ptr == digits.data() + digits.size();
+}
+
+bool ValueParser::TryParseDouble(Slice text, double* out) {
+  Slice digits = StripLeadingPlus(text);
+  if (FastParseDouble(digits.data(), digits.size(), out)) return true;
+  auto [ptr, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), *out);
+  return ec == std::errc() && ptr == digits.data() + digits.size();
+}
+
+bool ValueParser::TryParseDateDays(Slice text, int64_t* out) {
+  Result<int64_t> days = ParseDate(text.view());
+  if (!days.ok()) return false;
+  *out = *days;
+  return true;
+}
+
+Result<int64_t> ValueParser::ParseInt64(Slice text) {
+  int64_t value = 0;
+  if (!TryParseInt64(text, &value)) {
     return Status::ParseError("not an integer: '" + text.ToString() + "'");
   }
   return value;
 }
 
 Result<double> ValueParser::ParseDouble(Slice text) {
-  Slice digits = StripLeadingPlus(text);
-  double fast = 0;
-  if (FastParseDouble(digits.data(), digits.size(), &fast)) {
-    return fast;
-  }
   double value = 0;
-  auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), value);
-  if (ec != std::errc() || ptr != digits.data() + digits.size()) {
+  if (!TryParseDouble(text, &value)) {
     return Status::ParseError("not a number: '" + text.ToString() + "'");
   }
   return value;
@@ -179,6 +192,20 @@ Result<double> ValueParser::ParseDouble(Slice text) {
 
 Result<int64_t> ValueParser::ParseDateDays(Slice text) {
   return ParseDate(text.view());
+}
+
+Status ValueParser::FieldError(Slice text, DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+      return ParseInt64(text).status();
+    case DataType::kDouble:
+      return ParseDouble(text).status();
+    case DataType::kDate:
+      return ParseDateDays(text).status();
+    case DataType::kString:
+      break;
+  }
+  return Status::Internal("no parse error for a string field");
 }
 
 Status ValueParser::ParseInto(Slice text, DataType type,
@@ -189,12 +216,14 @@ Status ValueParser::ParseInto(Slice text, DataType type,
   }
   switch (type) {
     case DataType::kInt64: {
-      NODB_ASSIGN_OR_RETURN(int64_t v, ParseInt64(text));
+      int64_t v = 0;
+      if (!TryParseInt64(text, &v)) return FieldError(text, type);
       col->AppendInt64(v);
       return Status::OK();
     }
     case DataType::kDouble: {
-      NODB_ASSIGN_OR_RETURN(double v, ParseDouble(text));
+      double v = 0;
+      if (!TryParseDouble(text, &v)) return FieldError(text, type);
       col->AppendDouble(v);
       return Status::OK();
     }

@@ -9,9 +9,12 @@ namespace nodb {
 
 BufferedReader::BufferedReader(std::shared_ptr<RandomAccessFile> file,
                                size_t buffer_size)
-    : file_(std::move(file)), buffer_size_(std::max<size_t>(
-                                  buffer_size, 4096)) {
-  buffer_.resize(buffer_size_);
+    : file_(std::move(file)),
+      buffer_size_(std::max<size_t>(buffer_size, 4096)),
+      // Left uninitialized: only bytes a read filled are ever viewed,
+      // so a scan that never reads pays no zeroing or page faults.
+      buffer_(std::unique_ptr<char[]>(new char[buffer_size_])),
+      buffer_capacity_(buffer_size_) {
   auto size = file_->Size();
   file_size_ = size.ok() ? *size : 0;
 }
@@ -24,20 +27,23 @@ Status BufferedReader::Refresh() {
 }
 
 Status BufferedReader::Fill(uint64_t offset, size_t min_length) {
-  if (min_length > buffer_.size()) {
-    buffer_.resize(min_length);
+  if (min_length > buffer_capacity_) {
+    // No copy: the read below overwrites the buffer.
+    buffer_ = std::unique_ptr<char[]>(new char[min_length]);
+    buffer_capacity_ = min_length;
+    buffer_valid_ = 0;
   }
   // Align the fill to the buffer grid for sequential-scan friendliness,
   // unless alignment would leave less than min_length available.
   uint64_t aligned = offset - (offset % buffer_size_);
-  if (offset - aligned + min_length > buffer_.size()) {
+  if (offset - aligned + min_length > buffer_capacity_) {
     aligned = offset;
   }
   Slice got;
   {
     ScopedTimer timer(&io_nanos_);
     NODB_RETURN_NOT_OK(
-        file_->Read(aligned, buffer_.size(), buffer_.data(), &got));
+        file_->Read(aligned, buffer_capacity_, buffer_.get(), &got));
   }
   bytes_read_ += got.size();
   buffer_offset_ = aligned;
@@ -61,12 +67,12 @@ Status BufferedReader::ReadAt(uint64_t offset, size_t length, Slice* out) {
           (offset >= buffer_offset_ + buffer_valid_)
               ? 0
               : buffer_offset_ + buffer_valid_ - offset;
-      *out = Slice(buffer_.data() + (offset - buffer_offset_),
+      *out = Slice(buffer_.get() + (offset - buffer_offset_),
                    std::min<uint64_t>(length, avail));
       return Status::OK();
     }
   }
-  *out = Slice(buffer_.data() + (offset - buffer_offset_), length);
+  *out = Slice(buffer_.get() + (offset - buffer_offset_), length);
   return Status::OK();
 }
 
@@ -85,7 +91,7 @@ Status BufferedReader::FindNewline(uint64_t offset, uint64_t* line_end) {
     }
     size_t avail =
         static_cast<size_t>(buffer_offset_ + buffer_valid_ - pos);
-    const char* base = buffer_.data() + (pos - buffer_offset_);
+    const char* base = buffer_.get() + (pos - buffer_offset_);
     const char* nl =
         static_cast<const char*>(std::memchr(base, '\n', avail));
     if (nl != nullptr) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "io/file.h"
 #include "util/result.h"
@@ -59,7 +58,8 @@ class BufferedReader {
 
   std::shared_ptr<RandomAccessFile> file_;
   size_t buffer_size_;
-  std::vector<char> buffer_;
+  std::unique_ptr<char[]> buffer_;
+  size_t buffer_capacity_;
   uint64_t buffer_offset_ = 0;
   size_t buffer_valid_ = 0;
   uint64_t file_size_ = 0;

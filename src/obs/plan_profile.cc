@@ -82,6 +82,14 @@ void PlanProfiler::EmitExecSpans(TraceContext* ctx,
   }
 }
 
+int64_t ScanOtherNs(const PlanProfiler& profiler, const ScanMetrics& scan) {
+  int64_t self = 0;
+  for (const PlanProfiler::Node* node : profiler.nodes()) {
+    if (node->kind == "scan") self += node->SelfNs();
+  }
+  return std::max<int64_t>(0, self - scan.TotalScanNs());
+}
+
 std::string RenderAnalyze(const PlanProfiler& profiler,
                           const QueryMetrics& metrics) {
   std::string out;
@@ -132,12 +140,13 @@ std::string RenderAnalyze(const PlanProfiler& profiler,
   out += line;
   std::snprintf(line, sizeof(line),
                 "scan io %s | locate %s | tokenize %s | convert %s | "
-                "maintain %s\n",
+                "maintain %s | other %s\n",
                 FormatNanos(s.io_ns).c_str(),
                 FormatNanos(s.parsing_ns).c_str(),
                 FormatNanos(s.tokenize_ns).c_str(),
                 FormatNanos(s.convert_ns).c_str(),
-                FormatNanos(s.nodb_ns).c_str());
+                FormatNanos(s.nodb_ns).c_str(),
+                FormatNanos(ScanOtherNs(profiler, s)).c_str());
   out += line;
   return out;
 }

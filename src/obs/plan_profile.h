@@ -12,6 +12,7 @@
 namespace nodb {
 
 struct QueryMetrics;
+struct ScanMetrics;
 
 namespace obs {
 
@@ -67,11 +68,19 @@ class PlanProfiler {
   std::vector<const Node*> order_;
 };
 
+/// Scan time the five ScanMetrics categories (io, locate, tokenize,
+/// convert, maintain) do not cover: the summed self time of the
+/// profiler's scan nodes minus `scan.TotalScanNs()`, floored at 0 —
+/// batch assembly, pushed-predicate evaluation, map-served row
+/// location and the timers' own cost.
+int64_t ScanOtherNs(const PlanProfiler& profiler, const ScanMetrics& scan);
+
 /// Renders the annotated plan: one line per operator (bottom-up, the
 /// same order as EXPLAIN) with inclusive/self times, row and batch
 /// counts, then footer lines accounting the full wall time
 /// (parse/plan/execute/output), the tier attribution and the span
-/// coverage percentage the acceptance gate checks.
+/// coverage percentage the acceptance gate checks, and the scan's
+/// cost categories plus `other` (ScanOtherNs).
 std::string RenderAnalyze(const PlanProfiler& profiler,
                           const QueryMetrics& metrics);
 

@@ -219,19 +219,45 @@ Status RawScanOperator::Open() {
   return Status::OK();
 }
 
+Status RawScanOperator::LocatePass(uint64_t first, uint64_t want) {
+  bounds_.clear();
+  if (!use_map_) {
+    // Without the map every row is found by walking newlines, so the
+    // whole pass is one locate region.
+    const uint64_t file_size = reader_->file_size();
+    PhaseTimer timer(&metrics_->parsing_ns, reader_.get());
+    for (uint64_t r = 0; r < want && local_offset_ < file_size; ++r) {
+      const uint64_t start = local_offset_;
+      uint64_t end = 0;
+      Status s = reader_->FindNewline(start, &end);
+      if (!s.ok() && !s.IsOutOfRange()) return s;
+      bounds_.emplace_back(start, end);
+      local_offset_ = end + 1;
+    }
+    return Status::OK();
+  }
+  const uint64_t stop = first + want;
+  for (uint64_t r = first; r < stop;) {
+    uint64_t start = 0;
+    uint64_t end = 0;
+    NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(r, &start, &end));
+    if (!ok) break;
+    bounds_.emplace_back(start, end);
+    // LocateRow left the rest of the row's published run in the
+    // window: copy it without a call per row.
+    const uint64_t window_end =
+        std::min<uint64_t>(stop, window_first_ + window_rows_);
+    for (++r; r < window_end; ++r) {
+      const size_t i = static_cast<size_t>(r - window_first_);
+      bounds_.emplace_back(window_bounds_[i], window_bounds_[i + 1] - 1);
+    }
+  }
+  return Status::OK();
+}
+
 Result<bool> RawScanOperator::LocateRow(uint64_t row, uint64_t* start,
                                         uint64_t* end) {
   const uint64_t file_size = reader_->file_size();
-  if (!use_map_) {
-    if (local_offset_ >= file_size) return false;
-    *start = local_offset_;
-    PhaseTimer timer(&metrics_->parsing_ns, reader_.get());
-    Status s = reader_->FindNewline(*start, end);
-    if (!s.ok() && !s.IsOutOfRange()) return s;
-    local_offset_ = *end + 1;
-    return true;
-  }
-
   PositionalMap& map = state_->map();
   const uint32_t rows_per_block = state_->config().rows_per_block;
   while (true) {
@@ -275,17 +301,18 @@ Result<bool> RawScanOperator::LocateRow(uint64_t row, uint64_t* start,
       uint64_t cursor_row = frontier_row;
       window_bounds_.clear();
       window_rows_ = 0;
-      while (cursor_row < block_end && cursor < file_size) {
-        uint64_t line_end = 0;
-        {
-          PhaseTimer timer(&metrics_->parsing_ns, reader_.get());
+      {
+        // NOLINTNEXTLINE(row-clock): once per walk, not per row
+        PhaseTimer timer(&metrics_->parsing_ns, reader_.get());
+        while (cursor_row < block_end && cursor < file_size) {
+          uint64_t line_end = 0;
           Status s = reader_->FindNewline(cursor, &line_end);
           if (!s.ok() && !s.IsOutOfRange()) return s;
+          discovery.PublishRow(cursor, line_end);
+          if (cursor_row >= row) window_bounds_.push_back(cursor);
+          cursor = line_end + 1;
+          ++cursor_row;
         }
-        discovery.PublishRow(cursor, line_end);
-        if (cursor_row >= row) window_bounds_.push_back(cursor);
-        cursor = line_end + 1;
-        ++cursor_row;
       }
       if (cursor >= file_size) discovery.MarkComplete(file_size);
       if (!window_bounds_.empty()) {
@@ -513,13 +540,25 @@ Status RawScanOperator::TokenizeSpans(
     const std::vector<uint32_t>& probe_attrs,
     const std::vector<size_t>& subset, uint32_t* starts, uint32_t* ends,
     bool count_blind) {
-  PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
+  auto field_count_error = [&](uint32_t fields, uint32_t attr) {
+    return Status::ParseError(
+        table_name_ + ": row " + std::to_string(row) + " has " +
+        std::to_string(fields) + " fields, attribute " +
+        std::to_string(attr) + " requested (file " + table_path_ + ")");
+  };
+  // A span ending at the end of the record (a trailing '\r' is line
+  // terminator) closes its last field: no attribute past it exists,
+  // and resuming from there would read a phantom empty field.
+  uint32_t content = static_cast<uint32_t>(line.size());
+  if (content > 0 && line[content - 1] == '\r') --content;
+  uint32_t record_fields = UINT32_MAX;
   uint32_t progress_field = 0;
   uint32_t progress_off = 0;
   bool had_help = false;
   for (size_t k = 0; k < subset.size(); ++k) {
     size_t j = subset[k];
     uint32_t attr = probe_attrs[j];
+    if (attr >= record_fields) return field_count_error(record_fields, attr);
     PositionalMap::Probe probe;
     if (plan.has_value()) {
       probe = plan->Lookup(row, j);
@@ -529,6 +568,7 @@ Status RawScanOperator::TokenizeSpans(
       ends[k] = probe.end;
       ++metrics_->map_exact_probes;
       had_help = true;
+      if (probe.end >= content) record_fields = attr + 1;
       if (attr + 1 > progress_field) {
         progress_field = attr + 1;
         progress_off = std::min<uint32_t>(
@@ -547,15 +587,11 @@ Status RawScanOperator::TokenizeSpans(
     uint32_t high = tokenizer_.ScanStarts(line, progress_field,
                                           progress_off, attr + 1,
                                           starts_.data());
-    if (high < attr + 1) {
-      return Status::ParseError(
-          table_name_ + ": row " + std::to_string(row) + " has " +
-          std::to_string(high) + " fields, attribute " +
-          std::to_string(attr) + " requested (file " + table_path_ + ")");
-    }
+    if (high < attr + 1) return field_count_error(high, attr);
     metrics_->fields_tokenized += attr + 1 - before;
     starts[k] = starts_[attr];
     ends[k] = starts_[attr + 1] - 1;
+    if (ends[k] >= content) record_fields = attr + 1;
     progress_field = attr + 1;
     progress_off = std::min<uint32_t>(
         starts_[attr + 1], static_cast<uint32_t>(line.size()));
@@ -563,6 +599,97 @@ Status RawScanOperator::TokenizeSpans(
   if (count_blind && !had_help && !subset.empty()) {
     ++metrics_->map_blind_rows;
   }
+  return Status::OK();
+}
+
+Status RawScanOperator::ReadSlab() {
+  if (slab_loaded_) return Status::OK();
+  slab_base_ = bounds_.front().first;
+  const uint64_t slab_end = bounds_.back().second;
+  slab_ = Slice();
+  if (slab_end > slab_base_) {
+    NODB_RETURN_NOT_OK(reader_->ReadAt(
+        slab_base_, static_cast<size_t>(slab_end - slab_base_), &slab_));
+  }
+  slab_loaded_ = true;
+  return Status::OK();
+}
+
+Slice RawScanOperator::RowLine(size_t r) const {
+  const auto& [start, end] = bounds_[r];
+  if (end <= start) return Slice();
+  return slab_.SubSlice(static_cast<size_t>(start - slab_base_),
+                        static_cast<size_t>(end - start));
+}
+
+Status RawScanOperator::ParsePass(
+    uint64_t first, const uint32_t* rows, size_t n,
+    const std::optional<PositionalMap::BlockPlan>& plan,
+    const std::vector<uint32_t>& probe_attrs,
+    const std::vector<size_t>& probe_slots,
+    const std::vector<size_t>& subset, bool count_blind,
+    std::vector<std::shared_ptr<ColumnVector>>* cols) {
+  NODB_RETURN_NOT_OK(ReadSlab());
+  const size_t width = subset.size();
+  span_starts_.resize(n * width);
+  span_ends_.resize(n * width);
+
+  // Tokenize: every row's spans, row-major. A row that fails stops the
+  // pass, but the rows before it still convert below — a conversion
+  // error in an earlier row wins, exactly as it did row at a time.
+  size_t tokenized = 0;
+  Status tokenize_error;
+  {
+    PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
+    for (; tokenized < n; ++tokenized) {
+      const size_t r = rows == nullptr ? tokenized : rows[tokenized];
+      tokenize_error = TokenizeSpans(
+          RowLine(r), first + r, plan, probe_attrs, subset,
+          &span_starts_[tokenized * width], &span_ends_[tokenized * width],
+          count_blind);
+      if (!tokenize_error.ok()) break;
+    }
+  }
+
+  // Convert: one typed loop per column. The first failing field in
+  // (row, attribute) order is the one reported, so after a failure
+  // later columns only need the rows before it.
+  Status convert_error;
+  size_t limit = tokenized;
+  const bool quoting = tokenizer_.dialect().allow_quoting;
+  {
+    PhaseTimer timer(&metrics_->convert_ns, reader_.get());
+    for (size_t k = 0; k < width; ++k) {
+      const size_t slot = probe_slots[subset[k]];
+      auto raw_at = [&](size_t i) {
+        const size_t at = i * width + k;
+        return CsvTokenizer::RawField(RowLine(rows == nullptr ? i : rows[i]),
+                                      span_starts_[at], span_ends_[at] + 1);
+      };
+      size_t failed = 0;
+      Status s =
+          quoting
+              ? ValueParser::ParseColumn(
+                    limit, types_[slot],
+                    [&](size_t i) {
+                      return tokenizer_.DecodeField(raw_at(i),
+                                                    &decode_scratch_);
+                    },
+                    (*cols)[slot].get(), &failed)
+              : ValueParser::ParseColumn(limit, types_[slot], raw_at,
+                                         (*cols)[slot].get(), &failed);
+      if (s.ok()) continue;
+      limit = failed;
+      const size_t r = rows == nullptr ? failed : rows[failed];
+      convert_error = Status::ParseError(
+          table_name_ + ": row " + std::to_string(first + r) +
+          ", attribute " + std::to_string(projection_[slot]) + ": " +
+          s.message());
+    }
+  }
+  NODB_RETURN_NOT_OK(convert_error);
+  NODB_RETURN_NOT_OK(tokenize_error);
+  metrics_->fields_converted += n * width;
   return Status::OK();
 }
 
@@ -589,92 +716,47 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
   std::vector<uint32_t> probe_attrs;
   std::vector<size_t> probe_slots;
   std::vector<size_t> p1_idx, p2_idx;  // indices into probe_attrs
-  for (size_t i = 0; i < n_slots; ++i) {
-    uint32_t attr = projection_[i];
-    if (use_cache_) {
-      auto seg = state_->cache().Get(attr, block);
-      if (seg != nullptr && SegmentCoversBlock(seg->size(), block)) {
-        cached[i] = std::move(seg);
-        ++metrics_->cache_block_hits;
-        continue;
-      }
-      ++metrics_->cache_block_misses;
-    }
-    if (!filtered || pred_slot_[i]) {
-      p1_idx.push_back(probe_attrs.size());
-      built[i] = std::make_shared<ColumnVector>(types_[i]);
-      built[i]->Reserve(static_cast<size_t>(want));
-    } else {
-      p2_idx.push_back(probe_attrs.size());
-    }
-    probe_attrs.push_back(attr);
-    probe_slots.push_back(i);
-  }
-
   std::optional<PositionalMap::BlockPlan> plan;
   std::optional<PositionalMap::ChunkBuilder> chunk;
-  if (use_map_ && !probe_attrs.empty()) {
+  {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    plan = map.PrepareBlock(first, probe_attrs);
-    // The distance policy still decides per combination, but only the
-    // phase-1 columns have spans for every row of the block — the
-    // chunk records exactly those.
-    if (!p1_idx.empty() && map.ShouldIndexCombination(*plan)) {
-      std::vector<uint32_t> chunk_attrs;
-      chunk_attrs.reserve(p1_idx.size());
-      for (size_t j : p1_idx) chunk_attrs.push_back(probe_attrs[j]);
-      chunk = map.StartChunk(first, chunk_attrs);
+    for (size_t i = 0; i < n_slots; ++i) {
+      uint32_t attr = projection_[i];
+      if (use_cache_) {
+        auto seg = state_->cache().Get(attr, block);
+        if (seg != nullptr && SegmentCoversBlock(seg->size(), block)) {
+          cached[i] = std::move(seg);
+          ++metrics_->cache_block_hits;
+          continue;
+        }
+        ++metrics_->cache_block_misses;
+      }
+      if (!filtered || pred_slot_[i]) {
+        p1_idx.push_back(probe_attrs.size());
+        built[i] = std::make_shared<ColumnVector>(types_[i]);
+        built[i]->Reserve(static_cast<size_t>(want));
+      } else {
+        p2_idx.push_back(probe_attrs.size());
+      }
+      probe_attrs.push_back(attr);
+      probe_slots.push_back(i);
+    }
+    if (use_map_ && !probe_attrs.empty()) {
+      plan = map.PrepareBlock(first, probe_attrs);
+      // The distance policy still decides per combination, but only the
+      // phase-1 columns have spans for every row of the block — the
+      // chunk records exactly those.
+      if (!p1_idx.empty() && map.ShouldIndexCombination(*plan)) {
+        std::vector<uint32_t> chunk_attrs;
+        chunk_attrs.reserve(p1_idx.size());
+        for (size_t j : p1_idx) chunk_attrs.push_back(probe_attrs[j]);
+        chunk = map.StartChunk(first, chunk_attrs);
+      }
     }
   }
 
-  // ---- phase 1: locate every wanted row of the block, tokenize and
-  // convert only the phase-1 columns.
-  bounds_.clear();
-  std::vector<uint32_t> p1_starts(p1_idx.size());
-  std::vector<uint32_t> p1_ends(p1_idx.size());
-  Slice line;
-  for (uint64_t r = first; r < first + want; ++r) {
-    uint64_t start = 0;
-    uint64_t end = 0;
-    NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(r, &start, &end));
-    if (!ok) break;
-    bounds_.emplace_back(start, end);
-    // A fully-cached block never touches the raw file at all — the
-    // paper's "eliminating the need to access hot raw data".
-    if (p1_idx.empty()) continue;
-    if (end > start) {
-      NODB_RETURN_NOT_OK(
-          reader_->ReadAt(start, static_cast<size_t>(end - start), &line));
-    } else {
-      line = Slice();
-    }
-    NODB_RETURN_NOT_OK(TokenizeSpans(line, r, plan, probe_attrs, p1_idx,
-                                     p1_starts.data(), p1_ends.data(),
-                                     /*count_blind=*/true));
-    {
-      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-      for (size_t k = 0; k < p1_idx.size(); ++k) {
-        size_t slot = probe_slots[p1_idx[k]];
-        Slice raw =
-            CsvTokenizer::RawField(line, p1_starts[k], p1_ends[k] + 1);
-        Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-        Status s =
-            ValueParser::ParseInto(text, types_[slot], built[slot].get());
-        if (!s.ok()) {
-          return Status::ParseError(
-              table_name_ + ": row " + std::to_string(r) +
-              ", attribute " + std::to_string(projection_[slot]) + ": " +
-              s.message());
-        }
-        ++metrics_->fields_converted;
-        if (filtered) ++metrics_->pushdown_phase1_fields;
-      }
-    }
-    if (chunk.has_value()) {
-      PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-      chunk->AddRow(p1_starts.data(), p1_ends.data());
-    }
-  }
+  // ---- locate every wanted row of the block.
+  NODB_RETURN_NOT_OK(LocatePass(first, want));
   const size_t rows = bounds_.size();
   if (rows == 0) {
     exhausted_ = true;
@@ -683,6 +765,26 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
   // The row limit stopped the block early: its segments and chunk do
   // not cover it, so it teaches nothing (like an abandoned scan).
   const bool cut_short = rows == want && want < rows_per_block;
+  // The block's bytes are read once, on first need: a fully cached
+  // block never touches the raw file at all — the paper's "eliminating
+  // the need to access hot raw data".
+  slab_loaded_ = false;
+
+  // ---- phase 1: tokenize and convert the phase-1 columns of every
+  // row, then record their spans in the map chunk.
+  if (!p1_idx.empty()) {
+    NODB_RETURN_NOT_OK(ParsePass(first, nullptr, rows, plan, probe_attrs,
+                                 probe_slots, p1_idx,
+                                 /*count_blind=*/true, &built));
+    if (filtered) metrics_->pushdown_phase1_fields += rows * p1_idx.size();
+    if (chunk.has_value()) {
+      PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
+      const size_t width = p1_idx.size();
+      for (size_t r = 0; r < rows; ++r) {
+        chunk->AddRow(&span_starts_[r * width], &span_ends_[r * width]);
+      }
+    }
+  }
 
   // ---- vectorize the conjuncts over the partial batch. Slots with
   // no segment yet (phase 2) hold empty placeholder columns.
@@ -720,51 +822,22 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
         continue;
       }
       out_cols[i] = std::make_shared<ColumnVector>(types_[i]);
-      if (src == nullptr) {
-        out_cols[i]->Reserve(passing);
-      } else if (passing == rows) {
+      if (src == nullptr) continue;  // phase 2 parses it below
+      if (passing == rows) {
         out_cols[i]->AppendRange(*src, 0, rows);
       } else {
         out_cols[i]->AppendSelected(*src, sel_.data(), passing);
       }
     }
   }
-  std::vector<uint32_t> p2_starts(p2_idx.size());
-  std::vector<uint32_t> p2_ends(p2_idx.size());
-  for (size_t k = 0; k < passing && !p2_idx.empty(); ++k) {
-    const size_t r = sel_[k];
-    uint64_t start = bounds_[r].first;
-    uint64_t end = bounds_[r].second;
-    if (end > start) {
-      NODB_RETURN_NOT_OK(
-          reader_->ReadAt(start, static_cast<size_t>(end - start), &line));
-    } else {
-      line = Slice();
-    }
+  if (!p2_idx.empty() && passing > 0) {
     // Blind-row attribution happened in phase 1 (when predicate
     // columns probed) — count here only when phase 2 is the row's
-    // first tokenize pass.
-    NODB_RETURN_NOT_OK(TokenizeSpans(line, first + r, plan, probe_attrs,
-                                     p2_idx, p2_starts.data(),
-                                     p2_ends.data(),
-                                     /*count_blind=*/p1_idx.empty()));
-    PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-    for (size_t k2 = 0; k2 < p2_idx.size(); ++k2) {
-      size_t slot = probe_slots[p2_idx[k2]];
-      Slice raw =
-          CsvTokenizer::RawField(line, p2_starts[k2], p2_ends[k2] + 1);
-      Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-      Status s =
-          ValueParser::ParseInto(text, types_[slot], out_cols[slot].get());
-      if (!s.ok()) {
-        return Status::ParseError(
-            table_name_ + ": row " + std::to_string(first + r) +
-            ", attribute " + std::to_string(projection_[slot]) + ": " +
-            s.message());
-      }
-      ++metrics_->fields_converted;
-      ++metrics_->pushdown_phase2_fields;
-    }
+    // first tokenize pass. The rows come from the same slab.
+    NODB_RETURN_NOT_OK(ParsePass(first, sel_.data(), passing, plan,
+                                 probe_attrs, probe_slots, p2_idx,
+                                 /*count_blind=*/p1_idx.empty(), &out_cols));
+    metrics_->pushdown_phase2_fields += passing * p2_idx.size();
   }
   auto out = std::make_shared<RecordBatch>(schema_, std::move(out_cols),
                                            passing);

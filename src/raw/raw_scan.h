@@ -24,16 +24,23 @@ namespace nodb {
 ///   2. serves the block from the shadow column store when every
 ///      needed column is materialized there — no row location, no
 ///      positional-map lookup, no tokenizing, no value parsing;
-///   3. otherwise locates the block's rows (from the positional map's
-///      row index when known, else by scanning for newlines and
-///      teaching the map) and, in **phase 1**, finds and converts the
-///      spans of the phase-1 columns — exactly from a map chunk, or by
-///      tokenizing from the nearest map anchor, never past the last
-///      requested attribute (*selective tokenizing* and *selective
-///      parsing*). Cache-resident segments need no parsing;
+///   3. otherwise runs **phase 1** as whole-block passes, each under
+///      one timer: *locate* the block's rows (from the positional
+///      map's row index when known, else by a discovery walk that
+///      teaches the map); *read* the block's byte range once (the
+///      slab), on first need; *tokenize* the spans of the phase-1
+///      columns for every row — exactly from a map chunk, or from the
+///      nearest map anchor, never past the last requested attribute
+///      (*selective tokenizing*); *convert* them column by column
+///      (*selective parsing*); and add the spans to the map chunk.
+///      Cache-resident segments need no parsing, and a block whose
+///      columns are all cache-resident never reads the file;
 ///   4. evaluates the pushed conjuncts over that partial batch and, in
-///      **phase 2**, parses the remaining columns for qualifying rows
-///      only (*selective tuple formation*, predicate-aware);
+///      **phase 2**, runs the same tokenize and convert passes for the
+///      remaining columns over the qualifying rows only, cut from the
+///      same slab (*selective tuple formation*, predicate-aware).
+///      Errors are reported as a row-at-a-time parse would: the first
+///      failing field in row order;
 ///   5. as side effects populates the map (per the distance policy),
 ///      the cache, the statistics and the zone maps for the block —
 ///      and, for attributes whose access heat crossed the promotion
@@ -101,6 +108,11 @@ class RawScanOperator final : public ExecOperator {
   std::shared_ptr<Schema> output_schema() const override { return schema_; }
 
  private:
+  /// Fills bounds_ with the byte spans of up to `want` rows starting at
+  /// `first` (fewer at end of file).
+  Status LocatePass(uint64_t first, uint64_t want);
+  /// Map-backed location of one row: served from the snapshot window,
+  /// else by one timed discovery walk to the end of the row's block.
   Result<bool> LocateRow(uint64_t row, uint64_t* start, uint64_t* end);
 
   /// A pushed `col op literal` conjunct in zone-checkable form.
@@ -127,6 +139,27 @@ class RawScanOperator final : public ExecOperator {
   /// returns their number; with no conjuncts every row qualifies.
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
                                   std::vector<uint32_t>* sel) const;
+
+  /// Reads the byte range of every located row (bounds_) into slab_
+  /// with one ReadAt, unless this block already did.
+  Status ReadSlab();
+  /// Row `r` of bounds_, cut from the slab.
+  Slice RowLine(size_t r) const;
+
+  /// One phase of a raw block: for block rows rows[0..n) (indices into
+  /// bounds_; null = 0..n), tokenizes the columns of `subset` (indices
+  /// into `probe_attrs`) for every row into span_starts_/span_ends_
+  /// (row-major, n × subset.size()), then converts them column by
+  /// column, appending into (*cols)[slot] — each pass under one timer.
+  /// Rows are cut from the slab. On malformed input returns the error
+  /// of the first failing field in row order, exactly as a
+  /// row-at-a-time parse would.
+  Status ParsePass(uint64_t first, const uint32_t* rows, size_t n,
+                   const std::optional<PositionalMap::BlockPlan>& plan,
+                   const std::vector<uint32_t>& probe_attrs,
+                   const std::vector<size_t>& probe_slots,
+                   const std::vector<size_t>& subset, bool count_blind,
+                   std::vector<std::shared_ptr<ColumnVector>>* cols);
 
   /// Tokenizes the spans of `subset` (indices into `probe_attrs`,
   /// which the block plan was prepared with) for one row, writing into
@@ -212,6 +245,13 @@ class RawScanOperator final : public ExecOperator {
   std::string decode_scratch_;
   std::vector<std::pair<uint64_t, uint64_t>> bounds_;  // row byte spans
   std::vector<uint32_t> sel_;  // qualifying rows of the block
+  // The block's bytes (see ReadSlab): valid until the next reader call.
+  Slice slab_;
+  uint64_t slab_base_ = 0;  // file offset of slab_[0]
+  bool slab_loaded_ = false;
+  // ParsePass scratch: the rows' spans.
+  std::vector<uint32_t> span_starts_;
+  std::vector<uint32_t> span_ends_;
 };
 
 }  // namespace nodb

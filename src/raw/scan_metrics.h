@@ -10,18 +10,29 @@ namespace nodb {
 ///
 /// Category mapping:
 ///  - io_ns:       physical pread() time (BufferedReader accounting)
-///  - parsing_ns:  locating tuple boundaries (newline scans, row
-///                 bookkeeping), excluding I/O inside
-///  - tokenize_ns: delimiter scanning inside tuples (CsvTokenizer),
-///                 excluding I/O inside
-///  - convert_ns:  text -> binary conversion (ValueParser)
-///  - nodb_ns:     positional map / cache / statistics maintenance —
-///                 the overhead *added* by the NoDB auxiliary
-///                 structures
+///  - parsing_ns:  discovery walks only — newline scans over rows the
+///                 positional map does not know yet (or every row,
+///                 with the map off) and publishing them; a row served
+///                 from the map's row index costs no parsing time
+///  - tokenize_ns: delimiter scanning inside tuples (CsvTokenizer)
+///  - convert_ns:  text -> binary conversion (ValueParser) and the
+///                 gathers that form output columns
+///  - nodb_ns:     positional map / cache / statistics / zone-map
+///                 lookups and maintenance — the overhead *added* by
+///                 the NoDB auxiliary structures
 ///
-/// "Processing" (the rest of the plan: filters, aggregates, joins,
-/// materialization) is derived at the engine level as
-/// total − (io + parsing + tokenize + convert + nodb).
+/// The scan times whole passes, not rows: each category is one timer
+/// per pass over a block (a discovery walk, the tokenize pass, the
+/// convert pass, ...), with the I/O that happened inside the pass
+/// subtracted so the categories stay disjoint.
+///
+/// What the five miss inside the scan itself (batch assembly, pushed-
+/// predicate evaluation, map-served row location, the timers' cost)
+/// is EXPLAIN ANALYZE's derived `other`: the scan node's self time
+/// minus TotalScanNs() (obs::ScanOtherNs). "Processing" (the rest of
+/// the plan: filters, aggregates, joins, materialization) is derived
+/// at the engine level as total − (io + parsing + tokenize + convert
+/// + nodb).
 struct ScanMetrics {
   int64_t io_ns = 0;
   int64_t parsing_ns = 0;

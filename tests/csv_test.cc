@@ -522,6 +522,52 @@ TEST(ValueParserTest, ParseIntoHandlesNullsAndTypes) {
   EXPECT_EQ(strs.GetString(0), "text");
 }
 
+TEST(ValueParserTest, ParseColumnMatchesParseInto) {
+  // The column loop is ParseInto hoisted out of the row loop: same
+  // values, NULLs and error text, plus the index of the first bad field.
+  struct Case {
+    DataType type;
+    std::vector<std::string> texts;
+  };
+  const Case cases[] = {
+      {DataType::kInt64, {"5", "", "-12", "+7", "9223372036854775807"}},
+      {DataType::kInt64, {"5", "", "123456789012345678901", "y"}},
+      {DataType::kInt64, {"1", "2", "x3", "y"}},
+      {DataType::kDouble, {"1.5", "", "-2e3", "+.5", "7"}},
+      {DataType::kDouble, {"1.5", "", "1.5x", "z"}},
+      {DataType::kDate, {"1994-02-01", "", "2000-02-29"}},
+      {DataType::kDate, {"1994-02-01", "", "1994-13-01"}},
+      {DataType::kString, {"a", "", "b,c"}},
+  };
+  for (const Case& c : cases) {
+    ColumnVector expected(c.type);
+    Status expected_status;
+    size_t expected_failed = c.texts.size();
+    for (size_t i = 0; i < c.texts.size(); ++i) {
+      expected_status = ValueParser::ParseInto(c.texts[i], c.type, &expected);
+      if (!expected_status.ok()) {
+        expected_failed = i;
+        break;
+      }
+    }
+    ColumnVector got(c.type);
+    size_t failed = c.texts.size();
+    Status status = ValueParser::ParseColumn(
+        c.texts.size(), c.type,
+        [&](size_t i) { return Slice(c.texts[i]); }, &got, &failed);
+    EXPECT_EQ(status.ok(), expected_status.ok());
+    EXPECT_EQ(status.message(), expected_status.message());
+    if (!status.ok()) {
+      EXPECT_EQ(failed, expected_failed);
+      continue;
+    }
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got.GetValue(i), expected.GetValue(i)) << i;
+    }
+  }
+}
+
 // --------------------------------------------------------------- CsvWriter
 
 TEST(CsvWriterTest, WriteThenTokenizeRoundTrips) {

@@ -676,6 +676,118 @@ ExprPtr LessThan(size_t slot, const std::string& name, int64_t lit) {
       std::make_shared<LiteralExpr>(Value::Int64(lit), DataType::kInt64));
 }
 
+TEST_F(RawScanTest, ErrorsStayInRowOrder) {
+  // The scan tokenizes a whole block, then converts it column by
+  // column; the error it reports must still be the first failing field
+  // in row order — the one a row-at-a-time parse stops at. Within one
+  // row the field-count check comes first, as it always has.
+  struct Case {
+    const char* content;
+    std::vector<uint32_t> projection;
+    const char* message;
+  };
+  const Case cases[] = {
+      // Row 1 attr 1, then row 2 attr 0, then a short row 3: a
+      // column-at-a-time walk would meet row 2 first.
+      {"1,2\n3,x\ny,4\n5\n", {0, 1},
+       "bad: row 1, attribute 1: not an integer: 'x'"},
+      // A short row before a malformed value.
+      {"1,2\n3\ny,4\n", {0, 1},
+       "bad: row 1 has 1 fields, attribute 1 requested (file "},
+      // A malformed value before a short row.
+      {"1,2\nx,3\n4\n", {0, 1},
+       "bad: row 1, attribute 0: not an integer: 'x'"},
+      // Both in one row: the field count fails first.
+      {"1,2,3\nx,5\n", {0, 2},
+       "bad: row 1 has 2 fields, attribute 2 requested (file "},
+  };
+  for (const Case& c : cases) {
+    std::string path = dir_->FilePath("bad.csv");
+    ASSERT_TRUE(WriteStringToFile(path, c.content).ok());
+    RawTableInfo info{"bad", path,
+                      Schema::Make({{"a", DataType::kInt64},
+                                    {"b", DataType::kInt64},
+                                    {"c", DataType::kInt64}}),
+                      CsvDialect()};
+    for (int mask = 0; mask < 8; ++mask) {
+      RawTableState state(info, SmallBlocks(mask & 1, mask & 2, mask & 4));
+      RawScanOperator scan(&state, c.projection, nullptr);
+      auto result = QueryResult::Drain(&scan);
+      ASSERT_FALSE(result.ok()) << c.content;
+      EXPECT_TRUE(result.status().IsParseError());
+      EXPECT_EQ(result.status().message().rfind(c.message, 0), 0u)
+          << c.content << " mask " << mask << ": "
+          << result.status().message();
+    }
+  }
+}
+
+TEST_F(RawScanTest, PhaseTwoErrorsStayInRowOrder) {
+  // Pushed c0 < 4: rows 0, 2 and 3 qualify. Row 1's malformed fields
+  // are never parsed; among the qualifying rows, row 2's c2 fails
+  // before row 3's c1, although c1 is the earlier phase-2 column.
+  std::string path = dir_->FilePath("bad2.csv");
+  ASSERT_TRUE(
+      WriteStringToFile(path, "1,2,3\n5,x,x\n2,4,y\n3,z,6\n").ok());
+  RawTableInfo info{"bad2", path,
+                    Schema::Make({{"c0", DataType::kInt64},
+                                  {"c1", DataType::kInt64},
+                                  {"c2", DataType::kInt64}}),
+                    CsvDialect()};
+  for (int mask = 0; mask < 8; ++mask) {
+    RawTableState state(info, SmallBlocks(mask & 1, mask & 2, mask & 4));
+    RawScanOperator scan(&state, {0, 1, 2}, nullptr);
+    scan.SetPushdownPredicates({LessThan(0, "c0", 4)});
+    auto result = QueryResult::Drain(&scan);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsParseError());
+    EXPECT_EQ(result.status().message(),
+              "bad2: row 2, attribute 2: not an integer: 'y'")
+        << "mask " << mask;
+  }
+}
+
+TEST_F(RawScanTest, ColdTwoPhaseScanReadsNoMoreThanBaseline) {
+  // 3000 rows x 20 int columns; c1 is scattered, so `c1 < 500000`
+  // keeps about half the rows of every block and phase 2 revisits
+  // rows all over each block. The NoDB structures may save reads but
+  // must never add any: the first (cold) scan reads no more bytes
+  // than the Baseline external-files scan of the same query.
+  std::string content;
+  for (uint64_t r = 0; r < 3000; ++r) {
+    for (uint64_t c = 0; c < 20; ++c) {
+      if (c > 0) content += ',';
+      content += std::to_string((r * 7919 % 1000) * 1000 + c);
+    }
+    content += '\n';
+  }
+  std::string path = dir_->FilePath("wide.csv");
+  ASSERT_TRUE(WriteStringToFile(path, content).ok());
+  std::vector<Field> fields;
+  for (int c = 0; c < 20; ++c) {
+    fields.push_back(Field{"c" + std::to_string(c), DataType::kInt64});
+  }
+  RawTableInfo info{"wide", path, Schema::Make(fields), CsvDialect()};
+
+  auto cold_scan = [&](NoDbConfig config, ScanMetrics* metrics) {
+    config.rows_per_block = 1024;
+    config.read_buffer_bytes = 64 * 1024;
+    RawTableState state(info, config);
+    RawScanOperator scan(&state, {1, 5, 19}, metrics);
+    scan.SetPushdownPredicates({LessThan(0, "c1", 500000)});
+    return MustDrain(&scan).CanonicalRows();
+  };
+  ScanMetrics nodb;
+  ScanMetrics baseline;
+  std::vector<std::string> nodb_rows = cold_scan(NoDbConfig(), &nodb);
+  std::vector<std::string> baseline_rows =
+      cold_scan(NoDbConfig::Baseline(), &baseline);
+  EXPECT_EQ(nodb_rows, baseline_rows);
+  EXPECT_EQ(nodb_rows.size(), 1500u);
+  EXPECT_GT(nodb.pushdown_phase2_fields, 0u);
+  EXPECT_LE(nodb.bytes_read, baseline.bytes_read);
+}
+
 TEST_F(RawScanTest, PushdownMatchesFilterOperatorAndSkipsBlocks) {
   // Fixture values are r * 100 + c: attribute c1 is clustered
   // ascending, so zone maps can prune whole blocks once warm.

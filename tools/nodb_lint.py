@@ -59,6 +59,14 @@ generic linter cannot know:
                    runs once per group or per result row (group-key
                    capture, aggregate finalize, result rendering) says
                    so on the line: `NOLINT(row-value): reason`
+  row-clock        a PhaseTimer / ScopedTimer / Stopwatch constructed,
+                   or a `::now()` call, lexically inside a for / while /
+                   do body in src/raw/, src/csv/ or src/io/*.cc: a clock
+                   read per row costs more than the work it measures,
+                   so a scan times whole passes. A site that runs once
+                   per pass or walk says so: `NOLINT(row-clock): reason`
+                   on the line or `NOLINTNEXTLINE(row-clock): reason`
+                   on the line above
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 """
@@ -100,6 +108,12 @@ ISA_MACRO_RE = re.compile(r"\bNODB_HAVE_[A-Z0-9_]+\b")
 INCLUDE_RE = re.compile(r'^#include\s+(["<])([^">]+)[">]')
 ROW_VALUE_RE = re.compile(r"\b(?:GetValue|AppendValue|AppendRow)\s*\(")
 ROW_VALUE_DIRS = ("src/exec/", "src/raw/")
+ROW_CLOCK_RE = re.compile(
+    r"\b(?:PhaseTimer|ScopedTimer|Stopwatch)\b\s*(?:[A-Za-z_]\w*\s*)?[({;]"
+    r"|\bmake_(?:unique|shared)\s*<\s*(?:PhaseTimer|ScopedTimer|Stopwatch)\b"
+    r"|::\s*now\s*\(")
+ROW_CLOCK_DIRS = ("src/raw/", "src/csv/", "src/io/")
+LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
 SPAN_CALL_RE = re.compile(r"\b(?:OpenSpan|EmitSpan|ScopedSpan)\s*\(")
 SPAN_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
 SPAN_COMPONENTS = {"query", "scan", "exec", "cache", "map", "store",
@@ -459,6 +473,85 @@ def check_row_values(path, lines, code, problems):
             "once-per-group/result site `NOLINT(row-value): reason`")
 
 
+def loop_body_offsets(text):
+    """Offsets of `text` (comment- and literal-free code) that lie
+    lexically inside a for / while / do body, braced or not."""
+    inside = bytearray(len(text))
+    stack = []       # one flag per open '{': True for a loop body
+    bare = []        # brace depths of open brace-less loop bodies
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if stack and any(stack) or bare:
+            inside[i] = 1
+        m = LOOP_KEYWORD_RE.match(text, i)
+        if m and (i == 0 or not (text[i - 1].isalnum() or
+                                 text[i - 1] == "_")):
+            j = m.end()
+            if m.group(1) != "do":
+                while j < n and text[j].isspace():
+                    j += 1
+                if j >= n or text[j] != "(":
+                    i = m.end()
+                    continue
+                depth = 0
+                while j < n:
+                    if text[j] == "(":
+                        depth += 1
+                    elif text[j] == ")":
+                        depth -= 1
+                        if depth == 0:
+                            j += 1
+                            break
+                    j += 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j < n and text[j] == "{":
+                stack.append(True)
+                i = j + 1
+                continue
+            if j < n and text[j] != ";":
+                bare.append(len(stack))  # body ends at its ';'
+            i = m.end()
+            continue
+        if c == "{":
+            stack.append(False)
+        elif c == "}":
+            if stack:
+                stack.pop()
+            while bare and bare[-1] > len(stack):
+                bare.pop()
+        elif c == ";":
+            while bare and bare[-1] == len(stack):
+                bare.pop()
+        i += 1
+    return inside
+
+
+def check_row_clocks(path, lines, code, problems):
+    if not path.startswith(ROW_CLOCK_DIRS) or not path.endswith(".cc"):
+        return
+    text = "\n".join(code)
+    inside = loop_body_offsets(text)
+    line_starts = [0]
+    for line in code:
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    for i, line in enumerate(code, start=1):
+        for m in ROW_CLOCK_RE.finditer(line):
+            if not inside[line_starts[i - 1] + m.start()]:
+                continue
+            if "NOLINT(row-clock): " in lines[i - 1]:
+                continue
+            if i >= 2 and "NOLINTNEXTLINE(row-clock): " in lines[i - 2]:
+                continue
+            problems.append(
+                f"{path}:{i}: [row-clock] clock started inside a loop "
+                f"body ({m.group(0).rstrip('(;{ ')}); time the whole "
+                "pass with one timer, or mark a once-per-pass site "
+                "`NOLINT(row-clock): reason`")
+
+
 def check_file(path):
     problems = []
     with open(path, "rb") as f:
@@ -480,6 +573,7 @@ def check_file(path):
     check_span_names(path, lines, code, problems)
     check_server_seam(path, lines, problems)
     check_row_values(path, lines, code, problems)
+    check_row_clocks(path, lines, code, problems)
     return problems
 
 
