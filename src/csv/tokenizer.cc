@@ -101,11 +101,7 @@ uint32_t CsvTokenizer::TokenizeLine(Slice line,
   return high;
 }
 
-Slice CsvTokenizer::DecodeField(Slice raw, std::string* scratch) const {
-  if (!dialect_.allow_quoting || raw.size() < 2 ||
-      raw[0] != dialect_.quote || raw[raw.size() - 1] != dialect_.quote) {
-    return raw;
-  }
+Slice CsvTokenizer::DecodeQuoted(Slice raw, std::string* scratch) const {
   Slice inner = raw.SubSlice(1, raw.size() - 2);
   // Fast path: no embedded quotes to unescape.
   if (std::memchr(inner.data(), dialect_.quote, inner.size()) == nullptr) {

@@ -64,13 +64,23 @@ class CsvTokenizer {
 
   /// Removes the outer quotes of a quoted field and collapses doubled
   /// quotes; returns `raw` unchanged when unquoted. `scratch` backs the
-  /// unescaped copy when unescaping is required.
-  Slice DecodeField(Slice raw, std::string* scratch) const;
+  /// unescaped copy when unescaping is required. The unquoted check is
+  /// inline: parsers call this once per field.
+  Slice DecodeField(Slice raw, std::string* scratch) const {
+    if (!dialect_.allow_quoting || raw.size() < 2 ||
+        raw[0] != dialect_.quote || raw[raw.size() - 1] != dialect_.quote) {
+      return raw;
+    }
+    return DecodeQuoted(raw, scratch);
+  }
 
   const CsvDialect& dialect() const { return dialect_; }
   simd::SimdLevel level() const { return level_; }
 
  private:
+  /// DecodeField for a field that starts and ends with the quote.
+  Slice DecodeQuoted(Slice raw, std::string* scratch) const;
+
   CsvDialect dialect_;
   simd::SimdLevel level_;
 };

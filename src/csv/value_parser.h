@@ -31,7 +31,7 @@ class ValueParser {
   /// Parses `text` as `type` and appends it to `col` (NULL when empty).
   static Status ParseInto(Slice text, DataType type, ColumnVector* col);
 
-  /// Parses `n` fields as `type` into the empty column `col`: the type
+  /// Parses `n` fields as `type` and appends them to `col`: the type
   /// switch runs once per column and each type has its own loop, where
   /// ParseInto dispatches per field. `text_at(i)` yields field i's text
   /// (empty = NULL). On failure returns ParseInto's error for the first

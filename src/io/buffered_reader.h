@@ -40,6 +40,9 @@ class BufferedReader {
 
   /// Cached size captured at construction; Refresh() re-stats the file.
   uint64_t file_size() const { return file_size_; }
+  /// The configured buffer size: a ReadAt of at most this many bytes
+  /// never grows the buffer.
+  size_t buffer_size() const { return buffer_size_; }
   Status Refresh();
 
   int64_t io_nanos() const { return io_nanos_; }

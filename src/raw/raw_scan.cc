@@ -13,6 +13,11 @@ namespace nodb {
 
 namespace {
 
+/// Span scratch of one tokenize/convert batch (see ParsePass): the
+/// batch's rows shrink as the projection widens, so a scan's transient
+/// memory stays the same however wide or long its blocks are.
+constexpr size_t kSpanScratchBytes = 64 * 1024;
+
 /// Accumulates (wall time − I/O time that elapsed inside the region)
 /// into `sink`, keeping the Figure-3 categories disjoint: physical read
 /// time is accounted once, by the reader.
@@ -602,10 +607,22 @@ Status RawScanOperator::TokenizeSpans(
   return Status::OK();
 }
 
-Status RawScanOperator::ReadSlab() {
+size_t RawScanOperator::RunEnd(size_t lo) const {
+  // bounds_ ascend, so the run is the longest prefix from `lo` whose
+  // bytes fit the buffer — at least one row, however long.
+  const uint64_t limit = bounds_[lo].first + reader_->buffer_size();
+  auto past = std::upper_bound(
+      bounds_.begin() + static_cast<std::ptrdiff_t>(lo) + 1, bounds_.end(),
+      limit, [](uint64_t v, const std::pair<uint64_t, uint64_t>& b) {
+        return v < b.second;
+      });
+  return static_cast<size_t>(past - bounds_.begin());
+}
+
+Status RawScanOperator::ReadSlab(const uint32_t* rows, size_t n) {
   if (slab_loaded_) return Status::OK();
-  slab_base_ = bounds_.front().first;
-  const uint64_t slab_end = bounds_.back().second;
+  slab_base_ = bounds_[rows[0]].first;
+  const uint64_t slab_end = bounds_[rows[n - 1]].second;
   slab_ = Slice();
   if (slab_end > slab_base_) {
     NODB_RETURN_NOT_OK(reader_->ReadAt(
@@ -628,8 +645,29 @@ Status RawScanOperator::ParsePass(
     const std::vector<uint32_t>& probe_attrs,
     const std::vector<size_t>& probe_slots,
     const std::vector<size_t>& subset, bool count_blind,
+    PositionalMap::ChunkBuilder* chunk,
     std::vector<std::shared_ptr<ColumnVector>>* cols) {
-  NODB_RETURN_NOT_OK(ReadSlab());
+  NODB_RETURN_NOT_OK(ReadSlab(rows, n));
+  // Batches in row order: the first failing batch holds the first
+  // failing field.
+  const size_t batch = std::max<size_t>(
+      1, kSpanScratchBytes / (2 * sizeof(uint32_t) * subset.size()));
+  for (size_t at = 0; at < n; at += batch) {
+    NODB_RETURN_NOT_OK(ParseRows(first, rows + at, std::min(batch, n - at),
+                                 plan, probe_attrs, probe_slots, subset,
+                                 count_blind, chunk, cols));
+  }
+  return Status::OK();
+}
+
+Status RawScanOperator::ParseRows(
+    uint64_t first, const uint32_t* rows, size_t n,
+    const std::optional<PositionalMap::BlockPlan>& plan,
+    const std::vector<uint32_t>& probe_attrs,
+    const std::vector<size_t>& probe_slots,
+    const std::vector<size_t>& subset, bool count_blind,
+    PositionalMap::ChunkBuilder* chunk,
+    std::vector<std::shared_ptr<ColumnVector>>* cols) {
   const size_t width = subset.size();
   span_starts_.resize(n * width);
   span_ends_.resize(n * width);
@@ -642,11 +680,10 @@ Status RawScanOperator::ParsePass(
   {
     PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
     for (; tokenized < n; ++tokenized) {
-      const size_t r = rows == nullptr ? tokenized : rows[tokenized];
       tokenize_error = TokenizeSpans(
-          RowLine(r), first + r, plan, probe_attrs, subset,
-          &span_starts_[tokenized * width], &span_ends_[tokenized * width],
-          count_blind);
+          RowLine(rows[tokenized]), first + rows[tokenized], plan,
+          probe_attrs, subset, &span_starts_[tokenized * width],
+          &span_ends_[tokenized * width], count_blind);
       if (!tokenize_error.ok()) break;
     }
   }
@@ -656,33 +693,24 @@ Status RawScanOperator::ParsePass(
   // later columns only need the rows before it.
   Status convert_error;
   size_t limit = tokenized;
-  const bool quoting = tokenizer_.dialect().allow_quoting;
   {
     PhaseTimer timer(&metrics_->convert_ns, reader_.get());
     for (size_t k = 0; k < width; ++k) {
       const size_t slot = probe_slots[subset[k]];
-      auto raw_at = [&](size_t i) {
+      auto text_at = [&](size_t i) {
         const size_t at = i * width + k;
-        return CsvTokenizer::RawField(RowLine(rows == nullptr ? i : rows[i]),
-                                      span_starts_[at], span_ends_[at] + 1);
+        return tokenizer_.DecodeField(
+            CsvTokenizer::RawField(RowLine(rows[i]), span_starts_[at],
+                                   span_ends_[at] + 1),
+            &decode_scratch_);
       };
       size_t failed = 0;
-      Status s =
-          quoting
-              ? ValueParser::ParseColumn(
-                    limit, types_[slot],
-                    [&](size_t i) {
-                      return tokenizer_.DecodeField(raw_at(i),
-                                                    &decode_scratch_);
-                    },
-                    (*cols)[slot].get(), &failed)
-              : ValueParser::ParseColumn(limit, types_[slot], raw_at,
-                                         (*cols)[slot].get(), &failed);
+      Status s = ValueParser::ParseColumn(limit, types_[slot], text_at,
+                                          (*cols)[slot].get(), &failed);
       if (s.ok()) continue;
       limit = failed;
-      const size_t r = rows == nullptr ? failed : rows[failed];
       convert_error = Status::ParseError(
-          table_name_ + ": row " + std::to_string(first + r) +
+          table_name_ + ": row " + std::to_string(first + rows[failed]) +
           ", attribute " + std::to_string(projection_[slot]) + ": " +
           s.message());
     }
@@ -690,6 +718,12 @@ Status RawScanOperator::ParsePass(
   NODB_RETURN_NOT_OK(convert_error);
   NODB_RETURN_NOT_OK(tokenize_error);
   metrics_->fields_converted += n * width;
+  if (chunk != nullptr) {
+    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
+    for (size_t r = 0; r < n; ++r) {
+      chunk->AddRow(&span_starts_[r * width], &span_ends_[r * width]);
+    }
+  }
   return Status::OK();
 }
 
@@ -765,79 +799,109 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
   // The row limit stopped the block early: its segments and chunk do
   // not cover it, so it teaches nothing (like an abandoned scan).
   const bool cut_short = rows == want && want < rows_per_block;
-  // The block's bytes are read once, on first need: a fully cached
-  // block never touches the raw file at all — the paper's "eliminating
-  // the need to access hot raw data".
-  slab_loaded_ = false;
 
-  // ---- phase 1: tokenize and convert the phase-1 columns of every
-  // row, then record their spans in the map chunk.
-  if (!p1_idx.empty()) {
-    NODB_RETURN_NOT_OK(ParsePass(first, nullptr, rows, plan, probe_attrs,
-                                 probe_slots, p1_idx,
-                                 /*count_blind=*/true, &built));
-    if (filtered) metrics_->pushdown_phase1_fields += rows * p1_idx.size();
-    if (chunk.has_value()) {
-      PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-      const size_t width = p1_idx.size();
-      for (size_t r = 0; r < rows; ++r) {
-        chunk->AddRow(&span_starts_[r * width], &span_ends_[r * width]);
-      }
-    }
+  // ---- the block's rows go through phase 1, the conjuncts and phase 2
+  // in runs whose bytes fit the read buffer. Each run is read once, on
+  // first need (the slab), so phase 2 never re-reads and a scan never
+  // holds more than a buffer of raw bytes; a block whose columns are
+  // all cache-resident is one run that never touches the raw file —
+  // the paper's "eliminating the need to access hot raw data". Errors
+  // come out as from one whole-block pass: a phase-1 error anywhere in
+  // the block wins, else the first conjunct or phase-2 error.
+  std::vector<std::shared_ptr<ColumnVector>> parsed2(n_slots);
+  for (size_t j : p2_idx) {
+    const size_t i = probe_slots[j];
+    parsed2[i] = std::make_shared<ColumnVector>(types_[i]);
   }
+  sel_.clear();
+  Status deferred;
+  for (size_t lo = 0, hi = 0; lo < rows; lo = hi) {
+    hi = probe_attrs.empty() ? rows : RunEnd(lo);
+    const size_t n = hi - lo;
+    const bool whole = n == rows;
+    run_rows_.resize(n);
+    std::iota(run_rows_.begin(), run_rows_.end(), static_cast<uint32_t>(lo));
+    slab_loaded_ = false;
 
-  // ---- vectorize the conjuncts over the partial batch. Slots with
-  // no segment yet (phase 2) hold empty placeholder columns.
-  size_t passing = 0;
-  {
-    std::vector<std::shared_ptr<ColumnVector>> columns(n_slots);
+    // ---- phase 1: tokenize and convert the phase-1 columns of every
+    // row of the run and record their spans in the map chunk.
+    if (!p1_idx.empty()) {
+      NODB_RETURN_NOT_OK(ParsePass(
+          first, run_rows_.data(), n, plan, probe_attrs, probe_slots,
+          p1_idx, /*count_blind=*/true,
+          chunk.has_value() ? &*chunk : nullptr, &built));
+      if (filtered) metrics_->pushdown_phase1_fields += n * p1_idx.size();
+    }
+    if (!deferred.ok()) continue;  // only a phase-1 error can still win
+
+    // ---- vectorize the conjuncts over the run's partial batch: the
+    // block's columns when the run is the block, else copies of the
+    // run's rows of the predicate columns. Other slots hold empty
+    // placeholder columns.
+    std::vector<std::shared_ptr<ColumnVector>> run_cols(n_slots);
     for (size_t i = 0; i < n_slots; ++i) {
-      if (built[i] != nullptr) {
-        columns[i] = built[i];
-      } else if (cached[i] != nullptr) {
-        NODB_CHECK(cached[i]->size() >= rows);
-        columns[i] = std::const_pointer_cast<ColumnVector>(cached[i]);
-      } else {
-        columns[i] = std::make_shared<ColumnVector>(types_[i]);
+      std::shared_ptr<const ColumnVector> src = built[i];
+      if (src == nullptr) src = cached[i];
+      if (src != nullptr) NODB_CHECK(src->size() >= hi);
+      if (src != nullptr && whole) {
+        run_cols[i] = std::const_pointer_cast<ColumnVector>(src);
+        continue;
+      }
+      run_cols[i] = std::make_shared<ColumnVector>(types_[i]);
+      if (src != nullptr && pred_slot_[i]) {
+        run_cols[i]->AppendRange(*src, lo, n);
       }
     }
-    RecordBatch probe(schema_, std::move(columns), rows);
-    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(probe, &sel_));
-  }
+    Result<size_t> passed = EvaluatePushdown(
+        RecordBatch(schema_, std::move(run_cols), n), &run_sel_);
+    if (!passed.ok()) {
+      deferred = passed.status();
+      continue;
+    }
+    for (size_t k = 0; k < *passed; ++k) run_sel_[k] += lo;
+    sel_.insert(sel_.end(), run_sel_.begin(), run_sel_.begin() + *passed);
 
-  // ---- phase 2: qualifying rows only — tokenize/convert the
-  // remaining columns and form the output tuples (the paper's
-  // selective tuple formation, now predicate-aware). Columns already
-  // in binary form (phase-1 parsed or cache-resident) are gathered
-  // whole; when every row qualifies, a segment of exactly the block's
-  // rows is handed out as-is.
+    // ---- phase 2: qualifying rows only — tokenize/convert the
+    // remaining columns (the paper's selective tuple formation, now
+    // predicate-aware). Blind-row attribution happened in phase 1 when
+    // predicate columns probed; count here only when phase 2 is the
+    // row's first tokenize pass.
+    if (!p2_idx.empty() && *passed > 0) {
+      deferred = ParsePass(first, run_sel_.data(), *passed, plan,
+                           probe_attrs, probe_slots, p2_idx,
+                           /*count_blind=*/p1_idx.empty(), nullptr,
+                           &parsed2);
+      metrics_->pushdown_phase2_fields += *passed * p2_idx.size();
+    }
+  }
+  NODB_RETURN_NOT_OK(deferred);
+  const size_t passing = sel_.size();
+
+  // ---- form the output tuples. Columns already in binary form
+  // (phase-1 parsed or cache-resident) are gathered whole; when every
+  // row qualifies, a segment of exactly the block's rows is handed out
+  // as-is.
   std::vector<std::shared_ptr<ColumnVector>> out_cols(n_slots);
   {
     PhaseTimer timer(&metrics_->convert_ns, reader_.get());
     for (size_t i = 0; i < n_slots; ++i) {
+      if (parsed2[i] != nullptr) {
+        out_cols[i] = std::move(parsed2[i]);
+        continue;
+      }
       std::shared_ptr<const ColumnVector> src = built[i];
       if (src == nullptr) src = cached[i];
-      if (src != nullptr && passing == rows && src->size() == rows) {
+      if (passing == rows && src->size() == rows) {
         out_cols[i] = std::const_pointer_cast<ColumnVector>(src);
         continue;
       }
       out_cols[i] = std::make_shared<ColumnVector>(types_[i]);
-      if (src == nullptr) continue;  // phase 2 parses it below
       if (passing == rows) {
         out_cols[i]->AppendRange(*src, 0, rows);
       } else {
         out_cols[i]->AppendSelected(*src, sel_.data(), passing);
       }
     }
-  }
-  if (!p2_idx.empty() && passing > 0) {
-    // Blind-row attribution happened in phase 1 (when predicate
-    // columns probed) — count here only when phase 2 is the row's
-    // first tokenize pass. The rows come from the same slab.
-    NODB_RETURN_NOT_OK(ParsePass(first, sel_.data(), passing, plan,
-                                 probe_attrs, probe_slots, p2_idx,
-                                 /*count_blind=*/p1_idx.empty(), &out_cols));
-    metrics_->pushdown_phase2_fields += passing * p2_idx.size();
   }
   auto out = std::make_shared<RecordBatch>(schema_, std::move(out_cols),
                                            passing);

@@ -24,23 +24,27 @@ namespace nodb {
 ///   2. serves the block from the shadow column store when every
 ///      needed column is materialized there — no row location, no
 ///      positional-map lookup, no tokenizing, no value parsing;
-///   3. otherwise runs **phase 1** as whole-block passes, each under
-///      one timer: *locate* the block's rows (from the positional
-///      map's row index when known, else by a discovery walk that
-///      teaches the map); *read* the block's byte range once (the
-///      slab), on first need; *tokenize* the spans of the phase-1
-///      columns for every row — exactly from a map chunk, or from the
-///      nearest map anchor, never past the last requested attribute
-///      (*selective tokenizing*); *convert* them column by column
-///      (*selective parsing*); and add the spans to the map chunk.
-///      Cache-resident segments need no parsing, and a block whose
-///      columns are all cache-resident never reads the file;
-///   4. evaluates the pushed conjuncts over that partial batch and, in
-///      **phase 2**, runs the same tokenize and convert passes for the
-///      remaining columns over the qualifying rows only, cut from the
-///      same slab (*selective tuple formation*, predicate-aware).
-///      Errors are reported as a row-at-a-time parse would: the first
-///      failing field in row order;
+///   3. otherwise *locates* the block's rows in one pass (from the
+///      positional map's row index when known, else by a discovery walk
+///      that teaches the map) and cuts them into runs whose bytes fit
+///      the read buffer — one run unless the block is larger. Each run
+///      runs **phase 1**: *read* the run's byte range once (the slab),
+///      on first need; then, per batch of rows (as many as a fixed span
+///      scratch holds — the whole run for narrow projections), passes
+///      each under one timer: *tokenize* the spans of the phase-1
+///      columns for every row — exactly from a map chunk, or from the nearest map anchor, never
+///      past the last requested attribute (*selective tokenizing*);
+///      *convert* them column by column (*selective parsing*); and add
+///      the spans to the map chunk. Cache-resident segments need no
+///      parsing, and a block whose columns are all cache-resident never
+///      reads the file;
+///   4. evaluates the pushed conjuncts over the run's partial batch
+///      and, in **phase 2**, runs the same tokenize and convert passes
+///      for the remaining columns over the qualifying rows only, cut
+///      from the same slab (*selective tuple formation*,
+///      predicate-aware). Errors are reported as one whole-block pass
+///      would: the first failing phase-1 field in row order, else the
+///      first failing phase-2 field;
 ///   5. as side effects populates the map (per the distance policy),
 ///      the cache, the statistics and the zone maps for the block —
 ///      and, for attributes whose access heat crossed the promotion
@@ -140,25 +144,41 @@ class RawScanOperator final : public ExecOperator {
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
                                   std::vector<uint32_t>* sel) const;
 
-  /// Reads the byte range of every located row (bounds_) into slab_
-  /// with one ReadAt, unless this block already did.
-  Status ReadSlab();
+  /// End (exclusive index into bounds_) of the run that starts at row
+  /// `lo`: the most rows whose bytes fit the read buffer, at least one.
+  size_t RunEnd(size_t lo) const;
+  /// Reads the byte range from row rows[0] to row rows[n - 1] (indices
+  /// into bounds_) into slab_ with one ReadAt, unless this run already
+  /// did.
+  Status ReadSlab(const uint32_t* rows, size_t n);
   /// Row `r` of bounds_, cut from the slab.
   Slice RowLine(size_t r) const;
 
-  /// One phase of a raw block: for block rows rows[0..n) (indices into
-  /// bounds_; null = 0..n), tokenizes the columns of `subset` (indices
-  /// into `probe_attrs`) for every row into span_starts_/span_ends_
-  /// (row-major, n × subset.size()), then converts them column by
-  /// column, appending into (*cols)[slot] — each pass under one timer.
-  /// Rows are cut from the slab. On malformed input returns the error
-  /// of the first failing field in row order, exactly as a
-  /// row-at-a-time parse would.
+  /// One phase of one run of a raw block: for rows rows[0..n) (indices
+  /// into bounds_, ascending, all in the run), reads the slab and runs
+  /// ParseRows over batches of rows whose span scratch stays within a
+  /// fixed size. On malformed input returns the error of the first
+  /// failing field in row order, exactly as a row-at-a-time parse
+  /// would.
   Status ParsePass(uint64_t first, const uint32_t* rows, size_t n,
                    const std::optional<PositionalMap::BlockPlan>& plan,
                    const std::vector<uint32_t>& probe_attrs,
                    const std::vector<size_t>& probe_slots,
                    const std::vector<size_t>& subset, bool count_blind,
+                   PositionalMap::ChunkBuilder* chunk,
+                   std::vector<std::shared_ptr<ColumnVector>>* cols);
+  /// One batch of a ParsePass: tokenizes the columns of `subset`
+  /// (indices into `probe_attrs`) for every row into
+  /// span_starts_/span_ends_ (row-major, n × subset.size()), converts
+  /// them column by column, appending into (*cols)[slot], and records
+  /// the spans in `chunk` when one is given — each pass under one
+  /// timer. Rows are cut from the slab.
+  Status ParseRows(uint64_t first, const uint32_t* rows, size_t n,
+                   const std::optional<PositionalMap::BlockPlan>& plan,
+                   const std::vector<uint32_t>& probe_attrs,
+                   const std::vector<size_t>& probe_slots,
+                   const std::vector<size_t>& subset, bool count_blind,
+                   PositionalMap::ChunkBuilder* chunk,
                    std::vector<std::shared_ptr<ColumnVector>>* cols);
 
   /// Tokenizes the spans of `subset` (indices into `probe_attrs`,
@@ -245,7 +265,9 @@ class RawScanOperator final : public ExecOperator {
   std::string decode_scratch_;
   std::vector<std::pair<uint64_t, uint64_t>> bounds_;  // row byte spans
   std::vector<uint32_t> sel_;  // qualifying rows of the block
-  // The block's bytes (see ReadSlab): valid until the next reader call.
+  std::vector<uint32_t> run_rows_;  // the current run's rows
+  std::vector<uint32_t> run_sel_;   // the current run's qualifying rows
+  // The run's bytes (see ReadSlab): valid until the next reader call.
   Slice slab_;
   uint64_t slab_base_ = 0;  // file offset of slab_[0]
   bool slab_loaded_ = false;

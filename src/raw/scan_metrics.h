@@ -22,9 +22,10 @@ namespace nodb {
 ///                 the NoDB auxiliary structures
 ///
 /// The scan times whole passes, not rows: each category is one timer
-/// per pass over a block (a discovery walk, the tokenize pass, the
-/// convert pass, ...), with the I/O that happened inside the pass
-/// subtracted so the categories stay disjoint.
+/// per pass over a batch of rows — up to a block, fewer when the block
+/// outgrows the read buffer or the span scratch (a discovery walk, the
+/// tokenize pass, the convert pass, ...) — with the I/O that happened
+/// inside the pass subtracted so the categories stay disjoint.
 ///
 /// What the five miss inside the scan itself (batch assembly, pushed-
 /// predicate evaluation, map-served row location, the timers' cost)

@@ -98,16 +98,17 @@ Value ColumnVector::GetValue(size_t i) const {
 }
 
 ColumnVector::FixedWriter ColumnVector::WriteFixed(size_t n) {
-  assert(size() == 0 && type_ != DataType::kString);
+  assert(type_ != DataType::kString);
+  const size_t begin = size();
   FixedWriter w;
-  validity_.assign(n, 1);
-  w.validity = validity_.data();
+  validity_.resize(begin + n, 1);
+  w.validity = validity_.data() + begin;
   if (type_ == DataType::kDouble) {
-    doubles_.assign(n, 0.0);
-    w.doubles = doubles_.data();
+    doubles_.resize(begin + n, 0.0);
+    w.doubles = doubles_.data() + begin;
   } else {
-    ints_.assign(n, 0);
-    w.ints = ints_.data();
+    ints_.resize(begin + n, 0);
+    w.ints = ints_.data() + begin;
   }
   return w;
 }

@@ -82,9 +82,10 @@ class ColumnVector {
     int64_t* ints = nullptr;
     double* doubles = nullptr;
   };
-  /// Sizes an empty fixed-width column to `n` rows, all valid with zero
-  /// payloads, and returns its arrays. A kernel that writes a NULL also
-  /// leaves that row's payload 0, as AppendNull does.
+  /// Appends `n` rows to a fixed-width column, all valid with zero
+  /// payloads, and returns the arrays of those rows (valid until the
+  /// next append). A kernel that writes a NULL also leaves that row's
+  /// payload 0, as AppendNull does.
   FixedWriter WriteFixed(size_t n);
 
   /// Appends rows sel[0..n) of `src` (same type), in that order.

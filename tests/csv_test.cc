@@ -565,6 +565,23 @@ TEST(ValueParserTest, ParseColumnMatchesParseInto) {
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got.GetValue(i), expected.GetValue(i)) << i;
     }
+    // ParseColumn appends: two calls over the halves build the same
+    // column as one call over all of it.
+    ColumnVector halves(c.type);
+    const size_t mid = c.texts.size() / 2;
+    ASSERT_TRUE(ValueParser::ParseColumn(
+                    mid, c.type, [&](size_t i) { return Slice(c.texts[i]); },
+                    &halves, &failed)
+                    .ok());
+    ASSERT_TRUE(ValueParser::ParseColumn(
+                    c.texts.size() - mid, c.type,
+                    [&](size_t i) { return Slice(c.texts[mid + i]); },
+                    &halves, &failed)
+                    .ok());
+    ASSERT_EQ(halves.size(), expected.size());
+    for (size_t i = 0; i < halves.size(); ++i) {
+      EXPECT_EQ(halves.GetValue(i), expected.GetValue(i)) << i;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <numeric>
 
 #include "csv/csv_writer.h"
 #include "engines/csv_loader.h"
@@ -786,6 +787,133 @@ TEST_F(RawScanTest, ColdTwoPhaseScanReadsNoMoreThanBaseline) {
   EXPECT_EQ(nodb_rows.size(), 1500u);
   EXPECT_GT(nodb.pushdown_phase2_fields, 0u);
   EXPECT_LE(nodb.bytes_read, baseline.bytes_read);
+}
+
+TEST_F(RawScanTest, BlocksLargerThanTheReadBufferRunInPieces) {
+  // 600 rows x 20 int columns, about 130 B a row. With a 4 KiB read
+  // buffer every block is read and parsed in runs that fit the buffer,
+  // so a scan holds a buffer of raw bytes, not a block; a 20-column
+  // projection also splits a 600-row run into tokenize/convert batches.
+  // Cold and warm (cache-resident predicate columns), with and without
+  // pushdown, every knob combination returns the file's rows and reads
+  // no more bytes than Baseline. Errors come out as from one whole-
+  // block pass: a phase-1 error in a later run beats a phase-2 error
+  // in an earlier one.
+  std::vector<std::vector<std::string>> cells(600,
+                                              std::vector<std::string>(20));
+  for (uint64_t r = 0; r < cells.size(); ++r) {
+    for (uint64_t c = 0; c < 20; ++c) {
+      cells[r][c] = std::to_string((r * 7919 % 1000) * 1000 + c);
+    }
+  }
+  auto write = [&](const std::string& name,
+                   const std::vector<std::pair<size_t, size_t>>& bad) {
+    std::string content;
+    for (size_t r = 0; r < cells.size(); ++r) {
+      for (size_t c = 0; c < 20; ++c) {
+        if (c > 0) content += ',';
+        bool is_bad = false;
+        for (const auto& cell : bad) is_bad |= cell == std::make_pair(r, c);
+        content += is_bad ? std::string("x") : cells[r][c];
+      }
+      content += '\n';
+    }
+    std::string path = dir_->FilePath(name + ".csv");
+    EXPECT_TRUE(WriteStringToFile(path, content).ok());
+    std::vector<Field> fields;
+    for (int c = 0; c < 20; ++c) {
+      fields.push_back(Field{"c" + std::to_string(c), DataType::kInt64});
+    }
+    return RawTableInfo{name, path, Schema::Make(fields), CsvDialect()};
+  };
+  // Pushed `c1 < 500000` keeps about half the rows, scattered; the
+  // predicate column is projection slot 0.
+  auto scan = [&](RawTableState* state, const std::vector<uint32_t>& proj,
+                  bool pushdown, ScanMetrics* metrics) {
+    RawScanOperator scan(state, proj, metrics);
+    if (pushdown) scan.SetPushdownPredicates({LessThan(0, "c1", 500000)});
+    return QueryResult::Drain(&scan);
+  };
+  auto expected = [&](const std::vector<uint32_t>& proj, bool pushdown) {
+    std::vector<std::string> rows;
+    for (const auto& row : cells) {
+      if (pushdown && std::stoll(row[1]) >= 500000) continue;
+      std::string line;
+      for (uint32_t c : proj) line += (line.empty() ? "" : "|") + row[c];
+      rows.push_back(line);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  auto sized = [](NoDbConfig config, uint32_t rows_per_block,
+                  size_t buffer) {
+    config.rows_per_block = rows_per_block;
+    config.read_buffer_bytes = buffer;
+    return config;
+  };
+
+  RawTableInfo info = write("runs", {});
+  std::vector<uint32_t> all(20);
+  std::iota(all.begin(), all.end(), 0u);
+  for (const auto& proj : {std::vector<uint32_t>{1, 5, 19}, all}) {
+    for (bool pushdown : {false, true}) {
+      const std::vector<std::string> want = expected(proj, pushdown);
+      for (uint32_t rows_per_block : {64u, 1024u}) {
+        for (size_t buffer : {size_t{4096}, size_t{1} << 20}) {
+          ScanMetrics baseline;
+          RawTableState base(info, sized(NoDbConfig::Baseline(),
+                                         rows_per_block, buffer));
+          ASSERT_TRUE(scan(&base, proj, pushdown, &baseline).ok());
+          for (int mask = 0; mask < 8; ++mask) {
+            RawTableState state(
+                info, sized(SmallBlocks(mask & 1, mask & 2, mask & 4),
+                            rows_per_block, buffer));
+            for (int pass = 0; pass < 2; ++pass) {
+              ScanMetrics metrics;
+              auto result = scan(&state, proj, pushdown, &metrics);
+              ASSERT_TRUE(result.ok()) << result.status().ToString();
+              EXPECT_EQ(result->CanonicalRows(), want)
+                  << "width " << proj.size() << " pushdown " << pushdown
+                  << " block " << rows_per_block << " buffer " << buffer
+                  << " mask " << mask << " pass " << pass;
+              if (pass == 0) {
+                EXPECT_LE(metrics.bytes_read, baseline.bytes_read);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // Row 0 qualifies (c1 = 1) and its phase-2 c19 is malformed; row 40,
+  // about 5 KB further into the same 64-row block, has a malformed
+  // phase-1 c1. Without pushdown, rows 300 and 500 fall in different
+  // batches of a 600-row run.
+  const struct {
+    std::vector<std::pair<size_t, size_t>> bad;
+    std::vector<uint32_t> proj;
+    bool pushdown;
+    uint32_t rows_per_block;
+    const char* message;
+  } cases[] = {
+      {{{0, 19}, {40, 1}}, {1, 5, 19}, true, 64,
+       "bad: row 40, attribute 1: not an integer: 'x'"},
+      {{{0, 19}}, {1, 5, 19}, true, 64,
+       "bad: row 0, attribute 19: not an integer: 'x'"},
+      {{{500, 0}, {300, 7}}, all, false, 1024,
+       "bad: row 300, attribute 7: not an integer: 'x'"},
+  };
+  for (const auto& c : cases) {
+    RawTableInfo bad = write("bad", c.bad);
+    for (size_t buffer : {size_t{4096}, size_t{1} << 20}) {
+      RawTableState state(bad, sized(SmallBlocks(true, true, true),
+                                     c.rows_per_block, buffer));
+      auto result = scan(&state, c.proj, c.pushdown, nullptr);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().message(), c.message) << "buffer " << buffer;
+    }
+  }
 }
 
 TEST_F(RawScanTest, PushdownMatchesFilterOperatorAndSkipsBlocks) {

@@ -9,13 +9,15 @@ OLD and NEW are each one of:
   - a directory of such outputs, one run per file: per metric the
     median and quartiles over the runs, as --repeat reports them;
   - a committed BENCH_*.json record (see --save); its "change" side is
-    read, or its "parent" side when the path ends in ":parent".
+    read.
 
 For every end-to-end metric of BENCHMARK.json that both sides report it
 prints OLD, NEW and the delta in percent, and a verdict in the metric's
 direction ("better" is read from BENCHMARK.json). A delta no larger
 than OLD's interquartile range is "noise"; without quartiles on the OLD
-side no verdict is given.
+side no verdict is given. Verdicts are only given when both sides ran
+alike: when their `info` lines disagree on run length, core count, SIMD
+level or build type, only values and deltas are printed.
 
 --save PATH writes both sides (medians, quartiles, run counts, seeds
 and each side's `info` provenance lines) as a BENCH_*.json record, with
@@ -31,6 +33,8 @@ import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# `info` lines that must agree before a delta is judged against the IQR.
+COMPARABLE = ("seconds", "nproc", "simd_level", "build_type")
 
 
 def end_to_end_metrics():
@@ -106,9 +110,6 @@ def aggregate(runs):
 
 
 def load(path):
-    side = "change"
-    if path.endswith(":parent"):
-        path, side = path[:-len(":parent")], "parent"
     if os.path.isdir(path):
         runs = []
         for name in sorted(os.listdir(path)):
@@ -121,9 +122,9 @@ def load(path):
         text = f.read()
     if text.lstrip().startswith("{") and "\n{" not in text.strip():
         record = json.loads(text)
-        if side in record:
+        if "change" in record:
             wl = record.get("workload", "")
-            data = record[side]
+            data = record["change"]
             metrics = {(wl, name): stats
                        for name, stats in data["metrics"].items()}
             return dict(data, metrics=metrics)
@@ -161,6 +162,14 @@ def main():
 
     workloads = sorted({wl for wl, _ in old["metrics"]} &
                        {wl for wl, _ in new["metrics"]})
+    differ = [key for key in COMPARABLE
+              if old["info"].get(key) != new["info"].get(key)]
+    if differ:
+        print("sides ran differently (%s): values and deltas only, "
+              "no verdict" % ", ".join(
+                  "%s %s vs %s" % (key, old["info"].get(key, "?"),
+                                   new["info"].get(key, "?"))
+                  for key in differ))
     print("%-14s %-26s %12s %12s %9s  %s" %
           ("workload", "metric", "parent", "change", "delta%", "verdict"))
     for wl in workloads:
@@ -172,7 +181,7 @@ def main():
             delta = b["value"] - a["value"]
             pct = 100.0 * delta / a["value"] if a["value"] else 0.0
             verdict = ""
-            if "q1" in a and "q3" in a:
+            if not differ and "q1" in a and "q3" in a:
                 if abs(delta) <= a["q3"] - a["q1"]:
                     verdict = "noise"
                 elif (delta < 0) == (better == "lower"):
