@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "datagen/synthetic.h"
@@ -71,6 +72,19 @@ inline void PrintHeader(const std::string& title) {
   std::printf("\n================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("================================================\n");
+}
+
+/// Median wall time, in ms, of `reps` calls of `fn` (at least one).
+template <typename Fn>
+double MedianMs(int reps, Fn&& fn) {
+  std::vector<double> ms;
+  for (int i = 0; i < std::max(1, reps); ++i) {
+    Stopwatch watch;
+    fn();
+    ms.push_back(static_cast<double>(watch.ElapsedNanos()) / 1e6);
+  }
+  std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+  return ms[ms.size() / 2];
 }
 
 /// Best-of-three structural-indexing throughput (bytes/s) over `data`

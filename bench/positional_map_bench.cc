@@ -1,14 +1,22 @@
-// Experiment E6 — positional-map ablation (google-benchmark).
+// Experiment E6 — positional-map ablation.
 //
 // Measures the paper's §3.1 claims directly:
 //   - without a map, per-tuple tokenizing cost grows with the target
 //     attribute's position in the tuple;
 //   - with a warm map, cost is (nearly) position-independent;
-//   - shrinking the map budget degrades gracefully via LRU.
+//   - shrinking the map budget degrades gracefully via LRU;
+// plus the row-block granularity and the distance policy. Each row is
+// the median of `reps` scans after the row's warm-up, printed as a
+// table.
+//
+// Usage: positional_map_bench [tuples] [reps]   (default 20000 10; CI
+// smoke passes less)
 
-#include <benchmark/benchmark.h>
-
-#include <memory>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "exec/query_result.h"
@@ -19,170 +27,116 @@ using namespace nodb::bench;
 
 namespace {
 
-constexpr uint64_t kTuples = 20000;
 constexpr uint32_t kAttrs = 40;
 
-Workload& SharedWorkload() {
-  static Workload* workload =
-      new Workload(MakeIntWorkload("map", kTuples, kAttrs));
-  return *workload;
-}
-
-RawTableInfo Info() {
-  Workload& w = SharedWorkload();
-  return {"map", w.path, w.schema, CsvDialect()};
-}
-
-void DrainScan(RawTableState* state, uint32_t attr) {
-  RawScanOperator scan(state, {attr}, nullptr);
-  auto result = QueryResult::Drain(&scan);
-  CheckOk(result.status(), "scan");
-  if (result->num_rows() != kTuples) std::abort();
-}
-
-/// Cold in-situ access (map disabled): cost grows with attribute
-/// position because every tuple is tokenized from byte 0.
-void BM_ScanWithoutMap(benchmark::State& state) {
-  NoDbConfig config = NoDbConfig::Baseline();
-  RawTableState table(Info(), config);
-  CheckOk(table.Open(), "open");
-  uint32_t attr = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    DrainScan(&table, attr);
+void DrainScan(RawTableState* state, const std::vector<uint32_t>& attrs,
+               uint64_t tuples) {
+  RawScanOperator scan(state, attrs, nullptr);
+  auto result = CheckOk(QueryResult::Drain(&scan), "scan");
+  if (result.num_rows() != tuples) {
+    std::fprintf(stderr, "scan returned %zu rows, want %llu\n",
+                 result.num_rows(), static_cast<unsigned long long>(tuples));
+    std::exit(1);
   }
-  state.SetItemsProcessed(state.iterations() * kTuples);
 }
-BENCHMARK(BM_ScanWithoutMap)
-    ->Arg(0)
-    ->Arg(10)
-    ->Arg(25)
-    ->Arg(39)
-    ->Unit(benchmark::kMillisecond);
 
-/// Warm positional map (cache off to isolate the map): cost is flat in
-/// attribute position.
-void BM_ScanWithWarmMap(benchmark::State& state) {
+/// The map-isolating config: cache, statistics and the shadow store
+/// off, so a warm scan still converts every value.
+NoDbConfig MapOnly() {
   NoDbConfig config;
   config.enable_cache = false;
   config.enable_statistics = false;
-  RawTableState table(Info(), config);
-  CheckOk(table.Open(), "open");
-  uint32_t attr = static_cast<uint32_t>(state.range(0));
-  DrainScan(&table, attr);  // warm-up builds the chunks
-  for (auto _ : state) {
-    DrainScan(&table, attr);
-  }
-  state.SetItemsProcessed(state.iterations() * kTuples);
+  config.enable_store = false;
+  return config;
 }
-BENCHMARK(BM_ScanWithWarmMap)
-    ->Arg(0)
-    ->Arg(10)
-    ->Arg(25)
-    ->Arg(39)
-    ->Unit(benchmark::kMillisecond);
-
-/// Neighbouring-attribute access with a warm map for attr N: anchors
-/// let the scan jump to N+1 and tokenize a single field.
-void BM_ScanNeighbourViaAnchor(benchmark::State& state) {
-  NoDbConfig config;
-  config.enable_cache = false;
-  config.enable_statistics = false;
-  RawTableState table(Info(), config);
-  CheckOk(table.Open(), "open");
-  DrainScan(&table, 25);  // warm attr 25
-  for (auto _ : state) {
-    // 26 is never indexed itself (a fresh chunk would be built on the
-    // first pass and then reused; both paths beat blind tokenizing).
-    DrainScan(&table, 26);
-  }
-  state.SetItemsProcessed(state.iterations() * kTuples);
-}
-BENCHMARK(BM_ScanNeighbourViaAnchor)->Unit(benchmark::kMillisecond);
-
-/// Budget sweep: 0 disables retention entirely (every chunk is evicted
-/// on commit); growing budgets approach the fully-warm cost.
-void BM_MapBudgetSweep(benchmark::State& state) {
-  NoDbConfig config;
-  config.enable_cache = false;
-  config.enable_statistics = false;
-  config.positional_map_budget = static_cast<size_t>(state.range(0));
-  RawTableState table(Info(), config);
-  CheckOk(table.Open(), "open");
-  DrainScan(&table, 30);  // warm as far as the budget allows
-  for (auto _ : state) {
-    DrainScan(&table, 30);
-  }
-  state.SetItemsProcessed(state.iterations() * kTuples);
-}
-BENCHMARK(BM_MapBudgetSweep)
-    ->Arg(0)
-    ->Arg(64 << 10)
-    ->Arg(256 << 10)
-    ->Arg(8 << 20)
-    ->Unit(benchmark::kMillisecond);
-
-/// Row-block granularity ablation: the chunk/cache unit shared by map
-/// and cache. Tiny blocks mean more chunk objects and plan rebuilds;
-/// huge blocks waste work on partially-used tails.
-void BM_BlockSizeSweep(benchmark::State& state) {
-  NoDbConfig config;
-  config.enable_cache = false;
-  config.enable_statistics = false;
-  config.rows_per_block = static_cast<uint32_t>(state.range(0));
-  RawTableState table(Info(), config);
-  CheckOk(table.Open(), "open");
-  DrainScan(&table, 20);
-  for (auto _ : state) {
-    DrainScan(&table, 20);
-  }
-  state.SetItemsProcessed(state.iterations() * kTuples);
-  state.counters["chunks"] = static_cast<double>(table.map().num_chunks());
-}
-BENCHMARK(BM_BlockSizeSweep)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Unit(benchmark::kMillisecond);
-
-/// Distance-policy ablation (§3.1 "Adaptive Behavior"): after warming
-/// two disjoint combinations, a query spanning both either re-indexes
-/// its combination (max_covering_chunks = 1, the paper's default) or
-/// tolerates gathering from two chunks (laxer setting). Indexing costs
-/// once and pays on every later query; tolerating avoids the build but
-/// probes two chunks forever.
-void BM_DistancePolicy(benchmark::State& state) {
-  NoDbConfig config;
-  config.enable_cache = false;
-  config.enable_statistics = false;
-  config.max_covering_chunks = static_cast<uint32_t>(state.range(0));
-  RawTableState table(Info(), config);
-  CheckOk(table.Open(), "open");
-  // Two disjoint warm combinations...
-  {
-    RawScanOperator a(&table, {5, 6}, nullptr);
-    CheckOk(QueryResult::Drain(&a).status(), "warm a");
-    RawScanOperator b(&table, {30, 31}, nullptr);
-    CheckOk(QueryResult::Drain(&b).status(), "warm b");
-  }
-  // ...then a spanning query, repeatedly.
-  std::vector<uint32_t> spanning = {5, 30};
-  {
-    RawScanOperator scan(&table, spanning, nullptr);
-    CheckOk(QueryResult::Drain(&scan).status(), "first spanning");
-  }
-  for (auto _ : state) {
-    RawScanOperator scan(&table, spanning, nullptr);
-    CheckOk(QueryResult::Drain(&scan).status(), "spanning");
-  }
-  state.SetItemsProcessed(state.iterations() * kTuples);
-  state.counters["chunks"] = static_cast<double>(table.map().num_chunks());
-}
-BENCHMARK(BM_DistancePolicy)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  PrintHeader("E6 / positional-map ablation (§3.1)");
+  const uint64_t tuples =
+      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
+  const int reps = argc > 2 ? std::atoi(argv[2]) : 10;
+  Workload w = MakeIntWorkload("map", tuples, kAttrs);
+  const RawTableInfo info{"map", w.path, w.schema, CsvDialect()};
+
+  std::printf("%llu tuples x %u int attributes, median of %d scans\n\n",
+              static_cast<unsigned long long>(tuples), kAttrs, reps);
+  std::printf("%-30s %10s %12s %8s\n", "config", "ms/scan", "Mtuples/s",
+              "chunks");
+
+  // Builds a state for `config`, runs `warm` once, then times `attrs`.
+  auto run = [&](const std::string& name, const NoDbConfig& config,
+                 const std::function<void(RawTableState*)>& warm,
+                 const std::vector<uint32_t>& attrs) {
+    RawTableState table(info, config);
+    CheckOk(table.Open(), "open");
+    warm(&table);
+    const double ms =
+        MedianMs(reps, [&] { DrainScan(&table, attrs, tuples); });
+    std::printf("%-30s %10.3f %12.2f %8llu\n", name.c_str(), ms,
+                ms > 0 ? static_cast<double>(tuples) / ms / 1e3 : 0.0,
+                static_cast<unsigned long long>(table.map().num_chunks()));
+  };
+  auto warm_with = [&](std::vector<uint32_t> attrs) {
+    return [attrs, tuples](RawTableState* table) {
+      DrainScan(table, attrs, tuples);
+    };
+  };
+  auto no_warm = [](RawTableState*) {};
+
+  // Cold in-situ access (map disabled): cost grows with attribute
+  // position because every tuple is tokenized from byte 0.
+  for (uint32_t attr : {0u, 10u, 25u, 39u}) {
+    run("no map, attr " + std::to_string(attr), NoDbConfig::Baseline(),
+        no_warm, {attr});
+  }
+  // Warm positional map: cost is flat in attribute position.
+  for (uint32_t attr : {0u, 10u, 25u, 39u}) {
+    run("warm map, attr " + std::to_string(attr), MapOnly(),
+        warm_with({attr}), {attr});
+  }
+  // Neighbouring attribute with a warm map for attr 25: anchors let the
+  // scan jump to 26 and tokenize a single field (26 gets its own chunk
+  // on the first timed pass; both paths beat blind tokenizing).
+  run("anchor 25 -> attr 26", MapOnly(), warm_with({25}), {26});
+
+  // Budget sweep: 0 disables retention entirely (every chunk is
+  // evicted on commit); growing budgets approach the fully warm cost.
+  for (size_t budget : {size_t{0}, size_t{64} << 10, size_t{256} << 10,
+                        size_t{8} << 20}) {
+    NoDbConfig config = MapOnly();
+    config.positional_map_budget = budget;
+    run("map budget " + std::to_string(budget >> 10) + " KiB", config,
+        warm_with({30}), {30});
+  }
+
+  // Row-block granularity, the chunk/cache unit shared by map and
+  // cache: tiny blocks mean more chunk objects and plan rebuilds, huge
+  // blocks waste work on partially used tails.
+  for (uint32_t rows : {64u, 1024u, 4096u, 16384u}) {
+    NoDbConfig config = MapOnly();
+    config.rows_per_block = rows;
+    run("rows_per_block " + std::to_string(rows), config, warm_with({20}),
+        {20});
+  }
+
+  // Distance policy (§3.1 "Adaptive Behavior"): after warming two
+  // disjoint combinations, a query spanning both either re-indexes its
+  // combination (max_covering_chunks = 1, the paper's default) or
+  // tolerates gathering from two chunks. Indexing costs once and pays
+  // on every later query; tolerating avoids the build but probes two
+  // chunks forever.
+  for (uint32_t covering : {1u, 4u}) {
+    NoDbConfig config = MapOnly();
+    config.max_covering_chunks = covering;
+    run("max_covering_chunks " + std::to_string(covering), config,
+        [&](RawTableState* table) {
+          DrainScan(table, {5, 6}, tuples);
+          DrainScan(table, {30, 31}, tuples);
+          DrainScan(table, {5, 30}, tuples);  // the first spanning query
+        },
+        {5, 30});
+  }
+  return 0;
+}

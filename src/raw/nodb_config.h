@@ -118,10 +118,11 @@ struct NoDbConfig {
   /// than a NoDB auxiliary structure, hence untouched by Baseline().
   bool enable_simd = true;
 
-  /// Worker threads for the parallel chunked first-touch scan
-  /// (raw/parallel_scan.h): a cold table's first query pre-builds the
-  /// enabled NoDB structures with this many threads, attacking the
-  /// first-query penalty. 1 = the paper's fully serial adaptive
+  /// Worker threads for the parallel first touch (raw/parallel_scan.h):
+  /// a cold table's first query finds the file's rows in parallel, then
+  /// runs ranges of row-blocks through the scan operator on this many
+  /// threads, pre-building the enabled NoDB structures and attacking
+  /// the first-query penalty. 1 = the paper's fully serial adaptive
   /// behaviour (default); 0 = one thread per hardware core. Results
   /// are byte-identical to the serial path at any setting.
   uint32_t num_threads = 1;

@@ -182,7 +182,10 @@ Status RawScanOperator::Open() {
                                              config.read_buffer_bytes);
   NODB_RETURN_NOT_OK(reader_->Refresh());
 
-  row_ = 0;
+  if (start_block_ > 0 && !use_map_) {
+    return Status::InvalidArgument("a scan past block 0 needs the map");
+  }
+  row_ = start_block_ * uint64_t{config.rows_per_block};
   rows_emitted_ = 0;
   exhausted_ = false;
   window_first_ = 0;

@@ -505,6 +505,9 @@ TEST_F(RawScanTest, ParallelStateIdenticalToSerialAtAnyThreadCount) {
     EXPECT_EQ(state.cache().num_segments(),
               serial.cache().num_segments());
     EXPECT_EQ(state.cache().bytes_used(), serial.cache().bytes_used());
+    EXPECT_EQ(state.zones().num_entries(), serial.zones().num_entries());
+    EXPECT_EQ(state.stats().CoveredAttributes(),
+              serial.stats().CoveredAttributes());
     VerifyScan(&state, {0, 2, 5}, 777);
   }
 }
@@ -640,9 +643,15 @@ TEST_F(RawScanTest, ParallelPrewarmSurfacesSerialErrorUntouched) {
   auto stats = ParallelChunkedScan(&state, {1}, 8);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsParseError());
-  // Same "row N" the serial scan reports, and no half-built state.
+  // Same "row N" the serial scan reports, and the state a failed serial
+  // scan leaves on a fresh state: the row index, no segments.
   EXPECT_NE(stats.status().message().find("row 1"), std::string::npos);
-  EXPECT_EQ(state.map().known_rows(), 0u);
+  RawTableState serial(info, SmallBlocks(true, true, true));
+  RawScanOperator serial_scan(&serial, {1}, nullptr);
+  ASSERT_FALSE(QueryResult::Drain(&serial_scan).ok());
+  EXPECT_EQ(state.map().known_rows(), serial.map().known_rows());
+  EXPECT_EQ(state.map().known_rows(), 3u);
+  EXPECT_EQ(state.cache().num_segments(), serial.cache().num_segments());
   EXPECT_EQ(state.cache().num_segments(), 0u);
 
   // Short rows likewise mirror the serial field-count error.
@@ -659,6 +668,31 @@ TEST_F(RawScanTest, ParallelPrewarmSurfacesSerialErrorUntouched) {
   EXPECT_TRUE(short_stats.status().IsParseError());
   EXPECT_NE(short_stats.status().message().find("row 1"),
             std::string::npos);
+
+  // Many block ranges, two of them failing: the first failing range
+  // holds the first failing row, and its message is the serial one.
+  std::string many;
+  for (int r = 0; r < 640; ++r) {
+    many += std::to_string(r) + "," +
+            (r == 100 || r == 500 ? "bad" : std::to_string(r)) + "\n";
+  }
+  std::string many_path = dir_->FilePath("many_bad_par.csv");
+  ASSERT_TRUE(WriteStringToFile(many_path, many).ok());
+  RawTableInfo many_info{"manyp", many_path,
+                         Schema::Make({{"a", DataType::kInt64},
+                                       {"b", DataType::kInt64}}),
+                         CsvDialect()};
+  RawTableState many_serial(many_info, SmallBlocks(true, true, true));
+  RawScanOperator many_scan(&many_serial, {0, 1}, nullptr);
+  auto serial_error = QueryResult::Drain(&many_scan);
+  ASSERT_FALSE(serial_error.ok());
+  RawTableState many_state(many_info, SmallBlocks(true, true, true));
+  auto many_stats = ParallelChunkedScan(&many_state, {0, 1}, 8);
+  ASSERT_FALSE(many_stats.ok());
+  EXPECT_NE(many_stats.status().message().find("row 100"),
+            std::string::npos);
+  EXPECT_EQ(many_stats.status().message(),
+            serial_error.status().message());
 }
 
 // -------------------------------------------- pushdown and zone maps
