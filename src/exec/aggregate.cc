@@ -7,41 +7,13 @@ namespace nodb {
 
 namespace {
 
-/// Serializes one column cell into the group hash key.
-void AppendKeyBytes(const ColumnVector& col, size_t row, std::string* key) {
-  if (col.IsNull(row)) {
-    key->push_back('\0');
-    return;
-  }
-  key->push_back('\1');
-  switch (col.type()) {
-    case DataType::kInt64:
-    case DataType::kDate: {
-      int64_t v = col.GetInt64(row);
-      key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case DataType::kDouble: {
-      double v = col.GetDouble(row);
-      key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case DataType::kString: {
-      std::string_view s = col.GetString(row);
-      uint32_t len = static_cast<uint32_t>(s.size());
-      key->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      key->append(s.data(), s.size());
-      break;
-    }
-  }
-}
-
 /// Folds rows [0, n) of one aggregate's input into the state at(i)
-/// returns for row i: the one global state, or the row's group's. Each
-/// case is one typed loop; sums add in row order.
-template <typename StateAt>
+/// returns for row i: the one global state, or the row's group's
+/// (str_at(i) is the same state's STRING extreme). Each case is one
+/// typed loop; sums add in row order.
+template <typename StateAt, typename StringAt>
 void Accumulate(AggFunc func, const ColumnVector* input, size_t n,
-                StateAt at) {
+                StateAt at, StringAt str_at) {
   if (func == AggFunc::kCountStar) {
     for (size_t i = 0; i < n; ++i) ++at(i).count;
     return;
@@ -54,8 +26,9 @@ void Accumulate(AggFunc func, const ColumnVector* input, size_t n,
           if (!valid[i]) continue;
           std::string_view v = input->GetString(i);
           auto& s = at(i);
-          if (!s.has_value || better(v, std::string_view(s.ext_s))) {
-            s.ext_s.assign(v.data(), v.size());
+          std::string& ext = str_at(i);
+          if (!s.has_value || better(v, std::string_view(ext))) {
+            ext.assign(v.data(), v.size());
             s.has_value = true;
           }
         }
@@ -67,8 +40,8 @@ void Accumulate(AggFunc func, const ColumnVector* input, size_t n,
         for (size_t i = 0; i < n; ++i) {
           auto& s = at(i);
           if (valid[i] &&
-              (!s.has_value || better(CompareDoubles(v[i], s.ext_d), 0))) {
-            s.ext_d = v[i];
+              (!s.has_value || better(CompareDoubles(v[i], s.d), 0))) {
+            s.d = v[i];
             s.has_value = true;
           }
         }
@@ -79,8 +52,8 @@ void Accumulate(AggFunc func, const ColumnVector* input, size_t n,
         const int64_t* v = input->int64_data();
         for (size_t i = 0; i < n; ++i) {
           auto& s = at(i);
-          if (valid[i] && (!s.has_value || better(v[i], s.ext_i))) {
-            s.ext_i = v[i];
+          if (valid[i] && (!s.has_value || better(v[i], s.i))) {
+            s.i = v[i];
             s.has_value = true;
           }
         }
@@ -103,21 +76,21 @@ void Accumulate(AggFunc func, const ColumnVector* input, size_t n,
         for (size_t i = 0; i < n; ++i) {
           auto& s = at(i);
           s.count += valid[i];
-          s.dsum += valid[i] ? v[i] : 0.0;
+          s.d += valid[i] ? v[i] : 0.0;
         }
       } else if (func == AggFunc::kSum) {
         const int64_t* v = input->int64_data();
         for (size_t i = 0; i < n; ++i) {
           auto& s = at(i);
           s.count += valid[i];
-          s.isum = WrappingAdd(s.isum, valid[i] ? v[i] : 0);
+          s.i = WrappingAdd(s.i, valid[i] ? v[i] : 0);
         }
       } else {
         const int64_t* v = input->int64_data();
         for (size_t i = 0; i < n; ++i) {
           auto& s = at(i);
           s.count += valid[i];
-          s.dsum += valid[i] ? static_cast<double>(v[i]) : 0.0;
+          s.d += valid[i] ? static_cast<double>(v[i]) : 0.0;
         }
       }
       break;
@@ -206,46 +179,17 @@ Result<OperatorPtr> HashAggregateOperator::Create(
 }
 
 Status HashAggregateOperator::Open() {
-  group_index_.clear();
-  groups_.clear();
+  if (groups_.has_value()) groups_->Clear();
+  states_.assign(aggregates_.size(),
+                 std::vector<AggState>(group_by_.empty() ? 1 : 0));
+  strings_.assign(aggregates_.size(),
+                  std::vector<std::string>(group_by_.empty() ? 1 : 0));
   emit_cursor_ = 0;
   consumed_ = false;
   return child_->Open();
 }
 
-void HashAggregateOperator::AssignGroups(
-    const std::vector<std::shared_ptr<ColumnVector>>& key_cols,
-    size_t rows) {
-  std::string key;
-  group_ids_.resize(rows);
-  for (size_t row = 0; row < rows; ++row) {
-    key.clear();
-    for (const auto& col : key_cols) AppendKeyBytes(*col, row, &key);
-    // Probe before inserting: a hit, the common case, allocates nothing.
-    auto it = group_index_.find(key);
-    if (it != group_index_.end()) {
-      group_ids_[row] = it->second;
-      continue;
-    }
-    group_ids_[row] = groups_.size();
-    group_index_.emplace(key, groups_.size());
-    Group g;
-    g.keys.reserve(key_cols.size());
-    for (const auto& col : key_cols) {
-      g.keys.push_back(col->GetValue(row));  // NOLINT(row-value): new group
-    }
-    g.states.resize(aggregates_.size());
-    groups_.push_back(std::move(g));
-  }
-}
-
 Status HashAggregateOperator::ConsumeChild() {
-  // Global aggregation has exactly one group, even over empty input.
-  if (group_by_.empty()) {
-    Group g;
-    g.states.resize(aggregates_.size());
-    groups_.push_back(std::move(g));
-  }
   while (true) {
     NODB_ASSIGN_OR_RETURN(BatchPtr batch, child_->Next());
     if (batch == nullptr) break;
@@ -270,55 +214,88 @@ Status HashAggregateOperator::ConsumeChild() {
     if (group_by_.empty()) {
       for (size_t a = 0; a < aggregates_.size(); ++a) {
         // Fold into a local copy, which the loop can keep in registers.
-        AggState& global = groups_[0].states[a];
-        AggState s = std::move(global);
+        AggState s = states_[a][0];
+        std::string& str = strings_[a][0];
         Accumulate(aggregates_[a].func, agg_inputs[a].get(), rows,
-                   [&s](size_t) -> AggState& { return s; });
-        global = std::move(s);
+                   [&s](size_t) -> AggState& { return s; },
+                   [&str](size_t) -> std::string& { return str; });
+        states_[a][0] = s;
       }
       continue;
     }
-    AssignGroups(key_cols, rows);
+    group_ids_.resize(rows);
+    groups_->FindOrInsert(key_cols, rows, group_ids_.data());
     for (size_t a = 0; a < aggregates_.size(); ++a) {
+      std::vector<AggState>& states = states_[a];
+      std::vector<std::string>& strings = strings_[a];
+      states.resize(groups_->size());
+      if (agg_types_[a] == DataType::kString) {
+        strings.resize(groups_->size());
+      }
+      const uint32_t* ids = group_ids_.data();
       Accumulate(aggregates_[a].func, agg_inputs[a].get(), rows,
-                 [&](size_t i) -> AggState& {
-                   return groups_[group_ids_[i]].states[a];
+                 [&states, ids](size_t i) -> AggState& {
+                   return states[ids[i]];
+                 },
+                 [&strings, ids](size_t i) -> std::string& {
+                   return strings[ids[i]];
                  });
     }
   }
   return Status::OK();
 }
 
-Value HashAggregateOperator::Finalize(const AggState& state,
-                                      const AggregateSpec& spec,
-                                      DataType out_type) const {
-  switch (spec.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Value::Int64(state.count);
-    case AggFunc::kSum:
-      if (state.count == 0) return Value::Null();
-      return out_type == DataType::kInt64 ? Value::Int64(state.isum)
-                                          : Value::Double(state.dsum);
-    case AggFunc::kAvg:
-      if (state.count == 0) return Value::Null();
-      return Value::Double(state.dsum / static_cast<double>(state.count));
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      if (!state.has_value) return Value::Null();
-      switch (out_type) {
-        case DataType::kInt64:
-          return Value::Int64(state.ext_i);
-        case DataType::kDate:
-          return Value::Date(state.ext_i);
-        case DataType::kDouble:
-          return Value::Double(state.ext_d);
-        case DataType::kString:
-          return Value::String(state.ext_s);
-      }
-      break;
+void HashAggregateOperator::AppendFinal(const AggState* states,
+                                        const std::string* strings,
+                                        size_t n, AggFunc func,
+                                        ColumnVector* out) {
+  out->Reserve(out->size() + n);
+  for (size_t g = 0; g < n; ++g) {
+    const auto& s = states[g];
+    switch (func) {
+      case AggFunc::kCountStar:
+      case AggFunc::kCount:
+        out->AppendInt64(s.count);
+        continue;
+      case AggFunc::kSum:
+        if (s.count == 0) {
+          out->AppendNull();
+        } else if (out->type() == DataType::kInt64) {
+          out->AppendInt64(s.i);
+        } else {
+          out->AppendDouble(s.d);
+        }
+        continue;
+      case AggFunc::kAvg:
+        if (s.count == 0) {
+          out->AppendNull();
+        } else {
+          out->AppendDouble(s.d / static_cast<double>(s.count));
+        }
+        continue;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        break;
+    }
+    if (!s.has_value) {
+      out->AppendNull();
+      continue;
+    }
+    switch (out->type()) {
+      case DataType::kInt64:
+        out->AppendInt64(s.i);
+        break;
+      case DataType::kDate:
+        out->AppendDate(s.i);
+        break;
+      case DataType::kDouble:
+        out->AppendDouble(s.d);
+        break;
+      case DataType::kString:
+        out->AppendString(Slice(strings[g]));
+        break;
+    }
   }
-  return Value::Null();
 }
 
 Result<BatchPtr> HashAggregateOperator::Next() {
@@ -326,21 +303,24 @@ Result<BatchPtr> HashAggregateOperator::Next() {
     NODB_RETURN_NOT_OK(ConsumeChild());
     consumed_ = true;
   }
-  if (emit_cursor_ >= groups_.size()) return BatchPtr();
+  if (emit_cursor_ >= num_groups()) return BatchPtr();
 
   size_t n = std::min(RecordBatch::kDefaultBatchRows,
-                      groups_.size() - emit_cursor_);
+                      num_groups() - emit_cursor_);
   auto out = std::make_shared<RecordBatch>(schema_);
-  for (size_t i = 0; i < n; ++i) {
-    const Group& g = groups_[emit_cursor_ + i];
-    std::vector<Value> row;
-    row.reserve(schema_->num_fields());
-    for (const Value& k : g.keys) row.push_back(k);
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      row.push_back(Finalize(g.states[a], aggregates_[a], agg_types_[a]));
-    }
-    out->AppendRow(row);  // NOLINT(row-value): once per result row
+  const size_t num_keys = group_by_.size();
+  for (size_t k = 0; k < num_keys; ++k) {
+    groups_->AppendKeyColumn(k, static_cast<uint32_t>(emit_cursor_), n,
+                             &out->column(k));
   }
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    const std::string* strings = agg_types_[a] == DataType::kString
+                                     ? strings_[a].data() + emit_cursor_
+                                     : nullptr;
+    AppendFinal(states_[a].data() + emit_cursor_, strings, n,
+                aggregates_[a].func, &out->column(num_keys + a));
+  }
+  out->SetNumRows(n);
   emit_cursor_ += n;
   return out;
 }

@@ -6,54 +6,48 @@ namespace nodb {
 
 namespace {
 
-void SerializeCell(const ColumnVector& col, size_t row, std::string* key) {
-  if (col.IsNull(row)) {
-    key->push_back('\0');
-    return;
-  }
-  key->push_back('\1');
-  switch (col.type()) {
-    case DataType::kInt64:
-    case DataType::kDate: {
-      int64_t v = col.GetInt64(row);
-      key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case DataType::kDouble: {
-      double v = col.GetDouble(row);
-      key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case DataType::kString: {
-      std::string_view s = col.GetString(row);
-      uint32_t len = static_cast<uint32_t>(s.size());
-      key->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      key->append(s.data(), s.size());
-      break;
-    }
-  }
+std::vector<DataType> ColumnTypes(const Schema& schema) {
+  std::vector<DataType> types;
+  for (const Field& f : schema.fields()) types.push_back(f.type);
+  return types;
 }
 
 }  // namespace
 
+DistinctOperator::DistinctOperator(OperatorPtr child)
+    : child_(std::move(child)),
+      seen_(ColumnTypes(*child_->output_schema()),
+            /*null_keys_match=*/true) {}
+
 Status DistinctOperator::Open() {
-  seen_.clear();
+  // The table is this operator's alone: no other producer can refill
+  // it, so it needs no generation fence.
+  seen_.Clear();
   return child_->Open();
 }
 
 Result<BatchPtr> DistinctOperator::Next() {
-  std::string key;
+  std::vector<std::shared_ptr<ColumnVector>> keys;
   while (true) {
     NODB_ASSIGN_OR_RETURN(BatchPtr batch, child_->Next());
     if (batch == nullptr) return BatchPtr();
 
+    keys.clear();
+    for (size_t c = 0; c < batch->num_columns(); ++c) {
+      keys.push_back(batch->column_ptr(c));
+    }
+    const size_t rows = batch->num_rows();
+    ids_.resize(rows);
+    uint32_t next_new = static_cast<uint32_t>(seen_.size());
+    seen_.FindOrInsert(keys, rows, ids_.data());
+    // New entries are numbered in row order, so a row is a key's first
+    // sight exactly when it carries the next unused number.
     sel_.clear();
-    for (size_t i = 0; i < batch->num_rows(); ++i) {
-      key.clear();
-      for (size_t c = 0; c < batch->num_columns(); ++c) {
-        SerializeCell(batch->column(c), i, &key);
+    for (size_t i = 0; i < rows; ++i) {
+      if (ids_[i] == next_new) {
+        sel_.push_back(static_cast<uint32_t>(i));
+        ++next_new;
       }
-      if (seen_.insert(key).second) sel_.push_back(static_cast<uint32_t>(i));
     }
     if (sel_.empty()) continue;
     return GatherRows(*batch, sel_.data(), sel_.size());

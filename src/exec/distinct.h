@@ -3,21 +3,21 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "exec/key_table.h"
 #include "exec/operator.h"
 
 namespace nodb {
 
-/// SELECT DISTINCT: streaming hash-based row deduplication. Rows are
-/// serialized (type-tagged, NULL-aware) and emitted on first sight, so
-/// the operator pipelines — no full materialization.
+/// SELECT DISTINCT: streaming row deduplication over a KeyTable keyed
+/// by every column (NULL is one value; DOUBLEs compare by bit pattern).
+/// A row is emitted when its key first enters the table, so output
+/// keeps first-appearance order and the operator pipelines: no full
+/// materialization.
 class DistinctOperator final : public ExecOperator {
  public:
-  explicit DistinctOperator(OperatorPtr child)
-      : child_(std::move(child)) {}
+  explicit DistinctOperator(OperatorPtr child);
 
   Status Open() override;
   Result<BatchPtr> Next() override;
@@ -27,7 +27,8 @@ class DistinctOperator final : public ExecOperator {
 
  private:
   OperatorPtr child_;
-  std::unordered_set<std::string> seen_;
+  KeyTable seen_;
+  std::vector<uint32_t> ids_;  // entry of each row of the current batch
   std::vector<uint32_t> sel_;  // rows of the current batch seen first
 };
 

@@ -2,41 +2,6 @@
 
 namespace nodb {
 
-namespace {
-
-/// Join keys normalize numerics to int64/double-compatible bytes: INT
-/// and DATE serialize as int64; DOUBLE as its bit pattern. NULL keys
-/// never match (SQL inner-join semantics), signaled by returning false.
-bool AppendJoinKey(const ColumnVector& col, size_t row, std::string* key) {
-  if (col.IsNull(row)) return false;
-  switch (col.type()) {
-    case DataType::kInt64:
-    case DataType::kDate: {
-      int64_t v = col.GetInt64(row);
-      key->push_back('i');
-      key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case DataType::kDouble: {
-      double v = col.GetDouble(row);
-      key->push_back('d');
-      key->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-    case DataType::kString: {
-      std::string_view s = col.GetString(row);
-      key->push_back('s');
-      uint32_t len = static_cast<uint32_t>(s.size());
-      key->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      key->append(s.data(), s.size());
-      break;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<OperatorPtr> HashJoinOperator::Create(
     OperatorPtr probe, OperatorPtr build, std::vector<ExprPtr> probe_keys,
     std::vector<ExprPtr> build_keys) {
@@ -69,85 +34,95 @@ Result<OperatorPtr> HashJoinOperator::Create(
 }
 
 Status HashJoinOperator::Open() {
-  table_.clear();
+  std::vector<DataType> key_types;
+  for (const auto& expr : build_keys_) {
+    NODB_ASSIGN_OR_RETURN(DataType t,
+                          expr->OutputType(*build_->output_schema()));
+    key_types.push_back(t);
+  }
+  table_.emplace(key_types, /*null_keys_match=*/false);
+  chain_head_.clear();
+  chain_tail_.clear();
+  chain_next_.clear();
   build_rows_.reset();
   built_ = false;
   NODB_RETURN_NOT_OK(probe_->Open());
   return build_->Open();
 }
 
+namespace {
+
+Result<std::vector<std::shared_ptr<ColumnVector>>> EvaluateKeys(
+    const std::vector<ExprPtr>& exprs, const RecordBatch& batch) {
+  std::vector<std::shared_ptr<ColumnVector>> keys;
+  for (const auto& expr : exprs) {
+    NODB_ASSIGN_OR_RETURN(auto col, expr->Evaluate(batch));
+    keys.push_back(std::move(col));
+  }
+  return keys;
+}
+
+}  // namespace
+
 Status HashJoinOperator::BuildTable() {
+  constexpr uint32_t kEnd = KeyTable::kNoEntry;
   build_rows_ = std::make_shared<RecordBatch>(build_->output_schema());
   size_t rows = 0;
-  std::string key;
   while (true) {
-    auto next = build_->Next();
-    NODB_RETURN_NOT_OK(next.status());
-    BatchPtr batch = *next;
+    NODB_ASSIGN_OR_RETURN(BatchPtr batch, build_->Next());
     if (batch == nullptr) break;
-
-    std::vector<std::shared_ptr<ColumnVector>> key_cols;
-    for (const auto& expr : build_keys_) {
-      auto col = expr->Evaluate(*batch);
-      NODB_RETURN_NOT_OK(col.status());
-      key_cols.push_back(*col);
-    }
-    if (rows + batch->num_rows() > UINT32_MAX) {
+    const size_t n = batch->num_rows();
+    NODB_ASSIGN_OR_RETURN(auto keys, EvaluateKeys(build_keys_, *batch));
+    if (rows + n >= UINT32_MAX) {
       return Status::InvalidArgument("join build side exceeds 2^32 rows");
     }
     for (size_t c = 0; c < batch->num_columns(); ++c) {
-      build_rows_->column(c).AppendRange(batch->column(c), 0,
-                                         batch->num_rows());
+      build_rows_->column(c).AppendRange(batch->column(c), 0, n);
     }
-    for (size_t i = 0; i < batch->num_rows(); ++i) {
-      key.clear();
-      bool valid = true;
-      for (const auto& col : key_cols) {
-        if (!AppendJoinKey(*col, i, &key)) {
-          valid = false;
-          break;
-        }
+    ids_.resize(n);
+    table_->FindOrInsert(keys, n, ids_.data());
+    chain_head_.resize(table_->size(), kEnd);
+    chain_tail_.resize(table_->size(), kEnd);
+    chain_next_.resize(rows + n, kEnd);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t id = ids_[i];
+      if (id == kEnd) continue;  // NULL key: never matches
+      const uint32_t row = static_cast<uint32_t>(rows + i);
+      if (chain_head_[id] == kEnd) {
+        chain_head_[id] = row;
+      } else {
+        chain_next_[chain_tail_[id]] = row;
       }
-      if (valid) table_.emplace(key, rows);
-      ++rows;
+      chain_tail_[id] = row;
     }
+    rows += n;
   }
   build_rows_->SetNumRows(rows);
   return Status::OK();
 }
 
 Result<BatchPtr> HashJoinOperator::Next() {
+  constexpr uint32_t kEnd = KeyTable::kNoEntry;
   if (!built_) {
     NODB_RETURN_NOT_OK(BuildTable());
     built_ = true;
   }
-  std::string key;
   while (true) {
     NODB_ASSIGN_OR_RETURN(BatchPtr batch, probe_->Next());
     if (batch == nullptr) return BatchPtr();
-
-    std::vector<std::shared_ptr<ColumnVector>> key_cols;
-    for (const auto& expr : probe_keys_) {
-      NODB_ASSIGN_OR_RETURN(auto col, expr->Evaluate(*batch));
-      key_cols.push_back(std::move(col));
-    }
+    const size_t n = batch->num_rows();
+    NODB_ASSIGN_OR_RETURN(auto keys, EvaluateKeys(probe_keys_, *batch));
+    ids_.resize(n);
+    table_->Find(keys, n, ids_.data());
 
     probe_sel_.clear();
     build_sel_.clear();
-    for (size_t i = 0; i < batch->num_rows(); ++i) {
-      key.clear();
-      bool valid = true;
-      for (const auto& col : key_cols) {
-        if (!AppendJoinKey(*col, i, &key)) {
-          valid = false;
-          break;
-        }
-      }
-      if (!valid) continue;
-      auto [lo, hi] = table_.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
+    for (size_t i = 0; i < n; ++i) {
+      if (ids_[i] == kEnd) continue;
+      for (uint32_t b = chain_head_[ids_[i]]; b != kEnd;
+           b = chain_next_[b]) {
         probe_sel_.push_back(static_cast<uint32_t>(i));
-        build_sel_.push_back(static_cast<uint32_t>(it->second));
+        build_sel_.push_back(b);
       }
     }
     const size_t out_rows = probe_sel_.size();

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "exec/expr.h"
+#include "exec/key_table.h"
 #include "exec/operator.h"
 
 namespace nodb {
@@ -16,6 +16,11 @@ namespace nodb {
 /// then streams the left (probe) input. Output schema is the left
 /// fields followed by the right fields (the binder qualifies duplicate
 /// names before planning).
+///
+/// The build side is a KeyTable over the build keys plus one row chain
+/// per distinct key, kept in build-input order; each probe row emits
+/// its matches in that order. A NULL key never matches, INT and DATE
+/// keys compare as int64, and DOUBLE keys by bit pattern.
 class HashJoinOperator final : public ExecOperator {
  public:
   static Result<OperatorPtr> Create(OperatorPtr probe, OperatorPtr build,
@@ -46,7 +51,13 @@ class HashJoinOperator final : public ExecOperator {
   std::shared_ptr<Schema> schema_;
 
   BatchPtr build_rows_;  // materialized build side
-  std::unordered_multimap<std::string, size_t> table_;
+  std::optional<KeyTable> table_;
+  /// Row chains: first and last build row of each entry, and each
+  /// build row's successor (KeyTable::kNoEntry ends a chain).
+  std::vector<uint32_t> chain_head_;
+  std::vector<uint32_t> chain_tail_;
+  std::vector<uint32_t> chain_next_;
+  std::vector<uint32_t> ids_;  // entry of each row of the current batch
   bool built_ = false;
   // Matches of the current probe batch: probe row, build row.
   std::vector<uint32_t> probe_sel_;

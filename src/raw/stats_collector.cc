@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 #include "obs/tenant.h"
 #include "util/hash.h"
@@ -13,23 +15,37 @@ AttributeStats::AttributeStats(DataType type) : type_(type) {
   if (type == DataType::kString) string_sample_.reserve(kReservoirSize);
 }
 
-void AttributeStats::Sample(double numeric, const std::string* text) {
+uint64_t AttributeStats::DrawSlot() {
+  // Lemire's multiply-shift: the high word of x * n is uniform in
+  // [0, n) once the rare low words below 2^64 mod n are redrawn.
+  using U128 = unsigned __int128;
+  const uint64_t n = sampled_stream_;
+  U128 m = static_cast<U128>(rng_.NextUint64()) * n;
+  if (static_cast<uint64_t>(m) < n) {
+    const uint64_t reject = (0 - n) % n;
+    while (static_cast<uint64_t>(m) < reject) {
+      m = static_cast<U128>(rng_.NextUint64()) * n;
+    }
+  }
+  return static_cast<uint64_t>(m >> 64);
+}
+
+void AttributeStats::Sample(double numeric, std::string_view text) {
   ++sampled_stream_;
-  size_t capacity = kReservoirSize;
   if (type_ == DataType::kString) {
-    if (string_sample_.size() < capacity) {
-      string_sample_.push_back(*text);
+    if (string_sample_.size() < kReservoirSize) {
+      string_sample_.emplace_back(text);
     } else {
-      uint64_t j = rng_.Uniform(sampled_stream_);
-      if (j < capacity) string_sample_[j] = *text;
+      uint64_t j = DrawSlot();
+      if (j < kReservoirSize) string_sample_[j].assign(text);
     }
     return;
   }
-  if (numeric_sample_.size() < capacity) {
+  if (numeric_sample_.size() < kReservoirSize) {
     numeric_sample_.push_back(numeric);
   } else {
-    uint64_t j = rng_.Uniform(sampled_stream_);
-    if (j < capacity) numeric_sample_[j] = numeric;
+    uint64_t j = DrawSlot();
+    if (j < kReservoirSize) numeric_sample_[j] = numeric;
   }
 }
 
@@ -46,37 +62,109 @@ void AttributeStats::Reset() {
 }
 
 void AttributeStats::Observe(const ColumnVector& column) {
+  // Hash the segment before taking the lock: one typed loop per type,
+  // with the hash functions the persisted sketches were built with.
+  const size_t n = column.size();
+  const uint8_t* valid = column.validity();
+  std::vector<uint64_t> hashes;
+  hashes.reserve(n);
+  std::vector<double> numeric;
+  switch (type_) {
+    case DataType::kString:
+      for (size_t i = 0; i < n; ++i) {
+        if (!valid[i]) continue;
+        std::string_view s = column.GetString(i);
+        hashes.push_back(Fnv1a64(s.data(), s.size()));
+      }
+      break;
+    case DataType::kDouble:
+    case DataType::kInt64:
+    case DataType::kDate:
+      numeric.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (!valid[i]) continue;
+        numeric.push_back(column.GetNumeric(i));
+      }
+      for (double v : numeric) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(v));
+        hashes.push_back(MixHash64(bits));
+      }
+      break;
+  }
+
   MutexLock lock(mu_);
-  for (size_t i = 0; i < column.size(); ++i) {
-    ++count_;
-    if (column.IsNull(i)) {
-      ++nulls_;
+  count_ += n;
+  nulls_ += n - hashes.size();
+  if (type_ == DataType::kString) {
+    for (size_t i = 0; i < n; ++i) {
+      if (valid[i]) Sample(0, column.GetString(i));
+    }
+  } else if (!numeric.empty()) {
+    // The running rule, value by value: a NaN seen first sticks, a NaN
+    // seen later never replaces a bound.
+    bool has_min = min_.has_value();
+    bool has_max = max_.has_value();
+    double lo = min_.value_or(0);
+    double hi = max_.value_or(0);
+    for (double v : numeric) {
+      if (!has_min || v < lo) lo = v;
+      if (!has_max || v > hi) hi = v;
+      has_min = has_max = true;
+      Sample(v, {});
+    }
+    min_ = lo;
+    max_ = hi;
+  }
+  MergeHashes(&hashes);
+}
+
+void AttributeStats::MergeHashes(std::vector<uint64_t>* hashes) {
+  // Only hashes below the current k-th smallest can enter a full
+  // sketch.
+  const bool full = kmv_.size() >= kKmvSize;
+  const uint64_t kth = full ? kmv_.back() : UINT64_MAX;
+  size_t kept = 0;
+  for (uint64_t h : *hashes) {
+    if (!full || h < kth) (*hashes)[kept++] = h;
+  }
+  hashes->resize(kept);
+  if (kept == 0) return;
+
+  // Deduplicate by open addressing (the hashes are already mixed, so
+  // their low bits index the table); 0 marks an empty slot.
+  size_t slots = 16;
+  while (slots < 2 * kept) slots *= 2;
+  std::vector<uint64_t> dedup(slots, 0);
+  bool has_zero = false;
+  size_t unique = 0;
+  for (size_t i = 0; i < kept; ++i) {
+    const uint64_t h = (*hashes)[i];
+    if (h == 0) {
+      if (!has_zero) (*hashes)[unique++] = 0;
+      has_zero = true;
       continue;
     }
-    uint64_t hash;
-    if (type_ == DataType::kString) {
-      std::string_view s = column.GetString(i);
-      hash = Fnv1a64(s.data(), s.size());
-      std::string text(s);
-      Sample(0, &text);
-    } else {
-      double v = column.GetNumeric(i);
-      if (!min_ || v < *min_) min_ = v;
-      if (!max_ || v > *max_) max_ = v;
-      int64_t bits;
-      static_assert(sizeof(bits) == sizeof(v));
-      std::memcpy(&bits, &v, sizeof(v));
-      hash = MixHash64(static_cast<uint64_t>(bits));
-      Sample(v, nullptr);
-    }
-    // KMV sketch: keep the k smallest hashes.
-    if (kmv_.size() < kKmvSize) {
-      kmv_.insert(hash);
-    } else if (hash < *kmv_.rbegin()) {
-      kmv_.insert(hash);
-      if (kmv_.size() > kKmvSize) kmv_.erase(std::prev(kmv_.end()));
-    }
+    size_t s = h & (slots - 1);
+    while (dedup[s] != 0 && dedup[s] != h) s = (s + 1) & (slots - 1);
+    if (dedup[s] == h) continue;
+    dedup[s] = h;
+    (*hashes)[unique++] = h;
   }
+  hashes->resize(unique);
+  if (hashes->size() > kKmvSize) {
+    std::nth_element(hashes->begin(), hashes->begin() + kKmvSize,
+                     hashes->end());
+    hashes->resize(kKmvSize);
+  }
+  std::sort(hashes->begin(), hashes->end());
+
+  std::vector<uint64_t> merged;
+  merged.reserve(kmv_.size() + hashes->size());
+  std::set_union(kmv_.begin(), kmv_.end(), hashes->begin(), hashes->end(),
+                 std::back_inserter(merged));
+  if (merged.size() > kKmvSize) merged.resize(kKmvSize);
+  kmv_ = std::move(merged);
 }
 
 double AttributeStats::EstimateDistinct() const {
@@ -91,7 +179,7 @@ double AttributeStats::EstimateDistinctLocked() const {
   // sketches (kth-minimum of 0 or denormal) would divide by zero or
   // blow up to inf; fall back on the sketch size, which is a valid
   // lower bound.
-  double kth = static_cast<double>(*kmv_.rbegin()) /
+  double kth = static_cast<double>(kmv_.back()) /
                static_cast<double>(UINT64_MAX);
   if (kth <= 0) return static_cast<double>(kmv_.size());
   double estimate = (static_cast<double>(kKmvSize) - 1.0) / kth;
@@ -108,7 +196,7 @@ AttributeStats::Image AttributeStats::ExportImage() const {
   image.min = min_.value_or(0);
   image.has_max = max_.has_value();
   image.max = max_.value_or(0);
-  image.kmv.assign(kmv_.begin(), kmv_.end());
+  image.kmv = kmv_;
   image.numeric_sample = numeric_sample_;
   image.string_sample = string_sample_;
   image.sampled_stream = sampled_stream_;
@@ -122,9 +210,10 @@ bool AttributeStats::ImportImage(Image image) {
   nulls_ = image.nulls;
   if (image.has_min) min_ = image.min;
   if (image.has_max) max_ = image.max;
-  kmv_.clear();
-  kmv_.insert(image.kmv.begin(), image.kmv.end());
-  while (kmv_.size() > kKmvSize) kmv_.erase(std::prev(kmv_.end()));
+  kmv_ = std::move(image.kmv);
+  std::sort(kmv_.begin(), kmv_.end());
+  kmv_.erase(std::unique(kmv_.begin(), kmv_.end()), kmv_.end());
+  if (kmv_.size() > kKmvSize) kmv_.resize(kKmvSize);
   numeric_sample_ = std::move(image.numeric_sample);
   if (numeric_sample_.size() > kReservoirSize) {
     numeric_sample_.resize(kReservoirSize);
@@ -385,26 +474,41 @@ void ZoneMaps::Observe(uint32_t attr, uint64_t block,
   Entry entry;
   entry.is_int = column.type() != DataType::kDouble;
   entry.rows = column.size();
+  const size_t n = column.size();
+  const uint8_t* valid = column.validity();
   bool first = true;
-  for (size_t i = 0; i < column.size(); ++i) {
-    if (column.IsNull(i)) {
-      entry.has_null = true;
-      continue;
+  if (entry.is_int) {
+    const int64_t* v = column.int64_data();
+    for (size_t i = 0; i < n; ++i) {
+      if (!valid[i]) {
+        entry.has_null = true;
+        continue;
+      }
+      if (first || v[i] < entry.min_i) entry.min_i = v[i];
+      if (first || v[i] > entry.max_i) entry.max_i = v[i];
+      first = false;
     }
-    entry.non_null = true;
-    double d = column.GetNumeric(i);
-    if (std::isnan(d)) {
-      entry.unsafe = true;
-      continue;
+    // The double view of int64 is monotone, so its bounds are the
+    // int64 bounds converted.
+    entry.non_null = !first;
+    entry.min_d = static_cast<double>(entry.min_i);
+    entry.max_d = static_cast<double>(entry.max_i);
+  } else {
+    const double* v = column.double_data();
+    for (size_t i = 0; i < n; ++i) {
+      if (!valid[i]) {
+        entry.has_null = true;
+        continue;
+      }
+      entry.non_null = true;
+      if (std::isnan(v[i])) {
+        entry.unsafe = true;
+        continue;
+      }
+      if (first || v[i] < entry.min_d) entry.min_d = v[i];
+      if (first || v[i] > entry.max_d) entry.max_d = v[i];
+      first = false;
     }
-    if (entry.is_int) {
-      int64_t v = column.GetInt64(i);
-      if (first || v < entry.min_i) entry.min_i = v;
-      if (first || v > entry.max_i) entry.max_i = v;
-    }
-    if (first || d < entry.min_d) entry.min_d = d;
-    if (first || d > entry.max_d) entry.max_d = d;
-    first = false;
   }
   MutexLock lock(mu_);
   if (generation != generation_) return;  // parsed a rewritten file

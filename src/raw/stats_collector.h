@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -39,7 +39,9 @@ class AttributeStats {
 
   explicit AttributeStats(DataType type);
 
-  /// Folds a parsed column segment into the stats.
+  /// Folds a parsed column segment into the stats, column at a time:
+  /// the segment's values are hashed first, and only hashes below the
+  /// sketch's current k-th smallest are deduplicated and merged in.
   void Observe(const ColumnVector& column) EXCLUDES(mu_);
 
   /// Forgets everything observed (file rewritten) without destroying
@@ -115,7 +117,13 @@ class AttributeStats {
   DataType type() const { return type_; }
 
  private:
-  void Sample(double numeric, const std::string* text) REQUIRES(mu_);
+  /// Offers value number sampled_stream_ (1-based) to the reservoir.
+  void Sample(double numeric, std::string_view text) REQUIRES(mu_);
+  /// Reservoir slot for the current value: uniform in
+  /// [0, sampled_stream_), by multiply-shift with rejection.
+  uint64_t DrawSlot() REQUIRES(mu_);
+  /// Merges `hashes` (the segment's non-null value hashes) into kmv_.
+  void MergeHashes(std::vector<uint64_t>* hashes) REQUIRES(mu_);
   double EstimateDistinctLocked() const REQUIRES(mu_);
 
   const DataType type_;
@@ -124,7 +132,8 @@ class AttributeStats {
   uint64_t nulls_ GUARDED_BY(mu_) = 0;
   std::optional<double> min_ GUARDED_BY(mu_);
   std::optional<double> max_ GUARDED_BY(mu_);
-  std::set<uint64_t> kmv_ GUARDED_BY(mu_);  // k smallest value hashes
+  /// The k smallest distinct value hashes, ascending.
+  std::vector<uint64_t> kmv_ GUARDED_BY(mu_);
   std::vector<double> numeric_sample_ GUARDED_BY(mu_);
   std::vector<std::string> string_sample_ GUARDED_BY(mu_);
   uint64_t sampled_stream_ GUARDED_BY(mu_) = 0;  // reservoir index

@@ -415,6 +415,12 @@ Result<OperatorPtr> PlanSelect(const SelectStatement& stmt,
         binder.AddTable(stmt.join_table, stmt.join_alias, join_schema));
   }
 
+  // Rows a LIMIT consumes at most: LIMIT + OFFSET, saturating.
+  const uint64_t limit_rows =
+      !stmt.limit.has_value()              ? UINT64_MAX
+      : *stmt.limit > UINT64_MAX - stmt.offset ? UINT64_MAX
+                                           : *stmt.limit + stmt.offset;
+
   // ---- Pass 1: required-column analysis (drives selective parsing).
   const bool has_aggregate =
       !stmt.group_by.empty() ||
@@ -533,9 +539,7 @@ Result<OperatorPtr> PlanSelect(const SelectStatement& stmt,
     // are the rows Limit counts.
     if (stmt.limit.has_value() && !has_aggregate && !stmt.has_join &&
         stmt.order_by.empty() && !stmt.distinct) {
-      pushdown.row_limit = *stmt.limit > UINT64_MAX - stmt.offset
-                               ? UINT64_MAX
-                               : *stmt.limit + stmt.offset;
+      pushdown.row_limit = limit_rows;
     }
     NODB_ASSIGN_OR_RETURN(
         OperatorPtr scan,
@@ -605,6 +609,24 @@ Result<OperatorPtr> PlanSelect(const SelectStatement& stmt,
   // binder's display names so later OutputType calls line up.
   // (Scans emit per-table projected schemas; for joins the HashJoin
   // concatenates them in the same order the binder used.)
+
+  // ORDER BY directly under a LIMIT keeps only the rows the LIMIT can
+  // emit (top-N). EXPLAIN prints one "SORT by" line per key, the last
+  // ending in the bound; EXPLAIN ANALYZE names the node "SORT TOP n".
+  std::vector<std::string> sort_lines;
+  auto add_sort = [&](OperatorPtr child, std::vector<SortKey> keys,
+                      uint64_t bound) {
+    std::string label = "SORT";
+    if (bound != SortOperator::kNoLimit) {
+      std::string top = " TOP " + std::to_string(bound);
+      sort_lines.back() += top;
+      label += top;
+    }
+    for (const auto& line : sort_lines) note(line);
+    return wrap(std::make_unique<SortOperator>(std::move(child),
+                                               std::move(keys), bound),
+                "sort", std::move(label), 1);
+  };
 
   if (has_aggregate) {
     // ---- Aggregate path: Agg -> Project(reorder) -> Sort -> Limit.
@@ -744,12 +766,12 @@ Result<OperatorPtr> PlanSelect(const SelectStatement& stmt,
                                             out_schema.field(*idx).name,
                                             out_schema.field(*idx).type),
             o.ascending});
-        note(std::string("SORT by ") + out_schema.field(*idx).name +
-             (o.ascending ? " ASC" : " DESC"));
+        sort_lines.push_back(std::string("SORT by ") +
+                             out_schema.field(*idx).name +
+                             (o.ascending ? " ASC" : " DESC"));
       }
-      plan = wrap(std::make_unique<SortOperator>(std::move(plan),
-                                                 std::move(keys)),
-                  "sort", "SORT", 1);
+      // The sort sits directly under the LIMIT on this path.
+      plan = add_sort(std::move(plan), std::move(keys), limit_rows);
     }
   } else {
     // ---- Scalar path: Sort (pre-projection) -> Project -> Limit.
@@ -757,13 +779,16 @@ Result<OperatorPtr> PlanSelect(const SelectStatement& stmt,
       std::vector<SortKey> keys;
       for (const auto& o : stmt.order_by) {
         NODB_ASSIGN_OR_RETURN(auto bound, binder.Bind(*o.expr));
-        note("SORT by " + bound->ToString() +
-             (o.ascending ? " ASC" : " DESC"));
+        sort_lines.push_back("SORT by " + bound->ToString() +
+                             (o.ascending ? " ASC" : " DESC"));
         keys.push_back(SortKey{std::move(bound), o.ascending});
       }
-      plan = wrap(std::make_unique<SortOperator>(std::move(plan),
-                                                 std::move(keys)),
-                  "sort", "SORT", 1);
+      // Only the row-for-row Project may sit between this sort and the
+      // LIMIT: a DISTINCT above it drops rows, so the first
+      // LIMIT + OFFSET sorted rows may not hold LIMIT + OFFSET
+      // distinct ones.
+      plan = add_sort(std::move(plan), std::move(keys),
+                      stmt.distinct ? SortOperator::kNoLimit : limit_rows);
     }
 
     std::vector<ExprPtr> out_exprs;

@@ -3,12 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <random>
+#include <set>
+
 #include "exec/aggregate.h"
 #include "exec/column_store.h"
 #include "exec/distinct.h"
 #include "exec/expr.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
+#include "exec/key_table.h"
 #include "exec/limit.h"
 #include "exec/project.h"
 #include "exec/query_result.h"
@@ -581,6 +590,580 @@ TEST(OperatorTest, JoinKeyTypeMismatchRejected) {
       std::make_unique<ColumnStoreScan>(right, std::vector<size_t>{0}),
       {Col(0, "k", DataType::kInt64)}, {Col(0, "k", DataType::kString)});
   EXPECT_FALSE(join.ok());
+}
+
+
+// ------------------------------------------- sweeps against a reference
+//
+// The operators below are checked against naive references written
+// here: std::stable_sort for ORDER BY, std::map over serialized keys
+// for GROUP BY and DISTINCT, and nested loops for the join. Inputs mix
+// ties, NULLs, -0.0 against 0.0, NaNs with different payloads, strings
+// with embedded NULs and shared prefixes, and arrive in batches of
+// random sizes.
+
+/// Emits a table in batches of `chunk` rows.
+class ChunkedScan final : public ExecOperator {
+ public:
+  ChunkedScan(std::shared_ptr<const ColumnStoreTable> table, size_t chunk)
+      : table_(std::move(table)), chunk_(chunk) {}
+
+  Status Open() override {
+    cursor_ = 0;
+    return Status::OK();
+  }
+  Result<BatchPtr> Next() override {
+    if (cursor_ >= table_->num_rows()) return BatchPtr();
+    size_t n = std::min(chunk_, table_->num_rows() - cursor_);
+    auto batch = std::make_shared<RecordBatch>(table_->schema());
+    for (size_t c = 0; c < batch->num_columns(); ++c) {
+      batch->column(c).AppendRange(table_->column(c), cursor_, n);
+    }
+    batch->SetNumRows(n);
+    cursor_ += n;
+    return batch;
+  }
+  std::shared_ptr<Schema> output_schema() const override {
+    return table_->schema();
+  }
+
+ private:
+  std::shared_ptr<const ColumnStoreTable> table_;
+  size_t chunk_;
+  size_t cursor_ = 0;
+};
+
+double DoubleFromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+/// One cell as bytes: NULL, or the int64 / bit pattern / string bytes.
+/// INT and DATE encode alike, so equal bytes means equal join keys.
+std::string CellBytes(const ColumnVector& col, size_t row) {
+  if (col.IsNull(row)) return "N";
+  std::string out = "V";
+  switch (col.type()) {
+    case DataType::kInt64:
+    case DataType::kDate: {
+      int64_t v = col.GetInt64(row);
+      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+      break;
+    }
+    case DataType::kDouble: {
+      double v = col.GetDouble(row);
+      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+      break;
+    }
+    case DataType::kString: {
+      std::string_view v = col.GetString(row);
+      uint64_t len = v.size();
+      out.append(reinterpret_cast<const char*>(&len), sizeof(len));
+      out.append(v.data(), v.size());
+      break;
+    }
+  }
+  return out;
+}
+
+std::string RowBytes(const ColumnVector* const* cols, size_t num_cols,
+                     size_t row) {
+  std::string out;
+  for (size_t c = 0; c < num_cols; ++c) out += CellBytes(*cols[c], row);
+  return out;
+}
+
+/// Every row `op` emits, serialized, in output order.
+std::vector<std::string> DrainBytes(ExecOperator* op) {
+  std::vector<std::string> rows;
+  EXPECT_TRUE(op->Open().ok());
+  while (true) {
+    auto next = op->Next();
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok() || *next == nullptr) break;
+    const RecordBatch& batch = **next;
+    std::vector<const ColumnVector*> cols;
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      cols.push_back(&batch.column(c));
+    }
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      rows.push_back(RowBytes(cols.data(), cols.size(), r));
+    }
+  }
+  return rows;
+}
+
+/// Appends one random cell of `type` from a small domain rich in ties
+/// and edge values (null_share of them NULL).
+void AppendRandomCell(std::mt19937_64& rng, double null_share,
+                      ColumnVector* col) {
+  if (std::uniform_real_distribution<double>(0, 1)(rng) < null_share) {
+    col->AppendNull();
+    return;
+  }
+  auto pick = [&](size_t n) {
+    return static_cast<size_t>(std::uniform_int_distribution<size_t>(
+        0, n - 1)(rng));
+  };
+  switch (col->type()) {
+    case DataType::kInt64: {
+      const int64_t values[] = {-3, -1, 0, 1, 2, 3, 7,
+                                std::numeric_limits<int64_t>::min(),
+                                std::numeric_limits<int64_t>::max()};
+      col->AppendInt64(values[pick(9)]);
+      break;
+    }
+    case DataType::kDate: {
+      const int64_t values[] = {-1, 0, 1, 2, 3, 18000};
+      col->AppendDate(values[pick(6)]);
+      break;
+    }
+    case DataType::kDouble: {
+      const double values[] = {
+          0.0,
+          -0.0,
+          1.5,
+          -2.25,
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN(),
+          DoubleFromBits(0x7ff8000000000001ULL),  // NaN, other payload
+          DoubleFromBits(0xfff8000000000000ULL),  // negative NaN
+      };
+      col->AppendDouble(values[pick(9)]);
+      break;
+    }
+    case DataType::kString: {
+      const std::string values[] = {
+          "",
+          "a",
+          "ab",
+          std::string("ab\0c", 4),
+          std::string("ab\0d", 4),
+          std::string("\0", 1),
+          "shared_prefix_of_some_length_1",
+          "shared_prefix_of_some_length_2",
+          "shared_prefix_of_some_length_10",
+      };
+      col->AppendString(values[pick(9)]);
+      break;
+    }
+  }
+}
+
+/// A random table with columns of `types` (see AppendRandomCell).
+std::shared_ptr<ColumnStoreTable> RandomTable(
+    std::mt19937_64& rng, const std::vector<DataType>& types, size_t rows) {
+  std::vector<Field> fields;
+  for (size_t c = 0; c < types.size(); ++c) {
+    fields.push_back(Field{"c" + std::to_string(c), types[c]});
+  }
+  auto table = std::make_shared<ColumnStoreTable>(Schema::Make(fields));
+  for (size_t c = 0; c < types.size(); ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      AppendRandomCell(rng, 0.15, &table->column(c));
+    }
+  }
+  table->SetNumRows(rows);
+  return table;
+}
+
+/// The reference ORDER BY: NULLs first, INT/DATE as int64, DOUBLE with
+/// every NaN equal and above every number, STRING bytewise.
+int ReferenceCompare(const ColumnVector& col, size_t a, size_t b) {
+  bool an = col.IsNull(a);
+  bool bn = col.IsNull(b);
+  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
+  switch (col.type()) {
+    case DataType::kInt64:
+    case DataType::kDate: {
+      int64_t x = col.GetInt64(a);
+      int64_t y = col.GetInt64(b);
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    case DataType::kDouble: {
+      double x = col.GetDouble(a);
+      double y = col.GetDouble(b);
+      if (std::isnan(x) || std::isnan(y)) {
+        return std::isnan(x) == std::isnan(y) ? 0 : (std::isnan(x) ? 1 : -1);
+      }
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    case DataType::kString: {
+      int c = col.GetString(a).compare(col.GetString(b));
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+  }
+  return 0;
+}
+
+std::vector<const ColumnVector*> Columns(const ColumnStoreTable& table) {
+  std::vector<const ColumnVector*> cols;
+  for (size_t c = 0; c < table.schema()->num_fields(); ++c) {
+    cols.push_back(&table.column(c));
+  }
+  return cols;
+}
+
+TEST(ExecSweepTest, TopNEqualsPrefixOfStableSort) {
+  const std::vector<DataType> types = {DataType::kInt64, DataType::kDouble,
+                                       DataType::kString, DataType::kDate};
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    std::mt19937_64 rng(seed);
+    const size_t rows = seed % 3 == 0 ? 40 : 3000 + seed * 37;
+    auto table = RandomTable(rng, types, rows);
+    auto cols = Columns(*table);
+
+    // 1-3 keys over random columns, random directions.
+    std::vector<std::pair<size_t, bool>> spec;
+    const size_t num_keys = 1 + seed % 3;
+    for (size_t k = 0; k < num_keys; ++k) {
+      spec.emplace_back(rng() % types.size(), rng() % 2 == 0);
+    }
+    const uint64_t limits[] = {0, 1, 3, 10, 100, 1500, rows, rows + 5};
+    const uint64_t offsets[] = {0, 0, 2, 50};
+    const uint64_t limit = limits[rng() % 8];
+    const uint64_t offset = offsets[rng() % 4];
+    const size_t chunk = std::vector<size_t>{1, 7, 333, 1024, 5000}[rng() % 5];
+
+    std::vector<size_t> order(rows);
+    for (size_t i = 0; i < rows; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (const auto& [c, asc] : spec) {
+        int r = ReferenceCompare(*cols[c], a, b);
+        if (r != 0) return asc ? r < 0 : r > 0;
+      }
+      return false;
+    });
+    std::vector<std::string> expected;
+    for (size_t i = offset; i < rows && i - offset < limit; ++i) {
+      expected.push_back(RowBytes(cols.data(), cols.size(), order[i]));
+    }
+
+    std::vector<SortKey> keys;
+    for (const auto& [c, asc] : spec) {
+      keys.push_back({Col(c, "c" + std::to_string(c), types[c]), asc});
+    }
+    LimitOperator plan(
+        std::make_unique<SortOperator>(
+            std::make_unique<ChunkedScan>(table, chunk), keys,
+            limit + offset),
+        limit, offset);
+    EXPECT_EQ(DrainBytes(&plan), expected)
+        << "seed " << seed << " limit " << limit << " offset " << offset
+        << " chunk " << chunk;
+
+    // Without a bound the sort is the full stable sort.
+    std::vector<std::string> all;
+    for (size_t i : order) {
+      all.push_back(RowBytes(cols.data(), cols.size(), i));
+    }
+    SortOperator unbounded(std::make_unique<ChunkedScan>(table, chunk),
+                           keys);
+    EXPECT_EQ(DrainBytes(&unbounded), all) << "seed " << seed;
+  }
+}
+
+/// The reference GROUP BY over key columns `keys` of `table`:
+/// COUNT(*), SUM(c_int), SUM(c_sum), MIN(c_min), MAX(c_max), one output
+/// row per group in first-appearance order, serialized as DrainBytes
+/// serializes.
+std::vector<std::string> ReferenceGroupBy(const ColumnStoreTable& table,
+                                          const std::vector<size_t>& keys,
+                                          size_t c_int, size_t c_sum,
+                                          size_t c_min, size_t c_max) {
+  struct Group {
+    std::string key;
+    int64_t count = 0;
+    uint64_t isum = 0;
+    int64_t inputs_i = 0;
+    double dsum = 0;
+    int64_t inputs_d = 0;
+    bool has_min = false;
+    std::string min_s;
+    bool has_max = false;
+    double max_d = 0;
+  };
+  auto cols = Columns(table);
+  std::map<std::string, size_t> index;
+  std::vector<Group> groups;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    std::string key;
+    for (size_t k : keys) key += CellBytes(*cols[k], r);
+    auto [it, fresh] = index.emplace(key, groups.size());
+    if (fresh) {
+      groups.emplace_back();
+      groups.back().key = key;
+    }
+    Group& g = groups[it->second];
+    ++g.count;
+    if (!cols[c_int]->IsNull(r)) {
+      g.isum += static_cast<uint64_t>(cols[c_int]->GetInt64(r));
+      ++g.inputs_i;
+    }
+    if (!cols[c_sum]->IsNull(r)) {
+      g.dsum += cols[c_sum]->GetDouble(r);
+      ++g.inputs_d;
+    }
+    if (!cols[c_min]->IsNull(r)) {
+      std::string v(cols[c_min]->GetString(r));
+      if (!g.has_min || v < g.min_s) {
+        g.min_s = v;
+        g.has_min = true;
+      }
+    }
+    if (!cols[c_max]->IsNull(r)) {
+      // NaN is above every number; ties keep the first value seen.
+      double v = cols[c_max]->GetDouble(r);
+      bool greater = std::isnan(v) ? !std::isnan(g.max_d)
+                                   : !std::isnan(g.max_d) && v > g.max_d;
+      if (!g.has_max || greater) {
+        g.max_d = v;
+        g.has_max = true;
+      }
+    }
+  }
+  auto bytes_of = [](const void* p, size_t n) {
+    return std::string(static_cast<const char*>(p), n);
+  };
+  std::vector<std::string> out;
+  for (const Group& g : groups) {
+    std::string row = g.key;
+    row += "V" + bytes_of(&g.count, 8);
+    row += g.inputs_i == 0 ? "N" : "V" + bytes_of(&g.isum, 8);
+    row += g.inputs_d == 0 ? "N" : "V" + bytes_of(&g.dsum, 8);
+    if (g.has_min) {
+      uint64_t len = g.min_s.size();
+      row += "V" + bytes_of(&len, 8) + g.min_s;
+    } else {
+      row += "N";
+    }
+    row += g.has_max ? "V" + bytes_of(&g.max_d, 8) : "N";
+    out.push_back(row);
+  }
+  return out;
+}
+
+TEST(ExecSweepTest, GroupByAndDistinctMatchReference) {
+  // c0..c3 are key candidates; c4 INT, c5 DOUBLE (finite values, so
+  // sums are comparable), c6 STRING feed the aggregates.
+  const std::vector<DataType> types = {
+      DataType::kInt64, DataType::kDouble, DataType::kString,
+      DataType::kDate,  DataType::kInt64,  DataType::kDouble,
+      DataType::kString};
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    std::mt19937_64 rng(1000 + seed);
+    const size_t rows = 2500 + seed * 53;
+    auto table = RandomTable(rng, types, rows);
+    {
+      // Finite, order-sensitive doubles for SUM: (a + b) + c != a + (b + c).
+      ColumnVector& d = table->column(5);
+      d.Clear();
+      std::uniform_real_distribution<double> dist(-1e6, 1e6);
+      for (size_t r = 0; r < rows; ++r) {
+        if (r % 11 == 0) {
+          d.AppendNull();
+        } else {
+          d.AppendDouble(dist(rng) * (r % 3 == 0 ? 1e-9 : 1.0));
+        }
+      }
+    }
+    std::vector<size_t> keys;
+    for (size_t c = 0; c < 4; ++c) {
+      if (rng() % 2 == 0) keys.push_back(c);
+    }
+    if (keys.empty()) keys.push_back(rng() % 4);
+    std::shuffle(keys.begin(), keys.end(), rng);
+    const size_t chunk = std::vector<size_t>{1, 100, 1024, 3000}[rng() % 4];
+
+    std::vector<ExprPtr> group_by;
+    std::vector<std::string> names;
+    for (size_t k : keys) {
+      group_by.push_back(Col(k, "c" + std::to_string(k), types[k]));
+      names.push_back("c" + std::to_string(k));
+    }
+    std::vector<AggregateSpec> aggs;
+    aggs.push_back({AggFunc::kCountStar, nullptr, "n"});
+    aggs.push_back({AggFunc::kSum, Col(4, "c4", DataType::kInt64), "si"});
+    aggs.push_back({AggFunc::kSum, Col(5, "c5", DataType::kDouble), "sd"});
+    aggs.push_back({AggFunc::kMin, Col(6, "c6", DataType::kString), "ms"});
+    aggs.push_back({AggFunc::kMax, Col(1, "c1", DataType::kDouble), "md"});
+    auto agg = HashAggregateOperator::Create(
+        std::make_unique<ChunkedScan>(table, chunk), group_by, names,
+        std::move(aggs));
+    ASSERT_TRUE(agg.ok());
+    EXPECT_EQ(DrainBytes(agg->get()),
+              ReferenceGroupBy(*table, keys, 4, 5, 6, 1))
+        << "seed " << seed << " chunk " << chunk;
+
+    // DISTINCT over the key columns: first-appearance order.
+    auto cols = Columns(*table);
+    std::set<std::string> seen;
+    std::vector<std::string> expected;
+    for (size_t r = 0; r < rows; ++r) {
+      std::string row;
+      for (size_t k : keys) row += CellBytes(*cols[k], r);
+      if (seen.insert(row).second) expected.push_back(row);
+    }
+    DistinctOperator distinct(std::make_unique<ColumnStoreScan>(
+        table, std::vector<size_t>(keys.begin(), keys.end())));
+    EXPECT_EQ(DrainBytes(&distinct), expected) << "seed " << seed;
+  }
+}
+
+TEST(ExecSweepTest, HashJoinMatchesNestedLoops) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    std::mt19937_64 rng(2000 + seed);
+    // The first key pairs INT with DATE (or INT) on the build side.
+    const bool date_build = seed % 2 == 0;
+    auto probe = RandomTable(
+        rng, {DataType::kInt64, DataType::kDouble, DataType::kString},
+        300 + seed * 7);
+    auto build = RandomTable(
+        rng,
+        {date_build ? DataType::kDate : DataType::kInt64, DataType::kDouble,
+         DataType::kString, DataType::kInt64},
+        200 + seed * 5);  // duplicate build keys abound
+    std::vector<size_t> keys;
+    for (size_t c = 0; c < 3; ++c) {
+      if (rng() % 2 == 0) keys.push_back(c);
+    }
+    if (keys.empty()) keys.push_back(seed % 3);
+
+    auto pcols = Columns(*probe);
+    auto bcols = Columns(*build);
+    std::vector<std::string> expected;
+    for (size_t p = 0; p < probe->num_rows(); ++p) {
+      for (size_t b = 0; b < build->num_rows(); ++b) {
+        bool match = true;
+        for (size_t k : keys) {
+          std::string x = CellBytes(*pcols[k], p);
+          if (x == "N" || x != CellBytes(*bcols[k], b)) {
+            match = false;
+            break;
+          }
+        }
+        if (match) {
+          expected.push_back(RowBytes(pcols.data(), pcols.size(), p) +
+                             RowBytes(bcols.data(), bcols.size(), b));
+        }
+      }
+    }
+
+    std::vector<ExprPtr> probe_keys;
+    std::vector<ExprPtr> build_keys;
+    for (size_t k : keys) {
+      probe_keys.push_back(Col(k, "p", probe->schema()->field(k).type));
+      build_keys.push_back(Col(k, "b", build->schema()->field(k).type));
+    }
+    const size_t chunk = std::vector<size_t>{1, 64, 1024}[rng() % 3];
+    auto join = HashJoinOperator::Create(
+        std::make_unique<ChunkedScan>(probe, chunk),
+        std::make_unique<ChunkedScan>(build, 1 + seed % 90), probe_keys,
+        build_keys);
+    ASSERT_TRUE(join.ok());
+    EXPECT_EQ(DrainBytes(join->get()), expected) << "seed " << seed;
+  }
+}
+
+TEST(ExecSweepTest, ManyDistinctKeysGrowTheTable) {
+  // 120 000 distinct (int, string) keys, each seen twice, shuffled:
+  // the key table doubles many times while groups keep
+  // first-appearance order.
+  const size_t distinct = 120000;
+  std::vector<uint32_t> seq(2 * distinct);
+  for (size_t i = 0; i < seq.size(); ++i) {
+    seq[i] = static_cast<uint32_t>(i % distinct);
+  }
+  std::mt19937_64 rng(7);
+  std::shuffle(seq.begin(), seq.end(), rng);
+  auto schema = Schema::Make({{"k", DataType::kInt64},
+                              {"s", DataType::kString}});
+  auto table = std::make_shared<ColumnStoreTable>(schema);
+  for (uint32_t v : seq) {
+    table->column(0).AppendInt64(int64_t{v} * 1000003);
+    table->column(1).AppendString("key_with_a_shared_prefix_" +
+                                  std::to_string(v));
+  }
+  table->SetNumRows(seq.size());
+  std::vector<uint32_t> first;
+  std::vector<bool> seen(distinct, false);
+  for (uint32_t v : seq) {
+    if (!seen[v]) first.push_back(v);
+    seen[v] = true;
+  }
+
+  std::vector<AggregateSpec> aggs;
+  aggs.push_back({AggFunc::kCountStar, nullptr, "n"});
+  auto agg = HashAggregateOperator::Create(
+      std::make_unique<ColumnStoreScan>(
+          table, ColumnStoreScan::AllColumns(*table)),
+      {Col(1, "s", DataType::kString), Col(0, "k", DataType::kInt64)},
+      {"s", "k"}, std::move(aggs));
+  ASSERT_TRUE(agg.ok());
+  auto result = QueryResult::Drain(agg->get());
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->num_rows(), distinct);
+  for (size_t g = 0; g < distinct; g += 997) {
+    auto row = result->Row(g);
+    EXPECT_EQ(row[1], Value::Int64(int64_t{first[g]} * 1000003)) << g;
+    EXPECT_EQ(row[2], Value::Int64(2)) << g;
+  }
+
+  DistinctOperator distinct_op(std::make_unique<ColumnStoreScan>(
+      table, ColumnStoreScan::AllColumns(*table)));
+  auto rows = QueryResult::Drain(&distinct_op);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->num_rows(), distinct);
+
+  // Joining the table with itself on both keys: two matches per row,
+  // in build-input order.
+  auto join = HashJoinOperator::Create(
+      std::make_unique<ColumnStoreScan>(
+          table, ColumnStoreScan::AllColumns(*table)),
+      std::make_unique<ColumnStoreScan>(
+          table, ColumnStoreScan::AllColumns(*table)),
+      {Col(0, "k", DataType::kInt64), Col(1, "s", DataType::kString)},
+      {Col(0, "k", DataType::kInt64), Col(1, "s", DataType::kString)});
+  ASSERT_TRUE(join.ok());
+  auto joined = QueryResult::Drain(join->get());
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ(joined->num_rows(), 2 * seq.size());
+}
+
+TEST(ExecSweepTest, KeyTableSeparatesBitPatternsAndNulls) {
+  auto col = std::make_shared<ColumnVector>(DataType::kDouble);
+  ColumnVector& d = *col;
+  d.AppendDouble(0.0);
+  d.AppendDouble(-0.0);
+  d.AppendDouble(std::numeric_limits<double>::quiet_NaN());
+  d.AppendDouble(DoubleFromBits(0x7ff8000000000001ULL));
+  d.AppendNull();
+  d.AppendDouble(-0.0);
+  d.AppendNull();
+  std::vector<std::shared_ptr<ColumnVector>> keys = {col};
+  uint32_t ids[7];
+
+  KeyTable groups({DataType::kDouble}, /*null_keys_match=*/true);
+  groups.FindOrInsert(keys, 7, ids);
+  EXPECT_EQ(groups.size(), 5u);
+  const uint32_t expected[] = {0, 1, 2, 3, 4, 1, 4};
+  for (size_t i = 0; i < 7; ++i) EXPECT_EQ(ids[i], expected[i]) << i;
+
+  KeyTable join({DataType::kDouble}, /*null_keys_match=*/false);
+  join.FindOrInsert(keys, 7, ids);
+  EXPECT_EQ(join.size(), 4u);
+  EXPECT_EQ(ids[4], KeyTable::kNoEntry);
+  join.Find(keys, 7, ids);
+  EXPECT_EQ(ids[5], 1u);
+  EXPECT_EQ(ids[6], KeyTable::kNoEntry);
+
+  ColumnVector out(DataType::kDouble);
+  groups.AppendKeyColumn(0, 0, groups.size(), &out);
+  ASSERT_EQ(out.size(), 5u);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(CellBytes(out, i), CellBytes(d, i));
+  EXPECT_TRUE(out.IsNull(4));
 }
 
 }  // namespace

@@ -479,6 +479,19 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsWallTime) {
   EXPECT_GT(outcome->metrics.drain_ns, 0);
 }
 
+TEST_F(ObsEngineTest, ExplainAnalyzeNamesTheTopNBound) {
+  NoDbEngine engine(catalog_, NoDbConfig{});
+  auto outcome = engine.Execute(
+      "EXPLAIN ANALYZE SELECT region FROM sales ORDER BY amount DESC "
+      "LIMIT 2 OFFSET 3");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  std::string text;
+  for (size_t i = 0; i < outcome->result.num_rows(); ++i) {
+    text += outcome->result.Row(i)[0].str() + "\n";
+  }
+  EXPECT_NE(text.find("SORT TOP 5"), std::string::npos) << text;
+}
+
 TEST_F(ObsEngineTest, ExplainAnalyzeRowsMatchPlainQuery) {
   NoDbConfig config;
   config.rows_per_block = 256;

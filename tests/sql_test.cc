@@ -419,6 +419,73 @@ TEST_F(PlannerTest, ScanRowLimitOnlyWhenScanRowsReachLimit) {
   EXPECT_EQ(result->num_rows(), 0u);
 }
 
+TEST_F(PlannerTest, TopNNeverRunsBelowDistinct) {
+  // Ages are 30, 25, 35, 25. Sorting with a bound of 3 below DISTINCT
+  // would keep 25, 25, 30 and return two rows, not three.
+  const char* sql = "SELECT DISTINCT age FROM people ORDER BY age LIMIT 3";
+  auto result = Run(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 3u);
+  EXPECT_EQ(result->Row(0)[0], Value::Int64(25));
+  EXPECT_EQ(result->Row(1)[0], Value::Int64(30));
+  EXPECT_EQ(result->Row(2)[0], Value::Int64(35));
+
+  std::string explain;
+  PlannerOptions options;
+  options.explain = &explain;
+  ASSERT_TRUE(PlanSql(sql, this, options).ok());
+  EXPECT_NE(explain.find("SORT by age ASC\n"), std::string::npos)
+      << explain;
+  EXPECT_EQ(explain.find("TOP"), std::string::npos) << explain;
+
+  // Without DISTINCT the sort keeps LIMIT + OFFSET rows, on both paths.
+  explain.clear();
+  ASSERT_TRUE(PlanSql("SELECT id FROM people ORDER BY age DESC, id "
+                      "LIMIT 2 OFFSET 1",
+                      this, options)
+                  .ok());
+  EXPECT_NE(explain.find("SORT by age DESC\nSORT by id ASC TOP 3\n"),
+            std::string::npos)
+      << explain;
+  explain.clear();
+  ASSERT_TRUE(PlanSql("SELECT DISTINCT age, COUNT(*) AS n FROM people "
+                      "GROUP BY age ORDER BY n LIMIT 1",
+                      this, options)
+                  .ok());
+  EXPECT_NE(explain.find("SORT by n ASC TOP 1\n"), std::string::npos)
+      << explain;
+  auto top = Run("SELECT id FROM people ORDER BY age DESC, id "
+                 "LIMIT 2 OFFSET 1");
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->num_rows(), 2u);
+  EXPECT_EQ(top->Row(0)[0], Value::Int64(1));  // age 30
+  EXPECT_EQ(top->Row(1)[0], Value::Int64(2));  // age 25, lower id first
+}
+
+TEST_F(PlannerTest, TopNBoundSaturates) {
+  // LIMIT + OFFSET past UINT64_MAX must not wrap to a small bound (here
+  // 0, which would return nothing): the sort then runs unbounded.
+  for (const char* sql :
+       {"SELECT id FROM people ORDER BY id LIMIT 1 OFFSET 2",
+        "SELECT age, COUNT(*) AS n FROM people GROUP BY age ORDER BY age "
+        "LIMIT 1 OFFSET 2"}) {
+    auto stmt = ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok());
+    stmt->limit = UINT64_MAX - 1;
+    std::string explain;
+    PlannerOptions options;
+    options.explain = &explain;
+    auto plan = PlanSelect(*stmt, this, options);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(explain.find("TOP"), std::string::npos) << explain;
+    auto result = QueryResult::Drain(plan->get());
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->num_rows(), stmt->group_by.empty() ? 2u : 1u) << sql;
+    EXPECT_EQ(result->Row(0)[0],
+              Value::Int64(stmt->group_by.empty() ? 3 : 35));
+  }
+}
+
 TEST_F(PlannerTest, DistinctDeduplicatesRows) {
   auto result = Run("SELECT DISTINCT age FROM people ORDER BY age");
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <set>
 
 #include "raw/stats_collector.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace nodb {
@@ -53,6 +56,85 @@ TEST(AttributeStatsTest, DistinctEstimateWithinBandWhenLarge) {
   // KMV with k=256 has ~1/sqrt(k) ≈ 6% relative error; allow 25%.
   EXPECT_GT(est, kTrueNdv * 0.75);
   EXPECT_LT(est, kTrueNdv * 1.25);
+}
+
+TEST(AttributeStatsTest, KmvSketchIsTheKSmallestDistinctHashes) {
+  // Blocks of low- and high-cardinality ints, doubles and strings: the
+  // block-wise fold must keep exactly the k smallest distinct hashes a
+  // value-at-a-time std::set would keep.
+  Random rng(3);
+  for (DataType type :
+       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+    for (uint64_t domain : {uint64_t{50}, uint64_t{1000000000}}) {
+      AttributeStats stats(type);
+      std::set<uint64_t> reference;
+      for (int block = 0; block < 6; ++block) {
+        ColumnVector col(type);
+        for (int i = 0; i < 700; ++i) {
+          uint64_t v = rng.Uniform(domain);
+          uint64_t hash;
+          if (i % 13 == 0) {
+            col.AppendNull();
+            continue;
+          }
+          if (type == DataType::kString) {
+            std::string s = "value_" + std::to_string(v);
+            col.AppendString(s);
+            hash = Fnv1a64(s.data(), s.size());
+          } else {
+            double d = static_cast<double>(v);
+            if (type == DataType::kDouble) {
+              d /= 7;
+              col.AppendDouble(d);
+            } else {
+              col.AppendInt64(static_cast<int64_t>(v));
+            }
+            uint64_t bits;
+            std::memcpy(&bits, &d, sizeof(d));
+            hash = MixHash64(bits);
+          }
+          reference.insert(hash);
+          while (reference.size() > AttributeStats::kKmvSize) {
+            reference.erase(std::prev(reference.end()));
+          }
+        }
+        stats.Observe(col);
+        EXPECT_EQ(stats.ExportImage().kmv,
+                  std::vector<uint64_t>(reference.begin(), reference.end()))
+            << DataTypeToString(type) << " domain " << domain << " block "
+            << block;
+      }
+    }
+  }
+}
+
+TEST(AttributeStatsTest, ReservoirIsAUniformSample) {
+  // 200 000 values 0..199 999 in blocks: the 512-value sample's mean
+  // sits near the middle, and every sampled value was observed.
+  AttributeStats stats(DataType::kInt64);
+  const int64_t kValues = 200000;
+  for (int64_t base = 0; base < kValues; base += 4096) {
+    ColumnVector col(DataType::kInt64);
+    for (int64_t v = base; v < std::min(kValues, base + 4096); ++v) {
+      col.AppendInt64(v);
+    }
+    stats.Observe(col);
+  }
+  auto image = stats.ExportImage();
+  ASSERT_EQ(image.numeric_sample.size(), AttributeStats::kReservoirSize);
+  EXPECT_EQ(image.sampled_stream, static_cast<uint64_t>(kValues));
+  double sum = 0;
+  size_t late = 0;
+  for (double v : image.numeric_sample) {
+    EXPECT_GE(v, 0);
+    EXPECT_LT(v, kValues);
+    sum += v;
+    late += v >= kValues / 2;
+  }
+  // Mean of 512 uniform draws: standard error ~2 550; allow ~4 sigma.
+  EXPECT_NEAR(sum / image.numeric_sample.size(), kValues / 2.0, 10000);
+  EXPECT_GT(late, 200u);
+  EXPECT_LT(late, 312u);
 }
 
 TEST(AttributeStatsTest, CompareSelectivityFromSample) {
