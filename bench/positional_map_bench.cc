@@ -7,7 +7,11 @@
 //   - shrinking the map budget degrades gracefully via LRU;
 // plus the row-block granularity and the distance policy. Each row is
 // the median of `reps` scans after the row's warm-up, printed as a
-// table.
+// table. A last table asks whether the map's span chunks still pay
+// next to re-tokenizing: for the same rows, the tokenize pass's cost
+// per field served by an exact chunk, cut from an anchor chunk (the
+// attribute before it) and cut from byte 0 (a map reduced to its row
+// index).
 //
 // Usage: positional_map_bench [tuples] [reps]   (default 20000 10; CI
 // smoke passes less)
@@ -20,6 +24,7 @@
 
 #include "bench/bench_util.h"
 #include "exec/query_result.h"
+#include "io/file.h"
 #include "raw/raw_scan.h"
 
 using namespace nodb;
@@ -48,6 +53,44 @@ NoDbConfig MapOnly() {
   config.enable_statistics = false;
   config.enable_store = false;
   return config;
+}
+
+/// Median ns per row of SpanCutter cutting attribute `attr` out of
+/// every row of `lines` (views into one buffer, like a scan's slab),
+/// with `chunk_attr`'s spans in the map (none when negative).
+double CutNsPerRow(const std::vector<Slice>& lines, uint32_t attr,
+                   int chunk_attr, int reps) {
+  const CsvTokenizer tokenizer{CsvDialect()};
+  const uint32_t rows = static_cast<uint32_t>(lines.size());
+  PositionalMap map(size_t{1} << 30, rows, 1);
+  if (chunk_attr >= 0) {
+    const std::vector<uint32_t> attrs{static_cast<uint32_t>(chunk_attr)};
+    PositionalMap::ChunkBuilder chunk = map.StartChunk(0, attrs);
+    std::vector<uint32_t> starts;
+    for (Slice line : lines) {
+      tokenizer.TokenizeLine(line, &starts);
+      const uint32_t end = starts[attrs[0] + 1] - 1;
+      chunk.AddRow(&starts[attrs[0]], &end);
+    }
+    map.CommitChunk(std::move(chunk));
+  }
+  const std::vector<uint32_t> attrs{attr};
+  const PositionalMap::BlockPlan plan = map.PrepareBlock(0, attrs);
+  const std::string table = "map";
+  const std::string path = "map.csv";
+  SpanCutter cutter(&tokenizer, &table, &path);
+  cutter.Prepare(&plan, attrs, {0}, true);
+  ScanMetrics metrics;
+  Status error;
+  uint32_t start = 0;
+  uint32_t end = 0;
+  const double ms = MedianMs(reps, [&] {
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (!cutter.Cut(lines[r], r, &start, &end, &metrics, &error)) break;
+    }
+  });
+  CheckOk(error, "cut");
+  return ms * 1e6 / rows;
 }
 
 }  // namespace
@@ -137,6 +180,26 @@ int main(int argc, char** argv) {
           DrainScan(table, {5, 30}, tuples);  // the first spanning query
         },
         {5, 30});
+  }
+
+  // Do the span chunks still pay? The same rows' tokenize pass, per
+  // requested field: copied from an exact chunk, re-tokenized from the
+  // anchor one attribute before it, or cut from byte 0.
+  const std::string text = CheckOk(ReadFileToString(w.path), "read");
+  std::vector<Slice> lines;
+  for (size_t at = 0, nl; at < text.size(); at = nl + 1) {
+    nl = text.find('\n', at);
+    if (nl == std::string::npos) nl = text.size();
+    lines.push_back(Slice(text).SubSlice(at, nl - at));
+  }
+  std::printf("\n%-30s %14s %14s %14s\n", "tokenize pass, attr",
+              "exact ns/field", "anchor ns/field", "byte-0 ns/field");
+  for (uint32_t attr : {1u, 10u, 25u, 39u}) {
+    std::printf("%-30s %14.1f %14.1f %14.1f\n",
+                ("attr " + std::to_string(attr)).c_str(),
+                CutNsPerRow(lines, attr, static_cast<int>(attr), reps),
+                CutNsPerRow(lines, attr, static_cast<int>(attr) - 1, reps),
+                CutNsPerRow(lines, attr, -1, reps));
   }
   return 0;
 }

@@ -7,7 +7,6 @@
 #include "io/buffered_reader.h"
 #include "raw/raw_scan.h"
 #include "simd/simd.h"
-#include "simd/structural_index.h"
 #include "util/thread_pool.h"
 
 namespace nodb {
@@ -20,46 +19,19 @@ struct RowChunk {
   uint64_t end_cursor = 0;  // discovery cursor after the last owned row
 };
 
-/// Stage-1 row pass over one newline-aligned chunk [begin, end): every
-/// row *starting* in the range is recorded. The chunk is read in slabs
-/// of up to `read_buffer_bytes`, and each slab's newlines come from the
-/// configured SIMD tier's structural indexer (scalar lists with
-/// `enable_simd = false`; the rows are the same either way).
+/// Row pass over one newline-aligned chunk [begin, end): every row
+/// *starting* in the range is recorded, one reader window at a time,
+/// by the row finder the serial scan uses (BufferedReader::FindRows)
+/// with the configured SIMD tier's newline kernel.
 Status FindRows(const RawTableState& state, uint64_t begin, uint64_t end,
                 RowChunk* out) {
-  const size_t buffer = state.config().read_buffer_bytes;
-  BufferedReader reader(state.file(), buffer);
-  const simd::StructuralIndexer indexer(
-      state.info().dialect, simd::LevelFor(state.config().enable_simd),
-      /*want_fields=*/false);
-  simd::StructuralIndex index;
+  BufferedReader reader(state.file(), state.config().read_buffer_bytes);
+  const simd::SimdLevel level = simd::LevelFor(state.config().enable_simd);
   out->end_cursor = begin;
-  for (uint64_t offset = begin; offset < end;) {
-    // A slab that ends mid-row is re-read from that row's start next
-    // time round; one holding no complete row grows until it reaches a
-    // newline or the chunk end (ReadAt extends its buffer as needed).
-    size_t want = static_cast<size_t>(std::min<uint64_t>(end - offset, buffer));
-    Slice slab;
-    bool last;  // the slab reaches the end of the chunk or of the file
-    while (true) {
-      NODB_RETURN_NOT_OK(reader.ReadAt(offset, want, &slab));
-      indexer.Index(slab.data(), slab.size(), offset, &index);
-      last = slab.size() < want || offset + slab.size() >= end;
-      if (!index.newlines.empty() || last) break;
-      want = static_cast<size_t>(std::min<uint64_t>(end - offset, want * 2));
-    }
-    uint64_t next = offset;  // start of the next row
-    for (uint32_t newline : index.newlines) {
-      out->row_starts.push_back(next);
-      next = offset + newline + 1;
-    }
-    if (last && next < offset + slab.size()) {
-      out->row_starts.push_back(next);  // final row of the file, unterminated
-      next = offset + slab.size() + 1;
-    }
-    if (next == offset) break;  // the file shrank under the pass
-    out->end_cursor = next;
-    offset = next;
+  for (uint64_t offset = begin; offset < end; offset = out->end_cursor) {
+    NODB_RETURN_NOT_OK(reader.FindRows(offset, end, SIZE_MAX, level,
+                                       &out->row_starts, &out->end_cursor));
+    if (out->end_cursor == offset) break;  // the file shrank under the pass
   }
   return Status::OK();
 }

@@ -23,7 +23,7 @@ struct ParallelScanStats {
 /// Two steps. First a parallel row pass: the file's data region is cut
 /// into `num_threads` newline-aligned byte chunks (one chunk for a
 /// quoting dialect, whose raw '\n' may sit inside a field), a worker
-/// per chunk finds its row starts with the stage-1 structural indexer,
+/// per chunk finds its row starts with the serial scan's row finder,
 /// and the whole row index is published at once under the map's
 /// discovery baton. Then the blocks go through RawScanOperator itself:
 /// one engine-internal scan per contiguous block range, each starting

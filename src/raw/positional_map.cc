@@ -126,13 +126,15 @@ bool PositionalMap::Discovery::NeedsRow(uint64_t row, uint64_t* resume,
   return true;
 }
 
-void PositionalMap::Discovery::PublishRow(uint64_t start, uint64_t end) {
+void PositionalMap::Discovery::PublishRows(
+    const std::vector<uint64_t>& starts, uint64_t next) {
   WriterLock lock(map_->mu_);
-  if (map_->row_starts_.empty() || start > map_->row_starts_.back()) {
-    map_->row_starts_.push_back(start);
-  }
-  map_->next_discovery_offset_ =
-      std::max(map_->next_discovery_offset_, end + 1);
+  std::vector<uint64_t>& index = map_->row_starts_;
+  auto fresh = index.empty() ? starts.begin()
+                             : std::upper_bound(starts.begin(), starts.end(),
+                                                index.back());
+  index.insert(index.end(), fresh, starts.end());
+  map_->next_discovery_offset_ = std::max(map_->next_discovery_offset_, next);
 }
 
 void PositionalMap::Discovery::MarkComplete(uint64_t file_size) {
@@ -143,28 +145,20 @@ void PositionalMap::Discovery::MarkComplete(uint64_t file_size) {
 
 // -------------------------------------------------------------- probe
 
-PositionalMap::Probe PositionalMap::BlockPlan::Lookup(uint64_t row,
-                                                      size_t i) const {
-  Probe probe;
+PositionalMap::BlockPlan::Column PositionalMap::BlockPlan::Resolve(
+    size_t i) const {
+  Column column;
   const Source& src = sources_[i];
-  if (src.chunk == nullptr) return probe;  // anchor = attr 0 at offset 0
-  uint64_t rel = row - block_first_row_;
-  if (rel >= src.chunk->rows) return probe;  // row beyond chunk coverage
-  const uint32_t* cell =
-      src.chunk->data.data() +
-      (rel * src.chunk->attrs.size() + src.column) * 2;
-  if (src.exact) {
-    probe.exact = true;
-    probe.start = cell[0];
-    probe.end = cell[1];
-    return probe;
-  }
-  // The chunk knows (start, end) of an attribute *before* the request;
-  // the byte after its end delimiter is the start of the next
-  // attribute, which is the tightest anchor we can offer.
-  probe.anchor_attr = src.anchor_attr + 1;
-  probe.anchor_rel = cell[1] + 1;
-  return probe;
+  if (src.chunk == nullptr) return column;  // anchor = attr 0 at offset 0
+  column.stride = src.chunk->attrs.size() * 2;
+  column.cells = src.chunk->data.data() + src.column * 2;
+  column.rows = src.chunk->rows;
+  column.exact = src.exact;
+  // A chunk that knows (start, end) of an attribute *before* the
+  // request offers the next attribute's start, one past that end: the
+  // tightest anchor there is.
+  column.anchor_attr = src.anchor_attr + 1;
+  return column;
 }
 
 PositionalMap::BlockPlan PositionalMap::PrepareBlock(

@@ -75,7 +75,7 @@ class PositionalMap {
   uint64_t row_start(uint64_t row) const EXCLUDES(mu_);
 
   /// Records the start of row known_rows() (sequential discovery).
-  /// Prefer Discovery::PublishRow, which also publishes the row's end;
+  /// Prefer Discovery::PublishRows, which also publishes the rows' end;
   /// this remains for single-threaded index construction in tests.
   void AddRowStart(uint64_t offset) EXCLUDES(mu_);
 
@@ -127,7 +127,7 @@ class PositionalMap {
   /// one blocks until the calling thread holds the baton; destruction
   /// releases it. Holders alternate NeedsRow (re-check under the data
   /// lock — another holder may have published the row meanwhile) with
-  /// their own newline I/O and PublishRow.
+  /// their own newline I/O and PublishRows, a window of rows at a time.
   class SCOPED_CAPABILITY Discovery {
    public:
     /// Blocks until this thread holds the baton.
@@ -144,9 +144,11 @@ class PositionalMap {
     bool NeedsRow(uint64_t row, uint64_t* resume,
                   uint64_t* frontier_row) const EXCLUDES(map_->mu_);
 
-    /// Publishes the next row: content [start, end), terminator at
-    /// `end`, discovery cursor moves to end + 1.
-    void PublishRow(uint64_t start, uint64_t end) EXCLUDES(map_->mu_);
+    /// Publishes the next rows in one critical section: `starts` in
+    /// file order (a start already published is skipped); `next`, one
+    /// past the last row's terminator, becomes the discovery cursor.
+    void PublishRows(const std::vector<uint64_t>& starts, uint64_t next)
+        EXCLUDES(map_->mu_);
 
     /// The resume offset reached end of file: the index is complete.
     void MarkComplete(uint64_t file_size) EXCLUDES(map_->mu_);
@@ -172,11 +174,32 @@ class PositionalMap {
   /// even when those chunks are evicted concurrently.
   class BlockPlan {
    public:
-    /// Probes (row, attrs[i]); `row` is absolute.
-    Probe Lookup(uint64_t row, size_t i) const;
+    /// attrs[i]'s source, resolved once per pass over the block: the
+    /// chunk cells that serve it, probed per row by array indexing.
+    struct Column {
+      const uint32_t* cells = nullptr;  ///< row r's span: cells[r*stride]
+      size_t stride = 0;
+      uint64_t rows = 0;          ///< block rows the chunk covers
+      bool exact = false;        ///< the cells are attrs[i]'s spans, or
+      uint32_t anchor_attr = 0;  ///< the spans of this attribute - 1
 
-    /// True when attrs[i] is exactly covered for the whole block.
-    bool IsExact(size_t i) const { return sources_[i].exact; }
+      /// Probes block-relative row `rel`.
+      Probe At(uint64_t rel) const {
+        if (cells == nullptr || rel >= rows) return Probe();  // no help
+        const uint32_t* cell = cells + rel * stride;
+        return exact ? Probe{true, cell[0], cell[1], 0, 0}
+                     : Probe{false, 0, 0, anchor_attr, cell[1] + 1};
+      }
+    };
+    /// Valid while the plan lives.
+    Column Resolve(size_t i) const;
+
+    /// Probes (row, attrs[i]); `row` is absolute.
+    Probe Lookup(uint64_t row, size_t i) const {
+      return Resolve(i).At(row - block_first_row_);
+    }
+
+    uint64_t first_row() const { return block_first_row_; }
 
     /// Number of distinct chunks this plan draws from.
     uint32_t chunks_used() const { return chunks_used_; }

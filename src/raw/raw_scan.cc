@@ -70,7 +70,105 @@ bool ZoneDisjoint(CompareOp op, T min, T max, T lit) {
   return false;
 }
 
+/// Sets `*error` to `row`'s field-count error; returns false.
+bool FieldCountError(const std::string& table, const std::string& path,
+                     uint64_t row, uint32_t fields, uint32_t attr,
+                     Status* error) {
+  *error = Status::ParseError(table + ": row " + std::to_string(row) +
+                              " has " + std::to_string(fields) +
+                              " fields, attribute " + std::to_string(attr) +
+                              " requested (file " + path + ")");
+  return false;
+}
+
 }  // namespace
+
+void SpanCutter::Prepare(const PositionalMap::BlockPlan* plan,
+                         const std::vector<uint32_t>& attrs,
+                         const std::vector<size_t>& subset,
+                         bool count_blind) {
+  first_row_ = plan != nullptr ? plan->first_row() : 0;
+  count_blind_ = count_blind;
+  attrs_.clear();
+  segments_.clear();
+  for (size_t k = 0; k < subset.size(); ++k) {
+    PositionalMap::BlockPlan::Column source;
+    if (plan != nullptr) source = plan->Resolve(subset[k]);
+    attrs_.push_back(attrs[subset[k]]);
+    // Cutting the previous attribute leaves the scan at the start of
+    // the next one; an anchor helps only when it starts further on.
+    const uint32_t progress = k == 0 ? 0 : attrs_[k - 1] + 1;
+    const bool anchors = source.cells != nullptr &&
+                         (source.exact || source.anchor_attr > progress);
+    if (!anchors && !segments_.empty() &&
+        !segments_.back().source.exact) {
+      segments_.back().end = k + 1;  // extends the run
+      continue;
+    }
+    segments_.push_back(
+        Segment{k, k + 1, anchors ? source : PositionalMap::BlockPlan::Column()});
+  }
+  field_starts_.resize(attrs_.empty() ? 0 : attrs_.back() + 2);
+}
+
+bool SpanCutter::Cut(Slice line, uint64_t row, uint32_t* starts,
+                     uint32_t* ends, ScanMetrics* metrics, Status* error) {
+  const uint32_t size = static_cast<uint32_t>(line.size());
+  // A span ending at the end of the record (a trailing '\r' is line
+  // terminator) closes its last field: no attribute past it exists,
+  // and resuming from there would read a phantom empty field.
+  uint32_t content = size;
+  if (content > 0 && line[content - 1] == '\r') --content;
+  uint32_t record_fields = UINT32_MAX;
+  uint32_t field = 0;  // the scan stands at this field's start...
+  uint32_t offset = 0;  // ...at this offset
+  bool had_help = false;
+  const uint64_t rel = row - first_row_;
+  for (const Segment& seg : segments_) {
+    if (attrs_[seg.begin] >= record_fields) {
+      return FieldCountError(*table_, *path_, row, record_fields,
+                             attrs_[seg.begin], error);
+    }
+    const PositionalMap::Probe probe = seg.source.At(rel);
+    if (probe.exact) {
+      starts[seg.begin] = probe.start;
+      ends[seg.begin] = probe.end;
+      ++metrics->map_exact_probes;
+      had_help = true;
+      if (probe.end >= content) record_fields = attrs_[seg.begin] + 1;
+      field = attrs_[seg.begin] + 1;
+      offset = std::min(probe.end + 1, size);
+      continue;
+    }
+    if (probe.anchor_attr > field) {
+      field = probe.anchor_attr;
+      offset = std::min(probe.anchor_rel, size);
+      ++metrics->map_anchor_probes;
+      had_help = true;
+    }
+    const uint32_t last = attrs_[seg.end - 1];
+    const uint32_t high = tokenizer_->ScanStarts(line, field, offset,
+                                                 last + 1, field_starts_.data());
+    for (size_t k = seg.begin; k < seg.end; ++k) {
+      // A field that ends the record ends the ScanStarts call, so
+      // `high` is record_fields for the attributes past it.
+      const uint32_t attr = attrs_[k];
+      if (high < attr + 1) {
+        return FieldCountError(*table_, *path_, row, high, attr, error);
+      }
+      metrics->fields_tokenized += attr + 1 - field;
+      starts[k] = field_starts_[attr];
+      ends[k] = field_starts_[attr + 1] - 1;
+      if (ends[k] >= content) record_fields = attr + 1;
+      field = attr + 1;
+    }
+    offset = std::min(field_starts_[field], size);
+  }
+  if (count_blind_ && !had_help && !segments_.empty()) {
+    ++metrics->map_blind_rows;
+  }
+  return true;
+}
 
 RawScanOperator::RawScanOperator(RawTableState* state,
                                  std::vector<uint32_t> projection,
@@ -82,7 +180,8 @@ RawScanOperator::RawScanOperator(RawTableState* state,
       table_name_(state->info().name),
       table_path_(state->info().path),
       tokenizer_(state->info().dialect,
-                 simd::LevelFor(state->config().enable_simd)) {
+                 simd::LevelFor(state->config().enable_simd)),
+      cutter_(&tokenizer_, &table_name_, &table_path_) {
   std::vector<size_t> indices(projection_.begin(), projection_.end());
   schema_ = state_->info().schema->Project(indices);
 }
@@ -190,6 +289,7 @@ Status RawScanOperator::Open() {
   exhausted_ = false;
   window_first_ = 0;
   window_rows_ = 0;
+  window_eof_ = false;
   window_bounds_.clear();
   store_segments_.clear();
   types_.clear();
@@ -197,18 +297,17 @@ Status RawScanOperator::Open() {
     types_.push_back(state_->info().schema->field(attr).type);
   }
 
-  // Header line: data rows start after it.
-  header_skip_ = 0;
-  if (state_->info().dialect.has_header && reader_->file_size() > 0) {
+  // Header line: data rows start after it. A map whose discovery has
+  // started already knows where they start.
+  local_offset_ = 0;
+  if (state_->info().dialect.has_header && reader_->file_size() > 0 &&
+      (!use_map_ || state_->map().next_discovery_offset() == 0)) {
     uint64_t header_end = 0;
     Status s = reader_->FindNewline(0, &header_end);
-    header_skip_ = std::min<uint64_t>(header_end + 1, reader_->file_size());
     (void)s;  // a header-only file simply has zero data rows
+    local_offset_ = std::min<uint64_t>(header_end + 1, reader_->file_size());
   }
-  if (use_map_) {
-    state_->map().EnsureDiscoveryStartsAt(header_skip_);
-  }
-  local_offset_ = header_skip_;
+  if (use_map_) state_->map().EnsureDiscoveryStartsAt(local_offset_);
 
   if (!internal_) state_->RecordAttributeAccess(projection_);
 
@@ -221,119 +320,83 @@ Status RawScanOperator::Open() {
                          config.promote_after_accesses;
     }
   }
-
-  uint32_t max_attr = projection_.empty() ? 0 : projection_.back();
-  starts_.assign(max_attr + 2, 0);
   return Status::OK();
 }
 
-Status RawScanOperator::LocatePass(uint64_t first, uint64_t want) {
-  bounds_.clear();
-  if (!use_map_) {
-    // Without the map every row is found by walking newlines, so the
-    // whole pass is one locate region.
-    const uint64_t file_size = reader_->file_size();
-    PhaseTimer timer(&metrics_->parsing_ns, reader_.get());
-    for (uint64_t r = 0; r < want && local_offset_ < file_size; ++r) {
-      const uint64_t start = local_offset_;
-      uint64_t end = 0;
-      Status s = reader_->FindNewline(start, &end);
-      if (!s.ok() && !s.IsOutOfRange()) return s;
-      bounds_.emplace_back(start, end);
-      local_offset_ = end + 1;
-    }
-    return Status::OK();
-  }
-  const uint64_t stop = first + want;
-  for (uint64_t r = first; r < stop;) {
-    uint64_t start = 0;
-    uint64_t end = 0;
-    NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(r, &start, &end));
-    if (!ok) break;
-    bounds_.emplace_back(start, end);
-    // LocateRow left the rest of the row's published run in the
-    // window: copy it without a call per row.
-    const uint64_t window_end =
-        std::min<uint64_t>(stop, window_first_ + window_rows_);
-    for (++r; r < window_end; ++r) {
-      const size_t i = static_cast<size_t>(r - window_first_);
-      bounds_.emplace_back(window_bounds_[i], window_bounds_[i + 1] - 1);
-    }
-  }
-  return Status::OK();
-}
-
-Result<bool> RawScanOperator::LocateRow(uint64_t row, uint64_t* start,
-                                        uint64_t* end) {
+Result<bool> RawScanOperator::LocateRun(uint64_t row, uint64_t want,
+                                        bool fit_buffer) {
   const uint64_t file_size = reader_->file_size();
+  if (!use_map_) {
+    // Without the map the scan's own cursor walks the file.
+    NODB_ASSIGN_OR_RETURN(local_offset_,
+                          FindWindow(local_offset_, want, 0, nullptr));
+    return found_.size() == want || local_offset_ >= file_size;
+  }
   PositionalMap& map = state_->map();
-  const uint32_t rows_per_block = state_->config().rows_per_block;
+  const size_t byte_budget = fit_buffer ? reader_->buffer_size() : SIZE_MAX;
   while (true) {
-    // Fast path: the row's bounds are in the local snapshot window —
-    // no locking, plain array indexing.
+    // Rows the map knows: cut the run from the snapshot window with
+    // plain array indexing, no locking.
     if (row >= window_first_ && row < window_first_ + window_rows_) {
-      size_t i = static_cast<size_t>(row - window_first_);
-      *start = window_bounds_[i];
-      *end = window_bounds_[i + 1] - 1;
-      return true;
+      const size_t lo = static_cast<size_t>(row - window_first_);
+      const size_t stop = static_cast<size_t>(
+          std::min<uint64_t>(window_rows_, lo + want));
+      size_t i = lo;
+      do {
+        bounds_.emplace_back(window_bounds_[i], window_bounds_[i + 1] - 1);
+        ++i;
+      } while (i < stop &&
+               window_bounds_[i + 1] - 1 - window_bounds_[lo] <= byte_budget);
+      return i - lo == want || (window_eof_ && i == window_rows_);
     }
-
-    // Refill the window with whatever is published from `row` to the
-    // end of its block (scans advance monotonically, so nothing before
-    // `row` is needed again).
-    uint32_t remaining =
-        rows_per_block - static_cast<uint32_t>(row % rows_per_block);
-    PositionalMap::RowSnapshot snap =
-        map.SnapshotRows(row, remaining, &window_bounds_);
+    PositionalMap::RowSnapshot snap = map.SnapshotRows(
+        row, static_cast<uint32_t>(want), &window_bounds_);
     window_first_ = row;
     window_rows_ = snap.rows;
+    window_eof_ = snap.complete && row + snap.rows == snap.known_rows;
     if (snap.rows > 0) continue;
-    if (snap.complete && row >= snap.known_rows) return false;
+    if (snap.complete && row >= snap.known_rows) return true;
 
     // The row is past the published frontier: take the discovery baton
-    // and walk the tail to the end of the row's block in one round —
-    // the bounds land in the local window, so a cold sequential scan
-    // pays one baton acquisition per block, not per row. Other threads
-    // block here only for rows nobody has walked yet.
+    // and walk one window from the frontier, no further than the last
+    // row the run wants. Other threads block here only for rows nobody
+    // has walked yet.
     PositionalMap::Discovery discovery(&map);
     uint64_t resume = 0;
     uint64_t frontier_row = 0;
-    while (discovery.NeedsRow(row, &resume, &frontier_row)) {
-      if (resume >= file_size) {
-        discovery.MarkComplete(file_size);
-        break;
-      }
-      const uint64_t block_end =
-          (row / rows_per_block + 1) * uint64_t{rows_per_block};
-      uint64_t cursor = resume;
-      uint64_t cursor_row = frontier_row;
-      window_bounds_.clear();
-      window_rows_ = 0;
-      {
-        // NOLINTNEXTLINE(row-clock): once per walk, not per row
-        PhaseTimer timer(&metrics_->parsing_ns, reader_.get());
-        while (cursor_row < block_end && cursor < file_size) {
-          uint64_t line_end = 0;
-          Status s = reader_->FindNewline(cursor, &line_end);
-          if (!s.ok() && !s.IsOutOfRange()) return s;
-          discovery.PublishRow(cursor, line_end);
-          if (cursor_row >= row) window_bounds_.push_back(cursor);
-          cursor = line_end + 1;
-          ++cursor_row;
-        }
-      }
-      if (cursor >= file_size) discovery.MarkComplete(file_size);
-      if (!window_bounds_.empty()) {
-        window_bounds_.push_back(cursor);  // sentinel: last end + 1
-        window_first_ = row;
-        window_rows_ = static_cast<uint32_t>(window_bounds_.size() - 1);
-        break;  // the fast path serves `row` from the fresh window
-      }
-      // File ended before reaching `row`; NeedsRow decides next.
+    if (!discovery.NeedsRow(row, &resume, &frontier_row)) continue;
+    if (resume >= file_size) {
+      discovery.MarkComplete(file_size);
+      continue;
     }
-    // Another thread published past `row`, the window was walked, or
-    // the file ended; loop to serve or finish.
+    // A frontier behind `row` is only published; the window's rows from
+    // `row` on are the run, served from the bytes just read.
+    NODB_ASSIGN_OR_RETURN(
+        uint64_t next,
+        FindWindow(resume, row + want - frontier_row,
+                   static_cast<size_t>(row - frontier_row), &discovery));
+    if (next >= file_size) discovery.MarkComplete(file_size);
+    if (found_.empty()) return true;  // the file shrank under the walk
+    if (frontier_row + found_.size() <= row) continue;
+    return frontier_row + found_.size() == row + want || next >= file_size;
   }
+}
+
+Result<uint64_t> RawScanOperator::FindWindow(
+    uint64_t offset, uint64_t max_rows, size_t skip,
+    PositionalMap::Discovery* discovery) {
+  // NOLINTNEXTLINE(row-clock): once per window, not per row
+  PhaseTimer timer(&metrics_->parsing_ns, reader_.get());
+  found_.clear();
+  uint64_t next = 0;
+  NODB_RETURN_NOT_OK(reader_->FindRows(offset, reader_->file_size(), max_rows,
+                                       tokenizer_.level(), &found_, &next));
+  if (discovery != nullptr) discovery->PublishRows(found_, next);
+  for (size_t i = skip; i < found_.size(); ++i) {
+    bounds_.emplace_back(found_[i],
+                         (i + 1 < found_.size() ? found_[i + 1] : next) - 1);
+  }
+  return next;
 }
 
 void RawScanOperator::MaybeObserveZone(uint32_t attr, uint64_t block,
@@ -542,99 +605,6 @@ Result<size_t> RawScanOperator::EvaluatePushdown(
   return passing;
 }
 
-Status RawScanOperator::TokenizeSpans(
-    Slice line, uint64_t row,
-    const std::optional<PositionalMap::BlockPlan>& plan,
-    const std::vector<uint32_t>& probe_attrs,
-    const std::vector<size_t>& subset, uint32_t* starts, uint32_t* ends,
-    bool count_blind) {
-  auto field_count_error = [&](uint32_t fields, uint32_t attr) {
-    return Status::ParseError(
-        table_name_ + ": row " + std::to_string(row) + " has " +
-        std::to_string(fields) + " fields, attribute " +
-        std::to_string(attr) + " requested (file " + table_path_ + ")");
-  };
-  // A span ending at the end of the record (a trailing '\r' is line
-  // terminator) closes its last field: no attribute past it exists,
-  // and resuming from there would read a phantom empty field.
-  uint32_t content = static_cast<uint32_t>(line.size());
-  if (content > 0 && line[content - 1] == '\r') --content;
-  uint32_t record_fields = UINT32_MAX;
-  uint32_t progress_field = 0;
-  uint32_t progress_off = 0;
-  bool had_help = false;
-  for (size_t k = 0; k < subset.size(); ++k) {
-    size_t j = subset[k];
-    uint32_t attr = probe_attrs[j];
-    if (attr >= record_fields) return field_count_error(record_fields, attr);
-    PositionalMap::Probe probe;
-    if (plan.has_value()) {
-      probe = plan->Lookup(row, j);
-    }
-    if (probe.exact) {
-      starts[k] = probe.start;
-      ends[k] = probe.end;
-      ++metrics_->map_exact_probes;
-      had_help = true;
-      if (probe.end >= content) record_fields = attr + 1;
-      if (attr + 1 > progress_field) {
-        progress_field = attr + 1;
-        progress_off = std::min<uint32_t>(
-            probe.end + 1, static_cast<uint32_t>(line.size()));
-      }
-      continue;
-    }
-    if (probe.anchor_attr > progress_field) {
-      progress_field = probe.anchor_attr;
-      progress_off = std::min<uint32_t>(
-          probe.anchor_rel, static_cast<uint32_t>(line.size()));
-      ++metrics_->map_anchor_probes;
-      had_help = true;
-    }
-    uint32_t before = progress_field;
-    uint32_t high = tokenizer_.ScanStarts(line, progress_field,
-                                          progress_off, attr + 1,
-                                          starts_.data());
-    if (high < attr + 1) return field_count_error(high, attr);
-    metrics_->fields_tokenized += attr + 1 - before;
-    starts[k] = starts_[attr];
-    ends[k] = starts_[attr + 1] - 1;
-    if (ends[k] >= content) record_fields = attr + 1;
-    progress_field = attr + 1;
-    progress_off = std::min<uint32_t>(
-        starts_[attr + 1], static_cast<uint32_t>(line.size()));
-  }
-  if (count_blind && !had_help && !subset.empty()) {
-    ++metrics_->map_blind_rows;
-  }
-  return Status::OK();
-}
-
-size_t RawScanOperator::RunEnd(size_t lo) const {
-  // bounds_ ascend, so the run is the longest prefix from `lo` whose
-  // bytes fit the buffer — at least one row, however long.
-  const uint64_t limit = bounds_[lo].first + reader_->buffer_size();
-  auto past = std::upper_bound(
-      bounds_.begin() + static_cast<std::ptrdiff_t>(lo) + 1, bounds_.end(),
-      limit, [](uint64_t v, const std::pair<uint64_t, uint64_t>& b) {
-        return v < b.second;
-      });
-  return static_cast<size_t>(past - bounds_.begin());
-}
-
-Status RawScanOperator::ReadSlab(const uint32_t* rows, size_t n) {
-  if (slab_loaded_) return Status::OK();
-  slab_base_ = bounds_[rows[0]].first;
-  const uint64_t slab_end = bounds_[rows[n - 1]].second;
-  slab_ = Slice();
-  if (slab_end > slab_base_) {
-    NODB_RETURN_NOT_OK(reader_->ReadAt(
-        slab_base_, static_cast<size_t>(slab_end - slab_base_), &slab_));
-  }
-  slab_loaded_ = true;
-  return Status::OK();
-}
-
 Slice RawScanOperator::RowLine(size_t r) const {
   const auto& [start, end] = bounds_[r];
   if (end <= start) return Slice();
@@ -650,81 +620,87 @@ Status RawScanOperator::ParsePass(
     const std::vector<size_t>& subset, bool count_blind,
     PositionalMap::ChunkBuilder* chunk,
     std::vector<std::shared_ptr<ColumnVector>>* cols) {
-  NODB_RETURN_NOT_OK(ReadSlab(rows, n));
-  // Batches in row order: the first failing batch holds the first
-  // failing field.
-  const size_t batch = std::max<size_t>(
-      1, kSpanScratchBytes / (2 * sizeof(uint32_t) * subset.size()));
-  for (size_t at = 0; at < n; at += batch) {
-    NODB_RETURN_NOT_OK(ParseRows(first, rows + at, std::min(batch, n - at),
-                                 plan, probe_attrs, probe_slots, subset,
-                                 count_blind, chunk, cols));
+  if (!slab_loaded_) {
+    slab_base_ = bounds_[rows[0]].first;
+    NODB_RETURN_NOT_OK(reader_->ReadAt(
+        slab_base_,
+        static_cast<size_t>(bounds_[rows[n - 1]].second - slab_base_),
+        &slab_));
+    slab_loaded_ = true;
   }
-  return Status::OK();
-}
-
-Status RawScanOperator::ParseRows(
-    uint64_t first, const uint32_t* rows, size_t n,
-    const std::optional<PositionalMap::BlockPlan>& plan,
-    const std::vector<uint32_t>& probe_attrs,
-    const std::vector<size_t>& probe_slots,
-    const std::vector<size_t>& subset, bool count_blind,
-    PositionalMap::ChunkBuilder* chunk,
-    std::vector<std::shared_ptr<ColumnVector>>* cols) {
-  const size_t width = subset.size();
-  span_starts_.resize(n * width);
-  span_ends_.resize(n * width);
-
-  // Tokenize: every row's spans, row-major. A row that fails stops the
-  // pass, but the rows before it still convert below — a conversion
-  // error in an earlier row wins, exactly as it did row at a time.
-  size_t tokenized = 0;
-  Status tokenize_error;
   {
     PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
-    for (; tokenized < n; ++tokenized) {
-      tokenize_error = TokenizeSpans(
-          RowLine(rows[tokenized]), first + rows[tokenized], plan,
-          probe_attrs, subset, &span_starts_[tokenized * width],
-          &span_ends_[tokenized * width], count_blind);
-      if (!tokenize_error.ok()) break;
-    }
+    cutter_.Prepare(plan.has_value() ? &*plan : nullptr, probe_attrs, subset,
+                    count_blind);
   }
+  // Batches in row order: the first failing batch holds the first
+  // failing field.
+  const size_t width = subset.size();
+  const size_t batch = std::max<size_t>(
+      1, kSpanScratchBytes / (2 * sizeof(uint32_t) * width));
+  span_starts_.resize(std::min(batch, n) * width);
+  span_ends_.resize(std::min(batch, n) * width);
+  for (size_t at = 0; at < n; at += batch) {
+    const uint32_t* batch_rows = rows + at;
+    const size_t count = std::min(batch, n - at);
 
-  // Convert: one typed loop per column. The first failing field in
-  // (row, attribute) order is the one reported, so after a failure
-  // later columns only need the rows before it.
-  Status convert_error;
-  size_t limit = tokenized;
-  {
-    PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-    for (size_t k = 0; k < width; ++k) {
-      const size_t slot = probe_slots[subset[k]];
-      auto text_at = [&](size_t i) {
-        const size_t at = i * width + k;
-        return tokenizer_.DecodeField(
-            CsvTokenizer::RawField(RowLine(rows[i]), span_starts_[at],
-                                   span_ends_[at] + 1),
-            &decode_scratch_);
-      };
-      size_t failed = 0;
-      Status s = ValueParser::ParseColumn(limit, types_[slot], text_at,
-                                          (*cols)[slot].get(), &failed);
-      if (s.ok()) continue;
-      limit = failed;
-      convert_error = Status::ParseError(
-          table_name_ + ": row " + std::to_string(first + rows[failed]) +
-          ", attribute " + std::to_string(projection_[slot]) + ": " +
-          s.message());
+    // Tokenize: every row's spans, row-major. A row that fails stops
+    // the pass, but the rows before it still convert below — a
+    // conversion error in an earlier row wins, exactly as it did row at
+    // a time.
+    size_t tokenized = 0;
+    Status tokenize_error;
+    {
+      // NOLINTNEXTLINE(row-clock): once per batch of rows
+      PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
+      for (; tokenized < count; ++tokenized) {
+        if (!cutter_.Cut(RowLine(batch_rows[tokenized]),
+                         first + batch_rows[tokenized],
+                         &span_starts_[tokenized * width],
+                         &span_ends_[tokenized * width], metrics_,
+                         &tokenize_error)) {
+          break;
+        }
+      }
     }
-  }
-  NODB_RETURN_NOT_OK(convert_error);
-  NODB_RETURN_NOT_OK(tokenize_error);
-  metrics_->fields_converted += n * width;
-  if (chunk != nullptr) {
-    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    for (size_t r = 0; r < n; ++r) {
-      chunk->AddRow(&span_starts_[r * width], &span_ends_[r * width]);
+
+    // Convert: one typed loop per column. The first failing field in
+    // (row, attribute) order is the one reported, so after a failure
+    // later columns only need the rows before it.
+    Status convert_error;
+    size_t limit = tokenized;
+    {
+      // NOLINTNEXTLINE(row-clock): once per batch of rows
+      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
+      for (size_t k = 0; k < width; ++k) {
+        const size_t slot = probe_slots[subset[k]];
+        auto text_at = [&](size_t i) {
+          const size_t cell = i * width + k;
+          return tokenizer_.DecodeField(
+              CsvTokenizer::RawField(RowLine(batch_rows[i]),
+                                     span_starts_[cell], span_ends_[cell] + 1),
+              &decode_scratch_);
+        };
+        size_t failed = 0;
+        Status s = ValueParser::ParseColumn(limit, types_[slot], text_at,
+                                            (*cols)[slot].get(), &failed);
+        if (s.ok()) continue;
+        limit = failed;
+        convert_error = Status::ParseError(
+            table_name_ + ": row " + std::to_string(first + batch_rows[failed]) +
+            ", attribute " + std::to_string(projection_[slot]) + ": " +
+            s.message());
+      }
+    }
+    NODB_RETURN_NOT_OK(convert_error);
+    NODB_RETURN_NOT_OK(tokenize_error);
+    metrics_->fields_converted += count * width;
+    if (chunk != nullptr) {
+      // NOLINTNEXTLINE(row-clock): once per batch of rows
+      PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
+      for (size_t r = 0; r < count; ++r) {
+        chunk->AddRow(&span_starts_[r * width], &span_ends_[r * width]);
+      }
     }
   }
   return Status::OK();
@@ -792,36 +768,32 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
     }
   }
 
-  // ---- locate every wanted row of the block.
-  NODB_RETURN_NOT_OK(LocatePass(first, want));
-  const size_t rows = bounds_.size();
-  if (rows == 0) {
-    exhausted_ = true;
-    return BatchPtr();
-  }
-  // The row limit stopped the block early: its segments and chunk do
-  // not cover it, so it teaches nothing (like an abandoned scan).
-  const bool cut_short = rows == want && want < rows_per_block;
-
-  // ---- the block's rows go through phase 1, the conjuncts and phase 2
-  // in runs whose bytes fit the read buffer. Each run is read once, on
-  // first need (the slab), so phase 2 never re-reads and a scan never
-  // holds more than a buffer of raw bytes; a block whose columns are
-  // all cache-resident is one run that never touches the raw file —
-  // the paper's "eliminating the need to access hot raw data". Errors
-  // come out as from one whole-block pass: a phase-1 error anywhere in
-  // the block wins, else the first conjunct or phase-2 error.
+  // ---- the block's rows are located and go through phase 1, the
+  // conjuncts and phase 2 one run at a time (LocateRun): the rows whose
+  // bytes fit the read buffer. Each run's bytes are read once — a cold
+  // run's by the window that found its rows, a known run's on first
+  // need (the slab) — so phase 2 never re-reads and a scan never holds
+  // more than a buffer of raw bytes; a block whose columns are all
+  // cache-resident is one run that never touches the raw file — the
+  // paper's "eliminating the need to access hot raw data". Errors come
+  // out as from one whole-block pass: a phase-1 error anywhere in the
+  // block wins, else the first conjunct or phase-2 error.
   std::vector<std::shared_ptr<ColumnVector>> parsed2(n_slots);
   for (size_t j : p2_idx) {
     const size_t i = probe_slots[j];
     parsed2[i] = std::make_shared<ColumnVector>(types_[i]);
   }
+  bounds_.clear();
   sel_.clear();
   Status deferred;
-  for (size_t lo = 0, hi = 0; lo < rows; lo = hi) {
-    hi = probe_attrs.empty() ? rows : RunEnd(lo);
+  for (bool last = false; !last;) {
+    const size_t lo = bounds_.size();
+    NODB_ASSIGN_OR_RETURN(
+        last, LocateRun(first + lo, want - lo, !probe_attrs.empty()));
+    const size_t hi = bounds_.size();
+    if (hi == lo) break;  // end of file
     const size_t n = hi - lo;
-    const bool whole = n == rows;
+    const bool whole = lo == 0 && last;
     run_rows_.resize(n);
     std::iota(run_rows_.begin(), run_rows_.end(), static_cast<uint32_t>(lo));
     slab_loaded_ = false;
@@ -878,6 +850,14 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
     }
   }
   NODB_RETURN_NOT_OK(deferred);
+  const size_t rows = bounds_.size();
+  if (rows == 0) {
+    exhausted_ = true;
+    return BatchPtr();
+  }
+  // The row limit stopped the block early: its segments and chunk do
+  // not cover it, so it teaches nothing (like an abandoned scan).
+  const bool cut_short = rows == want && want < rows_per_block;
   const size_t passing = sel_.size();
 
   // ---- form the output tuples. Columns already in binary form

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "csv/tokenizer.h"
@@ -14,6 +15,52 @@
 
 namespace nodb {
 
+/// The tokenize pass of a raw scan. Prepare resolves the block plan
+/// once per pass and groups the pass's attributes into segments; per
+/// row, an attribute the map knows exactly is copied from its chunk,
+/// and each run of attributes without an exact span is cut by one
+/// CsvTokenizer::ScanStarts call from the run's best anchor, never past
+/// its last attribute (*selective tokenizing*). A run breaks wherever an
+/// anchor would jump past the previous attribute, so spans, counters
+/// and errors are those of cutting each attribute alone.
+class SpanCutter {
+ public:
+  /// The pointees (`table` and `path` name errors) outlive the cutter.
+  SpanCutter(const CsvTokenizer* tokenizer, const std::string* table,
+             const std::string* path)
+      : tokenizer_(tokenizer), table_(table), path_(path) {}
+
+  /// Starts a pass over attrs[subset[k]] (`attrs` ascending, as `plan`
+  /// was prepared with; null = no map). `count_blind` counts rows cut
+  /// from byte 0 in map_blind_rows — set it on a row's first pass only.
+  void Prepare(const PositionalMap::BlockPlan* plan,
+               const std::vector<uint32_t>& attrs,
+               const std::vector<size_t>& subset, bool count_blind);
+
+  /// Cuts absolute row `row` (`line`: its bytes without the '\n') into
+  /// starts[k]/ends[k] and counts into `metrics`. A short row returns
+  /// false with its first missing attribute's error in `*error`.
+  bool Cut(Slice line, uint64_t row, uint32_t* starts, uint32_t* ends,
+           ScanMetrics* metrics, Status* error);
+
+ private:
+  /// Attributes [begin, end): one exact span, or one ScanStarts run.
+  struct Segment {
+    size_t begin = 0;
+    size_t end = 0;
+    PositionalMap::BlockPlan::Column source;  // of attribute `begin`
+  };
+
+  const CsvTokenizer* tokenizer_;
+  const std::string* table_;
+  const std::string* path_;
+  uint64_t first_row_ = 0;  // the plan's block's first row
+  bool count_blind_ = false;
+  std::vector<uint32_t> attrs_;
+  std::vector<Segment> segments_;
+  std::vector<uint32_t> field_starts_;  // ScanStarts scratch
+};
+
 /// The in-situ scan operator — PostgresRaw's replacement for the leaf
 /// of a conventional query plan (paper §3).
 ///
@@ -24,24 +71,24 @@ namespace nodb {
 ///   2. serves the block from the shadow column store when every
 ///      needed column is materialized there — no row location, no
 ///      positional-map lookup, no tokenizing, no value parsing;
-///   3. otherwise *locates* the block's rows in one pass (from the
-///      positional map's row index when known, else by a discovery walk
-///      that teaches the map) and cuts them into runs whose bytes fit
-///      the read buffer — one run unless the block is larger. Each run
-///      runs **phase 1**: *read* the run's byte range once (the slab),
-///      on first need; then, per batch of rows (as many as a fixed span
-///      scratch holds — the whole run for narrow projections), passes
-///      each under one timer: *tokenize* the spans of the phase-1
-///      columns for every row — exactly from a map chunk, or from the nearest map anchor, never
-///      past the last requested attribute (*selective tokenizing*);
-///      *convert* them column by column (*selective parsing*); and add
-///      the spans to the map chunk. Cache-resident segments need no
-///      parsing, and a block whose columns are all cache-resident never
-///      reads the file;
+///   3. otherwise works through the block one *run* (the rows whose
+///      bytes fit the read buffer) at a time. Known rows come from the
+///      map's row index and are read once; past its frontier one buffer
+///      *window* is read and its newlines found (under the discovery
+///      baton, up to the block's last wanted row), its rows published
+///      with one lock and tokenized from the same bytes. Each run runs
+///      **phase 1**, per batch of rows (as many as a fixed span scratch
+///      holds), passes each under one timer: *tokenize* the phase-1
+///      columns' spans for every row (SpanCutter: exactly from a map
+///      chunk, or from the nearest map anchor, never past the last
+///      requested attribute — *selective tokenizing*); *convert* them
+///      column by column (*selective parsing*); and add the spans to
+///      the map chunk. Cache-resident segments need no parsing, and a
+///      block whose columns are all cache-resident never reads the file;
 ///   4. evaluates the pushed conjuncts over the run's partial batch
 ///      and, in **phase 2**, runs the same tokenize and convert passes
 ///      for the remaining columns over the qualifying rows only, cut
-///      from the same slab (*selective tuple formation*,
+///      from the same bytes (*selective tuple formation*,
 ///      predicate-aware). Errors are reported as one whole-block pass
 ///      would: the first failing phase-1 field in row order, else the
 ///      first failing phase-2 field;
@@ -63,7 +110,7 @@ namespace nodb {
 ///
 /// All NoDB structures honor the per-table NoDbConfig; with everything
 /// disabled this operator *is* the paper's "Baseline" external-files
-/// scan.
+/// scan, which finds its rows with the same window walk.
 ///
 /// Many operators may scan the same RawTableState concurrently. Each
 /// operator keeps all parsing state private and interacts with the
@@ -118,12 +165,15 @@ class RawScanOperator final : public ExecOperator {
   std::shared_ptr<Schema> output_schema() const override { return schema_; }
 
  private:
-  /// Fills bounds_ with the byte spans of up to `want` rows starting at
-  /// `first` (fewer at end of file).
-  Status LocatePass(uint64_t first, uint64_t want);
-  /// Map-backed location of one row: served from the snapshot window,
-  /// else by one timed discovery walk to the end of the row's block.
-  Result<bool> LocateRow(uint64_t row, uint64_t* start, uint64_t* end);
+  /// Appends to bounds_ the next run: up to `want` rows from row `row`
+  /// (no more than fit the read buffer, at least one, if `fit_buffer`),
+  /// or nothing at end of file. True when no row of the block follows.
+  Result<bool> LocateRun(uint64_t row, uint64_t want, bool fit_buffer);
+  /// Finds one reader window's rows from `offset` (at most `max_rows`)
+  /// into found_, publishes them through `discovery` if given, appends
+  /// those from the `skip`-th on to bounds_; returns the next offset.
+  Result<uint64_t> FindWindow(uint64_t offset, uint64_t max_rows, size_t skip,
+                              PositionalMap::Discovery* discovery);
 
   /// A pushed `col op literal` conjunct in zone-checkable form.
   struct ZonePredicate {
@@ -150,22 +200,20 @@ class RawScanOperator final : public ExecOperator {
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
                                   std::vector<uint32_t>* sel) const;
 
-  /// End (exclusive index into bounds_) of the run that starts at row
-  /// `lo`: the most rows whose bytes fit the read buffer, at least one.
-  size_t RunEnd(size_t lo) const;
-  /// Reads the byte range from row rows[0] to row rows[n - 1] (indices
-  /// into bounds_) into slab_ with one ReadAt, unless this run already
-  /// did.
-  Status ReadSlab(const uint32_t* rows, size_t n);
   /// Row `r` of bounds_, cut from the slab.
   Slice RowLine(size_t r) const;
 
-  /// One phase of one run of a raw block: for rows rows[0..n) (indices
-  /// into bounds_, ascending, all in the run), reads the slab and runs
-  /// ParseRows over batches of rows whose span scratch stays within a
-  /// fixed size. On malformed input returns the error of the first
-  /// failing field in row order, exactly as a row-at-a-time parse
-  /// would.
+  /// One phase of one run of a raw block, for rows rows[0..n) (indices
+  /// into bounds_, ascending, all in the run): reads the run's bytes
+  /// (the slab) unless this run already did, prepares the tokenize pass
+  /// for the columns of `subset` (indices into `probe_attrs`, which
+  /// `plan` was prepared with), then per batch of rows whose span
+  /// scratch stays within a fixed size cuts their spans into
+  /// span_starts_/span_ends_ (row-major), converts them column by
+  /// column into (*cols)[slot] and records them in `chunk` when one is
+  /// given — each pass under one timer. On malformed input returns the
+  /// error of the first failing field in row order, exactly as a
+  /// row-at-a-time parse would.
   Status ParsePass(uint64_t first, const uint32_t* rows, size_t n,
                    const std::optional<PositionalMap::BlockPlan>& plan,
                    const std::vector<uint32_t>& probe_attrs,
@@ -173,30 +221,6 @@ class RawScanOperator final : public ExecOperator {
                    const std::vector<size_t>& subset, bool count_blind,
                    PositionalMap::ChunkBuilder* chunk,
                    std::vector<std::shared_ptr<ColumnVector>>* cols);
-  /// One batch of a ParsePass: tokenizes the columns of `subset`
-  /// (indices into `probe_attrs`) for every row into
-  /// span_starts_/span_ends_ (row-major, n × subset.size()), converts
-  /// them column by column, appending into (*cols)[slot], and records
-  /// the spans in `chunk` when one is given — each pass under one
-  /// timer. Rows are cut from the slab.
-  Status ParseRows(uint64_t first, const uint32_t* rows, size_t n,
-                   const std::optional<PositionalMap::BlockPlan>& plan,
-                   const std::vector<uint32_t>& probe_attrs,
-                   const std::vector<size_t>& probe_slots,
-                   const std::vector<size_t>& subset, bool count_blind,
-                   PositionalMap::ChunkBuilder* chunk,
-                   std::vector<std::shared_ptr<ColumnVector>>* cols);
-
-  /// Tokenizes the spans of `subset` (indices into `probe_attrs`,
-  /// which the block plan was prepared with) for one row, writing into
-  /// `starts`/`ends` parallel to `subset`. `count_blind` attributes a
-  /// from-byte-0 walk to map_blind_rows — pass it on the first pass
-  /// over a row only, so two-phase rows count once like any other.
-  Status TokenizeSpans(Slice line, uint64_t row,
-                       const std::optional<PositionalMap::BlockPlan>& plan,
-                       const std::vector<uint32_t>& probe_attrs,
-                       const std::vector<size_t>& subset, uint32_t* starts,
-                       uint32_t* ends, bool count_blind);
 
   /// True when `segment_rows` provably covers the whole of `block`
   /// (full block, or the known tail of a completed row index) — the
@@ -228,6 +252,7 @@ class RawScanOperator final : public ExecOperator {
   std::string table_name_;  // snapshotted for error messages
   std::string table_path_;
   CsvTokenizer tokenizer_;
+  SpanCutter cutter_;  // the tokenize pass
   std::unique_ptr<BufferedReader> reader_;
 
   bool use_map_ = false;
@@ -249,9 +274,8 @@ class RawScanOperator final : public ExecOperator {
   std::vector<ZonePredicate> zone_preds_;  // zone-checkable conjuncts
 
   uint64_t row_ = 0;           // first row of the next block
-  uint64_t local_offset_ = 0;  // discovery cursor when the map is off
+  uint64_t local_offset_ = 0;  // row-finding cursor when the map is off
   bool exhausted_ = false;
-  uint64_t header_skip_ = 0;   // bytes of header line (has_header files)
   uint64_t row_limit_ = UINT64_MAX;  // see SetRowLimit
   uint64_t start_block_ = 0;         // see SetStartBlock
   uint64_t rows_emitted_ = 0;
@@ -261,20 +285,21 @@ class RawScanOperator final : public ExecOperator {
   // map; window_bounds_ has window_rows_ + 1 entries (see SnapshotRows).
   uint64_t window_first_ = 0;
   uint32_t window_rows_ = 0;
+  bool window_eof_ = false;  // it ends at the file's last row
   std::vector<uint64_t> window_bounds_;
+  std::vector<uint64_t> found_;  // row starts of the last reader window
 
   // Store-served block segments (parallel to projection_).
   std::vector<std::shared_ptr<const ColumnVector>> store_segments_;
   std::vector<bool> promote_attr_;  // projection slot is promotion-hot
 
-  // Reused per-row and per-block scratch.
-  std::vector<uint32_t> starts_;
+  // Reused per-block scratch.
   std::string decode_scratch_;
   std::vector<std::pair<uint64_t, uint64_t>> bounds_;  // row byte spans
   std::vector<uint32_t> sel_;  // qualifying rows of the block
   std::vector<uint32_t> run_rows_;  // the current run's rows
   std::vector<uint32_t> run_sel_;   // the current run's qualifying rows
-  // The run's bytes (see ReadSlab): valid until the next reader call.
+  // The run's bytes (see ParsePass): valid until the next reader call.
   Slice slab_;
   uint64_t slab_base_ = 0;  // file offset of slab_[0]
   bool slab_loaded_ = false;

@@ -10,10 +10,10 @@ namespace nodb {
 ///
 /// Category mapping:
 ///  - io_ns:       physical pread() time (BufferedReader accounting)
-///  - parsing_ns:  discovery walks only — newline scans over rows the
-///                 positional map does not know yet (or every row,
-///                 with the map off) and publishing them; a row served
-///                 from the map's row index costs no parsing time
+///  - parsing_ns:  row finding only — the newline kernel over each
+///                 read window past the positional map's frontier
+///                 (every window, with the map off) and publishing its
+///                 rows; map-known rows cost none, so a warm scan is 0
 ///  - tokenize_ns: delimiter scanning inside tuples (CsvTokenizer)
 ///  - convert_ns:  text -> binary conversion (ValueParser) and the
 ///                 gathers that form output columns
@@ -23,8 +23,8 @@ namespace nodb {
 ///
 /// The scan times whole passes, not rows: each category is one timer
 /// per pass over a batch of rows — up to a block, fewer when the block
-/// outgrows the read buffer or the span scratch (a discovery walk, the
-/// tokenize pass, the convert pass, ...) — with the I/O that happened
+/// outgrows the read buffer or the span scratch (a row-finding window,
+/// the tokenize pass, the convert pass, ...) — with the I/O that happened
 /// inside the pass subtracted so the categories stay disjoint.
 ///
 /// What the five miss inside the scan itself (batch assembly, pushed-

@@ -275,7 +275,7 @@ TEST(PositionalMapConcurrencyTest, RacingScannersDiscoverEachRowOnce) {
           break;
         }
         uint64_t line_end = resume + kWidth - 1;  // "find the newline"
-        discovery.PublishRow(resume, line_end);
+        discovery.PublishRows({resume}, line_end + 1);
         if (frontier == row) {
           *start = resume;
           *end = line_end;

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "csv/csv_writer.h"
 #include "engines/csv_loader.h"
@@ -1267,6 +1269,369 @@ TEST_F(RawScanTest, ParallelPrewarmKnobSubsets) {
     }
     VerifyScan(&state, {1, 3}, 300);
   }
+}
+
+// -------------------------------------------- row finding and cutting
+
+TEST_F(RawScanTest, WarmReadsFetchWhatTheRunNeeds) {
+  // 3000 rows x 20 columns (about 400 KB) against a 64 KiB buffer.
+  // Once the row index is warm, a LIMIT 10 peek reads its rows' bytes,
+  // plus at most one row, and a full scan reads the file about once —
+  // not a buffer-aligned block around every run.
+  auto info = WriteFixture("warm_reads", 3000, 20);
+  NoDbConfig config = SmallBlocks(true, false, false);
+  config.enable_store = false;  // every scan re-reads the raw bytes
+  config.rows_per_block = 1024;
+  config.read_buffer_bytes = 64 * 1024;
+  RawTableState state(info, config);
+  VerifyScan(&state, {1}, 3000);
+  ASSERT_TRUE(state.map().rows_complete());
+  auto file_size = GetFileSize(info.path);
+  ASSERT_TRUE(file_size.ok());
+
+  ScanMetrics peek;
+  RawScanOperator scan(&state, {0, 3, 6}, &peek);
+  scan.SetRowLimit(10);
+  EXPECT_EQ(MustDrain(&scan).num_rows(), 10u);
+  EXPECT_GT(peek.bytes_read, 0u);
+  EXPECT_LE(peek.bytes_read, state.map().row_start(11));
+
+  ScanMetrics full;
+  VerifyScan(&state, {2, 19}, 3000, &full);
+  EXPECT_GT(full.bytes_read, 0u);
+  EXPECT_LE(static_cast<double>(full.bytes_read),
+            1.01 * static_cast<double>(*file_size));
+}
+
+/// Row starts of `content` by a naive memchr split: every '\n' ends a
+/// row, a non-empty unterminated tail is the last row, and a header
+/// line is skipped. `*next` is one past the last row's terminator.
+std::vector<uint64_t> NaiveRowStarts(const std::string& content,
+                                     bool header, uint64_t* next) {
+  std::vector<uint64_t> starts;
+  const char* data = content.data();
+  size_t pos = 0;
+  bool in_header = header;
+  while (pos < content.size()) {
+    const void* nl = std::memchr(data + pos, '\n', content.size() - pos);
+    const size_t end =
+        nl == nullptr ? content.size()
+                      : static_cast<size_t>(static_cast<const char*>(nl) - data);
+    if (!in_header) starts.push_back(pos);
+    in_header = false;
+    pos = end + 1;
+  }
+  *next = starts.empty() ? std::min(pos, content.size()) : pos;
+  return starts;
+}
+
+/// Field 0 of each row of `content` at `starts`, as a STRING column
+/// scan returns it: up to the first ',', without a trailing '\r'.
+std::vector<Value> NaiveFirstFields(const std::string& content,
+                                    const std::vector<uint64_t>& starts) {
+  std::vector<Value> out;
+  for (uint64_t start : starts) {
+    size_t end = content.find('\n', start);
+    if (end == std::string::npos) end = content.size();
+    std::string line = content.substr(start, end - start);
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    std::string field = line.substr(0, line.find(','));
+    out.push_back(field.empty() ? Value::Null() : Value::String(field));
+  }
+  return out;
+}
+
+TEST_F(RawScanTest, RowFinderMatchesNaiveSplitProperty) {
+  // Random files — empty rows, rows longer than any buffer, CRLF
+  // endings, a header, no final newline — scanned cold, then again
+  // after an append, by the serial scan with and without the map and by
+  // the parallel row pass, at every SIMD tier, buffer size and block
+  // size: the row index is the naive split, and the rows' first fields
+  // are the naive ones.
+  std::vector<simd::SimdLevel> levels;
+  for (simd::SimdLevel level :
+       {simd::SimdLevel::kScalar, simd::SimdLevel::kSSE2,
+        simd::SimdLevel::kNEON, simd::SimdLevel::kAVX2}) {
+    if (simd::LevelAvailable(level)) levels.push_back(level);
+  }
+  Random rng(1919);
+  auto rows = [&](size_t n, bool crlf, bool terminated) {
+    std::string out;
+    for (size_t r = 0; r < n; ++r) {
+      const uint64_t kind = rng.Uniform(12);
+      if (kind == 0) {
+        // empty row
+      } else if (kind == 1) {
+        out += rng.NextString(70 * 1024 + rng.Uniform(3000));
+      } else {
+        out += rng.NextString(1 + rng.Uniform(30)) + "," +
+               std::to_string(rng.Uniform(100000)) + "," +
+               rng.NextString(rng.Uniform(20));
+      }
+      if (r + 1 < n || terminated) out += crlf ? "\r\n" : "\n";
+    }
+    return out;
+  };
+  const std::string path = dir_->FilePath("rows.csv");
+  for (int trial = 0; trial < 3; ++trial) {
+    const bool header = trial != 1;
+    const bool crlf = trial != 0;
+    const bool final_newline = trial == 2;
+    const std::string first =
+        (header ? std::string(crlf ? "s,n,t\r\n" : "s,n,t\n") : "") +
+        rows(40 + rng.Uniform(40), crlf, true);
+    const std::string appended =
+        rows(20 + rng.Uniform(40), crlf, final_newline);
+    CsvDialect dialect;
+    dialect.has_header = header;
+    const RawTableInfo info{"rows", path,
+                            Schema::Make({{"s", DataType::kString}}),
+                            dialect};
+    for (simd::SimdLevel level : levels) {
+      simd::ForceLevel(level);
+      for (size_t buffer : {size_t{4096}, size_t{20000}, size_t{65536}}) {
+        for (uint32_t rows_per_block : {3u, 64u, 1024u}) {
+          for (int mode = 0; mode < 3; ++mode) {  // map, no map, parallel
+            SCOPED_TRACE("trial " + std::to_string(trial) + " level " +
+                         simd::LevelName(level) + " buffer " +
+                         std::to_string(buffer) + " block " +
+                         std::to_string(rows_per_block) + " mode " +
+                         std::to_string(mode));
+            NoDbConfig config = SmallBlocks(mode != 1, false, false);
+            config.enable_store = false;
+            config.rows_per_block = rows_per_block;
+            config.read_buffer_bytes = buffer;
+            ASSERT_TRUE(WriteStringToFile(path, first).ok());
+            RawTableState state(info, config);
+            ASSERT_TRUE(state.Open().ok());
+            std::string content = first;
+            for (int pass = 0; pass < 2; ++pass) {
+              if (pass == 1) {
+                auto app = OpenAppendableFile(path);
+                ASSERT_TRUE(app.ok());
+                ASSERT_TRUE((*app)->Append(appended).ok());
+                ASSERT_TRUE((*app)->Close().ok());
+                content += appended;
+                auto change = state.CheckForUpdates();
+                ASSERT_TRUE(change.ok());
+                ASSERT_EQ(*change, FileChange::kAppended);
+              }
+              uint64_t next = 0;
+              const std::vector<uint64_t> want =
+                  NaiveRowStarts(content, header, &next);
+              if (mode == 2 && pass == 0) {
+                auto stats = ParallelChunkedScan(&state, {}, 3);
+                ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+                EXPECT_EQ(stats->rows, want.size());
+              } else {
+                RawScanOperator scan(&state, {0}, nullptr);
+                QueryResult result = MustDrain(&scan);
+                const std::vector<Value> fields =
+                    NaiveFirstFields(content, want);
+                ASSERT_EQ(result.num_rows(), fields.size());
+                for (size_t r = 0; r < fields.size(); ++r) {
+                  ASSERT_EQ(result.Row(r)[0], fields[r]) << "row " << r;
+                }
+              }
+              if (mode == 1) continue;
+              PositionalMap::Image image = state.map().ExportImage();
+              EXPECT_EQ(image.row_starts, want);
+              EXPECT_TRUE(image.rows_complete);
+              EXPECT_EQ(image.next_discovery_offset, next);
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::ClearForcedLevel();
+}
+
+/// The per-row reference for SpanCutter: each attribute cut on its own
+/// by one ScanStarts call from its best anchor, one Lookup per (row,
+/// attribute).
+Status ReferenceCut(const CsvTokenizer& tokenizer, Slice line, uint64_t row,
+                    const PositionalMap::BlockPlan* plan,
+                    const std::vector<uint32_t>& attrs,
+                    const std::vector<size_t>& subset, bool count_blind,
+                    uint32_t* starts, uint32_t* ends, ScanMetrics* metrics,
+                    const std::string& table, const std::string& path) {
+  auto error = [&](uint32_t fields, uint32_t attr) {
+    return Status::ParseError(table + ": row " + std::to_string(row) +
+                              " has " + std::to_string(fields) +
+                              " fields, attribute " + std::to_string(attr) +
+                              " requested (file " + path + ")");
+  };
+  const uint32_t size = static_cast<uint32_t>(line.size());
+  uint32_t content = size;
+  if (content > 0 && line[content - 1] == '\r') --content;
+  std::vector<uint32_t> field_starts(attrs.back() + 2);
+  uint32_t record_fields = UINT32_MAX;
+  uint32_t field = 0;
+  uint32_t offset = 0;
+  bool had_help = false;
+  for (size_t k = 0; k < subset.size(); ++k) {
+    const uint32_t attr = attrs[subset[k]];
+    if (attr >= record_fields) return error(record_fields, attr);
+    PositionalMap::Probe probe;
+    if (plan != nullptr) probe = plan->Lookup(row, subset[k]);
+    if (probe.exact) {
+      starts[k] = probe.start;
+      ends[k] = probe.end;
+      ++metrics->map_exact_probes;
+      had_help = true;
+      if (probe.end >= content) record_fields = attr + 1;
+      field = attr + 1;
+      offset = std::min(probe.end + 1, size);
+      continue;
+    }
+    if (probe.anchor_attr > field) {
+      field = probe.anchor_attr;
+      offset = std::min(probe.anchor_rel, size);
+      ++metrics->map_anchor_probes;
+      had_help = true;
+    }
+    const uint32_t high = tokenizer.ScanStarts(line, field, offset, attr + 1,
+                                               field_starts.data());
+    if (high < attr + 1) return error(high, attr);
+    metrics->fields_tokenized += attr + 1 - field;
+    starts[k] = field_starts[attr];
+    ends[k] = field_starts[attr + 1] - 1;
+    if (ends[k] >= content) record_fields = attr + 1;
+    field = attr + 1;
+    offset = std::min(field_starts[attr + 1], size);
+  }
+  if (count_blind && !had_help && !subset.empty()) ++metrics->map_blind_rows;
+  return Status::OK();
+}
+
+TEST(SpanCutterTest, PerPassCutMatchesPerRowReference) {
+  // Random rows (short, empty, CRLF-terminated, and for the quoting
+  // dialect quoted, escaped and unterminated fields), random exact and
+  // anchor chunks over a leading part of the block, random attribute
+  // sets reaching past the rows' ends: at every SIMD tier, for both
+  // dialects, SpanCutter's spans, the four tokenize/map counters and
+  // the errors equal the per-row reference's, row by row.
+  const std::string table = "t";
+  const std::string path = "t.csv";
+  constexpr uint32_t kBlock = 48;
+  constexpr uint64_t kFirst = 2 * kBlock;  // the plan's block is block 2
+  constexpr uint32_t kFields = 12;
+  Random rng(77);
+  ScanMetrics total;  // the sweep must exercise every kind of help
+  uint64_t errors = 0;
+  for (simd::SimdLevel level :
+       {simd::SimdLevel::kScalar, simd::SimdLevel::kSSE2,
+        simd::SimdLevel::kNEON, simd::SimdLevel::kAVX2}) {
+    if (!simd::LevelAvailable(level)) continue;
+    for (bool quoting : {false, true}) {
+      CsvDialect dialect;
+      dialect.allow_quoting = quoting;
+      const CsvTokenizer tokenizer(dialect, level);
+      for (int trial = 0; trial < 150; ++trial) {
+        SCOPED_TRACE(std::string(simd::LevelName(level)) + " quoting " +
+                     std::to_string(quoting) + " trial " +
+                     std::to_string(trial));
+        std::vector<std::string> lines(kBlock);
+        for (std::string& line : lines) {
+          const uint32_t fields =
+              rng.Bernoulli(0.8) ? kFields
+                                 : static_cast<uint32_t>(rng.Uniform(kFields));
+          for (uint32_t f = 0; f < fields; ++f) {
+            if (f > 0) line += ',';
+            const uint64_t kind = rng.Uniform(8);
+            if (quoting && kind == 0) {
+              line += "\"a,b\"\"c\"";
+            } else if (quoting && kind == 1 && f + 1 == fields) {
+              line += "\"open,ended";
+            } else if (kind != 2) {
+              line += std::to_string(rng.Uniform(1000000));
+            }
+          }
+          if (rng.Bernoulli(0.2)) line += '\r';
+        }
+        // Chunks cover each block's leading rows that have all of
+        // their attributes, with the spans a full tokenization finds.
+        PositionalMap map(1 << 20, kBlock, /*max_covering_chunks=*/1);
+        const uint64_t chunks = rng.Uniform(4);
+        for (uint64_t c = 0; c < chunks; ++c) {
+          std::vector<uint32_t> chunk_attrs;
+          for (uint32_t a = 0; a < kFields; ++a) {
+            if (rng.Bernoulli(0.25)) chunk_attrs.push_back(a);
+          }
+          if (chunk_attrs.empty()) continue;
+          PositionalMap::ChunkBuilder builder =
+              map.StartChunk(kFirst, chunk_attrs);
+          const uint64_t covered = rng.Uniform(kBlock + 1);
+          std::vector<uint32_t> s(chunk_attrs.size());
+          std::vector<uint32_t> e(chunk_attrs.size());
+          for (uint64_t r = 0; r < covered; ++r) {
+            std::vector<uint32_t> field_starts;
+            const uint32_t count =
+                tokenizer.TokenizeLine(Slice(lines[r]), &field_starts);
+            if (chunk_attrs.back() >= count) break;
+            for (size_t j = 0; j < chunk_attrs.size(); ++j) {
+              s[j] = field_starts[chunk_attrs[j]];
+              e[j] = field_starts[chunk_attrs[j] + 1] - 1;
+            }
+            builder.AddRow(s.data(), e.data());
+          }
+          map.CommitChunk(std::move(builder));
+        }
+        std::vector<uint32_t> attrs;
+        for (uint32_t a = 0; a < kFields + 2; ++a) {
+          if (rng.Bernoulli(0.3)) attrs.push_back(a);
+        }
+        if (attrs.empty()) attrs.push_back(static_cast<uint32_t>(rng.Uniform(kFields)));
+        std::vector<size_t> subset;
+        for (size_t j = 0; j < attrs.size(); ++j) {
+          if (rng.Bernoulli(0.7)) subset.push_back(j);
+        }
+        if (subset.empty()) subset.push_back(0);
+        const bool use_plan = rng.Bernoulli(0.8);
+        const bool count_blind = rng.Bernoulli(0.5);
+        std::optional<PositionalMap::BlockPlan> plan;
+        if (use_plan) plan = map.PrepareBlock(kFirst, attrs);
+        const PositionalMap::BlockPlan* plan_ptr =
+            use_plan ? &*plan : nullptr;
+
+        SpanCutter cutter(&tokenizer, &table, &path);
+        cutter.Prepare(plan_ptr, attrs, subset, count_blind);
+        ScanMetrics got;
+        ScanMetrics want;
+        std::vector<uint32_t> gs(subset.size()), ge(subset.size());
+        std::vector<uint32_t> ws(subset.size()), we(subset.size());
+        for (uint32_t r = 0; r < kBlock; ++r) {
+          const Slice line(lines[r]);
+          Status g;
+          const bool cut =
+              cutter.Cut(line, kFirst + r, gs.data(), ge.data(), &got, &g);
+          EXPECT_EQ(cut, g.ok());
+          Status w = ReferenceCut(tokenizer, line, kFirst + r, plan_ptr, attrs,
+                                  subset, count_blind, ws.data(), we.data(),
+                                  &want, table, path);
+          ASSERT_EQ(g.ok(), w.ok()) << "row " << r << ": " << w.ToString();
+          if (w.ok()) {
+            ASSERT_EQ(gs, ws) << "row " << r;
+            ASSERT_EQ(ge, we) << "row " << r;
+          } else {
+            ASSERT_EQ(g.message(), w.message()) << "row " << r;
+          }
+          ASSERT_EQ(got.fields_tokenized, want.fields_tokenized) << "row " << r;
+          ASSERT_EQ(got.map_exact_probes, want.map_exact_probes) << "row " << r;
+          ASSERT_EQ(got.map_anchor_probes, want.map_anchor_probes)
+              << "row " << r;
+          ASSERT_EQ(got.map_blind_rows, want.map_blind_rows) << "row " << r;
+          errors += g.ok() ? 0 : 1;
+        }
+        total.Add(got);
+      }
+    }
+  }
+  EXPECT_GT(total.map_exact_probes, 0u);
+  EXPECT_GT(total.map_anchor_probes, 0u);
+  EXPECT_GT(total.map_blind_rows, 0u);
+  EXPECT_GT(errors, 0u);
 }
 
 }  // namespace
