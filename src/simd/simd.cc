@@ -196,22 +196,6 @@ __attribute__((target("avx2"))) size_t FindPositionsAvx2(
   const __m256i vneedle = _mm256_set1_epi8(needle);
   size_t hits = 0;
   size_t i = from;
-  // 64 bytes a step while far from the end: sparse needles (newlines)
-  // then cost one branch per 64 bytes.
-  for (; i + 64 <= size && hits < max_hits; i += 64) {
-    uint64_t mask =
-        EqMask32(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i)),
-                 vneedle) |
-        EqMask32(_mm256_loadu_si256(
-                     reinterpret_cast<const __m256i*>(data + i + 32)),
-                 vneedle)
-            << 32;
-    while (mask != 0 && hits < max_hits) {
-      out[hits++] = static_cast<uint32_t>(i) +
-                    static_cast<uint32_t>(__builtin_ctzll(mask)) + bias;
-      mask &= mask - 1;
-    }
-  }
   for (; i + 32 <= size && hits < max_hits; i += 32) {
     uint64_t mask = EqMask32(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i)),

@@ -7,7 +7,7 @@ void StructuralIndexer::Index(const char* data, size_t size, uint64_t base,
   out->Clear();
   out->base = base;
   ClassifyBuffer(level_, data, size, /*base=*/0, delimiter_, quote_,
-                 want_delims_ ? &out->delims : nullptr, &out->newlines,
+                 &out->delims, &out->newlines,
                  want_quotes_ ? &out->quotes : nullptr);
 }
 

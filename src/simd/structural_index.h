@@ -12,9 +12,10 @@ namespace nodb::simd {
 
 /// Stage-1 output of the two-stage parse (the simdjson split applied to
 /// CSV): every structural byte position in one contiguous slab of the
-/// raw file, found by wide block scans with no per-byte branching. Stage
-/// 2 walks these sorted position lists; today the parallel first touch
-/// (raw/parallel_scan.h) cuts rows from the newline list.
+/// raw file, found by wide block scans with no per-byte branching. The
+/// benches and perfbench's simd.index_gbps probe measure it; the scans
+/// find rows with the newline kernel alone (io/buffered_reader.h,
+/// BufferedReader::FindRows).
 ///
 /// Positions are slab-relative (the slab's first byte is 0); `base` is
 /// the slab's absolute file offset, recorded so callers can translate.
@@ -33,19 +34,15 @@ struct StructuralIndex {
 
 /// Builds StructuralIndexes for one dialect at one SIMD tier.
 ///
-/// `want_fields = false` drops delimiter/quote extraction (a pure
-/// row-discovery pass, like the parallel first touch's, needs newlines
-/// only). Quote positions are collected only for quoting dialects;
-/// stage 1 keeps no quote state, so a quoted field's raw '\n' is a
-/// newline here exactly as it is to the serial scan's row walk.
+/// Quote positions are collected only for quoting dialects; stage 1
+/// keeps no quote state, so a quoted field's raw '\n' is a newline here
+/// exactly as it is to the scans' row finder.
 class StructuralIndexer {
  public:
-  StructuralIndexer(const CsvDialect& dialect, SimdLevel level,
-                    bool want_fields = true)
+  StructuralIndexer(const CsvDialect& dialect, SimdLevel level)
       : delimiter_(dialect.delimiter),
         quote_(dialect.quote),
-        want_delims_(want_fields),
-        want_quotes_(want_fields && dialect.allow_quoting),
+        want_quotes_(dialect.allow_quoting),
         level_(level) {}
 
   /// Replaces `out` with the index of data[0, size); `size` must fit in
@@ -59,7 +56,6 @@ class StructuralIndexer {
  private:
   char delimiter_;
   char quote_;
-  bool want_delims_;
   bool want_quotes_;
   SimdLevel level_;
 };
