@@ -16,9 +16,11 @@
 // and the warm first query must show zero tokenized/converted fields
 // and zero raw-tier rows (no phase-1 parsing at all) with recovered
 // provenance counters set — exits non-zero otherwise. At
-// representative scale (>= 50000 tuples) the warm first query must
-// also be >= 3x faster than cold; below that the fixed per-query
-// overhead dominates and the ratio is reported but not gated.
+// representative scale (>= 50000 tuples) two timing gates apply: the
+// warm first query must be >= 3x faster than cold, and recovery must
+// pay for itself — recover + warm first query must take less time
+// than the cold first query. Below that scale the fixed per-query
+// overhead dominates and both are reported but not gated.
 //
 // Usage: restart [tuples] [attrs]   (default 200000 x 8; CI passes
 // 60000)
@@ -121,6 +123,15 @@ int main(int argc, char** argv) {
                  speedup);
     return 1;
   }
+  if (tuples >= 50000 && recover_ns + warm_ns >= cold_ns) {
+    std::fprintf(stderr,
+                 "FAIL: recovery does not pay for itself: recover %s + "
+                 "warm %s >= cold %s\n",
+                 FormatNanos(recover_ns).c_str(),
+                 FormatNanos(warm_ns).c_str(),
+                 FormatNanos(cold_ns).c_str());
+    return 1;
+  }
 
   // ---- report.
   std::printf("fixture: %llu tuples x %u attrs, %s raw, %s sidecar\n",
@@ -144,6 +155,13 @@ int main(int argc, char** argv) {
   std::printf("\nwarm restart speedup: %.2fx (%s cold -> %s warm)\n",
               speedup, FormatNanos(cold_ns).c_str(),
               FormatNanos(warm_ns).c_str());
+  std::printf("recover + warm: %s vs %s cold; recovery %.0f MB/s of "
+              "sidecar\n",
+              FormatNanos(recover_ns + warm_ns).c_str(),
+              FormatNanos(cold_ns).c_str(),
+              recover_ns > 0 ? static_cast<double>(sidecar_bytes) * 1e3 /
+                                   static_cast<double>(recover_ns)
+                             : 0.0);
   std::printf("rows byte-identical: yes; warm raw parsing: none\n");
   std::printf("%s",
               MonitorPanel::RenderStorageTiers(*engine.table_state("t"))

@@ -1,7 +1,10 @@
 #include "persist/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 
 #include "io/file.h"
 #include "obs/metrics.h"
@@ -14,38 +17,38 @@ namespace nodb::persist {
 namespace {
 
 // ------------------------------------------------- binary primitives
-// Little-endian fixed-width encoding; std::string is the buffer.
+// The format is little-endian fixed-width; on a little-endian host a
+// value's or an array's in-memory bytes are its encoding, so every
+// field and counted array moves with one copy. std::string is the
+// write buffer.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "snapshot sections are copied as little-endian host bytes");
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
+template <typename T>
+void Put(std::string* out, T v) {
+  static_assert(std::is_arithmetic_v<T>);
+  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  out->append(b, 4);
+/// A `Count`-wide element count, then the elements.
+template <typename Count, typename T>
+void PutArray(std::string* out, const std::vector<T>& v) {
+  Put<Count>(out, static_cast<Count>(v.size()));
+  out->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-  out->append(b, 8);
+void PutStr(std::string* out, std::string_view s) {
+  Put<uint32_t>(out, static_cast<uint32_t>(s.size()));
+  out->append(s.data(), s.size());
 }
 
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(v));
-  PutU64(out, bits);
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
+/// Reads a T at `p` and steps past it; the caller has bounds-checked.
+template <typename T>
+T Load(const char*& p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  p += sizeof(T);
+  return v;
 }
 
 /// Bounds-checked sequential reader over a section payload. Any
@@ -59,55 +62,47 @@ class ByteReader {
   bool ok() const { return ok_; }
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
 
-  uint8_t U8() {
-    if (!Has(1)) return 0;
-    return static_cast<uint8_t>(*p_++);
-  }
-
-  uint32_t U32() {
-    if (!Has(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(p_[i]))
-           << (8 * i);
+  /// The next `n` bytes, or nullptr (and !ok()) when fewer are left.
+  const char* Take(size_t n) {
+    if (remaining() < n) {
+      ok_ = false;
+      p_ = end_;
+      return nullptr;
     }
-    p_ += 4;
-    return v;
+    const char* at = p_;
+    p_ += n;
+    return at;
   }
 
-  uint64_t U64() {
-    if (!Has(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(p_[i]))
-           << (8 * i);
-    }
-    p_ += 8;
-    return v;
+  template <typename T>
+  T Get() {
+    const char* at = Take(sizeof(T));
+    return at == nullptr ? T{} : Load<T>(at);
   }
 
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-
-  double F64() {
-    uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+  /// A counted array written by PutArray: one bounds check, one copy.
+  template <typename Count, typename T>
+  bool GetArray(std::vector<T>* out) {
+    const uint64_t n = Get<Count>();
+    if (!FitsCount(n, sizeof(T))) return false;
+    out->resize(n);
+    const char* at = Take(n * sizeof(T));
+    if (n > 0) std::memcpy(out->data(), at, n * sizeof(T));
+    return true;
   }
 
-  std::string Str() {
-    uint32_t len = U32();
-    if (!Has(len)) return {};
-    std::string s(p_, len);
-    p_ += len;
-    return s;
+  /// A string written by PutStr, viewed in the payload.
+  std::string_view Str() {
+    const uint32_t len = Get<uint32_t>();
+    const char* at = Take(len);
+    return at == nullptr ? std::string_view() : std::string_view(at, len);
   }
 
   /// Guards a count field against absurd values: each element needs at
   /// least `elem_bytes` more payload, so a corrupt count that slipped
   /// past the CRC cannot drive a huge allocation.
   bool FitsCount(uint64_t count, size_t elem_bytes) {
-    if (count > remaining() / (elem_bytes == 0 ? 1 : elem_bytes)) {
+    if (!ok_ || count > remaining() / elem_bytes) {
       ok_ = false;
       return false;
     }
@@ -115,14 +110,6 @@ class ByteReader {
   }
 
  private:
-  bool Has(size_t n) {
-    if (static_cast<size_t>(end_ - p_) < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
   const char* p_;
   const char* end_;
   bool ok_ = true;
@@ -130,246 +117,255 @@ class ByteReader {
 
 // ---------------------------------------------------- section codecs
 
-void EncodeMap(const PositionalMap::Image& image, std::string* buf) {
-  std::string& out = *buf;
-  PutU64(&out, image.row_starts.size());
-  for (uint64_t start : image.row_starts) PutU64(&out, start);
-  PutU8(&out, image.rows_complete ? 1 : 0);
-  PutU64(&out, image.indexed_file_size);
-  PutU64(&out, image.next_discovery_offset);
-  PutU64(&out, image.chunks.size());
+void EncodeMap(const PositionalMap::Image& image, std::string* out) {
+  PutArray<uint64_t>(out, image.row_starts);
+  Put<uint8_t>(out, image.rows_complete ? 1 : 0);
+  Put<uint64_t>(out, image.indexed_file_size);
+  Put<uint64_t>(out, image.next_discovery_offset);
+  Put<uint64_t>(out, image.chunks.size());
   for (const auto& chunk : image.chunks) {
-    PutU64(&out, chunk.first_row);
-    PutU32(&out, static_cast<uint32_t>(chunk.attrs.size()));
-    for (uint32_t a : chunk.attrs) PutU32(&out, a);
-    PutU64(&out, chunk.data.size());
-    for (uint32_t d : chunk.data) PutU32(&out, d);
+    Put<uint64_t>(out, chunk.first_row);
+    PutArray<uint32_t>(out, chunk.attrs);
+    PutArray<uint64_t>(out, chunk.data);
   }
 }
 
 bool DecodeMap(const char* data, size_t size, PositionalMap::Image* out) {
   ByteReader r(data, size);
-  uint64_t rows = r.U64();
-  if (!r.FitsCount(rows, 8)) return false;
-  out->row_starts.reserve(rows);
-  for (uint64_t i = 0; i < rows; ++i) out->row_starts.push_back(r.U64());
-  out->rows_complete = r.U8() != 0;
-  out->indexed_file_size = r.U64();
-  out->next_discovery_offset = r.U64();
-  uint64_t chunks = r.U64();
-  if (!r.FitsCount(chunks, 20)) return false;
-  out->chunks.reserve(chunks);
-  for (uint64_t c = 0; c < chunks; ++c) {
-    PositionalMap::Image::ChunkImage chunk;
-    chunk.first_row = r.U64();
-    uint32_t nattrs = r.U32();
-    if (!r.FitsCount(nattrs, 4)) return false;
-    chunk.attrs.reserve(nattrs);
-    for (uint32_t i = 0; i < nattrs; ++i) chunk.attrs.push_back(r.U32());
-    uint64_t ndata = r.U64();
-    if (!r.FitsCount(ndata, 4)) return false;
-    chunk.data.reserve(ndata);
-    for (uint64_t i = 0; i < ndata; ++i) chunk.data.push_back(r.U32());
-    out->chunks.push_back(std::move(chunk));
+  if (!r.GetArray<uint64_t>(&out->row_starts)) return false;
+  out->rows_complete = r.Get<uint8_t>() != 0;
+  out->indexed_file_size = r.Get<uint64_t>();
+  out->next_discovery_offset = r.Get<uint64_t>();
+  const uint64_t chunks = r.Get<uint64_t>();
+  if (!r.FitsCount(chunks, 8 + 4 + 8)) return false;
+  out->chunks.resize(chunks);
+  for (auto& chunk : out->chunks) {
+    chunk.first_row = r.Get<uint64_t>();
+    if (!r.GetArray<uint32_t>(&chunk.attrs) ||
+        !r.GetArray<uint64_t>(&chunk.data)) {
+      return false;
+    }
+    // A chunk's data is rows × attrs × {start,end}.
+    const size_t stride = 2 * chunk.attrs.size();
+    if (stride == 0 ? !chunk.data.empty() : chunk.data.size() % stride != 0) {
+      return false;
+    }
   }
   return r.ok();
 }
 
-void EncodeStats(const StatsCollector::Image& image, std::string* buf) {
-  std::string& out = *buf;
-  PutU32(&out, static_cast<uint32_t>(image.attrs.size()));
+void EncodeStats(const StatsCollector::Image& image, std::string* out) {
+  Put<uint32_t>(out, static_cast<uint32_t>(image.attrs.size()));
   for (const auto& attr : image.attrs) {
-    PutU8(&out, attr.has_value() ? 1 : 0);
+    Put<uint8_t>(out, attr.has_value() ? 1 : 0);
     if (!attr.has_value()) continue;
-    PutU64(&out, attr->count);
-    PutU64(&out, attr->nulls);
-    PutU8(&out, attr->has_min ? 1 : 0);
-    PutF64(&out, attr->min);
-    PutU8(&out, attr->has_max ? 1 : 0);
-    PutF64(&out, attr->max);
-    PutU64(&out, attr->kmv.size());
-    for (uint64_t h : attr->kmv) PutU64(&out, h);
-    PutU64(&out, attr->numeric_sample.size());
-    for (double v : attr->numeric_sample) PutF64(&out, v);
-    PutU64(&out, attr->string_sample.size());
-    for (const std::string& s : attr->string_sample) PutStr(&out, s);
-    PutU64(&out, attr->sampled_stream);
+    Put<uint64_t>(out, attr->count);
+    Put<uint64_t>(out, attr->nulls);
+    Put<uint8_t>(out, attr->has_min ? 1 : 0);
+    Put<double>(out, attr->min);
+    Put<uint8_t>(out, attr->has_max ? 1 : 0);
+    Put<double>(out, attr->max);
+    PutArray<uint64_t>(out, attr->kmv);
+    PutArray<uint64_t>(out, attr->numeric_sample);
+    Put<uint64_t>(out, attr->string_sample.size());
+    for (const std::string& s : attr->string_sample) PutStr(out, s);
+    Put<uint64_t>(out, attr->sampled_stream);
   }
-  PutU64(&out, image.heat.size());
-  for (uint64_t h : image.heat) PutU64(&out, h);
-  PutU64(&out, image.observed.size());
-  for (uint64_t k : image.observed) PutU64(&out, k);
+  PutArray<uint64_t>(out, image.heat);
+  PutArray<uint64_t>(out, image.observed);
 }
 
 bool DecodeStats(const char* data, size_t size,
                  StatsCollector::Image* out) {
   ByteReader r(data, size);
-  uint32_t nattrs = r.U32();
+  const uint32_t nattrs = r.Get<uint32_t>();
   if (!r.FitsCount(nattrs, 1)) return false;
   out->attrs.resize(nattrs);
-  for (uint32_t a = 0; a < nattrs; ++a) {
-    if (r.U8() == 0) continue;
-    AttributeStats::Image attr;
-    attr.count = r.U64();
-    attr.nulls = r.U64();
-    attr.has_min = r.U8() != 0;
-    attr.min = r.F64();
-    attr.has_max = r.U8() != 0;
-    attr.max = r.F64();
-    uint64_t nkmv = r.U64();
-    if (!r.FitsCount(nkmv, 8)) return false;
-    attr.kmv.reserve(nkmv);
-    for (uint64_t i = 0; i < nkmv; ++i) attr.kmv.push_back(r.U64());
-    uint64_t nnum = r.U64();
-    if (!r.FitsCount(nnum, 8)) return false;
-    attr.numeric_sample.reserve(nnum);
-    for (uint64_t i = 0; i < nnum; ++i) {
-      attr.numeric_sample.push_back(r.F64());
+  for (auto& slot : out->attrs) {
+    if (r.Get<uint8_t>() == 0) continue;
+    AttributeStats::Image& attr = slot.emplace();
+    attr.count = r.Get<uint64_t>();
+    attr.nulls = r.Get<uint64_t>();
+    attr.has_min = r.Get<uint8_t>() != 0;
+    attr.min = r.Get<double>();
+    attr.has_max = r.Get<uint8_t>() != 0;
+    attr.max = r.Get<double>();
+    if (!r.GetArray<uint64_t>(&attr.kmv) ||
+        !r.GetArray<uint64_t>(&attr.numeric_sample)) {
+      return false;
     }
-    uint64_t nstr = r.U64();
+    const uint64_t nstr = r.Get<uint64_t>();
     if (!r.FitsCount(nstr, 4)) return false;
     attr.string_sample.reserve(nstr);
     for (uint64_t i = 0; i < nstr; ++i) {
-      attr.string_sample.push_back(r.Str());
+      attr.string_sample.emplace_back(r.Str());
     }
-    attr.sampled_stream = r.U64();
-    out->attrs[a] = std::move(attr);
+    attr.sampled_stream = r.Get<uint64_t>();
   }
-  uint64_t nheat = r.U64();
-  if (!r.FitsCount(nheat, 8)) return false;
-  out->heat.reserve(nheat);
-  for (uint64_t i = 0; i < nheat; ++i) out->heat.push_back(r.U64());
-  uint64_t nobs = r.U64();
-  if (!r.FitsCount(nobs, 8)) return false;
-  out->observed.reserve(nobs);
-  for (uint64_t i = 0; i < nobs; ++i) out->observed.push_back(r.U64());
-  return r.ok();
+  return r.GetArray<uint64_t>(&out->heat) &&
+         r.GetArray<uint64_t>(&out->observed) && r.ok();
 }
 
-void EncodeZones(const ZoneMaps::Image& image, std::string* buf) {
-  std::string& out = *buf;
-  PutU64(&out, image.entries.size());
+// attr, block, flags, min_i, max_i, min_d, max_d, rows.
+constexpr size_t kZoneEntryBytes = 4 + 8 + 1 + 8 * 5;
+
+void EncodeZones(const ZoneMaps::Image& image, std::string* out) {
+  Put<uint64_t>(out, image.entries.size());
   for (const auto& ei : image.entries) {
-    PutU32(&out, ei.attr);
-    PutU64(&out, ei.block);
+    Put<uint32_t>(out, ei.attr);
+    Put<uint64_t>(out, ei.block);
     uint8_t flags = 0;
     if (ei.entry.is_int) flags |= 1;
     if (ei.entry.has_null) flags |= 2;
     if (ei.entry.non_null) flags |= 4;
     if (ei.entry.unsafe) flags |= 8;
-    PutU8(&out, flags);
-    PutI64(&out, ei.entry.min_i);
-    PutI64(&out, ei.entry.max_i);
-    PutF64(&out, ei.entry.min_d);
-    PutF64(&out, ei.entry.max_d);
-    PutU64(&out, ei.entry.rows);
+    Put<uint8_t>(out, flags);
+    Put<int64_t>(out, ei.entry.min_i);
+    Put<int64_t>(out, ei.entry.max_i);
+    Put<double>(out, ei.entry.min_d);
+    Put<double>(out, ei.entry.max_d);
+    Put<uint64_t>(out, ei.entry.rows);
   }
 }
 
 bool DecodeZones(const char* data, size_t size, ZoneMaps::Image* out) {
   ByteReader r(data, size);
-  uint64_t n = r.U64();
-  if (!r.FitsCount(n, 4 + 8 + 1 + 8 * 5)) return false;
-  out->entries.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ZoneMaps::Image::EntryImage ei;
-    ei.attr = r.U32();
-    ei.block = r.U64();
-    uint8_t flags = r.U8();
+  const uint64_t n = r.Get<uint64_t>();
+  if (!r.FitsCount(n, kZoneEntryBytes)) return false;
+  const char* p = r.Take(n * kZoneEntryBytes);
+  out->entries.resize(n);
+  for (auto& ei : out->entries) {
+    ei.attr = Load<uint32_t>(p);
+    ei.block = Load<uint64_t>(p);
+    const uint8_t flags = Load<uint8_t>(p);
     ei.entry.is_int = (flags & 1) != 0;
     ei.entry.has_null = (flags & 2) != 0;
     ei.entry.non_null = (flags & 4) != 0;
     ei.entry.unsafe = (flags & 8) != 0;
-    ei.entry.min_i = r.I64();
-    ei.entry.max_i = r.I64();
-    ei.entry.min_d = r.F64();
-    ei.entry.max_d = r.F64();
-    ei.entry.rows = r.U64();
-    out->entries.push_back(ei);
+    ei.entry.min_i = Load<int64_t>(p);
+    ei.entry.max_i = Load<int64_t>(p);
+    ei.entry.min_d = Load<double>(p);
+    ei.entry.max_d = Load<double>(p);
+    ei.entry.rows = Load<uint64_t>(p);
   }
   return r.ok();
 }
 
-void EncodeStore(const SegmentStore::Image& image, std::string* buf) {
-  std::string& out = *buf;
-  PutU64(&out, image.segments.size());
+// A store segment's rows are each a flag byte (0 = NULL) followed, for
+// a valid row, by its value: 8 bytes for INT, DATE and DOUBLE, a
+// u32-length-prefixed string for STRING.
+
+void EncodeRows(const ColumnVector& col, std::string* out) {
+  const uint8_t* validity = col.validity();
+  if (col.type() == DataType::kString) {
+    for (size_t i = 0; i < col.size(); ++i) {
+      Put<uint8_t>(out, validity[i] != 0 ? 1 : 0);
+      if (validity[i] != 0) PutStr(out, col.GetString(i));
+    }
+    return;
+  }
+  // Both fixed-width payload arrays hold 8-byte values.
+  const char* values =
+      col.type() == DataType::kDouble
+          ? reinterpret_cast<const char*>(col.double_data())
+          : reinterpret_cast<const char*>(col.int64_data());
+  const size_t begin = out->size();
+  out->resize(begin + col.size() * 9);  // as if every row were valid
+  char* p = out->data() + begin;
+  for (size_t i = 0; i < col.size(); ++i) {
+    *p++ = validity[i] != 0 ? 1 : 0;
+    if (validity[i] == 0) continue;
+    std::memcpy(p, values + 8 * i, 8);
+    p += 8;
+  }
+  out->resize(static_cast<size_t>(p - out->data()));
+}
+
+bool DecodeFixedRows(ByteReader* r, uint64_t rows, ColumnVector* col) {
+  ColumnVector::FixedWriter w = col->WriteFixed(rows);
+  char* values = w.ints != nullptr ? reinterpret_cast<char*>(w.ints)
+                                   : reinterpret_cast<char*>(w.doubles);
+  uint64_t i = 0;
+  // No row takes more than 9 bytes, so the next remaining()/9 rows fit
+  // whatever their flags say: one bounds check covers all of them.
+  // That is every row unless this segment ends the section.
+  while (i < rows) {
+    const uint64_t safe = std::min<uint64_t>(rows - i, r->remaining() / 9);
+    if (safe == 0) break;
+    const char* const start = r->Take(0);
+    const char* p = start;
+    for (const uint64_t end = i + safe; i < end; ++i) {
+      const bool valid = Load<uint8_t>(p) != 0;
+      w.validity[i] = valid ? 1 : 0;
+      if (!valid) continue;
+      std::memcpy(values + 8 * i, p, 8);
+      p += 8;
+    }
+    r->Take(static_cast<size_t>(p - start));
+  }
+  // Fewer than 9 bytes are left, too few for a valid row: the rest
+  // must be NULL flags.
+  const uint64_t tail = rows - i;
+  if (!r->FitsCount(tail, 1)) return false;
+  const char* flags = r->Take(tail);
+  for (uint64_t k = 0; k < tail; ++k, ++i) {
+    if (flags[k] != 0) return false;
+    w.validity[i] = 0;
+  }
+  return true;
+}
+
+bool DecodeStringRows(ByteReader* r, uint64_t rows, ColumnVector* col) {
+  col->Reserve(rows);
+  for (uint64_t i = 0; i < rows; ++i) {
+    if (r->Get<uint8_t>() == 0) {
+      col->AppendNull();
+      continue;
+    }
+    const std::string_view s = r->Str();
+    col->AppendString(Slice(s.data(), s.size()));
+  }
+  return r->ok();
+}
+
+void EncodeStore(const SegmentStore::Image& image, std::string* out) {
+  Put<uint64_t>(out, image.segments.size());
   for (const auto& seg : image.segments) {
     const ColumnVector& col = *seg.segment;
-    PutU32(&out, seg.attr);
-    PutU64(&out, seg.block);
-    PutU8(&out, static_cast<uint8_t>(col.type()));
-    PutU64(&out, col.size());
-    for (size_t i = 0; i < col.size(); ++i) {
-      if (col.IsNull(i)) {
-        PutU8(&out, 0);
-        continue;
-      }
-      PutU8(&out, 1);
-      switch (col.type()) {
-        case DataType::kInt64:
-        case DataType::kDate:
-          PutI64(&out, col.GetInt64(i));
-          break;
-        case DataType::kDouble:
-          PutF64(&out, col.GetDouble(i));
-          break;
-        case DataType::kString: {
-          std::string_view s = col.GetString(i);
-          PutU32(&out, static_cast<uint32_t>(s.size()));
-          out.append(s.data(), s.size());
-          break;
-        }
-      }
-    }
+    Put<uint32_t>(out, seg.attr);
+    Put<uint64_t>(out, seg.block);
+    Put<uint8_t>(out, static_cast<uint8_t>(col.type()));
+    Put<uint64_t>(out, col.size());
+    EncodeRows(col, out);
   }
 }
 
 bool DecodeStore(const char* data, size_t size, const Schema& schema,
                  SegmentStore::Image* out) {
   ByteReader r(data, size);
-  uint64_t n = r.U64();
+  const uint64_t n = r.Get<uint64_t>();
   if (!r.FitsCount(n, 4 + 8 + 1 + 8)) return false;
   out->segments.reserve(n);
   for (uint64_t s = 0; s < n; ++s) {
-    uint32_t attr = r.U32();
-    uint64_t block = r.U64();
-    uint8_t type_byte = r.U8();
-    uint64_t rows = r.U64();
-    if (type_byte > static_cast<uint8_t>(DataType::kDate)) return false;
-    DataType type = static_cast<DataType>(type_byte);
-    if (!r.FitsCount(rows, 1)) return false;
+    const uint32_t attr = r.Get<uint32_t>();
+    const uint64_t block = r.Get<uint64_t>();
+    const uint8_t type_byte = r.Get<uint8_t>();
+    const uint64_t rows = r.Get<uint64_t>();
+    if (!r.FitsCount(rows, 1) ||
+        type_byte > static_cast<uint8_t>(DataType::kDate)) {
+      return false;
+    }
+    // The schema fingerprint makes a segment of another attribute or
+    // type unreachable short of a crafted file; reject one anyway.
+    const auto type = static_cast<DataType>(type_byte);
+    if (attr >= schema.num_fields() || schema.field(attr).type != type) {
+      return false;
+    }
     auto col = std::make_shared<ColumnVector>(type);
-    col->Reserve(rows);
-    for (uint64_t i = 0; i < rows; ++i) {
-      if (r.U8() == 0) {
-        col->AppendNull();
-        continue;
-      }
-      switch (type) {
-        case DataType::kInt64:
-          col->AppendInt64(r.I64());
-          break;
-        case DataType::kDate:
-          col->AppendDate(r.I64());
-          break;
-        case DataType::kDouble:
-          col->AppendDouble(r.F64());
-          break;
-        case DataType::kString: {
-          std::string v = r.Str();
-          col->AppendString(Slice(v.data(), v.size()));
-          break;
-        }
-      }
-    }
-    if (!r.ok()) return false;
-    // A segment whose attribute or type does not match the live schema
-    // is dropped (the schema fingerprint makes this unreachable short
-    // of a crafted file; stay defensive anyway).
-    if (attr >= schema.num_fields() ||
-        schema.field(attr).type != type) {
-      continue;
-    }
+    const bool decoded = type == DataType::kString
+                             ? DecodeStringRows(&r, rows, col.get())
+                             : DecodeFixedRows(&r, rows, col.get());
+    if (!decoded) return false;
     out->segments.push_back(
         SegmentStore::Image::SegmentImage{attr, block, std::move(col)});
   }
@@ -396,20 +392,20 @@ bool ParseLayout(const std::string& bytes, SnapshotLayout* layout,
     return false;
   }
   ByteReader r(bytes.data() + kMagicLen, bytes.size() - kMagicLen);
-  layout->version = r.U32();
+  layout->version = r.Get<uint32_t>();
   if (layout->version != Snapshot::kVersion) {
     *error = "unsupported snapshot version " +
              std::to_string(layout->version);
     return false;
   }
-  layout->rows_per_block = r.U32();
-  layout->raw_size = r.U64();
-  layout->raw_mtime_nanos = r.I64();
-  layout->head_hash = r.U64();
-  layout->tail_hash = r.U64();
-  layout->probe_bytes = r.U64();
-  layout->schema_hash = r.U64();
-  uint32_t nsections = r.U32();
+  layout->rows_per_block = r.Get<uint32_t>();
+  layout->raw_size = r.Get<uint64_t>();
+  layout->raw_mtime_nanos = r.Get<int64_t>();
+  layout->head_hash = r.Get<uint64_t>();
+  layout->tail_hash = r.Get<uint64_t>();
+  layout->probe_bytes = r.Get<uint64_t>();
+  layout->schema_hash = r.Get<uint64_t>();
+  uint32_t nsections = r.Get<uint32_t>();
   if (!r.ok() || nsections > 64) {
     *error = "corrupt snapshot header";
     return false;
@@ -421,13 +417,13 @@ bool ParseLayout(const std::string& bytes, SnapshotLayout* layout,
   }
   for (uint32_t i = 0; i < nsections; ++i) {
     SectionInfo info;
-    info.id = r.U32();
-    info.offset = r.U64();
-    info.length = r.U64();
-    info.crc = r.U32();
+    info.id = r.Get<uint32_t>();
+    info.offset = r.Get<uint64_t>();
+    info.length = r.Get<uint64_t>();
+    info.crc = r.Get<uint32_t>();
     layout->sections.push_back(info);
   }
-  uint32_t stored_crc = r.U32();
+  uint32_t stored_crc = r.Get<uint32_t>();
   if (!r.ok()) {
     *error = "corrupt snapshot header";
     return false;
@@ -545,22 +541,22 @@ Status WriteSnapshot(const RawTableState& state, const std::string& path) {
   std::string header;
   header.reserve(header_len);
   header.append(Snapshot::kMagic, kMagicLen);
-  PutU32(&header, Snapshot::kVersion);
-  PutU32(&header, state.config().rows_per_block);
-  PutU64(&header, sig.size());
-  PutI64(&header, sig.mtime_nanos());
-  PutU64(&header, sig.head_hash());
-  PutU64(&header, sig.tail_hash());
-  PutU64(&header, FileSignature::kProbeBytes);
-  PutU64(&header, SchemaFingerprint(state.info()));
-  PutU32(&header, kNumSections);
+  Put<uint32_t>(&header, Snapshot::kVersion);
+  Put<uint32_t>(&header, state.config().rows_per_block);
+  Put<uint64_t>(&header, sig.size());
+  Put<int64_t>(&header, sig.mtime_nanos());
+  Put<uint64_t>(&header, sig.head_hash());
+  Put<uint64_t>(&header, sig.tail_hash());
+  Put<uint64_t>(&header, FileSignature::kProbeBytes);
+  Put<uint64_t>(&header, SchemaFingerprint(state.info()));
+  Put<uint32_t>(&header, kNumSections);
   for (const SectionInfo& section : dir) {
-    PutU32(&header, section.id);
-    PutU64(&header, section.offset);
-    PutU64(&header, section.length);
-    PutU32(&header, section.crc);
+    Put<uint32_t>(&header, section.id);
+    Put<uint64_t>(&header, section.offset);
+    Put<uint64_t>(&header, section.length);
+    Put<uint32_t>(&header, section.crc);
   }
-  PutU32(&header, Crc32c(header.data(), header.size()));
+  Put<uint32_t>(&header, Crc32c(header.data(), header.size()));
   NODB_CHECK(header.size() == header_len);
   out.replace(0, header_len, header);
   Status status = WriteFileAtomic(path, Slice(out.data(), out.size()));

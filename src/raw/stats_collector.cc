@@ -439,6 +439,9 @@ StatsCollector::Image StatsCollector::ExportImage() const {
     image.heat = heat_;
     image.observed.assign(observed_.begin(), observed_.end());
   }
+  // Key order, not hash-table order: the same state always exports
+  // the same image, so a recovered table re-saves the same sidecar.
+  std::sort(image.observed.begin(), image.observed.end());
   image.attrs.resize(slots.size());
   for (size_t i = 0; i < slots.size(); ++i) {
     if (slots[i] != nullptr && slots[i]->row_count() > 0) {
@@ -566,6 +569,11 @@ ZoneMaps::Image ZoneMaps::ExportImage() const {
     ei.entry = entry;
     image.entries.push_back(ei);
   }
+  // (attr, block) order, for the same reason as the observed keys.
+  std::sort(image.entries.begin(), image.entries.end(),
+            [](const Image::EntryImage& a, const Image::EntryImage& b) {
+              return a.attr != b.attr ? a.attr < b.attr : a.block < b.block;
+            });
   return image;
 }
 

@@ -195,7 +195,7 @@ class StatsCollector {
   struct Image {
     std::vector<std::optional<AttributeStats::Image>> attrs;
     std::vector<uint64_t> heat;
-    std::vector<uint64_t> observed;  // (attr<<40)|block keys
+    std::vector<uint64_t> observed;  // (attr<<40)|block keys, ascending
   };
 
   Image ExportImage() const;
@@ -296,7 +296,7 @@ class ZoneMaps {
       uint64_t block = 0;
       Entry entry;
     };
-    std::vector<EntryImage> entries;
+    std::vector<EntryImage> entries;  // by (attr, block)
   };
 
   Image ExportImage() const;

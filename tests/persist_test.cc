@@ -4,21 +4,27 @@
 // restored mtime, clean append), per-section degradation, and
 // corruption/truncation fuzzing at every section boundary — the engine
 // must cold-start cleanly and return byte-identical results no matter
-// what the sidecar contains.
+// what the sidecar contains. Structured corruptions with fixed-up
+// checksums reach each section decoder's own bounds checks, and an
+// every-type table (NULLs, NaN, -0.0, embedded NUL bytes) must save,
+// recover and save again to the same bytes.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "engines/load_first_engine.h"
 #include "engines/nodb_engine.h"
 #include "exec/query_result.h"
 #include "io/file.h"
 #include "io/temp_dir.h"
 #include "persist/snapshot.h"
 #include "raw/table_state.h"
+#include "util/checksum.h"
 
 namespace nodb {
 namespace {
@@ -448,6 +454,186 @@ TEST_F(PersistFuzzTest, TruncationAtEverySectionBoundary) {
   ExpectCleanStart("empty sidecar");
 }
 
+/// Appends `v`'s little-endian bytes (the sidecar's encoding).
+template <typename T>
+void Append(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Corruptions that keep every checksum valid: the section's payload is
+/// replaced, and its directory entry, its CRC and the header CRC are
+/// recomputed, so only the section decoder's own checks stand between
+/// the bytes and the engine.
+class PersistDecoderFuzzTest : public PersistFuzzTest {
+ protected:
+  void WriteWithPayload(uint32_t id, const std::string& payload) {
+    // The directory follows the fixed header (magic, version,
+    // rows_per_block, five signature words, schema hash, section
+    // count); each entry is id u32, offset u64, length u64, crc u32.
+    constexpr size_t kFixedHeader = 8 + 4 + 4 + 40 + 8 + 4;
+    constexpr size_t kEntry = 4 + 8 + 8 + 4;
+    std::string out = bytes_;
+    const uint64_t offset = out.size();
+    const uint64_t length = payload.size();
+    const uint32_t crc = Crc32c(payload.data(), payload.size());
+    out += payload;  // the old payload stays, unreferenced
+    bool found = false;
+    for (size_t i = 0; i < layout_.sections.size(); ++i) {
+      if (layout_.sections[i].id != id) continue;
+      char* entry = out.data() + kFixedHeader + i * kEntry;
+      std::memcpy(entry + 4, &offset, 8);
+      std::memcpy(entry + 12, &length, 8);
+      std::memcpy(entry + 20, &crc, 4);
+      found = true;
+    }
+    ASSERT_TRUE(found) << persist::SectionName(id);
+    const size_t header_len =
+        kFixedHeader + layout_.sections.size() * kEntry;
+    const uint32_t header_crc = Crc32c(out.data(), header_len);
+    std::memcpy(out.data() + header_len, &header_crc, 4);
+    ASSERT_TRUE(
+        WriteFileAtomic(SidecarPath(), Slice(out.data(), out.size())).ok());
+  }
+
+  std::string Payload(uint32_t id) const {
+    for (const persist::SectionInfo& section : layout_.sections) {
+      if (section.id == id) {
+        return bytes_.substr(section.offset, section.length);
+      }
+    }
+    ADD_FAILURE() << "no section " << persist::SectionName(id);
+    return {};
+  }
+
+  /// Section `id` must come back cold as a malformed payload, every
+  /// other section must recover, and the answers must not change.
+  void ExpectOnlySectionMalformed(uint32_t id, const std::string& label) {
+    NoDbEngine engine(MakeCatalog(), Config());
+    auto report = engine.LoadSnapshot("t");
+    ASSERT_TRUE(report.ok()) << label;
+    EXPECT_TRUE(report->attempted) << label;
+    EXPECT_EQ(report->map_recovered, id != persist::Snapshot::kSectionMap)
+        << label;
+    EXPECT_EQ(report->stats_recovered,
+              id != persist::Snapshot::kSectionStats)
+        << label;
+    EXPECT_EQ(report->zones_recovered,
+              id != persist::Snapshot::kSectionZones)
+        << label;
+    EXPECT_EQ(report->store_recovered,
+              id != persist::Snapshot::kSectionStore)
+        << label;
+    EXPECT_EQ(report->detail, std::string(persist::SectionName(id)) +
+                                  ": malformed payload")
+        << label;
+    auto outcome = engine.Execute(kQuery);
+    ASSERT_TRUE(outcome.ok()) << label << ": "
+                              << outcome.status().ToString();
+    EXPECT_EQ(outcome->result.CanonicalRows(), reference_) << label;
+  }
+
+  void ExpectMalformed(uint32_t id, const std::string& payload,
+                       const std::string& label) {
+    WriteWithPayload(id, payload);
+    ExpectOnlySectionMalformed(id, label);
+  }
+};
+
+TEST_F(PersistDecoderFuzzTest, MapCountsAndStrideAreChecked) {
+  SaveAndSnapshotBytes();
+  const uint32_t map = persist::Snapshot::kSectionMap;
+  {
+    std::string p;
+    Append<uint64_t>(&p, uint64_t{1} << 60);  // row count
+    ExpectMalformed(map, p, "huge row count");
+  }
+  // An empty, complete row index, then the chunk count.
+  std::string head;
+  Append<uint64_t>(&head, 0);
+  Append<uint8_t>(&head, 1);
+  Append<uint64_t>(&head, 0);
+  Append<uint64_t>(&head, 0);
+  {
+    std::string p = head;
+    Append<uint64_t>(&p, uint64_t{1} << 60);
+    ExpectMalformed(map, p, "huge chunk count");
+  }
+  {
+    // One chunk over one attribute holds {start,end} pairs: 3 values
+    // is not a whole number of rows.
+    std::string p = head;
+    Append<uint64_t>(&p, 1);
+    Append<uint64_t>(&p, 0);   // first_row
+    Append<uint32_t>(&p, 1);   // attrs
+    Append<uint32_t>(&p, 0);
+    Append<uint64_t>(&p, 3);   // ndata
+    for (uint32_t v : {1u, 2u, 3u}) Append<uint32_t>(&p, v);
+    ExpectMalformed(map, p, "ndata not a multiple of the stride");
+  }
+}
+
+TEST_F(PersistDecoderFuzzTest, StoreSegmentsAreChecked) {
+  SaveAndSnapshotBytes();
+  const uint32_t store = persist::Snapshot::kSectionStore;
+  // One segment: attr, block, type byte, rows, then the rows.
+  auto segment = [](uint32_t attr, uint8_t type, uint64_t rows) {
+    std::string p;
+    Append<uint64_t>(&p, 1);
+    Append<uint32_t>(&p, attr);
+    Append<uint64_t>(&p, 0);
+    Append<uint8_t>(&p, type);
+    Append<uint64_t>(&p, rows);
+    return p;
+  };
+  {
+    std::string p = segment(0, 0, 1000);
+    Append<uint8_t>(&p, 1);
+    Append<int64_t>(&p, 42);
+    ExpectMalformed(store, p, "rows larger than the payload");
+  }
+  {
+    std::string p = segment(0, 0, 2);
+    Append<uint8_t>(&p, 0);
+    Append<uint8_t>(&p, 1);  // a valid row with no value after it
+    Append<uint32_t>(&p, 7);
+    ExpectMalformed(store, p, "fixed-width value past the end");
+  }
+  {
+    std::string p = segment(2, 2, 1);
+    Append<uint8_t>(&p, 1);
+    Append<uint32_t>(&p, 100);
+    p += "ab";
+    ExpectMalformed(store, p, "string length past the end");
+  }
+  ExpectMalformed(store, segment(0, 9, 0), "type byte 9");
+  {
+    std::string p = segment(7, 0, 1);
+    Append<uint8_t>(&p, 1);
+    Append<int64_t>(&p, 42);
+    ExpectMalformed(store, p, "segment attr outside the schema");
+  }
+  {
+    std::string p = segment(1, 0, 1);  // column b is DOUBLE
+    Append<uint8_t>(&p, 1);
+    Append<int64_t>(&p, 42);
+    ExpectMalformed(store, p, "segment type differs from the schema");
+  }
+}
+
+TEST_F(PersistDecoderFuzzTest, PayloadCutShortInEverySection) {
+  SaveAndSnapshotBytes();
+  for (uint32_t id :
+       {persist::Snapshot::kSectionMap, persist::Snapshot::kSectionStats,
+        persist::Snapshot::kSectionZones,
+        persist::Snapshot::kSectionStore}) {
+    std::string p = Payload(id);
+    ASSERT_FALSE(p.empty());
+    p.pop_back();
+    ExpectMalformed(id, p,
+                    std::string(persist::SectionName(id)) + " cut short");
+  }
+}
+
 TEST_F(PersistFuzzTest, MissingSidecarIsAColdStart) {
   SaveAndSnapshotBytes();
   ASSERT_TRUE(RemoveFileIfExists(SidecarPath()).ok());
@@ -457,6 +643,125 @@ TEST_F(PersistFuzzTest, MissingSidecarIsAColdStart) {
   EXPECT_FALSE(report->attempted);
   EXPECT_NE(report->detail.find("no snapshot"), std::string::npos);
   EXPECT_EQ(Run(&engine, kQuery), reference_);
+}
+
+/// A table of every column type with NULLs in each column, empty
+/// fields, quoted empty strings, strings holding a NUL byte, NaN and
+/// -0.0. An empty field, quoted or not, parses as NULL.
+class PersistAllTypesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto dir = TempDir::Create("nodb-persist-types");
+    ASSERT_TRUE(dir.ok());
+    dir_ = std::make_unique<TempDir>(std::move(*dir));
+    path_ = dir_->FilePath("u.csv");
+    schema_ = Schema::Make({{"i", DataType::kInt64},
+                            {"d", DataType::kDouble},
+                            {"s", DataType::kString},
+                            {"dt", DataType::kDate}});
+    std::string csv;
+    for (int r = 0; r < 150; ++r) {
+      csv += r % 5 == 0 ? "" : std::to_string(r - 75);
+      csv += ",";
+      if (r % 7 == 1) {
+        // NULL
+      } else if (r % 11 == 2) {
+        csv += "nan";
+      } else if (r % 13 == 3) {
+        csv += "-0.0";
+      } else {
+        csv += std::to_string(r) + ".25";
+      }
+      csv += ",";
+      if (r % 6 == 2) {
+        // NULL
+      } else if (r % 6 == 5) {
+        csv += "\"\"";
+      } else if (r % 4 == 0) {
+        csv += std::string("a\0b", 3) + std::to_string(r);
+      } else {
+        csv += "\"s," + std::to_string(r % 9) + "\"";
+      }
+      csv += ",";
+      if (r % 8 != 3) {
+        csv += "20" + std::to_string(10 + r % 20) + "-0" +
+               std::to_string(1 + r % 9) + "-1" + std::to_string(r % 10);
+      }
+      csv += "\n";
+    }
+    ASSERT_TRUE(WriteStringToFile(path_, Slice(csv.data(), csv.size())).ok());
+  }
+
+  Catalog MakeCatalog() {
+    CsvDialect dialect;
+    dialect.allow_quoting = true;
+    Catalog catalog;
+    EXPECT_TRUE(catalog.RegisterTable({"u", path_, schema_, dialect}).ok());
+    return catalog;
+  }
+
+  NoDbConfig Config() {
+    NoDbConfig config;
+    config.rows_per_block = 32;
+    return config;
+  }
+
+  std::string Sidecar() const {
+    auto bytes = ReadFileToString(persist::DefaultSnapshotPath(path_));
+    EXPECT_TRUE(bytes.ok());
+    return bytes.ok() ? *bytes : std::string();
+  }
+
+  static std::vector<std::string> Run(Engine* engine,
+                                      const std::string& sql) {
+    auto outcome = engine->Execute(sql);
+    EXPECT_TRUE(outcome.ok()) << sql << ": " << outcome.status().ToString();
+    if (!outcome.ok()) return {};
+    return outcome->result.CanonicalRows();
+  }
+
+  std::unique_ptr<TempDir> dir_;
+  std::string path_;
+  std::shared_ptr<Schema> schema_;
+};
+
+TEST_F(PersistAllTypesTest, ResaveIsByteIdenticalAndAnswersMatch) {
+  const std::vector<std::string> queries = {
+      "SELECT i, d, s, dt FROM u",
+      "SELECT i, s FROM u WHERE i > 10",
+      "SELECT COUNT(*) FROM u WHERE d IS NULL",
+      "SELECT dt, d FROM u WHERE dt >= DATE '2020-01-01'",
+  };
+  {
+    NoDbEngine engine(MakeCatalog(), Config());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& sql : queries) Run(&engine, sql);
+    }
+    ASSERT_TRUE(engine.SaveSnapshot("u").ok());
+  }
+  const std::string saved = Sidecar();
+
+  NoDbEngine engine(MakeCatalog(), Config());
+  auto report = engine.LoadSnapshot("u");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->detail, "recovered");
+  EXPECT_TRUE(report->map_recovered);
+  EXPECT_TRUE(report->stats_recovered);
+  EXPECT_TRUE(report->zones_recovered);
+  EXPECT_TRUE(report->store_recovered);
+  // Every column of every block is a store segment.
+  EXPECT_EQ(report->store_segments_recovered, 4u * 5u);
+  ASSERT_TRUE(engine.SaveSnapshot("u").ok());
+  EXPECT_TRUE(Sidecar() == saved) << "re-saved sidecar differs";
+
+  LoadFirstEngine reference(MakeCatalog(), LoadProfile::kPostgres);
+  for (const std::string& sql : queries) {
+    EXPECT_EQ(Run(&engine, sql), Run(&reference, sql)) << sql;
+  }
+  auto outcome = engine.Execute(queries[0]);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->metrics.scan.rows_from_store, 150u);
+  EXPECT_EQ(outcome->metrics.scan.rows_from_raw, 0u);
 }
 
 }  // namespace
