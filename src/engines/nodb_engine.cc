@@ -342,6 +342,7 @@ Result<QueryOutcome> NoDbEngine::RunQuery(std::string_view sql,
     emit("scan.tokenize", scan.tokenize_ns);
     emit("scan.convert", scan.convert_ns);
     emit("scan.maintain", scan.nodb_ns);
+    emit("scan.filter", scan.filter_ns);
     if (profile != nullptr) {
       profile->EmitExecSpans(trace, drain_anchor_ns);
     }

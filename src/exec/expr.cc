@@ -78,15 +78,69 @@ struct ScalarIn {
   T operator[](size_t) const { return v; }
 };
 
-/// out[i] = cmp(l[i], r[i]) in rows whose `valid` byte is set, else 0.
-template <typename C, typename L, typename R, typename Cmp>
-void CompareLoop(L l, R r, Cmp cmp, const uint8_t* valid, size_t n,
-                 int64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<int64_t>(
-                 cmp(static_cast<C>(l[i]), static_cast<C>(r[i]))) &
-             valid[i];
+/// Validity of a row of two columns: both operands non-NULL.
+struct BothValid {
+  const uint8_t* a;
+  const uint8_t* b;
+  uint8_t operator[](size_t i) const { return a[i] & b[i]; }
+};
+
+/// Where the one compare loop writes. A sink visits rows with
+/// `valid[i]` (every operand non-NULL) and `hit(i)` (the comparison
+/// holds; its value in a NULL row does not matter).
+///
+/// MaskSink writes the boolean column of every row of the batch: the
+/// validity, and TRUE only in valid rows where the comparison holds.
+struct MaskSink {
+  size_t n;
+  ColumnVector::FixedWriter w;
+  template <typename V, typename Hit>
+  void Run(V valid, Hit hit) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t v = valid[i];
+      w.validity[i] = v;
+      w.ints[i] = static_cast<int64_t>(hit(i)) & v;
+    }
   }
+};
+
+/// SelectSink visits only the candidate rows (rows [0, n) when `in` is
+/// null, else in[0..n)) and compacts the TRUE ones into `out`,
+/// branch-free: every candidate is written and the cursor advances past
+/// the ones that pass; `out` may alias `in`, since the cursor never
+/// passes the read.
+struct SelectSink {
+  const uint32_t* in;
+  size_t n;
+  uint32_t* out;
+  size_t count = 0;
+  template <typename V, typename Hit>
+  void Run(V valid, Hit hit) {
+    size_t k = 0;
+    if (in == nullptr) {
+      for (size_t i = 0; i < n; ++i) {
+        out[k] = static_cast<uint32_t>(i);
+        k += valid[i] & static_cast<uint8_t>(hit(i));
+      }
+    } else {
+      for (size_t j = 0; j < n; ++j) {
+        const uint32_t i = in[j];
+        out[k] = i;
+        k += valid[i] & static_cast<uint8_t>(hit(i));
+      }
+    }
+    count = k;
+  }
+};
+
+/// The one compare loop: feeds `sink` cmp(l[i], r[i]), both sides
+/// taken to C, and the rows' validity.
+template <typename C, typename L, typename R, typename V, typename Cmp,
+          typename Sink>
+void CompareLoop(L l, R r, V valid, Cmp cmp, Sink* sink) {
+  sink->Run(valid, [&](size_t i) {
+    return cmp(static_cast<C>(l[i]), static_cast<C>(r[i]));
+  });
 }
 
 /// A literal as the one scalar LiteralExpr::Evaluate repeats per row,
@@ -157,6 +211,74 @@ void AndValidity(const uint8_t* a, const uint8_t* b, size_t n,
   for (size_t i = 0; i < n; ++i) out[i] = a[i] & b[i];
 }
 
+/// The comparison rules, written once for both sinks. A NULL on either
+/// side drops the row. INT/DATE against INT/DATE compares int64-exactly;
+/// a DOUBLE on either side compares in double (IEEE: any comparison
+/// with NaN but <> is false). A literal on either side is compared as
+/// one scalar, never expanded into a column; on the left, the operator
+/// is mirrored. A NULL literal makes every row NULL.
+template <typename Sink>
+Status CompareInto(CompareOp op, const ExprPtr& left, const ExprPtr& right,
+                   const RecordBatch& batch, Sink* sink) {
+  const auto* lit = dynamic_cast<const LiteralExpr*>(right.get());
+  const Expr* other = left.get();
+  if (lit == nullptr) {
+    lit = dynamic_cast<const LiteralExpr*>(left.get());
+    if (lit != nullptr) {
+      other = right.get();
+      op = MirrorCompareOp(op);
+    }
+  }
+  if (lit != nullptr) {
+    NODB_ASSIGN_OR_RETURN(auto col, other->Evaluate(batch));
+    const Scalar s = ScalarOf(*lit);
+    if (s.null) {
+      sink->Run(ScalarIn<uint8_t>{0}, [](size_t) { return false; });
+      return Status::OK();
+    }
+    const ArrayIn<uint8_t> valid{col->validity()};
+    WithCompareOp(op, [&](auto cmp) {
+      if (col->type() == DataType::kString) {
+        CompareLoop<std::string_view>(StringIn{col.get()},
+                                      ScalarIn<std::string_view>{s.s}, valid,
+                                      cmp, sink);
+        return;
+      }
+      WithNumericData(*col, [&](const auto* a) {
+        using A = std::remove_const_t<std::remove_pointer_t<decltype(a)>>;
+        if (lit->type() == DataType::kDouble) {
+          CompareLoop<double>(ArrayIn<A>{a}, ScalarIn<double>{s.d}, valid,
+                              cmp, sink);
+        } else {
+          CompareLoop<CommonNumeric<A, int64_t>>(
+              ArrayIn<A>{a}, ScalarIn<int64_t>{s.i}, valid, cmp, sink);
+        }
+      });
+    });
+    return Status::OK();
+  }
+
+  NODB_ASSIGN_OR_RETURN(auto lhs, left->Evaluate(batch));
+  NODB_ASSIGN_OR_RETURN(auto rhs, right->Evaluate(batch));
+  const BothValid valid{lhs->validity(), rhs->validity()};
+  WithCompareOp(op, [&](auto cmp) {
+    if (lhs->type() == DataType::kString) {
+      CompareLoop<std::string_view>(StringIn{lhs.get()}, StringIn{rhs.get()},
+                                    valid, cmp, sink);
+      return;
+    }
+    WithNumericData(*lhs, [&](const auto* a) {
+      WithNumericData(*rhs, [&](const auto* b) {
+        using A = std::remove_const_t<std::remove_pointer_t<decltype(a)>>;
+        using B = std::remove_const_t<std::remove_pointer_t<decltype(b)>>;
+        CompareLoop<CommonNumeric<A, B>>(ArrayIn<A>{a}, ArrayIn<B>{b}, valid,
+                                         cmp, sink);
+      });
+    });
+  });
+  return Status::OK();
+}
+
 }  // namespace
 
 CompareOp MirrorCompareOp(CompareOp op) {
@@ -206,6 +328,23 @@ std::string_view ArithOpToString(ArithOp op) {
       return "/";
   }
   return "?";
+}
+
+// ---------------------------------------------------------------- Select
+
+size_t SelectTrue(const ColumnVector& mask, const uint32_t* in, size_t n,
+                  uint32_t* out) {
+  const int64_t* v = mask.int64_data();
+  SelectSink sink{in, n, out};
+  sink.Run(ArrayIn<uint8_t>{mask.validity()},
+           [v](size_t i) { return v[i] != 0; });
+  return sink.count;
+}
+
+Result<size_t> Expr::Select(const RecordBatch& batch, const uint32_t* in,
+                            size_t n, uint32_t* out) const {
+  NODB_ASSIGN_OR_RETURN(auto mask, Evaluate(batch));
+  return SelectTrue(*mask, in, n, out);
 }
 
 // ---------------------------------------------------------------- ColumnRef
@@ -278,70 +417,17 @@ Result<std::shared_ptr<ColumnVector>> CompareExpr::Evaluate(
     const RecordBatch& batch) const {
   const size_t n = batch.num_rows();
   auto out = std::make_shared<ColumnVector>(DataType::kInt64);
-
-  // A literal on either side is compared as one scalar, never expanded
-  // into a column; on the left, the operator is mirrored.
-  const auto* lit = dynamic_cast<const LiteralExpr*>(right_.get());
-  const Expr* other = left_.get();
-  CompareOp op = op_;
-  if (lit == nullptr) {
-    lit = dynamic_cast<const LiteralExpr*>(left_.get());
-    if (lit != nullptr) {
-      other = right_.get();
-      op = MirrorCompareOp(op_);
-    }
-  }
-  if (lit != nullptr) {
-    NODB_ASSIGN_OR_RETURN(auto col, other->Evaluate(batch));
-    ColumnVector::FixedWriter w = out->WriteFixed(n);
-    const Scalar s = ScalarOf(*lit);
-    if (s.null) {
-      std::fill_n(w.validity, n, 0);
-      return out;
-    }
-    std::copy_n(col->validity(), n, w.validity);
-    WithCompareOp(op, [&](auto cmp) {
-      if (col->type() == DataType::kString) {
-        CompareLoop<std::string_view>(StringIn{col.get()},
-                                      ScalarIn<std::string_view>{s.s}, cmp,
-                                      w.validity, n, w.ints);
-        return;
-      }
-      WithNumericData(*col, [&](const auto* a) {
-        using A = std::remove_const_t<std::remove_pointer_t<decltype(a)>>;
-        if (lit->type() == DataType::kDouble) {
-          CompareLoop<double>(ArrayIn<A>{a}, ScalarIn<double>{s.d}, cmp,
-                              w.validity, n, w.ints);
-        } else {
-          CompareLoop<CommonNumeric<A, int64_t>>(
-              ArrayIn<A>{a}, ScalarIn<int64_t>{s.i}, cmp, w.validity, n,
-              w.ints);
-        }
-      });
-    });
-    return out;
-  }
-
-  NODB_ASSIGN_OR_RETURN(auto lhs, left_->Evaluate(batch));
-  NODB_ASSIGN_OR_RETURN(auto rhs, right_->Evaluate(batch));
-  ColumnVector::FixedWriter w = out->WriteFixed(n);
-  AndValidity(lhs->validity(), rhs->validity(), n, w.validity);
-  WithCompareOp(op_, [&](auto cmp) {
-    if (lhs->type() == DataType::kString) {
-      CompareLoop<std::string_view>(StringIn{lhs.get()}, StringIn{rhs.get()},
-                                    cmp, w.validity, n, w.ints);
-      return;
-    }
-    WithNumericData(*lhs, [&](const auto* a) {
-      WithNumericData(*rhs, [&](const auto* b) {
-        using A = std::remove_const_t<std::remove_pointer_t<decltype(a)>>;
-        using B = std::remove_const_t<std::remove_pointer_t<decltype(b)>>;
-        CompareLoop<CommonNumeric<A, B>>(ArrayIn<A>{a}, ArrayIn<B>{b}, cmp,
-                                         w.validity, n, w.ints);
-      });
-    });
-  });
+  MaskSink sink{n, out->WriteFixed(n)};
+  NODB_RETURN_NOT_OK(CompareInto(op_, left_, right_, batch, &sink));
   return out;
+}
+
+Result<size_t> CompareExpr::Select(const RecordBatch& batch,
+                                   const uint32_t* in, size_t n,
+                                   uint32_t* out) const {
+  SelectSink sink{in, n, out};
+  NODB_RETURN_NOT_OK(CompareInto(op_, left_, right_, batch, &sink));
+  return sink.count;
 }
 
 std::string CompareExpr::ToString() const {
@@ -406,6 +492,15 @@ Result<std::shared_ptr<ColumnVector>> LogicalExpr::Evaluate(
     }
   }
   return out;
+}
+
+Result<size_t> LogicalExpr::Select(const RecordBatch& batch,
+                                   const uint32_t* in, size_t n,
+                                   uint32_t* out) const {
+  if (op_ != LogicalOp::kAnd) return Expr::Select(batch, in, n, out);
+  NODB_ASSIGN_OR_RETURN(const size_t k, left_->Select(batch, in, n, out));
+  if (k == 0) return k;
+  return right_->Select(batch, out, k, out);
 }
 
 std::string LogicalExpr::ToString() const {

@@ -46,6 +46,14 @@ inline int64_t WrappingMul(int64_t a, int64_t b) {
                               static_cast<uint64_t>(b));
 }
 
+/// The one selection primitive (SQL WHERE semantics: TRUE keeps a row,
+/// FALSE and NULL drop it). Reads the boolean (kInt64) `mask` at the
+/// `n` candidate rows — rows [0, n) when `in` is null, else in[0..n) —
+/// and writes the rows that pass to `out`, in order. `out` may alias
+/// `in`. Returns the number of rows written.
+size_t SelectTrue(const ColumnVector& mask, const uint32_t* in, size_t n,
+                  uint32_t* out);
+
 /// A scalar expression evaluated column-at-a-time over a RecordBatch.
 ///
 /// Expressions are produced by the SQL binder with column references
@@ -64,6 +72,17 @@ class Expr {
   /// Evaluates over all rows of `batch`.
   virtual Result<std::shared_ptr<ColumnVector>> Evaluate(
       const RecordBatch& batch) const = 0;
+
+  /// Writes, in order, the candidate rows of `batch` where this boolean
+  /// expression is TRUE (SQL WHERE: FALSE and NULL drop a row) to `out`
+  /// and returns how many it wrote. The candidates are rows [0, n) when
+  /// `in` is null, else in[0..n); `out` may alias `in`, so a later
+  /// conjunct narrows an earlier one's selection in place. This default
+  /// evaluates every row and selects from the mask (SelectTrue);
+  /// comparisons compare and compact the candidates in one loop, and
+  /// AND chains its children.
+  virtual Result<size_t> Select(const RecordBatch& batch, const uint32_t* in,
+                                size_t n, uint32_t* out) const;
 
   /// Appends the input-column indices this expression reads.
   virtual void CollectColumns(std::vector<size_t>* cols) const = 0;
@@ -131,6 +150,8 @@ class CompareExpr final : public Expr {
   Result<DataType> OutputType(const Schema& schema) const override;
   Result<std::shared_ptr<ColumnVector>> Evaluate(
       const RecordBatch& batch) const override;
+  Result<size_t> Select(const RecordBatch& batch, const uint32_t* in,
+                        size_t n, uint32_t* out) const override;
   void CollectColumns(std::vector<size_t>* cols) const override {
     left_->CollectColumns(cols);
     right_->CollectColumns(cols);
@@ -157,6 +178,10 @@ class LogicalExpr final : public Expr {
   Result<DataType> OutputType(const Schema& schema) const override;
   Result<std::shared_ptr<ColumnVector>> Evaluate(
       const RecordBatch& batch) const override;
+  /// AND selects with its left child, then narrows with its right; OR
+  /// and NOT select from the evaluated mask.
+  Result<size_t> Select(const RecordBatch& batch, const uint32_t* in,
+                        size_t n, uint32_t* out) const override;
   void CollectColumns(std::vector<size_t>* cols) const override {
     left_->CollectColumns(cols);
     if (right_) right_->CollectColumns(cols);

@@ -10,15 +10,6 @@
 
 namespace nodb {
 
-/// The one selection primitive (SQL WHERE semantics: TRUE keeps a row,
-/// FALSE and NULL drop it). Reads the boolean (kInt64) `mask` at the
-/// `n` candidate rows — rows [0, n) when `in` is null, else in[0..n) —
-/// and writes the rows that pass to `out`, in order. `out` may alias
-/// `in`, so a second conjunct narrows the first's selection in place.
-/// Returns the number of rows written.
-size_t SelectTrue(const ColumnVector& mask, const uint32_t* in, size_t n,
-                  uint32_t* out);
-
 /// A new batch holding rows sel[0..n) of `batch`, gathered column by
 /// column with ColumnVector::AppendSelected.
 BatchPtr GatherRows(const RecordBatch& batch, const uint32_t* sel,
@@ -26,10 +17,10 @@ BatchPtr GatherRows(const RecordBatch& batch, const uint32_t* sel,
 
 /// Keeps rows whose predicate evaluates to TRUE (not FALSE, not NULL).
 ///
-/// Filtering happens column-at-a-time: the predicate produces a boolean
-/// column, SelectTrue turns it into a selection vector, and GatherRows
-/// copies the passing rows into a fresh batch (a batch in which every
-/// row passes goes through as-is). Combined
+/// Filtering happens column-at-a-time: the predicate writes the passing
+/// rows' selection vector (Expr::Select), and GatherRows copies those
+/// rows into a fresh batch (a batch in which every row passes goes
+/// through as-is). Combined
 /// with the leaf scans emitting only required columns, this realizes the
 /// paper's *selective tuple formation* — full tuples never exist for
 /// rows that do not qualify.

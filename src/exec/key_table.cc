@@ -1,5 +1,6 @@
 #include "exec/key_table.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/hash.h"
@@ -9,13 +10,63 @@ namespace nodb {
 namespace {
 
 constexpr uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
-constexpr uint64_t kNullHash = 0x6e756c6c6b657921ULL;
+// Odd 64-bit multipliers (wyhash's).
+constexpr uint64_t kMulA = 0xa0761d6478bd642fULL;
+constexpr uint64_t kMulB = 0xe7037ed1a0b428dbULL;
 constexpr size_t kInitialSlots = 16;
+/// Rows normalized and probed at a time.
+constexpr size_t kChunkRows = 256;
+/// A string this long or shorter is determined by its key words.
+constexpr size_t kShortString = 16;
 
-/// Hashes a string eight bytes at a time. The length seeds the hash,
-/// so embedded NUL bytes and zero padding of the tail cannot collide
-/// keys of different lengths.
-uint64_t HashBytes(const char* p, size_t n) {
+__extension__ typedef unsigned __int128 Uint128;
+
+/// The 128-bit product of `a` and `b` with its halves xored: one
+/// multiply that carries every input bit into the high bits, which
+/// pick a key's slot and tag.
+inline uint64_t MulFold(uint64_t a, uint64_t b) {
+  const Uint128 p = static_cast<Uint128>(a) * b;
+  return static_cast<uint64_t>(p) ^ static_cast<uint64_t>(p >> 64);
+}
+
+/// Folds a fixed-width key word into the hash `h` of the columns
+/// before it.
+inline uint64_t FixedHash(uint64_t h, uint64_t v) {
+  return MulFold(h ^ v, kMulA);
+}
+
+/// A string's first and last eight bytes, from two loads that overlap
+/// below 16 B and never read outside the string: 4..7 B take two
+/// four-byte loads, 1..3 B their first, middle and last byte. For a
+/// string of at most 16 B, the two words and the length determine the
+/// bytes.
+inline void EdgeWords(const char* p, size_t n, uint64_t* head,
+                      uint64_t* tail) {
+  if (n >= 8) {
+    std::memcpy(head, p, 8);
+    std::memcpy(tail, p + n - 8, 8);
+  } else if (n >= 4) {
+    uint32_t h, t;
+    std::memcpy(&h, p, 4);
+    std::memcpy(&t, p + n - 4, 4);
+    *head = h;
+    *tail = t;
+  } else if (n > 0) {
+    *head = uint64_t{static_cast<uint8_t>(p[0])} |
+            uint64_t{static_cast<uint8_t>(p[n / 2])} << 8 |
+            uint64_t{static_cast<uint8_t>(p[n - 1])} << 16;
+    *tail = 0;
+  } else {
+    *head = 0;
+    *tail = 0;
+  }
+}
+
+/// Hashes a string longer than kShortString eight bytes at a time. The
+/// length seeds the hash, so zero padding of the tail cannot collide
+/// keys of different lengths. Kept out of line: inlined, it crowds the
+/// short-string loop's registers.
+[[gnu::noinline]] uint64_t HashBytes(const char* p, size_t n) {
   uint64_t h = MixHash64(n ^ kHashSeed);
   for (; n >= 8; p += 8, n -= 8) {
     uint64_t w;
@@ -34,11 +85,19 @@ uint64_t HashBytes(const char* p, size_t n) {
 
 KeyTable::KeyTable(const std::vector<DataType>& types, bool null_keys_match)
     : num_cols_(types.size()), null_keys_match_(null_keys_match) {
+  size_t word = 0;
   for (size_t c = 0; c < types.size(); ++c) {
-    if (types[c] == DataType::kString) string_cols_.push_back(c);
+    col_word_.push_back(word);
+    if (types[c] == DataType::kString) {
+      string_len_words_.push_back(word);
+      word += 3;
+    } else {
+      word += 1;
+    }
   }
-  cmp_words_ = num_cols_ + (num_cols_ + 63) / 64;
-  stride_ = cmp_words_ + string_cols_.size();
+  null_word_ = word;
+  cmp_words_ = null_word_ + (num_cols_ + 63) / 64;
+  stride_ = cmp_words_ + string_len_words_.size();
   Clear();
 }
 
@@ -50,82 +109,85 @@ void KeyTable::Clear() {
   arena_.clear();
 }
 
-void KeyTable::Normalize(
-    const std::vector<std::shared_ptr<ColumnVector>>& keys, size_t rows) {
-  row_words_.assign(rows * stride_, 0);
-  row_hashes_.assign(rows, kHashSeed);
-  row_skip_.assign(rows, 0);
+bool KeyTable::Normalize(
+    const std::vector<std::shared_ptr<ColumnVector>>& keys, size_t begin,
+    size_t rows) {
+  // Every word of every row is written below, so the scratch is sized,
+  // not cleared. The table's fields live in locals: stores through
+  // `words` could otherwise alias them and force reloads.
+  const size_t stride = stride_;
+  row_words_.resize(rows * stride);
+  row_hashes_.resize(rows);
   uint64_t* words = row_words_.data();
   uint64_t* hashes = row_hashes_.data();
-  uint8_t* skip = row_skip_.data();
-  size_t next_string = 0;
+  size_t ptr_word = cmp_words_;
+  size_t longest = 0;
   for (size_t c = 0; c < num_cols_; ++c) {
     const ColumnVector& col = *keys[c];
-    const uint8_t* valid = col.validity();
-    const size_t null_word = num_cols_ + c / 64;
+    const uint8_t* valid = col.validity() + begin;
+    const size_t word = col_word_[c];
+    const size_t null_word = null_word_ + c / 64;
     const uint64_t null_bit = uint64_t{1} << (c % 64);
-    // Marks a NULL cell; its value word stays 0.
-    auto mark_null = [&](size_t r) {
-      words[r * stride_ + null_word] |= null_bit;
-      hashes[r] = MixHash64(hashes[r] ^ kNullHash);
-      skip[r] = 1;
+    // The first column of a null word starts it; later ones add to it.
+    const bool starts_null_word = c % 64 == 0;
+    const bool first = c == 0;
+    auto set_null_bit = [&](uint64_t* row, uint8_t ok) {
+      const uint64_t bit = ok ? 0 : null_bit;
+      row[null_word] = starts_null_word ? bit : row[null_word] | bit;
     };
-    switch (col.type()) {
-      case DataType::kString: {
-        const size_t ptr_word = cmp_words_ + next_string++;
-        for (size_t r = 0; r < rows; ++r) {
-          if (!valid[r]) {
-            mark_null(r);
-            continue;
-          }
-          std::string_view v = col.GetString(r);
-          uint64_t* row = words + r * stride_;
-          row[c] = v.size();
-          row[ptr_word] = reinterpret_cast<uintptr_t>(v.data());
-          hashes[r] = MixHash64(hashes[r] ^ HashBytes(v.data(), v.size()));
-        }
-        break;
+    if (col.type() == DataType::kString) {
+      const uint32_t* offsets = col.string_offsets() + begin;
+      const char* data = col.string_data();
+      for (size_t r = 0; r < rows; ++r) {
+        uint64_t* row = words + r * stride;
+        const uint8_t ok = valid[r];
+        const char* p = data + offsets[r];
+        const size_t n = ok ? offsets[r + 1] - offsets[r] : 0;
+        uint64_t head, tail;
+        EdgeWords(p, n, &head, &tail);
+        longest = std::max(longest, n);
+        row[word] = n;
+        row[word + 1] = head;
+        row[word + 2] = tail;
+        row[ptr_word] = reinterpret_cast<uintptr_t>(p);
+        set_null_bit(row, ok);
+        const uint64_t h = first ? kHashSeed : hashes[r];
+        hashes[r] = n <= kShortString
+                        ? MulFold(h ^ head, tail ^ kMulB ^ n)
+                        : MulFold(h ^ HashBytes(p, n), kMulA);
       }
-      case DataType::kDouble: {
-        const double* v = col.double_data();
-        for (size_t r = 0; r < rows; ++r) {
-          if (!valid[r]) {
-            mark_null(r);
-            continue;
-          }
-          uint64_t bits;
-          std::memcpy(&bits, &v[r], sizeof(bits));
-          words[r * stride_ + c] = bits;
-          hashes[r] = MixHash64(hashes[r] ^ bits);
-        }
-        break;
+      ++ptr_word;
+      continue;
+    }
+    // INT and DATE words hold the int64, DOUBLE words the bit pattern;
+    // a NULL cell's word is 0, and its hash is that of a 0 (the null
+    // bit tells the two apart).
+    auto fixed = [&](const auto* values) {
+      for (size_t r = 0; r < rows; ++r) {
+        uint64_t* row = words + r * stride;
+        const uint8_t ok = valid[r];
+        uint64_t v;
+        std::memcpy(&v, values + r, sizeof(v));
+        v &= uint64_t{0} - ok;
+        row[word] = v;
+        set_null_bit(row, ok);
+        hashes[r] = FixedHash(first ? kHashSeed : hashes[r], v);
       }
-      case DataType::kInt64:
-      case DataType::kDate: {
-        const int64_t* v = col.int64_data();
-        for (size_t r = 0; r < rows; ++r) {
-          if (!valid[r]) {
-            mark_null(r);
-            continue;
-          }
-          uint64_t bits = static_cast<uint64_t>(v[r]);
-          words[r * stride_ + c] = bits;
-          hashes[r] = MixHash64(hashes[r] ^ bits);
-        }
-        break;
-      }
+    };
+    if (col.type() == DataType::kDouble) {
+      fixed(col.double_data() + begin);
+    } else {
+      fixed(col.int64_data() + begin);
     }
   }
+  return longest > kShortString;
 }
 
-bool KeyTable::Equal(uint32_t entry, const uint64_t* row) const {
-  const uint64_t* key = words_.data() + size_t{entry} * stride_;
-  for (size_t w = 0; w < cmp_words_; ++w) {
-    if (key[w] != row[w]) return false;
-  }
-  for (size_t s = 0; s < string_cols_.size(); ++s) {
-    const size_t len = key[string_cols_[s]];  // equal lengths checked
-    if (len != 0 &&
+bool KeyTable::LongStringsEqual(const uint64_t* key,
+                                const uint64_t* row) const {
+  for (size_t s = 0; s < string_len_words_.size(); ++s) {
+    const size_t len = key[string_len_words_[s]];  // equal lengths
+    if (len > kShortString &&
         std::memcmp(arena_.data() + key[cmp_words_ + s],
                     reinterpret_cast<const char*>(row[cmp_words_ + s]),
                     len) != 0) {
@@ -139,10 +201,10 @@ uint32_t KeyTable::Insert(const uint64_t* row) {
   const uint32_t id = static_cast<uint32_t>(num_entries_++);
   const size_t base = words_.size();
   words_.insert(words_.end(), row, row + stride_);
-  for (size_t s = 0; s < string_cols_.size(); ++s) {
-    const size_t len = row[string_cols_[s]];
+  for (size_t s = 0; s < string_len_words_.size(); ++s) {
+    const size_t len = row[string_len_words_[s]];
     words_[base + cmp_words_ + s] = arena_.size();
-    if (len == 0) continue;  // a NULL's pointer word is 0
+    if (len == 0) continue;  // empty or NULL
     arena_.append(reinterpret_cast<const char*>(row[cmp_words_ + s]), len);
   }
   return id;
@@ -162,34 +224,117 @@ void KeyTable::Grow() {
   }
 }
 
+template <bool kInsert, size_t kCmpWords, typename Rows>
+void KeyTable::ProbeRows(const Rows& source, size_t rows, bool long_strings,
+                         uint32_t* ids) {
+  // The table's fields live in locals, so the stores below need not
+  // reload them; a known word count unrolls the key comparison.
+  const size_t cmp_words = kCmpWords != 0 ? kCmpWords : cmp_words_;
+  const size_t stride = stride_;
+  const size_t null_word = null_word_;
+  const bool skip_null_keys = !null_keys_match_;
+  const Slot* slots = slots_.data();
+  uint64_t mask = mask_;
+  // Insert may move the entry words; Grow moves the slots.
+  const uint64_t* entries = words_.data();
+  for (size_t r = 0; r < rows; ++r) {
+    uint64_t buffer[2];
+    const uint64_t* row = source.Row(r, buffer);
+    if (skip_null_keys) {
+      uint64_t nulls = row[null_word];
+      for (size_t w = null_word + 1; w < cmp_words; ++w) nulls |= row[w];
+      if (nulls != 0) {
+        ids[r] = kNoEntry;  // a NULL join key matches nothing
+        continue;
+      }
+    }
+    if (kInsert && (num_entries_ + 1) * 2 > mask + 1) {
+      Grow();
+      slots = slots_.data();
+      mask = mask_;
+    }
+    const uint32_t tag = static_cast<uint32_t>(source.Hash(r, row) >> 32);
+    uint32_t id = kNoEntry;
+    for (uint64_t i = tag & mask;; i = (i + 1) & mask) {
+      const Slot slot = slots[i];
+      if (slot.id == kNoEntry) {
+        if (kInsert) {
+          id = Insert(row);
+          slots_[i] = Slot{tag, id};
+          entries = words_.data();
+        }
+        break;
+      }
+      if (slot.tag != tag) continue;
+      const uint64_t* key = entries + size_t{slot.id} * stride;
+      uint64_t diff = 0;
+      for (size_t w = 0; w < cmp_words; ++w) diff |= key[w] ^ row[w];
+      if (diff == 0 && (!long_strings || LongStringsEqual(key, row))) {
+        id = slot.id;
+        break;
+      }
+    }
+    ids[r] = id;
+  }
+}
+
+namespace {
+
+/// Rows normalized into the scratch (KeyTable::Normalize).
+struct ScratchRows {
+  const uint64_t* words;
+  const uint64_t* hashes;
+  size_t stride;
+  const uint64_t* Row(size_t r, uint64_t*) const { return words + r * stride; }
+  uint64_t Hash(size_t r, const uint64_t*) const { return hashes[r]; }
+};
+
+/// The rows of a one-column fixed-width key, whose two words (value,
+/// null bit) and hash are made as the probe reaches each row: such a
+/// key needs no scratch. Same words and hash as Normalize makes.
+struct OneFixedColumn {
+  const uint8_t* valid;
+  const unsigned char* values;  // 8-byte payloads
+  const uint64_t* Row(size_t r, uint64_t* buffer) const {
+    const uint8_t ok = valid[r];
+    uint64_t v;
+    std::memcpy(&v, values + 8 * r, sizeof(v));
+    buffer[0] = v & (uint64_t{0} - ok);
+    buffer[1] = ok ? 0 : 1;
+    return buffer;
+  }
+  uint64_t Hash(size_t, const uint64_t* row) const {
+    return FixedHash(kHashSeed, row[0]);
+  }
+};
+
+}  // namespace
+
 template <bool kInsert>
 void KeyTable::Probe(
     const std::vector<std::shared_ptr<ColumnVector>>& keys, size_t rows,
     uint32_t* ids) {
-  Normalize(keys, rows);
-  for (size_t r = 0; r < rows; ++r) {
-    if (!null_keys_match_ && row_skip_[r]) {
-      ids[r] = kNoEntry;
-      continue;
-    }
-    if (kInsert && (num_entries_ + 1) * 2 > slots_.size()) Grow();
-    const uint64_t* row = row_words_.data() + r * stride_;
-    const uint32_t tag = static_cast<uint32_t>(row_hashes_[r] >> 32);
-    for (uint64_t i = tag & mask_;; i = (i + 1) & mask_) {
-      Slot& slot = slots_[i];
-      if (slot.id == kNoEntry) {
-        if (kInsert) {
-          slot = Slot{tag, Insert(row)};
-          ids[r] = slot.id;
-        } else {
-          ids[r] = kNoEntry;
-        }
-        break;
-      }
-      if (slot.tag == tag && Equal(slot.id, row)) {
-        ids[r] = slot.id;
-        break;
-      }
+  if (num_cols_ == 1 && string_len_words_.empty()) {
+    const ColumnVector& col = *keys[0];
+    const void* values = col.type() == DataType::kDouble
+                             ? static_cast<const void*>(col.double_data())
+                             : static_cast<const void*>(col.int64_data());
+    ProbeRows<kInsert, 2>(
+        OneFixedColumn{col.validity(),
+                       static_cast<const unsigned char*>(values)},
+        rows, /*long_strings=*/false, ids);
+    return;
+  }
+  // A chunk's scratch stays in the L1 cache between being written and
+  // being probed.
+  for (size_t begin = 0; begin < rows; begin += kChunkRows) {
+    const size_t n = std::min(kChunkRows, rows - begin);
+    const bool long_strings = Normalize(keys, begin, n);
+    const ScratchRows source{row_words_.data(), row_hashes_.data(), stride_};
+    if (cmp_words_ == 4) {  // e.g. one string column
+      ProbeRows<kInsert, 4>(source, n, long_strings, ids + begin);
+    } else {
+      ProbeRows<kInsert, 0>(source, n, long_strings, ids + begin);
     }
   }
 }
@@ -207,12 +352,13 @@ void KeyTable::Find(const std::vector<std::shared_ptr<ColumnVector>>& keys,
 
 void KeyTable::AppendKeyColumn(size_t col, uint32_t begin, size_t n,
                                ColumnVector* out) const {
+  const size_t word = col_word_[col];
   size_t ptr_word = cmp_words_;
-  for (size_t s : string_cols_) {
-    if (s == col) break;
+  for (size_t len_word : string_len_words_) {
+    if (len_word == word) break;
     ++ptr_word;
   }
-  const size_t null_word = num_cols_ + col / 64;
+  const size_t null_word = null_word_ + col / 64;
   const uint64_t null_bit = uint64_t{1} << (col % 64);
   out->Reserve(out->size() + n);
   for (size_t e = begin; e < begin + n; ++e) {
@@ -223,19 +369,19 @@ void KeyTable::AppendKeyColumn(size_t col, uint32_t begin, size_t n,
     }
     switch (out->type()) {
       case DataType::kInt64:
-        out->AppendInt64(static_cast<int64_t>(key[col]));
+        out->AppendInt64(static_cast<int64_t>(key[word]));
         break;
       case DataType::kDate:
-        out->AppendDate(static_cast<int64_t>(key[col]));
+        out->AppendDate(static_cast<int64_t>(key[word]));
         break;
       case DataType::kDouble: {
         double v;
-        std::memcpy(&v, &key[col], sizeof(v));
+        std::memcpy(&v, &key[word], sizeof(v));
         out->AppendDouble(v);
         break;
       }
       case DataType::kString:
-        out->AppendString(Slice(arena_.data() + key[ptr_word], key[col]));
+        out->AppendString(Slice(arena_.data() + key[ptr_word], key[word]));
         break;
     }
   }

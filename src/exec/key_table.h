@@ -14,14 +14,24 @@ namespace nodb {
 /// Open-addressing hash table over multi-column keys: the one key
 /// structure behind GROUP BY, DISTINCT and the hash join's build side.
 ///
-/// Each batch's keys are normalized once, column at a time, into
+/// Keys are normalized column at a time, 256 rows at a time (so the
+/// scratch is still in the L1 cache when it is probed), into
 /// fixed-width words: the int64 value of an INT or DATE cell, the bit
-/// pattern of a DOUBLE, and the length of a STRING, plus one null bit
-/// per column. A string key also carries its bytes, which the table
-/// copies into its own arena when the key is inserted. Keys are equal
-/// when their words, null bits and string bytes are equal, so -0.0 and
-/// 0.0 are different keys, NaNs with different payloads are different
-/// keys, and INT and DATE cells with the same int64 are the same key.
+/// pattern of a DOUBLE, and for a STRING its length and its first and
+/// last eight bytes (two loads that overlap below 16 B), plus one null
+/// bit per column. A string of at most 16 B is determined by those three
+/// words, so it compares without touching its bytes; a longer one also
+/// carries its bytes, compared with memcmp. The table copies every
+/// inserted string into its own arena. Keys are equal when their words,
+/// null bits and string bytes are equal, so -0.0 and 0.0 are different
+/// keys, NaNs with different payloads are different keys, and INT and
+/// DATE cells with the same int64 are the same key.
+///
+/// A row's hash folds its columns in with one 64×64→128-bit multiply
+/// each (a short string's two words go into that one multiply; a
+/// longer string is first hashed eight bytes at a time). A one-column
+/// INT, DATE or DOUBLE key needs no scratch: its words and hash are
+/// made as the probe reaches each row.
 ///
 /// Entries are numbered 0, 1, 2, ... in first-appearance order; the
 /// caller keeps its per-entry state (accumulators, row chains) in
@@ -67,23 +77,36 @@ class KeyTable {
     uint32_t id;   // entry number, or kNoEntry when empty
   };
 
-  /// Fills row_words_ and row_hashes_ for rows [0, rows) of `keys`.
-  void Normalize(const std::vector<std::shared_ptr<ColumnVector>>& keys,
-                 size_t rows);
+  /// Fills row_words_ and row_hashes_ for rows [begin, begin + rows)
+  /// of `keys`. Returns whether any of their strings is longer than
+  /// 16 B, i.e. needs its bytes compared.
+  bool Normalize(const std::vector<std::shared_ptr<ColumnVector>>& keys,
+                 size_t begin, size_t rows);
   template <bool kInsert>
   void Probe(const std::vector<std::shared_ptr<ColumnVector>>& keys,
              size_t rows, uint32_t* ids);
-  bool Equal(uint32_t entry, const uint64_t* row) const;
+  /// Probe's loop over rows [0, rows) of `source`, which gives each
+  /// row's words and hash; kCmpWords is cmp_words_ when it is small,
+  /// else 0.
+  template <bool kInsert, size_t kCmpWords, typename Rows>
+  void ProbeRows(const Rows& source, size_t rows, bool long_strings,
+                 uint32_t* ids);
+  /// Whether the strings longer than 16 B of entry `key` and batch row
+  /// `row`, whose words already compared equal, have equal bytes.
+  bool LongStringsEqual(const uint64_t* key, const uint64_t* row) const;
   uint32_t Insert(const uint64_t* row);
   void Grow();
 
-  // Word layout of one key: [fixed words: one per column (value bits,
-  // or a string's length) | null bits | one string pointer per string
-  // column]. Words before cmp_words_ compare by value; a batch row's
-  // string pointer is an address, an entry's an arena offset.
+  // Word layout of one key: [value words: one per fixed-width column,
+  // three (length, first and last eight bytes) per string column | null
+  // bits | one string pointer per string column]. Words before
+  // cmp_words_ compare by value; a batch row's string pointer is an
+  // address, an entry's an arena offset.
   const size_t num_cols_;
   const bool null_keys_match_;
-  std::vector<size_t> string_cols_;  // key columns that are STRINGs
+  std::vector<size_t> col_word_;          // each column's first value word
+  std::vector<size_t> string_len_words_;  // the string columns' lengths
+  size_t null_word_ = 0;                  // the first null-bit word
   size_t cmp_words_ = 0;
   size_t stride_ = 0;
 
@@ -93,10 +116,9 @@ class KeyTable {
   std::vector<uint64_t> words_;  // entry keys, stride_ words each
   std::string arena_;            // string key bytes
 
-  // Scratch of the batch being normalized.
+  // Scratch of the chunk of rows being normalized.
   std::vector<uint64_t> row_words_;
   std::vector<uint64_t> row_hashes_;
-  std::vector<uint8_t> row_skip_;  // NULL join key
 };
 
 }  // namespace nodb

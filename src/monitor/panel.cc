@@ -91,7 +91,8 @@ std::string MonitorPanel::RenderBreakdown(const std::string& label,
   std::snprintf(
       line, sizeof(line),
       "%-24s total %10s | proc %10s | io %10s | convert %10s | "
-      "parse %10s | tokenize %10s | nodb %10s | rows store/cache/raw "
+      "parse %10s | tokenize %10s | nodb %10s | filter %10s | "
+      "rows store/cache/raw "
       "%llu/%llu/%llu | skipped blocks %llu | parse p1/p2 %llu/%llu\n",
       label.c_str(), FormatNanos(metrics.total_ns).c_str(),
       FormatNanos(processing).c_str(),
@@ -100,6 +101,7 @@ std::string MonitorPanel::RenderBreakdown(const std::string& label,
       FormatNanos(metrics.scan.parsing_ns).c_str(),
       FormatNanos(metrics.scan.tokenize_ns).c_str(),
       FormatNanos(metrics.scan.nodb_ns).c_str(),
+      FormatNanos(metrics.scan.filter_ns).c_str(),
       static_cast<unsigned long long>(metrics.scan.rows_from_store),
       static_cast<unsigned long long>(metrics.scan.rows_from_cache),
       static_cast<unsigned long long>(metrics.scan.rows_from_raw),
@@ -206,7 +208,7 @@ std::string MonitorPanel::BreakdownCsvHeader() {
          "map_exact,map_anchor,map_blind,store_hits,rows_store,"
          "rows_cache,rows_raw,zone_skipped_blocks,zone_skipped_rows,"
          "pushdown_pruned,pushdown_p1_fields,pushdown_p2_fields,"
-         "scans_recovered_map,scans_recovered_store";
+         "scans_recovered_map,scans_recovered_store,filter_ns";
 }
 
 std::string MonitorPanel::BreakdownCsvRow(const std::string& label,
@@ -216,7 +218,7 @@ std::string MonitorPanel::BreakdownCsvRow(const std::string& label,
   std::snprintf(line, sizeof(line),
                 "%s,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%llu,%llu,%llu,"
                 "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-                "%llu,%llu,%llu,%llu",
+                "%llu,%llu,%llu,%llu,%lld",
                 label.c_str(), static_cast<long long>(metrics.total_ns),
                 static_cast<long long>(metrics.processing_ns()),
                 static_cast<long long>(s.io_ns),
@@ -243,7 +245,8 @@ std::string MonitorPanel::BreakdownCsvRow(const std::string& label,
                 static_cast<unsigned long long>(
                     s.scans_using_recovered_map),
                 static_cast<unsigned long long>(
-                    s.scans_using_recovered_store));
+                    s.scans_using_recovered_store),
+                static_cast<long long>(s.filter_ns));
   return line;
 }
 

@@ -242,6 +242,8 @@ void RecordQueryTelemetry(const QueryMetrics& metrics) {
   static Counter* maintain_ns = reg.GetCounter(
       "nodb_scan_maintain_ns_total",
       "positional map / cache / statistics maintenance time");
+  static Counter* filter_ns = reg.GetCounter(
+      "nodb_scan_filter_ns_total", "pushed-predicate evaluation time");
 
   const ScanMetrics& s = metrics.scan;
   queries->Add(1);
@@ -264,6 +266,8 @@ void RecordQueryTelemetry(const QueryMetrics& metrics) {
       static_cast<uint64_t>(s.convert_ns < 0 ? 0 : s.convert_ns));
   maintain_ns->Add(
       static_cast<uint64_t>(s.nodb_ns < 0 ? 0 : s.nodb_ns));
+  filter_ns->Add(
+      static_cast<uint64_t>(s.filter_ns < 0 ? 0 : s.filter_ns));
 }
 
 }  // namespace obs

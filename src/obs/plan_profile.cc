@@ -140,12 +140,13 @@ std::string RenderAnalyze(const PlanProfiler& profiler,
   out += line;
   std::snprintf(line, sizeof(line),
                 "scan io %s | locate %s | tokenize %s | convert %s | "
-                "maintain %s | other %s\n",
+                "maintain %s | filter %s | other %s\n",
                 FormatNanos(s.io_ns).c_str(),
                 FormatNanos(s.parsing_ns).c_str(),
                 FormatNanos(s.tokenize_ns).c_str(),
                 FormatNanos(s.convert_ns).c_str(),
                 FormatNanos(s.nodb_ns).c_str(),
+                FormatNanos(s.filter_ns).c_str(),
                 FormatNanos(ScanOtherNs(profiler, s)).c_str());
   out += line;
   return out;

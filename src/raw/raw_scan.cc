@@ -562,18 +562,15 @@ Result<bool> RawScanOperator::TryStoreBlock(uint64_t block,
   for (const auto& seg : store_segments_) {
     view.push_back(std::const_pointer_cast<ColumnVector>(seg));
   }
-  auto probe = std::make_shared<RecordBatch>(schema_, std::move(view),
-                                             rows);
-  NODB_ASSIGN_OR_RETURN(size_t passing,
-                        EvaluatePushdown(*probe, &sel_));
-
-  BatchPtr out;
-  if (passing == rows) {
-    // Every row passes: hand the view out as-is — the store tier's
-    // zero-copy serving survives pushdown.
-    out = std::move(probe);
-  } else {
-    out = GatherRows(*probe, sel_.data(), passing);
+  // When every row passes, the view goes out as-is — the store tier's
+  // zero-copy serving survives pushdown.
+  BatchPtr out = std::make_shared<RecordBatch>(schema_, std::move(view),
+                                               rows);
+  size_t passing = rows;
+  if (!predicates_.empty()) {
+    PhaseTimer timer(&metrics_->filter_ns, reader_.get());
+    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(*out, &sel_));
+    if (passing < rows) out = GatherRows(*out, sel_.data(), passing);
   }
   ++metrics_->store_block_hits;
   metrics_->rows_scanned += rows;
@@ -596,11 +593,11 @@ Result<size_t> RawScanOperator::EvaluatePushdown(
   }
   size_t passing = n;
   for (size_t p = 0; p < predicates_.size() && passing > 0; ++p) {
-    NODB_ASSIGN_OR_RETURN(auto mask, predicates_[p]->Evaluate(batch));
-    // The first conjunct selects from all rows; each later one narrows
-    // that selection in place. Same rule as FilterOperator.
-    passing = SelectTrue(*mask, p == 0 ? nullptr : sel->data(), passing,
-                         sel->data());
+    // The first conjunct selects from all rows; each later one visits
+    // only the rows still selected and narrows the selection in place.
+    NODB_ASSIGN_OR_RETURN(
+        passing, predicates_[p]->Select(batch, p == 0 ? nullptr : sel->data(),
+                                        passing, sel->data()));
   }
   return passing;
 }
@@ -813,28 +810,36 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
     // block's columns when the run is the block, else copies of the
     // run's rows of the predicate columns. Other slots hold empty
     // placeholder columns.
-    std::vector<std::shared_ptr<ColumnVector>> run_cols(n_slots);
-    for (size_t i = 0; i < n_slots; ++i) {
-      std::shared_ptr<const ColumnVector> src = built[i];
-      if (src == nullptr) src = cached[i];
-      if (src != nullptr) NODB_CHECK(src->size() >= hi);
-      if (src != nullptr && whole) {
-        run_cols[i] = std::const_pointer_cast<ColumnVector>(src);
-        continue;
+    Result<size_t> passed = size_t{0};
+    {
+      // NOLINTNEXTLINE(row-clock): once per run, a pass over its rows
+      PhaseTimer timer(&metrics_->filter_ns, reader_.get());
+      std::vector<std::shared_ptr<ColumnVector>> run_cols(n_slots);
+      for (size_t i = 0; i < n_slots; ++i) {
+        std::shared_ptr<const ColumnVector> src = built[i];
+        if (src == nullptr) src = cached[i];
+        if (src != nullptr) NODB_CHECK(src->size() >= hi);
+        if (src != nullptr && whole) {
+          run_cols[i] = std::const_pointer_cast<ColumnVector>(src);
+          continue;
+        }
+        run_cols[i] = std::make_shared<ColumnVector>(types_[i]);
+        if (src != nullptr && pred_slot_[i]) {
+          run_cols[i]->AppendRange(*src, lo, n);
+        }
       }
-      run_cols[i] = std::make_shared<ColumnVector>(types_[i]);
-      if (src != nullptr && pred_slot_[i]) {
-        run_cols[i]->AppendRange(*src, lo, n);
+      passed = EvaluatePushdown(RecordBatch(schema_, std::move(run_cols), n),
+                                &run_sel_);
+      if (passed.ok()) {
+        for (size_t k = 0; k < *passed; ++k) run_sel_[k] += lo;
+        sel_.insert(sel_.end(), run_sel_.begin(),
+                    run_sel_.begin() + *passed);
       }
     }
-    Result<size_t> passed = EvaluatePushdown(
-        RecordBatch(schema_, std::move(run_cols), n), &run_sel_);
     if (!passed.ok()) {
       deferred = passed.status();
       continue;
     }
-    for (size_t k = 0; k < *passed; ++k) run_sel_[k] += lo;
-    sel_.insert(sel_.end(), run_sel_.begin(), run_sel_.begin() + *passed);
 
     // ---- phase 2: qualifying rows only — tokenize/convert the
     // remaining columns (the paper's selective tuple formation, now

@@ -193,10 +193,11 @@ class RawScanOperator final : public ExecOperator {
   Result<bool> TryStoreBlock(uint64_t block, BatchPtr* staged);
   Result<BatchPtr> RawBlock(uint64_t block);
 
-  /// Evaluates every pushed conjunct over `batch` and narrows one
-  /// selection vector through them with SelectTrue (SQL WHERE: NULL
-  /// drops). Fills `sel` with the qualifying rows, in order, and
-  /// returns their number; with no conjuncts every row qualifies.
+  /// Narrows one selection vector through every pushed conjunct in
+  /// turn with Expr::Select (SQL WHERE: NULL drops); each conjunct
+  /// after the first visits only the rows still selected. Fills `sel`
+  /// with the qualifying rows, in order, and returns their number; with
+  /// no conjuncts every row qualifies.
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
                                   std::vector<uint32_t>* sel) const;
 

@@ -20,6 +20,10 @@ namespace nodb {
 ///  - nodb_ns:     positional map / cache / statistics / zone-map
 ///                 lookups and maintenance — the overhead *added* by
 ///                 the NoDB auxiliary structures
+///  - filter_ns:   pushed-predicate evaluation (EvaluatePushdown), with
+///                 the copies that assemble a raw run's predicate
+///                 columns and, on a store-served block, the gather of
+///                 the passing rows
 ///
 /// The scan times whole passes, not rows: each category is one timer
 /// per pass over a batch of rows — up to a block, fewer when the block
@@ -27,19 +31,20 @@ namespace nodb {
 /// the tokenize pass, the convert pass, ...) — with the I/O that happened
 /// inside the pass subtracted so the categories stay disjoint.
 ///
-/// What the five miss inside the scan itself (batch assembly, pushed-
-/// predicate evaluation, map-served row location, the timers' cost)
-/// is EXPLAIN ANALYZE's derived `other`: the scan node's self time
+/// What the six miss inside the scan itself (batch assembly, map-served
+/// row location, the timers' cost) is EXPLAIN ANALYZE's derived
+/// `other`: the scan node's self time
 /// minus TotalScanNs() (obs::ScanOtherNs). "Processing" (the rest of
 /// the plan: filters, aggregates, joins, materialization) is derived
 /// at the engine level as total − (io + parsing + tokenize + convert
-/// + nodb).
+/// + nodb + filter).
 struct ScanMetrics {
   int64_t io_ns = 0;
   int64_t parsing_ns = 0;
   int64_t tokenize_ns = 0;
   int64_t convert_ns = 0;
   int64_t nodb_ns = 0;
+  int64_t filter_ns = 0;
 
   uint64_t rows_scanned = 0;
   uint64_t bytes_read = 0;
@@ -91,6 +96,7 @@ struct ScanMetrics {
     tokenize_ns += other.tokenize_ns;
     convert_ns += other.convert_ns;
     nodb_ns += other.nodb_ns;
+    filter_ns += other.filter_ns;
     rows_scanned += other.rows_scanned;
     bytes_read += other.bytes_read;
     fields_tokenized += other.fields_tokenized;
@@ -114,7 +120,8 @@ struct ScanMetrics {
   }
 
   int64_t TotalScanNs() const {
-    return io_ns + parsing_ns + tokenize_ns + convert_ns + nodb_ns;
+    return io_ns + parsing_ns + tokenize_ns + convert_ns + nodb_ns +
+           filter_ns;
   }
 };
 

@@ -1,6 +1,7 @@
 #include "types/column_vector.h"
 
 #include <cassert>
+#include <cstring>
 
 namespace nodb {
 
@@ -118,8 +119,11 @@ void ColumnVector::AppendSelected(const ColumnVector& src,
   assert(src.type_ == type_ && &src != this);
   const size_t base = size();
   validity_.resize(base + n);
+  // Byte stores may alias any member, so the source arrays are read
+  // through locals, not reloaded from `src` every row.
   uint8_t* valid = validity_.data() + base;
-  for (size_t k = 0; k < n; ++k) valid[k] = src.validity_[sel[k]];
+  const uint8_t* src_valid = src.validity_.data();
+  for (size_t k = 0; k < n; ++k) valid[k] = src_valid[sel[k]];
   switch (type_) {
     case DataType::kInt64:
     case DataType::kDate: {
@@ -134,15 +138,38 @@ void ColumnVector::AppendSelected(const ColumnVector& src,
       for (size_t k = 0; k < n; ++k) out[k] = src.doubles_[sel[k]];
       break;
     }
-    case DataType::kString:
-      str_offsets_.reserve(str_offsets_.size() + n);
+    case DataType::kString: {
+      // Sum the selected lengths, size both arrays once, then copy.
+      const uint32_t* from = src.str_offsets_.data();
+      size_t bytes = 0;
+      for (size_t k = 0; k < n; ++k) bytes += from[sel[k] + 1] - from[sel[k]];
+      // A string of at most kShort bytes is copied as one fixed-size
+      // block, which needs no memcpy call: the destination gets kShort
+      // bytes of slack (trimmed after), and the source block must stay
+      // inside the source's bytes.
+      constexpr size_t kShort = 16;
+      size_t pos = str_data_.size();
+      const size_t end = pos + bytes;
+      str_data_.resize(end + kShort);
+      str_offsets_.resize(base + 1 + n);
+      char* dst = str_data_.data();
+      const char* in = src.str_data_.data();
+      const size_t in_size = src.str_data_.size();
+      uint32_t* offsets = str_offsets_.data() + base + 1;
       for (size_t k = 0; k < n; ++k) {
-        uint32_t begin = src.str_offsets_[sel[k]];
-        uint32_t end = src.str_offsets_[sel[k] + 1];
-        str_data_.append(src.str_data_.data() + begin, end - begin);
-        str_offsets_.push_back(static_cast<uint32_t>(str_data_.size()));
+        const uint32_t begin = from[sel[k]];
+        const uint32_t len = from[sel[k] + 1] - begin;
+        if (len <= kShort && begin + kShort <= in_size) {
+          std::memcpy(dst + pos, in + begin, kShort);
+        } else {
+          std::memcpy(dst + pos, in + begin, len);
+        }
+        pos += len;
+        offsets[k] = static_cast<uint32_t>(pos);
       }
+      str_data_.resize(end);
       break;
+    }
   }
 }
 

@@ -74,6 +74,10 @@ class ColumnVector {
   const int64_t* int64_data() const { return ints_.data(); }
   /// size() payloads of a kDouble column (0 in NULL rows).
   const double* double_data() const { return doubles_.data(); }
+  /// A kString column's size() + 1 offsets into string_data(): row i's
+  /// bytes are [offsets[i], offsets[i + 1]) (empty in NULL rows).
+  const uint32_t* string_offsets() const { return str_offsets_.data(); }
+  const char* string_data() const { return str_data_.data(); }
 
   /// The arrays of a fixed-width column, for a kernel to fill in place.
   /// `ints` is set for kInt64/kDate columns, `doubles` for kDouble.

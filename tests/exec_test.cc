@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 
@@ -1164,6 +1165,193 @@ TEST(ExecSweepTest, KeyTableSeparatesBitPatternsAndNulls) {
   ASSERT_EQ(out.size(), 5u);
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(CellBytes(out, i), CellBytes(d, i));
   EXPECT_TRUE(out.IsNull(4));
+}
+
+/// String keys through KeyTable: lengths 0..40, embedded NUL bytes,
+/// pairs that differ in exactly one byte at every position 0..16 (where
+/// a short string's two overlapping loads meet) for lengths around 8
+/// and 16, and keys that are prefixes of one another — with NULLs, over
+/// batches of several sizes. Ids must come in first-appearance order
+/// and match a std::map reference, for one and for two key columns, in
+/// the GROUP BY and the join modes.
+TEST(ExecSweepTest, KeyTableStringKeysMatchMapReference) {
+  std::mt19937_64 rng(20);
+  auto random_bytes = [&](size_t len) {
+    std::string out(len, '\0');
+    for (char& ch : out) ch = static_cast<char>(rng() % 4 == 0 ? 0 : rng());
+    return out;
+  };
+  std::vector<std::string> distinct;
+  for (size_t len = 0; len <= 40; ++len) {
+    distinct.push_back(random_bytes(len));
+    distinct.push_back(std::string(len, '\0'));
+  }
+  for (size_t pos = 0; pos <= 16; ++pos) {
+    for (size_t len : {pos + 1, size_t{7}, size_t{8}, size_t{9}, size_t{15},
+                       size_t{16}, size_t{17}, size_t{24}}) {
+      if (len <= pos) continue;
+      std::string base = random_bytes(len);
+      distinct.push_back(base);
+      base[pos] = static_cast<char>(base[pos] ^ 0x01);
+      distinct.push_back(base);
+    }
+  }
+  const std::string longest = random_bytes(40);
+  for (size_t len = 0; len <= longest.size(); ++len) {
+    distinct.push_back(longest.substr(0, len));
+  }
+
+  // Rows draw keys (and NULLs) at random.
+  const size_t rows = 3000;
+  std::vector<std::optional<std::string>> keys;
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng() % 20 == 0) {
+      keys.emplace_back(std::nullopt);
+    } else {
+      keys.emplace_back(distinct[rng() % distinct.size()]);
+    }
+  }
+  const size_t batch_sizes[] = {1, 7, 255, 256, 257, 600, 1874};
+  auto column_of = [&](size_t begin, size_t n, size_t shift) {
+    auto col = std::make_shared<ColumnVector>(DataType::kString);
+    for (size_t r = begin; r < begin + n; ++r) {
+      const auto& key = keys[(r + shift) % rows];
+      if (key.has_value()) {
+        col->AppendString(Slice(key->data(), key->size()));
+      } else {
+        col->AppendNull();
+      }
+    }
+    return col;
+  };
+
+  for (size_t width : {1, 2}) {
+    // The second column is the first shifted by one row.
+    using Key = std::vector<std::optional<std::string>>;
+    auto key_of = [&](size_t r) {
+      Key key{keys[r]};
+      if (width == 2) key.push_back(keys[(r + 1) % rows]);
+      return key;
+    };
+    auto has_null = [](const Key& key) {
+      for (const auto& part : key) {
+        if (!part.has_value()) return true;
+      }
+      return false;
+    };
+    auto batch_columns = [&](size_t begin, size_t n) {
+      std::vector<std::shared_ptr<ColumnVector>> cols{column_of(begin, n, 0)};
+      if (width == 2) cols.push_back(column_of(begin, n, 1));
+      return cols;
+    };
+    for (bool null_keys_match : {true, false}) {
+      SCOPED_TRACE("width " + std::to_string(width) +
+                   (null_keys_match ? ", GROUP BY mode" : ", join mode"));
+      KeyTable table(std::vector<DataType>(width, DataType::kString),
+                     null_keys_match);
+      std::map<Key, uint32_t> reference;
+      std::vector<uint32_t> want(rows);
+      for (size_t r = 0; r < rows; ++r) {
+        const Key key = key_of(r);
+        if (!null_keys_match && has_null(key)) {
+          want[r] = KeyTable::kNoEntry;
+          continue;
+        }
+        auto [it, inserted] = reference.emplace(
+            key, static_cast<uint32_t>(reference.size()));
+        want[r] = it->second;
+      }
+
+      std::vector<uint32_t> ids(rows);
+      size_t begin = 0;
+      for (size_t b = 0; begin < rows; ++b) {
+        const size_t n = std::min(batch_sizes[b % 7], rows - begin);
+        table.FindOrInsert(batch_columns(begin, n), n, ids.data() + begin);
+        begin += n;
+      }
+      EXPECT_EQ(table.size(), reference.size());
+      for (size_t r = 0; r < rows; ++r) ASSERT_EQ(ids[r], want[r]) << r;
+
+      // Find sees the same ids, in other batch boundaries.
+      std::fill(ids.begin(), ids.end(), 0);
+      table.Find(batch_columns(0, rows), rows, ids.data());
+      for (size_t r = 0; r < rows; ++r) ASSERT_EQ(ids[r], want[r]) << r;
+
+      // Keys one byte away from an entry are not in the table.
+      auto probe = std::make_shared<ColumnVector>(DataType::kString);
+      std::vector<std::shared_ptr<ColumnVector>> probe_cols{probe};
+      if (width == 2) {
+        probe_cols.push_back(std::make_shared<ColumnVector>(DataType::kString));
+      }
+      size_t absent = 0;
+      for (const std::string& key : distinct) {
+        std::string near = key + std::string(1, '\0');
+        if (reference.count(Key(width, near)) != 0) continue;
+        for (auto& col : probe_cols) col->AppendString(Slice(near));
+        ++absent;
+      }
+      std::vector<uint32_t> misses(absent);
+      table.Find(probe_cols, absent, misses.data());
+      for (size_t i = 0; i < absent; ++i) {
+        EXPECT_EQ(misses[i], KeyTable::kNoEntry) << i;
+      }
+
+      // The entries' key columns, in id order, are the reference keys.
+      std::vector<Key> by_id(reference.size());
+      for (const auto& [key, id] : reference) by_id[id] = key;
+      for (size_t c = 0; c < width; ++c) {
+        ColumnVector out(DataType::kString);
+        table.AppendKeyColumn(c, 0, table.size(), &out);
+        ASSERT_EQ(out.size(), by_id.size());
+        for (size_t id = 0; id < by_id.size(); ++id) {
+          if (!by_id[id][c].has_value()) {
+            EXPECT_TRUE(out.IsNull(id)) << id;
+          } else {
+            EXPECT_FALSE(out.IsNull(id)) << id;
+            EXPECT_EQ(std::string(out.GetString(id)), *by_id[id][c]) << id;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The string gather copies every selected row's bytes, short and long,
+/// up to the last byte of the source.
+TEST(ExecSweepTest, StringAppendSelectedCopiesEveryLength) {
+  std::mt19937_64 rng(21);
+  ColumnVector src(DataType::kString);
+  std::vector<std::optional<std::string>> values;
+  for (size_t r = 0; r < 500; ++r) {
+    if (rng() % 10 == 0) {
+      src.AppendNull();
+      values.emplace_back(std::nullopt);
+      continue;
+    }
+    std::string v(rng() % 41, '\0');
+    for (char& ch : v) ch = static_cast<char>(rng());
+    src.AppendString(Slice(v));
+    values.emplace_back(std::move(v));
+  }
+  for (int round = 0; round < 20; ++round) {
+    std::vector<uint32_t> sel;
+    for (uint32_t r = 0; r < values.size(); ++r) {
+      if (rng() % 3 != 0) sel.push_back(r);
+    }
+    sel.push_back(static_cast<uint32_t>(values.size() - 1));  // the tail
+    ColumnVector out(DataType::kString);
+    out.AppendString(Slice("prefix"));
+    out.AppendSelected(src, sel.data(), sel.size());
+    ASSERT_EQ(out.size(), sel.size() + 1);
+    EXPECT_EQ(out.GetString(0), "prefix");
+    for (size_t k = 0; k < sel.size(); ++k) {
+      const auto& want = values[sel[k]];
+      ASSERT_EQ(out.IsNull(k + 1), !want.has_value()) << k;
+      if (want.has_value()) {
+        ASSERT_EQ(std::string(out.GetString(k + 1)), *want) << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -607,6 +607,192 @@ TEST_P(ExprPropertySweep, DoubleOrderIgnoresRowOrder) {
   }
 }
 
+// ------------------------------------------------------ selection path
+
+/// Column-vs-literal and column-vs-column comparisons over every type
+/// pair the binder permits, AND trees of them, and now and then a
+/// predicate only the mask path serves (OR, NOT, IS NULL, LIKE,
+/// arithmetic operands). Literals include NULLs of each type, NaN,
+/// -0.0, +0.0 and integral doubles; either side may be the literal.
+class SelectionGenerator {
+ public:
+  SelectionGenerator(std::shared_ptr<Schema> schema, uint64_t seed)
+      : schema_(schema), rng_(seed), general_(std::move(schema), seed + 1) {}
+
+  ExprPtr Predicate(int depth) {
+    if (depth > 0 && rng_.Bernoulli(0.4)) {
+      return std::make_shared<LogicalExpr>(LogicalOp::kAnd,
+                                           Predicate(depth - 1),
+                                           Predicate(depth - 1));
+    }
+    if (rng_.Bernoulli(0.1)) return general_.Boolean(2);
+    return Comparison();
+  }
+
+ private:
+  ExprPtr Comparison() {
+    CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+    const CompareOp op = ops[rng_.Uniform(6)];
+    const bool strings = rng_.Bernoulli(0.25);
+    ExprPtr column = general_.ColumnOfType(!strings);
+    ExprPtr other;
+    switch (rng_.Uniform(3)) {
+      case 0:
+        other = general_.ColumnOfType(!strings);
+        break;
+      default:
+        other = strings ? StringLiteral() : NumericLiteral();
+        break;
+    }
+    if (rng_.Bernoulli(0.5)) std::swap(column, other);  // literal on the left
+    return std::make_shared<CompareExpr>(op, std::move(column),
+                                         std::move(other));
+  }
+
+  ExprPtr NumericLiteral() {
+    const double doubles[] = {std::numeric_limits<double>::quiet_NaN(),
+                              -0.0,
+                              0.0,
+                              3.0,
+                              -2.5,
+                              static_cast<double>(rng_.UniformRange(-40, 40))};
+    switch (rng_.Uniform(7)) {
+      case 0:
+      case 1:
+        return std::make_shared<LiteralExpr>(
+            Value::Int64(rng_.UniformRange(-40, 40)), DataType::kInt64);
+      case 2:
+      case 3:
+        return std::make_shared<LiteralExpr>(
+            Value::Double(doubles[rng_.Uniform(6)]), DataType::kDouble);
+      case 4:
+        return std::make_shared<LiteralExpr>(
+            Value::Date(rng_.UniformRange(8000, 9000)), DataType::kDate);
+      case 5:
+        return std::make_shared<LiteralExpr>(Value::Null(), DataType::kDouble);
+      default:
+        return std::make_shared<LiteralExpr>(Value::Null(), DataType::kInt64);
+    }
+  }
+
+  ExprPtr StringLiteral() {
+    if (rng_.Bernoulli(0.15)) {
+      return std::make_shared<LiteralExpr>(Value::Null(), DataType::kString);
+    }
+    return std::make_shared<LiteralExpr>(
+        Value::String(std::string(rng_.Uniform(3),
+                                  static_cast<char>('a' + rng_.Uniform(6)))),
+        DataType::kString);
+  }
+
+  std::shared_ptr<Schema> schema_;
+  Random rng_;
+  ExprGenerator general_;
+};
+
+/// RandomTable with the DOUBLE column's non-NULL values drawn from
+/// -0.0, +0.0, NaN, integral and fractional values.
+std::shared_ptr<ColumnStoreTable> SelectionTable(
+    const std::shared_ptr<Schema>& schema, size_t rows, Random* rng) {
+  auto table = RandomTable(schema, rows, rng);
+  const size_t d1 = 3;
+  ColumnVector doubles(DataType::kDouble);
+  for (size_t r = 0; r < rows; ++r) {
+    if (table->column(d1).IsNull(r)) {
+      doubles.AppendNull();
+      continue;
+    }
+    switch (rng->Uniform(5)) {
+      case 0:
+        doubles.AppendDouble(-0.0);
+        break;
+      case 1:
+        doubles.AppendDouble(0.0);
+        break;
+      case 2:
+        doubles.AppendDouble(std::numeric_limits<double>::quiet_NaN());
+        break;
+      case 3:
+        doubles.AppendDouble(static_cast<double>(rng->UniformRange(-40, 40)));
+        break;
+      default:
+        doubles.AppendDouble(table->column(d1).GetDouble(r));
+        break;
+    }
+  }
+  table->column(d1).Clear();
+  table->column(d1).AppendRange(doubles, 0, rows);
+  return table;
+}
+
+/// Expr::Select keeps exactly the candidates the row-wise reference
+/// finds TRUE, in candidate order, for every input selection: none
+/// (all rows), empty, full, and random subsets — the last also with the
+/// output written over the input.
+TEST_P(ExprPropertySweep, SelectMatchesReference) {
+  uint64_t seed = GetParam();
+  Random rng(seed + 4000);
+  auto schema = TestSchema();
+  SelectionGenerator generator(schema, seed * 19 + 11);
+  for (size_t rows : kBatchSizes) {
+    auto table = SelectionTable(schema, rows, &rng);
+    RecordBatch batch = WholeTable(*table);
+    std::vector<std::vector<Value>> ref_rows;
+    for (size_t r = 0; r < rows; ++r) ref_rows.push_back(batch.Row(r));
+
+    std::vector<uint32_t> full(rows);
+    for (size_t r = 0; r < rows; ++r) full[r] = static_cast<uint32_t>(r);
+    for (int iter = 0; iter < 24; ++iter) {
+      ExprPtr predicate = generator.Predicate(3);
+      ASSERT_TRUE(predicate->OutputType(*schema).ok())
+          << predicate->ToString();
+      std::vector<bool> want_row(rows);
+      for (size_t r = 0; r < rows; ++r) {
+        want_row[r] = EvalRef(*predicate, ref_rows[r]) == Value::Int64(1);
+      }
+
+      std::vector<uint32_t> subset;
+      for (uint32_t r = 0; r < rows; ++r) {
+        if (rng.Bernoulli(0.5)) subset.push_back(r);
+      }
+      struct Case {
+        const char* name;
+        std::vector<uint32_t> in;
+        bool all_rows;  // `in` is null
+        bool in_place;  // `out` aliases `in`
+      };
+      const Case cases[] = {{"all rows", {}, true, false},
+                            {"empty", {}, false, false},
+                            {"full", full, false, false},
+                            {"subset", subset, false, false},
+                            {"subset in place", subset, false, true}};
+      for (const Case& c : cases) {
+        std::vector<uint32_t> want;
+        const size_t n = c.all_rows ? rows : c.in.size();
+        for (size_t j = 0; j < n; ++j) {
+          const uint32_t r = c.all_rows ? static_cast<uint32_t>(j) : c.in[j];
+          if (want_row[r]) want.push_back(r);
+        }
+        std::vector<uint32_t> in = c.in;
+        std::vector<uint32_t> scratch(std::max<size_t>(n, 1));
+        uint32_t* out = c.in_place ? in.data() : scratch.data();
+        auto got = predicate->Select(batch, c.all_rows ? nullptr : in.data(),
+                                     n, out);
+        ASSERT_TRUE(got.ok()) << predicate->ToString();
+        ASSERT_EQ(*got, want.size())
+            << "seed " << seed << " rows " << rows << " " << c.name << ": "
+            << predicate->ToString();
+        for (size_t k = 0; k < want.size(); ++k) {
+          ASSERT_EQ(out[k], want[k])
+              << "seed " << seed << " rows " << rows << " " << c.name
+              << " position " << k << ": " << predicate->ToString();
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ExprPropertySweep,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 

@@ -302,6 +302,7 @@ TEST_F(ObsEngineTest, TracedQueryHasClosedMonotoneSpans) {
   // The raw scan did real work, so its cost categories became spans,
   // and the profiler recorded the operator tree.
   EXPECT_TRUE(names.count("scan.tokenize"));
+  EXPECT_TRUE(names.count("scan.filter"));  // the pushed `amount > 50`
   EXPECT_TRUE(names.count("exec.scan"));
 
   // Coverage: the root span tracks the query wall time, and the three
@@ -512,8 +513,8 @@ TEST_F(ObsEngineTest, ExplainAnalyzeRowsMatchPlainQuery) {
 TEST(ScanBreakdownTest, CategoriesPlusOtherAddUpToScanSelfTime) {
   // A cold pushed-predicate scan of a 12-int-column file, profiled the
   // way EXPLAIN ANALYZE profiles it: io + locate + tokenize + convert +
-  // maintain + other is exactly the scan node's self time, and the
-  // five measured categories carry most of it.
+  // maintain + filter + other is exactly the scan node's self time, and
+  // the six measured categories carry most of it.
   auto dir = TempDir::Create("nodb-obs-scan");
   ASSERT_TRUE(dir.ok());
   std::string path = dir->FilePath("t.csv");
@@ -565,6 +566,7 @@ TEST(ScanBreakdownTest, CategoriesPlusOtherAddUpToScanSelfTime) {
     QueryMetrics query;
     query.scan = metrics;
     std::string text = obs::RenderAnalyze(profiler, query);
+    EXPECT_NE(text.find("| filter "), std::string::npos) << text;
     EXPECT_NE(text.find("| other "), std::string::npos) << text;
   }
   EXPECT_GE(best_coverage, 0.85);
