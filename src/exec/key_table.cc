@@ -81,6 +81,21 @@ inline void EdgeWords(const char* p, size_t n, uint64_t* head,
   return h;
 }
 
+/// Writes the key words of the `n`-byte string at `p` (its length and
+/// EdgeWords) to w[0..3) and returns the hash `h` of the columns before
+/// it with the string folded in: one multiply for a string of at most
+/// kShortString bytes, the word loop for a longer one.
+inline uint64_t StringCell(const char* p, size_t n, uint64_t h,
+                           uint64_t* w) {
+  uint64_t head, tail;
+  EdgeWords(p, n, &head, &tail);
+  w[0] = n;
+  w[1] = head;
+  w[2] = tail;
+  return n <= kShortString ? MulFold(h ^ head, tail ^ kMulB ^ n)
+                           : MulFold(h ^ HashBytes(p, n), kMulA);
+}
+
 }  // namespace
 
 KeyTable::KeyTable(const std::vector<DataType>& types, bool null_keys_match)
@@ -143,18 +158,11 @@ bool KeyTable::Normalize(
         const uint8_t ok = valid[r];
         const char* p = data + offsets[r];
         const size_t n = ok ? offsets[r + 1] - offsets[r] : 0;
-        uint64_t head, tail;
-        EdgeWords(p, n, &head, &tail);
         longest = std::max(longest, n);
-        row[word] = n;
-        row[word + 1] = head;
-        row[word + 2] = tail;
+        hashes[r] =
+            StringCell(p, n, first ? kHashSeed : hashes[r], row + word);
         row[ptr_word] = reinterpret_cast<uintptr_t>(p);
         set_null_bit(row, ok);
-        const uint64_t h = first ? kHashSeed : hashes[r];
-        hashes[r] = n <= kShortString
-                        ? MulFold(h ^ head, tail ^ kMulB ^ n)
-                        : MulFold(h ^ HashBytes(p, n), kMulA);
       }
       ++ptr_word;
       continue;
@@ -183,8 +191,10 @@ bool KeyTable::Normalize(
   return longest > kShortString;
 }
 
-bool KeyTable::LongStringsEqual(const uint64_t* key,
-                                const uint64_t* row) const {
+// Out of line: it is rare, and inlined it crowds the probe loop's
+// registers.
+[[gnu::noinline]] bool KeyTable::LongStringsEqual(const uint64_t* key,
+                                                  const uint64_t* row) const {
   for (size_t s = 0; s < string_len_words_.size(); ++s) {
     const size_t len = key[string_len_words_[s]];  // equal lengths
     if (len > kShortString &&
@@ -231,15 +241,17 @@ void KeyTable::ProbeRows(const Rows& source, size_t rows, bool long_strings,
   // reload them; a known word count unrolls the key comparison.
   const size_t cmp_words = kCmpWords != 0 ? kCmpWords : cmp_words_;
   const size_t stride = stride_;
-  const size_t null_word = null_word_;
+  // A one-column key's null bit is its last compared word.
+  const size_t null_word = kCmpWords != 0 ? kCmpWords - 1 : null_word_;
   const bool skip_null_keys = !null_keys_match_;
   const Slot* slots = slots_.data();
   uint64_t mask = mask_;
   // Insert may move the entry words; Grow moves the slots.
   const uint64_t* entries = words_.data();
   for (size_t r = 0; r < rows; ++r) {
-    uint64_t buffer[2];
-    const uint64_t* row = source.Row(r, buffer);
+    uint64_t buffer[5];  // a one-column key's words
+    uint64_t hash;
+    const uint64_t* row = source.Row(r, buffer, &hash);
     if (skip_null_keys) {
       uint64_t nulls = row[null_word];
       for (size_t w = null_word + 1; w < cmp_words; ++w) nulls |= row[w];
@@ -253,7 +265,7 @@ void KeyTable::ProbeRows(const Rows& source, size_t rows, bool long_strings,
       slots = slots_.data();
       mask = mask_;
     }
-    const uint32_t tag = static_cast<uint32_t>(source.Hash(r, row) >> 32);
+    const uint32_t tag = static_cast<uint32_t>(hash >> 32);
     uint32_t id = kNoEntry;
     for (uint64_t i = tag & mask;; i = (i + 1) & mask) {
       const Slot slot = slots[i];
@@ -285,26 +297,44 @@ struct ScratchRows {
   const uint64_t* words;
   const uint64_t* hashes;
   size_t stride;
-  const uint64_t* Row(size_t r, uint64_t*) const { return words + r * stride; }
-  uint64_t Hash(size_t r, const uint64_t*) const { return hashes[r]; }
+  const uint64_t* Row(size_t r, uint64_t*, uint64_t* hash) const {
+    *hash = hashes[r];
+    return words + r * stride;
+  }
 };
 
-/// The rows of a one-column fixed-width key, whose two words (value,
-/// null bit) and hash are made as the probe reaches each row: such a
-/// key needs no scratch. Same words and hash as Normalize makes.
+// A one-column key needs no scratch: its words (value words, null bit,
+// string pointer) and hash are made as the probe reaches each row, by
+// the same helpers and in the same layout as Normalize.
+
+/// The rows of a one-column INT, DATE or DOUBLE key.
 struct OneFixedColumn {
   const uint8_t* valid;
   const unsigned char* values;  // 8-byte payloads
-  const uint64_t* Row(size_t r, uint64_t* buffer) const {
+  const uint64_t* Row(size_t r, uint64_t* buffer, uint64_t* hash) const {
     const uint8_t ok = valid[r];
     uint64_t v;
     std::memcpy(&v, values + 8 * r, sizeof(v));
     buffer[0] = v & (uint64_t{0} - ok);
     buffer[1] = ok ? 0 : 1;
+    *hash = FixedHash(kHashSeed, buffer[0]);
     return buffer;
   }
-  uint64_t Hash(size_t, const uint64_t* row) const {
-    return FixedHash(kHashSeed, row[0]);
+};
+
+/// The rows of a one-column STRING key.
+struct OneStringColumn {
+  const uint8_t* valid;
+  const uint32_t* offsets;
+  const char* data;
+  const uint64_t* Row(size_t r, uint64_t* buffer, uint64_t* hash) const {
+    const uint8_t ok = valid[r];
+    const char* p = data + offsets[r];
+    const size_t n = ok ? offsets[r + 1] - offsets[r] : 0;
+    *hash = StringCell(p, n, kHashSeed, buffer);
+    buffer[3] = ok ? 0 : 1;
+    buffer[4] = reinterpret_cast<uintptr_t>(p);
+    return buffer;
   }
 };
 
@@ -314,8 +344,19 @@ template <bool kInsert>
 void KeyTable::Probe(
     const std::vector<std::shared_ptr<ColumnVector>>& keys, size_t rows,
     uint32_t* ids) {
-  if (num_cols_ == 1 && string_len_words_.empty()) {
+  if (num_cols_ == 1) {
     const ColumnVector& col = *keys[0];
+    if (col.type() == DataType::kString) {
+      const uint32_t* offsets = col.string_offsets();
+      uint32_t longest = 0;
+      for (size_t r = 0; r < rows; ++r) {
+        longest = std::max(longest, offsets[r + 1] - offsets[r]);
+      }
+      ProbeRows<kInsert, 4>(
+          OneStringColumn{col.validity(), offsets, col.string_data()}, rows,
+          longest > kShortString, ids);
+      return;
+    }
     const void* values = col.type() == DataType::kDouble
                              ? static_cast<const void*>(col.double_data())
                              : static_cast<const void*>(col.int64_data());
@@ -330,12 +371,9 @@ void KeyTable::Probe(
   for (size_t begin = 0; begin < rows; begin += kChunkRows) {
     const size_t n = std::min(kChunkRows, rows - begin);
     const bool long_strings = Normalize(keys, begin, n);
-    const ScratchRows source{row_words_.data(), row_hashes_.data(), stride_};
-    if (cmp_words_ == 4) {  // e.g. one string column
-      ProbeRows<kInsert, 4>(source, n, long_strings, ids + begin);
-    } else {
-      ProbeRows<kInsert, 0>(source, n, long_strings, ids + begin);
-    }
+    ProbeRows<kInsert, 0>(
+        ScratchRows{row_words_.data(), row_hashes_.data(), stride_}, n,
+        long_strings, ids + begin);
   }
 }
 

@@ -30,8 +30,8 @@ namespace nodb {
 /// A row's hash folds its columns in with one 64×64→128-bit multiply
 /// each (a short string's two words go into that one multiply; a
 /// longer string is first hashed eight bytes at a time). A one-column
-/// INT, DATE or DOUBLE key needs no scratch: its words and hash are
-/// made as the probe reaches each row.
+/// key needs no scratch: its words and hash are made as the probe
+/// reaches each row.
 ///
 /// Entries are numbered 0, 1, 2, ... in first-appearance order; the
 /// caller keeps its per-entry state (accumulators, row chains) in
@@ -86,8 +86,8 @@ class KeyTable {
   void Probe(const std::vector<std::shared_ptr<ColumnVector>>& keys,
              size_t rows, uint32_t* ids);
   /// Probe's loop over rows [0, rows) of `source`, which gives each
-  /// row's words and hash; kCmpWords is cmp_words_ when it is small,
-  /// else 0.
+  /// row's words and hash; kCmpWords is cmp_words_ for a one-column
+  /// key, else 0.
   template <bool kInsert, size_t kCmpWords, typename Rows>
   void ProbeRows(const Rows& source, size_t rows, bool long_strings,
                  uint32_t* ids);
