@@ -234,146 +234,66 @@ void KeyTable::Grow() {
   }
 }
 
-template <bool kInsert, size_t kCmpWords, typename Rows>
-void KeyTable::ProbeRows(const Rows& source, size_t rows, bool long_strings,
-                         uint32_t* ids) {
-  // The table's fields live in locals, so the stores below need not
-  // reload them; a known word count unrolls the key comparison.
-  const size_t cmp_words = kCmpWords != 0 ? kCmpWords : cmp_words_;
-  const size_t stride = stride_;
-  // A one-column key's null bit is its last compared word.
-  const size_t null_word = kCmpWords != 0 ? kCmpWords - 1 : null_word_;
-  const bool skip_null_keys = !null_keys_match_;
-  const Slot* slots = slots_.data();
-  uint64_t mask = mask_;
-  // Insert may move the entry words; Grow moves the slots.
-  const uint64_t* entries = words_.data();
-  for (size_t r = 0; r < rows; ++r) {
-    uint64_t buffer[5];  // a one-column key's words
-    uint64_t hash;
-    const uint64_t* row = source.Row(r, buffer, &hash);
-    if (skip_null_keys) {
-      uint64_t nulls = row[null_word];
-      for (size_t w = null_word + 1; w < cmp_words; ++w) nulls |= row[w];
-      if (nulls != 0) {
-        ids[r] = kNoEntry;  // a NULL join key matches nothing
-        continue;
-      }
-    }
-    if (kInsert && (num_entries_ + 1) * 2 > mask + 1) {
-      Grow();
-      slots = slots_.data();
-      mask = mask_;
-    }
-    const uint32_t tag = static_cast<uint32_t>(hash >> 32);
-    uint32_t id = kNoEntry;
-    for (uint64_t i = tag & mask;; i = (i + 1) & mask) {
-      const Slot slot = slots[i];
-      if (slot.id == kNoEntry) {
-        if (kInsert) {
-          id = Insert(row);
-          slots_[i] = Slot{tag, id};
-          entries = words_.data();
-        }
-        break;
-      }
-      if (slot.tag != tag) continue;
-      const uint64_t* key = entries + size_t{slot.id} * stride;
-      uint64_t diff = 0;
-      for (size_t w = 0; w < cmp_words; ++w) diff |= key[w] ^ row[w];
-      if (diff == 0 && (!long_strings || LongStringsEqual(key, row))) {
-        id = slot.id;
-        break;
-      }
-    }
-    ids[r] = id;
-  }
-}
-
-namespace {
-
-/// Rows normalized into the scratch (KeyTable::Normalize).
-struct ScratchRows {
-  const uint64_t* words;
-  const uint64_t* hashes;
-  size_t stride;
-  const uint64_t* Row(size_t r, uint64_t*, uint64_t* hash) const {
-    *hash = hashes[r];
-    return words + r * stride;
-  }
-};
-
-// A one-column key needs no scratch: its words (value words, null bit,
-// string pointer) and hash are made as the probe reaches each row, by
-// the same helpers and in the same layout as Normalize.
-
-/// The rows of a one-column INT, DATE or DOUBLE key.
-struct OneFixedColumn {
-  const uint8_t* valid;
-  const unsigned char* values;  // 8-byte payloads
-  const uint64_t* Row(size_t r, uint64_t* buffer, uint64_t* hash) const {
-    const uint8_t ok = valid[r];
-    uint64_t v;
-    std::memcpy(&v, values + 8 * r, sizeof(v));
-    buffer[0] = v & (uint64_t{0} - ok);
-    buffer[1] = ok ? 0 : 1;
-    *hash = FixedHash(kHashSeed, buffer[0]);
-    return buffer;
-  }
-};
-
-/// The rows of a one-column STRING key.
-struct OneStringColumn {
-  const uint8_t* valid;
-  const uint32_t* offsets;
-  const char* data;
-  const uint64_t* Row(size_t r, uint64_t* buffer, uint64_t* hash) const {
-    const uint8_t ok = valid[r];
-    const char* p = data + offsets[r];
-    const size_t n = ok ? offsets[r + 1] - offsets[r] : 0;
-    *hash = StringCell(p, n, kHashSeed, buffer);
-    buffer[3] = ok ? 0 : 1;
-    buffer[4] = reinterpret_cast<uintptr_t>(p);
-    return buffer;
-  }
-};
-
-}  // namespace
-
 template <bool kInsert>
 void KeyTable::Probe(
     const std::vector<std::shared_ptr<ColumnVector>>& keys, size_t rows,
     uint32_t* ids) {
-  if (num_cols_ == 1) {
-    const ColumnVector& col = *keys[0];
-    if (col.type() == DataType::kString) {
-      const uint32_t* offsets = col.string_offsets();
-      uint32_t longest = 0;
-      for (size_t r = 0; r < rows; ++r) {
-        longest = std::max(longest, offsets[r + 1] - offsets[r]);
-      }
-      ProbeRows<kInsert, 4>(
-          OneStringColumn{col.validity(), offsets, col.string_data()}, rows,
-          longest > kShortString, ids);
-      return;
-    }
-    const void* values = col.type() == DataType::kDouble
-                             ? static_cast<const void*>(col.double_data())
-                             : static_cast<const void*>(col.int64_data());
-    ProbeRows<kInsert, 2>(
-        OneFixedColumn{col.validity(),
-                       static_cast<const unsigned char*>(values)},
-        rows, /*long_strings=*/false, ids);
-    return;
-  }
+  // The table's fields live in locals, so the stores below need not
+  // reload them.
+  const size_t cmp_words = cmp_words_;
+  const size_t stride = stride_;
+  const size_t null_word = null_word_;
+  const bool skip_null_keys = !null_keys_match_;
   // A chunk's scratch stays in the L1 cache between being written and
   // being probed.
   for (size_t begin = 0; begin < rows; begin += kChunkRows) {
     const size_t n = std::min(kChunkRows, rows - begin);
     const bool long_strings = Normalize(keys, begin, n);
-    ProbeRows<kInsert, 0>(
-        ScratchRows{row_words_.data(), row_hashes_.data(), stride_}, n,
-        long_strings, ids + begin);
+    const uint64_t* words = row_words_.data();
+    const uint64_t* hashes = row_hashes_.data();
+    const Slot* slots = slots_.data();
+    uint64_t mask = mask_;
+    // Insert may move the entry words; Grow moves the slots.
+    const uint64_t* entries = words_.data();
+    uint32_t* out = ids + begin;
+    for (size_t r = 0; r < n; ++r) {
+      const uint64_t* row = words + r * stride;
+      if (skip_null_keys) {
+        uint64_t nulls = 0;
+        for (size_t w = null_word; w < cmp_words; ++w) nulls |= row[w];
+        if (nulls != 0) {
+          out[r] = kNoEntry;  // a NULL join key matches nothing
+          continue;
+        }
+      }
+      if (kInsert && (num_entries_ + 1) * 2 > mask + 1) {
+        Grow();
+        slots = slots_.data();
+        mask = mask_;
+      }
+      const uint32_t tag = static_cast<uint32_t>(hashes[r] >> 32);
+      uint32_t id = kNoEntry;
+      for (uint64_t i = tag & mask;; i = (i + 1) & mask) {
+        const Slot slot = slots[i];
+        if (slot.id == kNoEntry) {
+          if (kInsert) {
+            id = Insert(row);
+            slots_[i] = Slot{tag, id};
+            entries = words_.data();
+          }
+          break;
+        }
+        if (slot.tag != tag) continue;
+        const uint64_t* key = entries + size_t{slot.id} * stride;
+        uint64_t diff = 0;
+        for (size_t w = 0; w < cmp_words; ++w) diff |= key[w] ^ row[w];
+        if (diff == 0 && (!long_strings || LongStringsEqual(key, row))) {
+          id = slot.id;
+          break;
+        }
+      }
+      out[r] = id;
+    }
   }
 }
 

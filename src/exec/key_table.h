@@ -29,9 +29,7 @@ namespace nodb {
 ///
 /// A row's hash folds its columns in with one 64×64→128-bit multiply
 /// each (a short string's two words go into that one multiply; a
-/// longer string is first hashed eight bytes at a time). A one-column
-/// key needs no scratch: its words and hash are made as the probe
-/// reaches each row.
+/// longer string is first hashed eight bytes at a time).
 ///
 /// Entries are numbered 0, 1, 2, ... in first-appearance order; the
 /// caller keeps its per-entry state (accumulators, row chains) in
@@ -85,12 +83,6 @@ class KeyTable {
   template <bool kInsert>
   void Probe(const std::vector<std::shared_ptr<ColumnVector>>& keys,
              size_t rows, uint32_t* ids);
-  /// Probe's loop over rows [0, rows) of `source`, which gives each
-  /// row's words and hash; kCmpWords is cmp_words_ for a one-column
-  /// key, else 0.
-  template <bool kInsert, size_t kCmpWords, typename Rows>
-  void ProbeRows(const Rows& source, size_t rows, bool long_strings,
-                 uint32_t* ids);
   /// Whether the strings longer than 16 B of entry `key` and batch row
   /// `row`, whose words already compared equal, have equal bytes.
   bool LongStringsEqual(const uint64_t* key, const uint64_t* row) const;

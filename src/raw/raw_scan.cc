@@ -587,10 +587,6 @@ Result<size_t> RawScanOperator::EvaluatePushdown(
     const RecordBatch& batch, std::vector<uint32_t>* sel) const {
   const size_t n = batch.num_rows();
   sel->resize(n);
-  if (predicates_.empty()) {
-    std::iota(sel->begin(), sel->end(), uint32_t{0});
-    return n;
-  }
   size_t passing = n;
   for (size_t p = 0; p < predicates_.size() && passing > 0; ++p) {
     // The first conjunct selects from all rows; each later one visits
@@ -809,36 +805,43 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
     // ---- vectorize the conjuncts over the run's partial batch: the
     // block's columns when the run is the block, else copies of the
     // run's rows of the predicate columns. Other slots hold empty
-    // placeholder columns.
-    Result<size_t> passed = size_t{0};
-    {
-      // NOLINTNEXTLINE(row-clock): once per run, a pass over its rows
-      PhaseTimer timer(&metrics_->filter_ns, reader_.get());
-      std::vector<std::shared_ptr<ColumnVector>> run_cols(n_slots);
-      for (size_t i = 0; i < n_slots; ++i) {
-        std::shared_ptr<const ColumnVector> src = built[i];
-        if (src == nullptr) src = cached[i];
-        if (src != nullptr) NODB_CHECK(src->size() >= hi);
-        if (src != nullptr && whole) {
-          run_cols[i] = std::const_pointer_cast<ColumnVector>(src);
-          continue;
+    // placeholder columns. With no conjunct every row of the run
+    // qualifies.
+    size_t passed = n;
+    if (!filtered) {
+      for (size_t r = lo; r < hi; ++r) sel_.push_back(static_cast<uint32_t>(r));
+    } else {
+      Result<size_t> selected = size_t{0};
+      {
+        // NOLINTNEXTLINE(row-clock): once per run, a pass over its rows
+        PhaseTimer timer(&metrics_->filter_ns, reader_.get());
+        std::vector<std::shared_ptr<ColumnVector>> run_cols(n_slots);
+        for (size_t i = 0; i < n_slots; ++i) {
+          std::shared_ptr<const ColumnVector> src = built[i];
+          if (src == nullptr) src = cached[i];
+          if (src != nullptr) NODB_CHECK(src->size() >= hi);
+          if (src != nullptr && whole) {
+            run_cols[i] = std::const_pointer_cast<ColumnVector>(src);
+            continue;
+          }
+          run_cols[i] = std::make_shared<ColumnVector>(types_[i]);
+          if (src != nullptr && pred_slot_[i]) {
+            run_cols[i]->AppendRange(*src, lo, n);
+          }
         }
-        run_cols[i] = std::make_shared<ColumnVector>(types_[i]);
-        if (src != nullptr && pred_slot_[i]) {
-          run_cols[i]->AppendRange(*src, lo, n);
+        selected = EvaluatePushdown(
+            RecordBatch(schema_, std::move(run_cols), n), &run_sel_);
+        if (selected.ok()) {
+          for (size_t k = 0; k < *selected; ++k) run_sel_[k] += lo;
+          sel_.insert(sel_.end(), run_sel_.begin(),
+                      run_sel_.begin() + *selected);
         }
       }
-      passed = EvaluatePushdown(RecordBatch(schema_, std::move(run_cols), n),
-                                &run_sel_);
-      if (passed.ok()) {
-        for (size_t k = 0; k < *passed; ++k) run_sel_[k] += lo;
-        sel_.insert(sel_.end(), run_sel_.begin(),
-                    run_sel_.begin() + *passed);
+      if (!selected.ok()) {
+        deferred = selected.status();
+        continue;
       }
-    }
-    if (!passed.ok()) {
-      deferred = passed.status();
-      continue;
+      passed = *selected;
     }
 
     // ---- phase 2: qualifying rows only — tokenize/convert the
@@ -846,12 +849,12 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
     // predicate-aware). Blind-row attribution happened in phase 1 when
     // predicate columns probed; count here only when phase 2 is the
     // row's first tokenize pass.
-    if (!p2_idx.empty() && *passed > 0) {
-      deferred = ParsePass(first, run_sel_.data(), *passed, plan,
+    if (!p2_idx.empty() && passed > 0) {
+      deferred = ParsePass(first, run_sel_.data(), passed, plan,
                            probe_attrs, probe_slots, p2_idx,
                            /*count_blind=*/p1_idx.empty(), nullptr,
                            &parsed2);
-      metrics_->pushdown_phase2_fields += *passed * p2_idx.size();
+      metrics_->pushdown_phase2_fields += passed * p2_idx.size();
     }
   }
   NODB_RETURN_NOT_OK(deferred);

@@ -196,8 +196,8 @@ class RawScanOperator final : public ExecOperator {
   /// Narrows one selection vector through every pushed conjunct in
   /// turn with Expr::Select (SQL WHERE: NULL drops); each conjunct
   /// after the first visits only the rows still selected. Fills `sel`
-  /// with the qualifying rows, in order, and returns their number; with
-  /// no conjuncts every row qualifies.
+  /// with the qualifying rows, in order, and returns their number.
+  /// Called only when there are conjuncts.
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
                                   std::vector<uint32_t>* sel) const;
 

@@ -251,7 +251,6 @@ void EncodeQueryMetrics(const QueryMetrics& metrics, WireWriter* w) {
   w->PutI64(s.tokenize_ns);
   w->PutI64(s.convert_ns);
   w->PutI64(s.nodb_ns);
-  w->PutI64(s.filter_ns);
   w->PutU64(s.rows_scanned);
   w->PutU64(s.bytes_read);
   w->PutU64(s.fields_tokenized);
@@ -286,7 +285,6 @@ Result<QueryMetrics> DecodeQueryMetrics(WireReader* r) {
   NODB_ASSIGN_OR_RETURN(s.tokenize_ns, r->GetI64());
   NODB_ASSIGN_OR_RETURN(s.convert_ns, r->GetI64());
   NODB_ASSIGN_OR_RETURN(s.nodb_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(s.filter_ns, r->GetI64());
   NODB_ASSIGN_OR_RETURN(s.rows_scanned, r->GetU64());
   NODB_ASSIGN_OR_RETURN(s.bytes_read, r->GetU64());
   NODB_ASSIGN_OR_RETURN(s.fields_tokenized, r->GetU64());

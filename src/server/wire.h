@@ -40,8 +40,7 @@ namespace server {
 /// NoDbConfig::server_result_batch_rows rows per frame, so the first
 /// rows of a large answer arrive while the scan is still running.
 inline constexpr char kMagic[4] = {'N', 'o', 'D', 'B'};
-/// Version 2: RESULT_DONE's scan metrics carry filter_ns after nodb_ns.
-inline constexpr uint16_t kProtocolVersion = 2;
+inline constexpr uint16_t kProtocolVersion = 1;
 
 enum class FrameType : uint8_t {
   kHello = 1,

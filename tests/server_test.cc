@@ -120,7 +120,6 @@ TEST(WireTest, QueryMetricsRoundTrip) {
   m.plan_ns = 22;
   m.drain_ns = 33;
   m.scan.io_ns = 44;
-  m.scan.filter_ns = 55;
   m.scan.rows_scanned = 1000;
   m.scan.rows_from_store = 600;
   m.scan.pushdown_rows_pruned = 17;
@@ -136,7 +135,6 @@ TEST(WireTest, QueryMetricsRoundTrip) {
   EXPECT_EQ(decoded->plan_ns, m.plan_ns);
   EXPECT_EQ(decoded->drain_ns, m.drain_ns);
   EXPECT_EQ(decoded->scan.io_ns, m.scan.io_ns);
-  EXPECT_EQ(decoded->scan.filter_ns, m.scan.filter_ns);
   EXPECT_EQ(decoded->scan.rows_scanned, m.scan.rows_scanned);
   EXPECT_EQ(decoded->scan.rows_from_store, m.scan.rows_from_store);
   EXPECT_EQ(decoded->scan.pushdown_rows_pruned,
