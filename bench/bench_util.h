@@ -2,6 +2,7 @@
 #define NODB_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -9,10 +10,12 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "csv/tokenizer.h"
 #include "datagen/synthetic.h"
+#include "io/buffered_reader.h"
 #include "io/file.h"
 #include "io/temp_dir.h"
-#include "simd/structural_index.h"
+#include "simd/simd.h"
 #include "util/result.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -87,62 +90,86 @@ double MedianMs(int reps, Fn&& fn) {
   return ms[ms.size() / 2];
 }
 
-/// Best-of-three structural-indexing throughput (bytes/s) over `data`
-/// at `level`, processed in read-buffer-sized slabs exactly like the
-/// first-touch scan's stage 1.
-inline double StructuralScanBps(const std::string& data,
-                                const CsvDialect& dialect,
-                                simd::SimdLevel level) {
-  const simd::StructuralIndexer indexer(dialect, level);
-  simd::StructuralIndex index;
-  constexpr size_t kSlab = size_t{1} << 20;
-  double best_ns = 1e30;
-  uint64_t sink = 0;  // keep the index observably live
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch watch;
-    for (size_t offset = 0; offset < data.size(); offset += kSlab) {
-      indexer.Index(data.data() + offset,
-                    std::min(kSlab, data.size() - offset), offset, &index);
-      sink += index.newlines.size() + index.delims.size();
+/// Times the two byte-search kernels a cold scan runs over the raw file
+/// at `path`, best of `reps` passes per tier with the tiers interleaved:
+///   - BufferedReader::FindRows, the row finder, walking the file one
+///     buffer window at a time (reads included), at every runnable tier;
+///   - CsvTokenizer::ScanStarts cutting every field of every row, at the
+///     active tier against kScalar.
+/// Prints both and returns ScanStarts' speedup (scalar ns per row over
+/// active ns per row). Returns 0, with a notice, when the active tier is
+/// scalar (scalar-only build or CPU): there is nothing to compare.
+inline double ReportTokenizerKernels(const std::string& path,
+                                     const CsvDialect& dialect,
+                                     int reps = 15) {
+  const std::vector<simd::SimdLevel> levels = simd::RunnableLevels();
+  const std::string data = CheckOk(ReadFileToString(path), "read raw file");
+  std::shared_ptr<RandomAccessFile> file =
+      CheckOk(OpenRandomAccessFile(path), "open raw file");
+  BufferedReader reader(file);
+  std::vector<uint64_t> row_starts;
+  std::vector<double> find_rows_ns(levels.size(), 1e30);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t l = 0; l < levels.size(); ++l) {
+      row_starts.clear();
+      Stopwatch watch;
+      uint64_t next = 0;
+      for (uint64_t offset = 0; offset < data.size(); offset = next) {
+        CheckOk(reader.FindRows(offset, data.size(), SIZE_MAX, levels[l],
+                                &row_starts, &next),
+                "find rows");
+        if (next == offset) break;
+      }
+      find_rows_ns[l] = std::min(
+          find_rows_ns[l], static_cast<double>(watch.ElapsedNanos()));
     }
-    best_ns = std::min(best_ns, static_cast<double>(watch.ElapsedNanos()));
   }
-  if (sink == 0) std::printf("(structural scan found no structure)\n");
-  if (best_ns <= 0) best_ns = 1;
-  return static_cast<double>(data.size()) / best_ns * 1e9;
-}
+  for (size_t l = 0; l < levels.size(); ++l) {
+    std::printf("FindRows %-6s %6.2f GB/s\n", simd::LevelName(levels[l]),
+                static_cast<double>(data.size()) /
+                    std::max(find_rows_ns[l], 1.0));
+  }
 
-/// The tentpole's hard perf gate: stage-1 structural indexing of `path`
-/// with the active SIMD tier must beat the scalar fallback kernels by
-/// `min_ratio` (the cold first-touch component the SIMD layer owns).
-/// Prints both throughputs; exits non-zero under the gate. Skipped —
-/// with a note — when no SIMD tier is available (scalar-only build or
-/// exotic CPU), since there is nothing to compare.
-inline void GateStructuralSpeedup(const std::string& path,
-                                  const CsvDialect& dialect,
-                                  double min_ratio) {
   const simd::SimdLevel active = simd::ActiveLevel();
   if (active == simd::SimdLevel::kScalar) {
     std::printf(
-        "structural scan: no SIMD tier available (scalar build) — "
-        "speedup gate skipped\n");
-    return;
+        "ScanStarts: no SIMD tier available (scalar build) — speedup not "
+        "measured\n");
+    return 0;
   }
-  const std::string data = CheckOk(ReadFileToString(path), "read raw file");
-  const double simd_bps = StructuralScanBps(data, dialect, active);
-  const double scalar_bps =
-      StructuralScanBps(data, dialect, simd::SimdLevel::kScalar);
-  const double ratio = scalar_bps > 0 ? simd_bps / scalar_bps : 0;
+  std::vector<Slice> rows;
+  for (uint64_t start : row_starts) {
+    const size_t end = std::min(data.find('\n', start), data.size());
+    rows.emplace_back(data.data() + start, end - start);
+  }
+  const CsvTokenizer simd_tokenizer(dialect, active);
+  const CsvTokenizer scalar_tokenizer(dialect, simd::SimdLevel::kScalar);
+  std::vector<uint32_t> starts;
+  const uint32_t fields =
+      rows.empty() ? 0 : scalar_tokenizer.TokenizeLine(rows[0], &starts);
+  starts.assign(fields + 2, 0);
+  uint64_t sink = 0;  // keeps the cut boundaries observably live
+  auto pass_ns = [&](const CsvTokenizer& tokenizer) {
+    Stopwatch watch;
+    for (const Slice& row : rows) {
+      sink += tokenizer.ScanStarts(row, 0, 0, fields, starts.data());
+    }
+    return static_cast<double>(watch.ElapsedNanos());
+  };
+  double simd_ns = 1e30;
+  double scalar_ns = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    simd_ns = std::min(simd_ns, pass_ns(simd_tokenizer));
+    scalar_ns = std::min(scalar_ns, pass_ns(scalar_tokenizer));
+  }
+  if (sink == 0) std::printf("(ScanStarts cut no fields)\n");
+  const double n = static_cast<double>(std::max<size_t>(rows.size(), 1));
+  const double ratio = scalar_ns / std::max(simd_ns, 1.0);
   std::printf(
-      "structural scan: %s %.2f GB/s vs scalar %.2f GB/s — %.1fx\n",
-      simd::LevelName(active), simd_bps / 1e9, scalar_bps / 1e9, ratio);
-  if (ratio < min_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: structural-scan speedup %.2fx is under the %.1fx "
-                 "gate\n",
-                 ratio, min_ratio);
-    std::exit(1);
-  }
+      "ScanStarts (%u fields/row): %s %.1f ns/row vs scalar %.1f ns/row — "
+      "%.2fx\n",
+      fields, simd::LevelName(active), simd_ns / n, scalar_ns / n, ratio);
+  return ratio;
 }
 
 }  // namespace nodb::bench

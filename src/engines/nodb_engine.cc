@@ -354,10 +354,6 @@ Result<QueryOutcome> NoDbEngine::RunQuery(std::string_view sql,
     MutexLock lock(totals_mu_);
     totals_.AddQuery(outcome.metrics);
   }
-  {
-    MutexLock lock(states_mu_);
-    for (auto& [table, state] : states_) state->IncrementQueryCount();
-  }
   // Paper-style adaptive loading: once the query is answered, promote
   // whatever it made hot in the background.
   SchedulePromotions(trace == nullptr ? 0 : trace->id());

@@ -109,15 +109,6 @@ struct NoDbConfig {
   /// I/O buffer for the raw-file reader.
   size_t read_buffer_bytes = 1u << 20;
 
-  /// SIMD structural parsing (simd/): scan the raw bytes for
-  /// delimiters/newlines/quotes in 64-byte blocks with the best
-  /// instruction set the CPU offers (SSE2/AVX2/NEON), instead of byte
-  /// at a time. false selects the always-correct scalar fallback
-  /// kernels; results are byte-identical either way, so this is a
-  /// performance knob, never a semantics knob. Parsing machinery rather
-  /// than a NoDB auxiliary structure, hence untouched by Baseline().
-  bool enable_simd = true;
-
   /// Worker threads for the parallel first touch (raw/parallel_scan.h):
   /// a cold table's first query finds the file's rows in parallel, then
   /// runs ranges of row-blocks through the scan operator on this many

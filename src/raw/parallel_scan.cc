@@ -22,11 +22,11 @@ struct RowChunk {
 /// Row pass over one newline-aligned chunk [begin, end): every row
 /// *starting* in the range is recorded, one reader window at a time,
 /// by the row finder the serial scan uses (BufferedReader::FindRows)
-/// with the configured SIMD tier's newline kernel.
+/// with the active SIMD tier's newline kernel.
 Status FindRows(const RawTableState& state, uint64_t begin, uint64_t end,
                 RowChunk* out) {
   BufferedReader reader(state.file(), state.config().read_buffer_bytes);
-  const simd::SimdLevel level = simd::LevelFor(state.config().enable_simd);
+  const simd::SimdLevel level = simd::ActiveLevel();
   out->end_cursor = begin;
   for (uint64_t offset = begin; offset < end; offset = out->end_cursor) {
     NODB_RETURN_NOT_OK(reader.FindRows(offset, end, SIZE_MAX, level,

@@ -179,8 +179,7 @@ RawScanOperator::RawScanOperator(RawTableState* state,
       internal_(internal),
       table_name_(state->info().name),
       table_path_(state->info().path),
-      tokenizer_(state->info().dialect,
-                 simd::LevelFor(state->config().enable_simd)),
+      tokenizer_(state->info().dialect, simd::ActiveLevel()),
       cutter_(&tokenizer_, &table_name_, &table_path_) {
   std::vector<size_t> indices(projection_.begin(), projection_.end());
   schema_ = state_->info().schema->Project(indices);

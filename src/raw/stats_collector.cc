@@ -5,7 +5,6 @@
 #include <cstring>
 #include <iterator>
 
-#include "obs/tenant.h"
 #include "util/hash.h"
 
 namespace nodb {
@@ -340,17 +339,9 @@ StatsCollector::StatsCollector(std::shared_ptr<Schema> schema)
 }
 
 void StatsCollector::RecordAccessHeat(const std::vector<uint32_t>& attrs) {
-  uint32_t tenant = obs::ScopedTenantLabel::CurrentId();
   MutexLock lock(mu_);
-  std::vector<uint64_t>* slice = nullptr;
   for (uint32_t a : attrs) {
-    if (a >= heat_.size()) continue;
-    ++heat_[a];
-    if (slice == nullptr) {
-      slice = &tenant_heat_[tenant];
-      if (slice->size() < heat_.size()) slice->resize(heat_.size(), 0);
-    }
-    ++(*slice)[a];
+    if (a < heat_.size()) ++heat_[a];
   }
 }
 
@@ -362,23 +353,6 @@ uint64_t StatsCollector::access_heat(uint32_t attr) const {
 std::vector<uint64_t> StatsCollector::access_heat_counts() const {
   MutexLock lock(mu_);
   return heat_;
-}
-
-uint64_t StatsCollector::access_heat_for_tenant(uint32_t tenant,
-                                                uint32_t attr) const {
-  MutexLock lock(mu_);
-  auto it = tenant_heat_.find(tenant);
-  if (it == tenant_heat_.end() || attr >= it->second.size()) return 0;
-  return it->second[attr];
-}
-
-std::vector<uint32_t> StatsCollector::HeatTenants() const {
-  MutexLock lock(mu_);
-  std::vector<uint32_t> out;
-  out.reserve(tenant_heat_.size());
-  for (const auto& [tenant, slice] : tenant_heat_) out.push_back(tenant);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void StatsCollector::ObserveBlock(uint32_t attr, uint64_t block,
@@ -423,7 +397,6 @@ void StatsCollector::Clear() {
     if (a != nullptr) a->Reset();
   }
   heat_.assign(heat_.size(), 0);
-  tenant_heat_.clear();
   observed_.clear();
 }
 

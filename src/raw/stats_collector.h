@@ -175,18 +175,6 @@ class StatsCollector {
   uint64_t access_heat(uint32_t attr) const EXCLUDES(mu_);
   std::vector<uint64_t> access_heat_counts() const EXCLUDES(mu_);
 
-  /// Per-tenant slice of the heat above: RecordAccessHeat additionally
-  /// buckets each access under the calling thread's tenant
-  /// (obs::ScopedTenantLabel::CurrentId(); 0 = untagged), so the
-  /// server can show which tenant made an attribute hot. Promotion
-  /// thresholds deliberately stay global-sum — a column hot across
-  /// tenants is promoted once and serves everyone. Process-local only:
-  /// not persisted in snapshots.
-  uint64_t access_heat_for_tenant(uint32_t tenant, uint32_t attr) const
-      EXCLUDES(mu_);
-  /// Tenant ids with any recorded heat, ascending.
-  std::vector<uint32_t> HeatTenants() const EXCLUDES(mu_);
-
   void Clear() EXCLUDES(mu_);
 
   /// Serializable copy of the whole collector (persist/): per-attribute
@@ -210,10 +198,6 @@ class StatsCollector {
   mutable Mutex mu_;
   std::vector<std::unique_ptr<AttributeStats>> attrs_ GUARDED_BY(mu_);
   std::vector<uint64_t> heat_ GUARDED_BY(mu_);  // per-attr scan requests
-  /// tenant id -> per-attr scan requests (the per-tenant partition of
-  /// heat_; only tenants that actually queried the table appear).
-  std::unordered_map<uint32_t, std::vector<uint64_t>> tenant_heat_
-      GUARDED_BY(mu_);
   std::unordered_set<uint64_t> observed_
       GUARDED_BY(mu_);  // (attr<<40)|block keys
 };

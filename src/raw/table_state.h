@@ -1,7 +1,6 @@
 #ifndef NODB_RAW_TABLE_STATE_H_
 #define NODB_RAW_TABLE_STATE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,13 +93,6 @@ class RawTableState {
   void RecordAttributeAccess(const std::vector<uint32_t>& attrs)
       EXCLUDES(mu_);
   std::vector<uint64_t> attribute_access_counts() const EXCLUDES(mu_);
-
-  uint64_t queries_executed() const {
-    return queries_executed_.load(std::memory_order_relaxed);
-  }
-  void IncrementQueryCount() {
-    queries_executed_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   /// Claims the one parallel first-touch scan allowed per file
   /// generation: true exactly once until the file is rewritten or
@@ -199,8 +191,6 @@ class RawTableState {
 
   persist::RecoveryReport recovery_
       GUARDED_BY(mu_);  // last snapshot-recovery attempt
-
-  std::atomic<uint64_t> queries_executed_{0};
 
   PositionalMap map_;
   SegmentStore cache_;  // recently parsed segments (paper §3.2)

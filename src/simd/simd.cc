@@ -38,35 +38,9 @@ namespace {
 /// ForceLevel state: -1 = none forced, otherwise the forced SimdLevel.
 std::atomic<int> g_forced_level{-1};
 
-/// Appends one position (plus base) per set bit of `mask`, ascending.
-/// The classic ctz walk: clearing the lowest set bit each round makes
-/// the loop cost proportional to the number of structural bytes, not
-/// to the block size.
-inline void EmitPositions(uint64_t mask, uint32_t base,
-                          std::vector<uint32_t>* out) {
-  while (mask != 0) {
-    out->push_back(base + static_cast<uint32_t>(__builtin_ctzll(mask)));
-    mask &= mask - 1;
-  }
-}
-
-// ---------------------------------------------------------- scalar kernels
+// ----------------------------------------------------------- scalar kernel
 // The reference tier: portable, compiled unconditionally, and the oracle
 // the SIMD tiers are differential-tested against.
-
-void ClassifyBufferScalar(const char* data, size_t size, uint32_t base,
-                          char delim, char quote,
-                          std::vector<uint32_t>* delims,
-                          std::vector<uint32_t>* newlines,
-                          std::vector<uint32_t>* quotes) {
-  for (size_t i = 0; i < size; ++i) {
-    const char c = data[i];
-    const uint32_t pos = base + static_cast<uint32_t>(i);
-    if (delims != nullptr && c == delim) delims->push_back(pos);
-    if (newlines != nullptr && c == '\n') newlines->push_back(pos);
-    if (quotes != nullptr && c == quote) quotes->push_back(pos);
-  }
-}
 
 size_t FindPositionsScalar(const char* data, size_t size, size_t from,
                            char needle, size_t max_hits, uint32_t bias,
@@ -93,38 +67,6 @@ inline uint64_t EqMask16(__m128i block, __m128i needle) {
       _mm_movemask_epi8(_mm_cmpeq_epi8(block, needle)));
 }
 
-void ClassifyBufferSse2(const char* data, size_t size, uint32_t base,
-                        char delim, char quote,
-                        std::vector<uint32_t>* delims,
-                        std::vector<uint32_t>* newlines,
-                        std::vector<uint32_t>* quotes) {
-  const __m128i vdelim = _mm_set1_epi8(delim);
-  const __m128i vnewline = _mm_set1_epi8('\n');
-  const __m128i vquote = _mm_set1_epi8(quote);
-  size_t i = 0;
-  for (; i + 64 <= size; i += 64) {
-    uint64_t delim_mask = 0;
-    uint64_t newline_mask = 0;
-    uint64_t quote_mask = 0;
-    for (int lane = 0; lane < 4; ++lane) {
-      const __m128i block = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(data + i + lane * 16));
-      const int shift = lane * 16;
-      if (delims != nullptr) delim_mask |= EqMask16(block, vdelim) << shift;
-      if (newlines != nullptr) {
-        newline_mask |= EqMask16(block, vnewline) << shift;
-      }
-      if (quotes != nullptr) quote_mask |= EqMask16(block, vquote) << shift;
-    }
-    const uint32_t pos = base + static_cast<uint32_t>(i);
-    if (delims != nullptr) EmitPositions(delim_mask, pos, delims);
-    if (newlines != nullptr) EmitPositions(newline_mask, pos, newlines);
-    if (quotes != nullptr) EmitPositions(quote_mask, pos, quotes);
-  }
-  ClassifyBufferScalar(data + i, size - i, base + static_cast<uint32_t>(i),
-                       delim, quote, delims, newlines, quotes);
-}
-
 size_t FindPositionsSse2(const char* data, size_t size, size_t from,
                          char needle, size_t max_hits, uint32_t bias,
                          uint32_t* out) {
@@ -147,7 +89,7 @@ size_t FindPositionsSse2(const char* data, size_t size, size_t from,
   return hits;
 }
 
-#endif  // NODB_HAVE_SSE2 (scalar siblings: the *Scalar kernels above)
+#endif  // NODB_HAVE_SSE2 (scalar sibling: FindPositionsScalar above)
 
 // ------------------------------------------------------------ AVX2 kernels
 #if NODB_HAVE_AVX2
@@ -157,37 +99,6 @@ __attribute__((target("avx2"))) inline uint64_t EqMask32(__m256i block,
                                                          __m256i needle) {
   return static_cast<uint32_t>(
       _mm256_movemask_epi8(_mm256_cmpeq_epi8(block, needle)));
-}
-
-__attribute__((target("avx2"))) void ClassifyBufferAvx2(
-    const char* data, size_t size, uint32_t base, char delim, char quote,
-    std::vector<uint32_t>* delims, std::vector<uint32_t>* newlines,
-    std::vector<uint32_t>* quotes) {
-  const __m256i vdelim = _mm256_set1_epi8(delim);
-  const __m256i vnewline = _mm256_set1_epi8('\n');
-  const __m256i vquote = _mm256_set1_epi8(quote);
-  size_t i = 0;
-  for (; i + 64 <= size; i += 64) {
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(data + i));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(data + i + 32));
-    const uint32_t pos = base + static_cast<uint32_t>(i);
-    if (delims != nullptr) {
-      EmitPositions(EqMask32(lo, vdelim) | EqMask32(hi, vdelim) << 32, pos,
-                    delims);
-    }
-    if (newlines != nullptr) {
-      EmitPositions(EqMask32(lo, vnewline) | EqMask32(hi, vnewline) << 32,
-                    pos, newlines);
-    }
-    if (quotes != nullptr) {
-      EmitPositions(EqMask32(lo, vquote) | EqMask32(hi, vquote) << 32, pos,
-                    quotes);
-    }
-  }
-  ClassifyBufferScalar(data + i, size - i, base + static_cast<uint32_t>(i),
-                       delim, quote, delims, newlines, quotes);
 }
 
 __attribute__((target("avx2"))) size_t FindPositionsAvx2(
@@ -213,7 +124,7 @@ __attribute__((target("avx2"))) size_t FindPositionsAvx2(
   return hits;
 }
 
-#endif  // NODB_HAVE_AVX2 (scalar siblings: the *Scalar kernels above)
+#endif  // NODB_HAVE_AVX2 (scalar sibling: FindPositionsScalar above)
 
 // ------------------------------------------------------------ NEON kernels
 #if NODB_HAVE_NEON
@@ -232,31 +143,6 @@ inline uint64_t EqMask64Neon(const char* p, uint8x16_t needle) {
   uint8x16_t sum = vpaddq_u8(vpaddq_u8(m0, m1), vpaddq_u8(m2, m3));
   sum = vpaddq_u8(sum, sum);
   return vgetq_lane_u64(vreinterpretq_u64_u8(sum), 0);
-}
-
-void ClassifyBufferNeon(const char* data, size_t size, uint32_t base,
-                        char delim, char quote,
-                        std::vector<uint32_t>* delims,
-                        std::vector<uint32_t>* newlines,
-                        std::vector<uint32_t>* quotes) {
-  const uint8x16_t vdelim = vdupq_n_u8(static_cast<uint8_t>(delim));
-  const uint8x16_t vnewline = vdupq_n_u8(static_cast<uint8_t>('\n'));
-  const uint8x16_t vquote = vdupq_n_u8(static_cast<uint8_t>(quote));
-  size_t i = 0;
-  for (; i + 64 <= size; i += 64) {
-    const uint32_t pos = base + static_cast<uint32_t>(i);
-    if (delims != nullptr) {
-      EmitPositions(EqMask64Neon(data + i, vdelim), pos, delims);
-    }
-    if (newlines != nullptr) {
-      EmitPositions(EqMask64Neon(data + i, vnewline), pos, newlines);
-    }
-    if (quotes != nullptr) {
-      EmitPositions(EqMask64Neon(data + i, vquote), pos, quotes);
-    }
-  }
-  ClassifyBufferScalar(data + i, size - i, base + static_cast<uint32_t>(i),
-                       delim, quote, delims, newlines, quotes);
 }
 
 size_t FindPositionsNeon(const char* data, size_t size, size_t from,
@@ -280,7 +166,7 @@ size_t FindPositionsNeon(const char* data, size_t size, size_t from,
   return hits;
 }
 
-#endif  // NODB_HAVE_NEON (scalar siblings: the *Scalar kernels above)
+#endif  // NODB_HAVE_NEON (scalar sibling: FindPositionsScalar above)
 
 }  // namespace
 
@@ -329,6 +215,15 @@ bool LevelAvailable(SimdLevel level) {
   return false;
 }
 
+std::vector<SimdLevel> RunnableLevels() {
+  std::vector<SimdLevel> levels;
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kSSE2,
+                          SimdLevel::kNEON, SimdLevel::kAVX2}) {
+    if (LevelAvailable(level)) levels.push_back(level);
+  }
+  return levels;
+}
+
 SimdLevel ActiveLevel() {
   const int forced = g_forced_level.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<SimdLevel>(forced);
@@ -347,22 +242,6 @@ SimdLevel ForceLevel(SimdLevel level) {
 
 void ClearForcedLevel() {
   g_forced_level.store(-1, std::memory_order_relaxed);
-}
-
-SimdLevel LevelFor(bool enable_simd) {
-  return enable_simd ? ActiveLevel() : SimdLevel::kScalar;
-}
-
-BlockMasks ClassifyBlockScalar(const char* data, size_t len, char delim,
-                               char quote) {
-  BlockMasks masks;
-  for (size_t i = 0; i < len && i < 64; ++i) {
-    const uint64_t bit = uint64_t{1} << i;
-    if (data[i] == delim) masks.delim |= bit;
-    if (data[i] == '\n') masks.newline |= bit;
-    if (data[i] == quote) masks.quote |= bit;
-  }
-  return masks;
 }
 
 size_t FindBytePositions(SimdLevel level, const char* data, size_t size,
@@ -385,37 +264,6 @@ size_t FindBytePositions(SimdLevel level, const char* data, size_t size,
     default:
       return FindPositionsScalar(data, size, from, needle, max_hits, bias,
                                  out);
-  }
-}
-
-void ClassifyBuffer(SimdLevel level, const char* data, size_t size,
-                    uint32_t base, char delim, char quote,
-                    std::vector<uint32_t>* delims,
-                    std::vector<uint32_t>* newlines,
-                    std::vector<uint32_t>* quotes) {
-  switch (level) {
-#if NODB_HAVE_AVX2
-    case SimdLevel::kAVX2:
-      ClassifyBufferAvx2(data, size, base, delim, quote, delims, newlines,
-                         quotes);
-      return;
-#endif
-#if NODB_HAVE_SSE2
-    case SimdLevel::kSSE2:
-      ClassifyBufferSse2(data, size, base, delim, quote, delims, newlines,
-                         quotes);
-      return;
-#endif
-#if NODB_HAVE_NEON
-    case SimdLevel::kNEON:
-      ClassifyBufferNeon(data, size, base, delim, quote, delims, newlines,
-                         quotes);
-      return;
-#endif
-    default:
-      ClassifyBufferScalar(data, size, base, delim, quote, delims, newlines,
-                           quotes);
-      return;
   }
 }
 

@@ -7,15 +7,15 @@
 
 namespace nodb::simd {
 
-/// Instruction-set tiers for the structural-parsing kernels.
+/// Instruction-set tiers for the byte-search kernel.
 ///
 /// Kernels exist per tier behind one interface; `kScalar` is the
 /// always-correct portable fallback, compiled unconditionally, and the
 /// reference every SIMD tier is differential-tested against
 /// (tests/simd_test.cc). Building with -DNODB_DISABLE_SIMD compiles
-/// *only* the scalar tier; at runtime `NoDbConfig::enable_simd = false`
-/// selects it per table without rebuilding. Results are byte-identical
-/// across tiers by contract.
+/// *only* the scalar tier; at runtime ForceLevel() pins any available
+/// tier without rebuilding. Results are byte-identical across tiers by
+/// contract.
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable byte-at-a-time kernels
   kSSE2 = 1,    ///< x86-64 baseline, 16-byte blocks
@@ -35,8 +35,11 @@ SimdLevel DetectedLevel();
 /// only when detected; SSE2 whenever the detected tier is an x86 one).
 bool LevelAvailable(SimdLevel level);
 
-/// The tier new tokenizers/indexers pick up by default: the detected
-/// tier, unless a test or bench forced another one.
+/// Every tier whose kernels can run here, scalar first.
+std::vector<SimdLevel> RunnableLevels();
+
+/// The tier scans and tokenizers pick up when they are constructed: the
+/// detected tier, unless a test or bench forced another one.
 SimdLevel ActiveLevel();
 
 /// Forces `level` for subsequent ActiveLevel() calls, clamped to the
@@ -47,23 +50,6 @@ SimdLevel ForceLevel(SimdLevel level);
 /// Undoes ForceLevel: ActiveLevel() returns DetectedLevel() again.
 void ClearForcedLevel();
 
-/// Maps the per-table `NoDbConfig::enable_simd` knob to a tier.
-SimdLevel LevelFor(bool enable_simd);
-
-/// One 64-byte block's structural classification, one bit per byte
-/// (bit i describes data[i]).
-struct BlockMasks {
-  uint64_t delim = 0;    ///< bytes equal to the dialect delimiter
-  uint64_t newline = 0;  ///< '\n' bytes
-  uint64_t quote = 0;    ///< bytes equal to the dialect quote
-};
-
-/// Scalar reference classifier for up to 64 bytes (`len <= 64`; bits at
-/// or above `len` are zero). The SIMD kernels must agree with this
-/// bit-for-bit — it is the differential-test oracle.
-BlockMasks ClassifyBlockScalar(const char* data, size_t len, char delim,
-                               char quote);
-
 /// Finds up to `max_hits` occurrences of `needle` in data[from, size),
 /// writing `position + bias` for each into `out` in ascending order.
 /// Returns the number written; fewer than `max_hits` means the range
@@ -72,17 +58,6 @@ BlockMasks ClassifyBlockScalar(const char* data, size_t len, char delim,
 size_t FindBytePositions(SimdLevel level, const char* data, size_t size,
                          size_t from, char needle, size_t max_hits,
                          uint32_t bias, uint32_t* out);
-
-/// Classifies data[0, size) in 64-byte blocks and appends the offset
-/// (plus `base`) of every structural byte to the class's vector, each
-/// in ascending order. Null vectors skip that class entirely (a
-/// COUNT(*) first touch wants newlines only). `size + base` must fit
-/// in 32 bits — callers index one bounded slab at a time.
-void ClassifyBuffer(SimdLevel level, const char* data, size_t size,
-                    uint32_t base, char delim, char quote,
-                    std::vector<uint32_t>* delims,
-                    std::vector<uint32_t>* newlines,
-                    std::vector<uint32_t>* quotes);
 
 }  // namespace nodb::simd
 

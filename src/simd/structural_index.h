@@ -10,12 +10,14 @@
 
 namespace nodb::simd {
 
-/// Stage-1 output of the two-stage parse (the simdjson split applied to
-/// CSV): every structural byte position in one contiguous slab of the
-/// raw file, found by wide block scans with no per-byte branching. The
-/// benches and perfbench's simd.index_gbps probe measure it; the scans
-/// find rows with the newline kernel alone (io/buffered_reader.h,
-/// BufferedReader::FindRows).
+/// Every structural byte position in one contiguous slab of the raw
+/// file: delimiters, newlines and (for quoting dialects) quotes.
+///
+/// Its only caller is perfbench's `simd.index` probe, which times it as
+/// `simd.index_gbps`; no scan or bench uses it. The scans find rows with
+/// BufferedReader::FindRows and fields with CsvTokenizer::ScanStarts,
+/// both on simd::FindBytePositions. ROADMAP.md item 7 deletes this file
+/// together with that probe.
 ///
 /// Positions are slab-relative (the slab's first byte is 0); `base` is
 /// the slab's absolute file offset, recorded so callers can translate.
@@ -32,10 +34,11 @@ struct StructuralIndex {
   }
 };
 
-/// Builds StructuralIndexes for one dialect at one SIMD tier.
+/// Builds StructuralIndexes for one dialect at one SIMD tier, one
+/// FindBytePositions pass per class.
 ///
-/// Quote positions are collected only for quoting dialects; stage 1
-/// keeps no quote state, so a quoted field's raw '\n' is a newline here
+/// Quote positions are collected only for quoting dialects; no quote
+/// state is kept, so a quoted field's raw '\n' is a newline here
 /// exactly as it is to the scans' row finder.
 class StructuralIndexer {
  public:

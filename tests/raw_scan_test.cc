@@ -1348,12 +1348,6 @@ TEST_F(RawScanTest, RowFinderMatchesNaiveSplitProperty) {
   // the parallel row pass, at every SIMD tier, buffer size and block
   // size: the row index is the naive split, and the rows' first fields
   // are the naive ones.
-  std::vector<simd::SimdLevel> levels;
-  for (simd::SimdLevel level :
-       {simd::SimdLevel::kScalar, simd::SimdLevel::kSSE2,
-        simd::SimdLevel::kNEON, simd::SimdLevel::kAVX2}) {
-    if (simd::LevelAvailable(level)) levels.push_back(level);
-  }
   Random rng(1919);
   auto rows = [&](size_t n, bool crlf, bool terminated) {
     std::string out;
@@ -1387,7 +1381,7 @@ TEST_F(RawScanTest, RowFinderMatchesNaiveSplitProperty) {
     const RawTableInfo info{"rows", path,
                             Schema::Make({{"s", DataType::kString}}),
                             dialect};
-    for (simd::SimdLevel level : levels) {
+    for (simd::SimdLevel level : simd::RunnableLevels()) {
       simd::ForceLevel(level);
       for (size_t buffer : {size_t{4096}, size_t{20000}, size_t{65536}}) {
         for (uint32_t rows_per_block : {3u, 64u, 1024u}) {
@@ -1520,10 +1514,7 @@ TEST(SpanCutterTest, PerPassCutMatchesPerRowReference) {
   Random rng(77);
   ScanMetrics total;  // the sweep must exercise every kind of help
   uint64_t errors = 0;
-  for (simd::SimdLevel level :
-       {simd::SimdLevel::kScalar, simd::SimdLevel::kSSE2,
-        simd::SimdLevel::kNEON, simd::SimdLevel::kAVX2}) {
-    if (!simd::LevelAvailable(level)) continue;
+  for (simd::SimdLevel level : simd::RunnableLevels()) {
     for (bool quoting : {false, true}) {
       CsvDialect dialect;
       dialect.allow_quoting = quoting;

@@ -750,7 +750,7 @@ TEST(TenantTest, SegmentStoreKeepsTheSegmentItJustAdmitted) {
   EXPECT_LE(store.bytes_used(), store.budget_bytes());
 }
 
-TEST(TenantTest, StatsCollectorPartitionsHeatByTenant) {
+TEST(TenantTest, StatsCollectorSumsHeatAcrossTenants) {
   StatsCollector stats(Schema::Make({{"a", DataType::kInt64},
                                      {"b", DataType::kInt64},
                                      {"c", DataType::kInt64},
@@ -768,16 +768,10 @@ TEST(TenantTest, StatsCollectorPartitionsHeatByTenant) {
   }
   stats.RecordAccessHeat({2});  // untagged in-process work
 
-  // Global heat is the sum every promotion decision sees...
+  // Global heat is the sum every promotion decision sees.
   EXPECT_EQ(stats.access_heat(0), 2u);
   EXPECT_EQ(stats.access_heat(1), 2u);
   EXPECT_EQ(stats.access_heat(2), 1u);
-  // ...while the per-tenant slices attribute it.
-  EXPECT_EQ(stats.access_heat_for_tenant(a, 0), 2u);
-  EXPECT_EQ(stats.access_heat_for_tenant(a, 1), 1u);
-  EXPECT_EQ(stats.access_heat_for_tenant(b, 1), 1u);
-  EXPECT_EQ(stats.access_heat_for_tenant(b, 0), 0u);
-  EXPECT_EQ(stats.access_heat_for_tenant(0, 2), 1u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Differential fuzz suite for the SIMD structural-parsing layer: every
-// kernel tier must agree with the scalar reference bit-for-bit — on
-// random buffers, on random slab splits (multi-byte structures landing
-// across boundaries), through the tokenizer, and end-to-end through the
-// engine at several thread counts. The scalar kernels are the oracle;
+// Differential fuzz suite for the SIMD byte-search kernel: every tier
+// must agree with a per-byte reference loop on random buffers and at
+// every block boundary, on random slab splits, through the tokenizer,
+// and end-to-end through the engine at every runnable tier and several
+// thread counts. The scalar tier is the engine's semantics reference;
 // the SIMD tiers are pure accelerators, exactly like the NoDB
 // structures themselves.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,16 +27,6 @@ namespace nodb {
 namespace {
 
 using simd::SimdLevel;
-
-/// Every tier the running CPU can execute (always includes scalar).
-std::vector<SimdLevel> RunnableLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (SimdLevel level :
-       {SimdLevel::kSSE2, SimdLevel::kNEON, SimdLevel::kAVX2}) {
-    if (simd::LevelAvailable(level)) levels.push_back(level);
-  }
-  return levels;
-}
 
 /// Random buffer dense in structural bytes (delimiters, newlines,
 /// quotes, CR) so position lists are long and block masks are busy.
@@ -61,8 +53,6 @@ TEST(SimdDispatch, DetectionAndForcing) {
 
   EXPECT_EQ(simd::ForceLevel(SimdLevel::kScalar), SimdLevel::kScalar);
   EXPECT_EQ(simd::ActiveLevel(), SimdLevel::kScalar);
-  EXPECT_EQ(simd::LevelFor(true), SimdLevel::kScalar);
-  EXPECT_EQ(simd::LevelFor(false), SimdLevel::kScalar);
 
   // Forcing always lands on a runnable tier, whatever was asked for.
   for (SimdLevel level : {SimdLevel::kSSE2, SimdLevel::kNEON,
@@ -75,71 +65,60 @@ TEST(SimdDispatch, DetectionAndForcing) {
   EXPECT_STRNE(simd::LevelName(detected), "unknown");
 }
 
-TEST(SimdKernels, ClassifyMatchesBlockOracleAtEverySizeAndLevel) {
-  Random rng(2024);
-  // Sizes straddling every kernel boundary: empty, sub-block, exactly
-  // one block, one byte either side, multi-block plus tail.
-  const size_t sizes[] = {0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65,
-                          127, 128, 129, 255, 256, 300};
-  for (size_t size : sizes) {
-    const std::string buffer = RandomStructuralBuffer(&rng, size, '|', '"');
-    // Oracle: the 64-byte reference classifier, block by block.
-    std::vector<uint32_t> want_delims;
-    std::vector<uint32_t> want_newlines;
-    std::vector<uint32_t> want_quotes;
-    for (size_t base = 0; base < size; base += 64) {
-      const size_t len = std::min<size_t>(64, size - base);
-      simd::BlockMasks masks =
-          simd::ClassifyBlockScalar(buffer.data() + base, len, '|', '"');
-      for (size_t i = 0; i < len; ++i) {
-        const uint32_t pos = static_cast<uint32_t>(base + i);
-        if (masks.delim >> i & 1) want_delims.push_back(pos);
-        if (masks.newline >> i & 1) want_newlines.push_back(pos);
-        if (masks.quote >> i & 1) want_quotes.push_back(pos);
-      }
-    }
-    for (SimdLevel level : RunnableLevels()) {
-      SCOPED_TRACE(std::string(simd::LevelName(level)) + " size " +
-                   std::to_string(size));
-      std::vector<uint32_t> delims;
-      std::vector<uint32_t> newlines;
-      std::vector<uint32_t> quotes;
-      simd::ClassifyBuffer(level, buffer.data(), size, /*base=*/0, '|', '"',
-                           &delims, &newlines, &quotes);
-      EXPECT_EQ(delims, want_delims);
-      EXPECT_EQ(newlines, want_newlines);
-      EXPECT_EQ(quotes, want_quotes);
-
-      // Null sinks skip a class without disturbing the others.
-      std::vector<uint32_t> newlines_only;
-      simd::ClassifyBuffer(level, buffer.data(), size, /*base=*/0, '|', '"',
-                           nullptr, &newlines_only, nullptr);
-      EXPECT_EQ(newlines_only, want_newlines);
-    }
+/// Per-byte reference for FindBytePositions, independent of every tier.
+size_t FindPositionsOracle(const std::string& data, size_t from, char needle,
+                           size_t max_hits, uint32_t bias, uint32_t* out) {
+  size_t hits = 0;
+  for (size_t i = from; i < data.size() && hits < max_hits; ++i) {
+    if (data[i] == needle) out[hits++] = static_cast<uint32_t>(i) + bias;
   }
+  return hits;
 }
 
 TEST(SimdKernels, FindBytePositionsMatchesScalarOnRandomCalls) {
+  struct Call {
+    std::string buffer;
+    size_t from;
+    size_t max_hits;
+    uint32_t bias;
+  };
   Random rng(7);
+  std::vector<Call> calls;
   for (int round = 0; round < 300; ++round) {
     const size_t size = rng.Uniform(200);
-    const std::string buffer = RandomStructuralBuffer(&rng, size, ',', '"');
+    std::string buffer = RandomStructuralBuffer(&rng, size, ',', '"');
     const size_t from = rng.Uniform(size + 2);
     const size_t max_hits = rng.Uniform(20);
     const uint32_t bias = static_cast<uint32_t>(rng.Uniform(2));
-    std::vector<uint32_t> want(max_hits + 1, 0xDEADu);
-    const size_t want_n =
-        simd::FindBytePositions(SimdLevel::kScalar, buffer.data(), size,
-                                from, ',', max_hits, bias, want.data());
-    for (SimdLevel level : RunnableLevels()) {
-      SCOPED_TRACE(std::string(simd::LevelName(level)) + " round " +
-                   std::to_string(round));
-      std::vector<uint32_t> got(max_hits + 1, 0xDEADu);
-      const size_t got_n =
-          simd::FindBytePositions(level, buffer.data(), size, from, ',',
-                                  max_hits, bias, got.data());
-      ASSERT_EQ(got_n, want_n);
-      EXPECT_EQ(got, want);  // including the untouched sentinel slots
+    calls.push_back({std::move(buffer), from, max_hits, bias});
+  }
+  // Sizes straddling every tier's block boundary (16, 32 and 64 bytes):
+  // empty, sub-block, exactly one block, one byte either side,
+  // multi-block plus tail — searched whole, with no hit limit.
+  for (size_t size : {0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128,
+                      129, 255, 256, 300}) {
+    calls.push_back(
+        {RandomStructuralBuffer(&rng, size, ',', '"'), 0, SIZE_MAX, 0});
+  }
+  for (size_t c = 0; c < calls.size(); ++c) {
+    const Call& call = calls[c];
+    const size_t room = std::min(call.max_hits, call.buffer.size()) + 1;
+    for (const char needle : {',', '\n', '"'}) {
+      std::vector<uint32_t> want(room, 0xDEADu);
+      const size_t want_n =
+          FindPositionsOracle(call.buffer, call.from, needle, call.max_hits,
+                              call.bias, want.data());
+      for (SimdLevel level : simd::RunnableLevels()) {
+        SCOPED_TRACE(std::string(simd::LevelName(level)) + " call " +
+                     std::to_string(c) + " needle " +
+                     std::to_string(static_cast<int>(needle)));
+        std::vector<uint32_t> got(room, 0xDEADu);
+        const size_t got_n = simd::FindBytePositions(
+            level, call.buffer.data(), call.buffer.size(), call.from, needle,
+            call.max_hits, call.bias, got.data());
+        ASSERT_EQ(got_n, want_n);
+        EXPECT_EQ(got, want);  // including the untouched sentinel slots
+      }
     }
   }
 }
@@ -156,7 +135,7 @@ TEST(SimdStructuralIndex, RandomSlabSplitsConcatenateExactly) {
     simd::StructuralIndex whole;
     scalar_indexer.Index(buffer.data(), size, /*base=*/0, &whole);
 
-    for (SimdLevel level : RunnableLevels()) {
+    for (SimdLevel level : simd::RunnableLevels()) {
       SCOPED_TRACE(std::string(simd::LevelName(level)) + " round " +
                    std::to_string(round));
       // Split the buffer at random points; indexing the pieces and
@@ -198,7 +177,7 @@ TEST(SimdTokenizer, ScanStartsIdenticalAcrossLevelsOnRandomLines) {
     CsvDialect dialect;
     dialect.delimiter = delim;
     std::vector<CsvTokenizer> tokenizers;
-    for (SimdLevel level : RunnableLevels()) {
+    for (SimdLevel level : simd::RunnableLevels()) {
       tokenizers.emplace_back(dialect, level);
     }
     for (int round = 0; round < 400; ++round) {
@@ -319,17 +298,17 @@ TEST_P(SimdEngineDifferential, ByteIdenticalResultsAcrossLevelsAndThreads) {
     auto expected = reference.Execute(sql);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     const auto want = expected->result.CanonicalRows();
-    for (const bool enable_simd : {false, true}) {
+    for (SimdLevel level : simd::RunnableLevels()) {
+      simd::ForceLevel(level);
       for (const uint32_t threads : {1u, 2u, 8u}) {
         // Tiny read buffers force many slabs per chunk, landing rows,
         // CRLF pairs and quoted fields across slab boundaries.
         for (const size_t read_buffer : {size_t{16}, size_t{1} << 20}) {
-          SCOPED_TRACE(std::string(sql) + " simd=" +
-                       std::to_string(enable_simd) + " threads=" +
+          SCOPED_TRACE(std::string(sql) + " level=" +
+                       simd::LevelName(level) + " threads=" +
                        std::to_string(threads) + " buf=" +
                        std::to_string(read_buffer));
           NoDbConfig config;
-          config.enable_simd = enable_simd;
           config.num_threads = threads;
           config.rows_per_block = 64;
           config.read_buffer_bytes = read_buffer;
@@ -340,9 +319,11 @@ TEST_P(SimdEngineDifferential, ByteIdenticalResultsAcrossLevelsAndThreads) {
           auto warm = nodb.Execute(sql);
           ASSERT_TRUE(warm.ok()) << warm.status().ToString();
           EXPECT_EQ(warm->result.CanonicalRows(), want);
+          nodb.WaitForPromotions();
         }
       }
     }
+    simd::ClearForcedLevel();
   }
 }
 
@@ -373,22 +354,24 @@ TEST(SimdEngineDifferential, MalformedFileFailsIdenticallyAtEveryLevel) {
       catalog.RegisterTable({"t", path, schema, CsvDialect()}).ok());
 
   std::string scalar_message;
-  for (const bool enable_simd : {false, true}) {
+  for (SimdLevel level : simd::RunnableLevels()) {
+    simd::ForceLevel(level);
     for (const uint32_t threads : {1u, 2u, 8u}) {
       NoDbConfig config;
-      config.enable_simd = enable_simd;
       config.num_threads = threads;
       NoDbEngine nodb(catalog, config);
       auto out = nodb.Execute("SELECT SUM(x) AS s FROM t");
+      nodb.WaitForPromotions();
       ASSERT_FALSE(out.ok());
       if (scalar_message.empty()) {
         scalar_message = out.status().ToString();
       } else {
         EXPECT_EQ(out.status().ToString(), scalar_message)
-            << "simd=" << enable_simd << " threads=" << threads;
+            << "level=" << simd::LevelName(level) << " threads=" << threads;
       }
     }
   }
+  simd::ClearForcedLevel();
 }
 
 }  // namespace
