@@ -100,19 +100,23 @@ int main(int argc, char** argv) {
   // from the shadow column store (hot columns promoted after the warm
   // run) — the paper's adaptive-loading payoff in one column pair.
   NoDbEngine raw(catalog, NoDbConfig(), "PostgresRaw");
-  // Scalar twin: identical configuration, queried with the scalar tier
-  // forced, so the cold-column pair below is the before/after of the
-  // SIMD kernels.
-  NoDbEngine raw_scalar(catalog, NoDbConfig(), "PostgresRaw.scalar");
   NoDbConfig nostore_config;
   nostore_config.enable_store = false;
   NoDbEngine raw_nostore(catalog, nostore_config, "PostgresRaw.nostore");
-  // Before/after for the parallel chunked first-touch scan: same
-  // engine, same queries, but a cold table's first query pre-builds
-  // the NoDB structures with one worker per hardware core.
+  // The cold columns are each a fresh engine's first query, so no query
+  // inherits what the ones before it adapted. Scalar.cold runs with the
+  // scalar tier forced (the before/after of the SIMD kernels);
+  // Raw.par.cold pre-builds the NoDB structures with one worker per
+  // hardware core (the parallel chunked first-touch scan).
   NoDbConfig par_config;
   par_config.num_threads = 0;  // 0 = one thread per core
-  NoDbEngine raw_par(catalog, par_config, "PostgresRaw.par");
+  auto run_cold = [&](const NoDbConfig& config, const char* label,
+                      const NamedQuery& q) {
+    // The destructor waits for the engine's background promotion, so a
+    // forced SIMD tier covers all of the engine's work.
+    NoDbEngine fresh(catalog, config, label);
+    return CheckOk(fresh.Execute(q.sql), q.name);
+  };
   LoadFirstEngine pg(catalog, LoadProfile::kPostgres);
   int64_t load_ns = CheckOk(pg.Initialize(), "load");
   std::printf("PostgreSQL load time: %s (PostgresRaw: none)\n",
@@ -127,11 +131,11 @@ int main(int argc, char** argv) {
       "Raw.warm.on", "PostgreSQL");
   for (const auto& q : queries) {
     simd::ForceLevel(simd::SimdLevel::kScalar);
-    auto scalar_cold = CheckOk(raw_scalar.Execute(q.sql), q.name);
-    raw_scalar.WaitForPromotions();
+    auto scalar_cold = run_cold(NoDbConfig(), "PostgresRaw.scalar", q);
     simd::ClearForcedLevel();
-    auto cold = CheckOk(raw.Execute(q.sql), q.name);
-    auto par_cold = CheckOk(raw_par.Execute(q.sql), q.name);
+    auto cold = run_cold(NoDbConfig(), "PostgresRaw.cold", q);
+    auto par_cold = run_cold(par_config, "PostgresRaw.par", q);
+    auto first_on = CheckOk(raw.Execute(q.sql), q.name);
     // Second touch crosses the promotion threshold; settle background
     // promotion so the third run measures pure store serving.
     auto warm_on = CheckOk(raw.Execute(q.sql), q.name);
@@ -144,6 +148,7 @@ int main(int argc, char** argv) {
     auto conv = CheckOk(pg.Execute(q.sql), q.name);
     bool match =
         cold.result.CanonicalRows() == conv.result.CanonicalRows() &&
+        first_on.result.CanonicalRows() == conv.result.CanonicalRows() &&
         warm_on.result.CanonicalRows() == conv.result.CanonicalRows() &&
         hot_on.result.CanonicalRows() == conv.result.CanonicalRows() &&
         hot_off.result.CanonicalRows() == conv.result.CanonicalRows() &&

@@ -155,33 +155,22 @@ Result<RawTableState*> NoDbEngine::GetOrCreateState(
     return state;
   }
   NODB_ASSIGN_OR_RETURN(RawTableInfo info, catalog_.GetTable(table));
-  NoDbConfig config_snapshot = config_;
-  {
-    // The runtime toggles may have moved since construction; fold the
-    // current ones into the snapshot the fresh state is built from.
-    MutexLock lock(states_mu_);
-    config_snapshot.enable_positional_map = flags_.map;
-    config_snapshot.enable_cache = flags_.cache;
-    config_snapshot.enable_statistics = flags_.stats;
-    config_snapshot.enable_store = flags_.store;
-  }
-  auto fresh = std::make_unique<RawTableState>(std::move(info),
-                                               config_snapshot);
+  auto fresh = std::make_unique<RawTableState>(std::move(info), config_);
   NODB_RETURN_NOT_OK(fresh->Open());
-  if (config_snapshot.snapshot_mode == SnapshotMode::kAuto) {
+  if (config_.snapshot_mode == SnapshotMode::kAuto) {
     // Recover before publishing the state so the first query already
     // sees the thawed structures. Degradation is silent by design —
     // the report is retained on the state for the monitoring panel.
     (void)persist::LoadSnapshot(
         fresh.get(),
-        persist::SnapshotPathFor(fresh->info(),
-                                 config_snapshot.snapshot_path));
+        persist::SnapshotPathFor(fresh->info(), config_.snapshot_path));
   }
   MutexLock lock(states_mu_);
   auto [it, inserted] = states_.emplace(table, std::move(fresh));
   // A concurrent first query may have inserted meanwhile (its state
-  // wins, ours is discarded), and the component toggles may have moved
-  // since the snapshot — re-apply them while we hold their lock.
+  // wins, ours is discarded). The state took its component flags from
+  // the construction-time config; apply the current toggles while we
+  // hold their lock, before any query can see the state.
   if (inserted) {
     it->second->SetComponentFlags(flags_.map, flags_.cache, flags_.stats,
                                   flags_.store);
@@ -333,16 +322,13 @@ Result<QueryOutcome> NoDbEngine::RunQuery(std::string_view sql,
   if (trace != nullptr) {
     // The scan cost categories are accumulated per-row inside the scan
     // and only become spans here, as aggregates over the drain phase.
-    const ScanMetrics& scan = outcome.metrics.scan;
-    auto emit = [&](const char* name, int64_t ns) {
-      if (ns > 0) trace->EmitSpan(name, drain_anchor_ns, ns);
-    };
-    emit("scan.io", scan.io_ns);
-    emit("scan.locate", scan.parsing_ns);
-    emit("scan.tokenize", scan.tokenize_ns);
-    emit("scan.convert", scan.convert_ns);
-    emit("scan.maintain", scan.nodb_ns);
-    emit("scan.filter", scan.filter_ns);
+    for (const ScanField& f : kScanFields) {
+      if (f.kind != MetricKind::kTime) continue;
+      const int64_t ns = outcome.metrics.scan.*f.ns;
+      if (ns > 0) {
+        trace->EmitSpan("scan." + std::string(f.name), drain_anchor_ns, ns);
+      }
+    }
     if (profile != nullptr) {
       profile->EmitExecSpans(trace, drain_anchor_ns);
     }

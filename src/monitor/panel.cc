@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/plan_profile.h"
 #include "util/string_util.h"
 
 namespace nodb {
@@ -82,35 +83,14 @@ std::string MonitorPanel::RenderBreakdown(const std::string& label,
   // The derived "Processing" category is total − scan categories, which
   // goes negative when per-category timers overlap a tiny query's wall
   // time (each category is measured independently, so their sum can
-  // exceed the wall clock by a few timer quanta). Clamp at zero here —
-  // never render a negative duration or bar — independent of whatever
-  // the metrics source did.
-  int64_t processing =
-      std::max<int64_t>(0, metrics.total_ns - metrics.scan.TotalScanNs());
-  char line[512];
-  std::snprintf(
-      line, sizeof(line),
-      "%-24s total %10s | proc %10s | io %10s | convert %10s | "
-      "parse %10s | tokenize %10s | nodb %10s | filter %10s | "
-      "rows store/cache/raw "
-      "%llu/%llu/%llu | skipped blocks %llu | parse p1/p2 %llu/%llu\n",
-      label.c_str(), FormatNanos(metrics.total_ns).c_str(),
-      FormatNanos(processing).c_str(),
-      FormatNanos(metrics.scan.io_ns).c_str(),
-      FormatNanos(metrics.scan.convert_ns).c_str(),
-      FormatNanos(metrics.scan.parsing_ns).c_str(),
-      FormatNanos(metrics.scan.tokenize_ns).c_str(),
-      FormatNanos(metrics.scan.nodb_ns).c_str(),
-      FormatNanos(metrics.scan.filter_ns).c_str(),
-      static_cast<unsigned long long>(metrics.scan.rows_from_store),
-      static_cast<unsigned long long>(metrics.scan.rows_from_cache),
-      static_cast<unsigned long long>(metrics.scan.rows_from_raw),
-      static_cast<unsigned long long>(metrics.scan.zone_skipped_blocks),
-      static_cast<unsigned long long>(
-          metrics.scan.pushdown_phase1_fields),
-      static_cast<unsigned long long>(
-          metrics.scan.pushdown_phase2_fields));
-  return line;
+  // exceed the wall clock by a few timer quanta). processing_ns()
+  // clamps it at zero, so no negative duration is rendered.
+  char line[256];
+  std::snprintf(line, sizeof(line), "%-24s total %10s | proc %10s | ",
+                label.c_str(), FormatNanos(metrics.total_ns).c_str(),
+                FormatNanos(metrics.processing_ns()).c_str());
+  return line + obs::FormatScanCategories(metrics.scan, 10) + " | " +
+         obs::FormatScanLabels(metrics.scan) + "\n";
 }
 
 std::string MonitorPanel::RenderStorageTiers(const RawTableState& state) {
@@ -202,52 +182,40 @@ std::string MonitorPanel::RenderConcurrentBatch(
   return out;
 }
 
+namespace {
+
+/// The CSV column of a field: the short name, `_ns` added for a time.
+template <typename Record>
+std::string CsvColumn(const MetricField<Record>& f) {
+  return std::string(f.name) + (f.kind == MetricKind::kTime ? "_ns" : "");
+}
+
+/// A field's value in the CSV: a time signed, a counter unsigned.
+template <typename Record>
+std::string CsvValue(const MetricField<Record>& f, const Record& record) {
+  return f.ns != nullptr ? std::to_string(record.*f.ns)
+                         : std::to_string(record.*f.count);
+}
+
+}  // namespace
+
 std::string MonitorPanel::BreakdownCsvHeader() {
-  return "label,total_ns,processing_ns,io_ns,convert_ns,parsing_ns,"
-         "tokenize_ns,nodb_ns,rows,bytes_read,cache_hits,cache_misses,"
-         "map_exact,map_anchor,map_blind,store_hits,rows_store,"
-         "rows_cache,rows_raw,zone_skipped_blocks,zone_skipped_rows,"
-         "pushdown_pruned,pushdown_p1_fields,pushdown_p2_fields,"
-         "scans_recovered_map,scans_recovered_store,filter_ns";
+  std::string out = "label";
+  for (const QueryField& f : kQueryFields) out += "," + CsvColumn(f);
+  out += ",processing_ns";
+  for (const ScanField& f : kScanFields) out += "," + CsvColumn(f);
+  return out;
 }
 
 std::string MonitorPanel::BreakdownCsvRow(const std::string& label,
                                           const QueryMetrics& metrics) {
-  char line[512];
-  const ScanMetrics& s = metrics.scan;
-  std::snprintf(line, sizeof(line),
-                "%s,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%llu,%llu,%llu,"
-                "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-                "%llu,%llu,%llu,%llu,%lld",
-                label.c_str(), static_cast<long long>(metrics.total_ns),
-                static_cast<long long>(metrics.processing_ns()),
-                static_cast<long long>(s.io_ns),
-                static_cast<long long>(s.convert_ns),
-                static_cast<long long>(s.parsing_ns),
-                static_cast<long long>(s.tokenize_ns),
-                static_cast<long long>(s.nodb_ns),
-                static_cast<unsigned long long>(s.rows_scanned),
-                static_cast<unsigned long long>(s.bytes_read),
-                static_cast<unsigned long long>(s.cache_block_hits),
-                static_cast<unsigned long long>(s.cache_block_misses),
-                static_cast<unsigned long long>(s.map_exact_probes),
-                static_cast<unsigned long long>(s.map_anchor_probes),
-                static_cast<unsigned long long>(s.map_blind_rows),
-                static_cast<unsigned long long>(s.store_block_hits),
-                static_cast<unsigned long long>(s.rows_from_store),
-                static_cast<unsigned long long>(s.rows_from_cache),
-                static_cast<unsigned long long>(s.rows_from_raw),
-                static_cast<unsigned long long>(s.zone_skipped_blocks),
-                static_cast<unsigned long long>(s.zone_skipped_rows),
-                static_cast<unsigned long long>(s.pushdown_rows_pruned),
-                static_cast<unsigned long long>(s.pushdown_phase1_fields),
-                static_cast<unsigned long long>(s.pushdown_phase2_fields),
-                static_cast<unsigned long long>(
-                    s.scans_using_recovered_map),
-                static_cast<unsigned long long>(
-                    s.scans_using_recovered_store),
-                static_cast<long long>(s.filter_ns));
-  return line;
+  std::string out = label;
+  for (const QueryField& f : kQueryFields) out += "," + CsvValue(f, metrics);
+  out += "," + std::to_string(metrics.processing_ns());
+  for (const ScanField& f : kScanFields) {
+    out += "," + CsvValue(f, metrics.scan);
+  }
+  return out;
 }
 
 std::string MonitorPanel::RenderServer(const server::ServerStats& stats) {

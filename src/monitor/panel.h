@@ -29,8 +29,10 @@ class MonitorPanel {
   /// counters and the promoted columns' heat and coverage.
   static std::string RenderStorageTiers(const RawTableState& state);
 
-  /// The Query Execution Breakdown panel (Figure 3): one stacked row
-  /// of Processing / IO / Convert / Parsing / Tokenizing / NoDB.
+  /// The Query Execution Breakdown panel (Figure 3): one row of total,
+  /// processing and the six scan categories under EXPLAIN ANALYZE's
+  /// names (io / locate / tokenize / convert / maintain / filter), then
+  /// EXPLAIN's tier footer.
   static std::string RenderBreakdown(const std::string& label,
                                      const QueryMetrics& metrics);
 
@@ -47,7 +49,9 @@ class MonitorPanel {
   static std::string RenderServer(const server::ServerStats& stats);
 
   /// CSV header + row emitters for machine-readable series (the
-  /// benches print these so experiments can be re-plotted).
+  /// benches print these so experiments can be re-plotted): label,
+  /// the kQueryFields, processing_ns, then the kScanFields, each column
+  /// named by the field's short name (`<name>_ns` for a time).
   static std::string BreakdownCsvHeader();
   static std::string BreakdownCsvRow(const std::string& label,
                                      const QueryMetrics& metrics);

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "raw/scan_metrics.h"
@@ -30,6 +31,22 @@ struct QueryMetrics {
     return std::max<int64_t>(0, total_ns - scan.TotalScanNs());
   }
 };
+
+using QueryField = MetricField<QueryMetrics>;
+
+/// QueryMetrics' own fields (the scan's are kScanFields), in
+/// RESULT_DONE order: a new field is appended at the end.
+inline constexpr QueryField kQueryFields[] = {
+    {"total", &QueryMetrics::total_ns},
+    {"parse", &QueryMetrics::parse_ns},
+    {"plan", &QueryMetrics::plan_ns},
+    {"drain", &QueryMetrics::drain_ns},
+};
+
+static_assert(sizeof(QueryMetrics) ==
+                  sizeof(std::string) + sizeof(ScanMetrics) +
+                      std::size(kQueryFields) * sizeof(int64_t),
+              "every QueryMetrics field needs a kQueryFields entry");
 
 /// Cumulative engine-level accounting for the data-to-query-time race
 /// (§4.3): initialization (loading/tuning) plus every query so far.

@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
+#include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 #include "monitor/query_metrics.h"
 
@@ -212,62 +214,23 @@ void RecordQueryTelemetry(const QueryMetrics& metrics) {
       reg.GetCounter("nodb_queries_total", "queries executed");
   static LatencyHistogram* latency = reg.GetHistogram(
       "nodb_query_latency_ns", "end-to-end query latency");
-  static Counter* rows =
-      reg.GetCounter("nodb_scan_rows_total", "rows scanned");
-  static Counter* bytes =
-      reg.GetCounter("nodb_scan_bytes_read_total", "raw bytes read");
-  static Counter* rows_store = reg.GetCounter(
-      "nodb_scan_rows_from_store_total", "rows served by the store");
-  static Counter* rows_cache = reg.GetCounter(
-      "nodb_scan_rows_from_cache_total", "rows served by the cache");
-  static Counter* rows_raw = reg.GetCounter(
-      "nodb_scan_rows_from_raw_total", "rows parsed from raw bytes");
-  static Counter* zone_rows = reg.GetCounter(
-      "nodb_scan_zone_skipped_rows_total", "rows skipped by zone maps");
-  static Counter* pruned = reg.GetCounter(
-      "nodb_scan_pushdown_pruned_rows_total",
-      "rows dropped by pushed predicates before phase-2 parsing");
-  static Counter* cache_hits = reg.GetCounter(
-      "nodb_cache_block_hits_total", "cache block hits during scans");
-  static Counter* cache_misses = reg.GetCounter(
-      "nodb_cache_block_misses_total", "cache block misses during scans");
-  static Counter* io_ns =
-      reg.GetCounter("nodb_scan_io_ns_total", "scan I/O time");
-  static Counter* locate_ns = reg.GetCounter(
-      "nodb_scan_locate_ns_total", "tuple-boundary location time");
-  static Counter* tokenize_ns =
-      reg.GetCounter("nodb_scan_tokenize_ns_total", "tokenizing time");
-  static Counter* convert_ns = reg.GetCounter(
-      "nodb_scan_convert_ns_total", "text-to-binary conversion time");
-  static Counter* maintain_ns = reg.GetCounter(
-      "nodb_scan_maintain_ns_total",
-      "positional map / cache / statistics maintenance time");
-  static Counter* filter_ns = reg.GetCounter(
-      "nodb_scan_filter_ns_total", "pushed-predicate evaluation time");
+  static const std::array<Counter*, std::size(kScanFields)> scan_counters =
+      [&reg] {
+        std::array<Counter*, std::size(kScanFields)> out{};
+        for (size_t i = 0; i < out.size(); ++i) {
+          const ScanField& f = kScanFields[i];
+          if (f.counter != nullptr) out[i] = reg.GetCounter(f.counter, f.help);
+        }
+        return out;
+      }();
 
-  const ScanMetrics& s = metrics.scan;
   queries->Add(1);
   latency->Record(metrics.total_ns);
-  rows->Add(s.rows_scanned);
-  bytes->Add(s.bytes_read);
-  rows_store->Add(s.rows_from_store);
-  rows_cache->Add(s.rows_from_cache);
-  rows_raw->Add(s.rows_from_raw);
-  zone_rows->Add(s.zone_skipped_rows);
-  pruned->Add(s.pushdown_rows_pruned);
-  cache_hits->Add(s.cache_block_hits);
-  cache_misses->Add(s.cache_block_misses);
-  io_ns->Add(static_cast<uint64_t>(s.io_ns < 0 ? 0 : s.io_ns));
-  locate_ns->Add(
-      static_cast<uint64_t>(s.parsing_ns < 0 ? 0 : s.parsing_ns));
-  tokenize_ns->Add(
-      static_cast<uint64_t>(s.tokenize_ns < 0 ? 0 : s.tokenize_ns));
-  convert_ns->Add(
-      static_cast<uint64_t>(s.convert_ns < 0 ? 0 : s.convert_ns));
-  maintain_ns->Add(
-      static_cast<uint64_t>(s.nodb_ns < 0 ? 0 : s.nodb_ns));
-  filter_ns->Add(
-      static_cast<uint64_t>(s.filter_ns < 0 ? 0 : s.filter_ns));
+  for (size_t i = 0; i < scan_counters.size(); ++i) {
+    if (scan_counters[i] != nullptr) {
+      scan_counters[i]->Add(kScanFields[i].NonNegative(metrics.scan));
+    }
+  }
 }
 
 }  // namespace obs

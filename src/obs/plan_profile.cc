@@ -90,6 +90,34 @@ int64_t ScanOtherNs(const PlanProfiler& profiler, const ScanMetrics& scan) {
   return std::max<int64_t>(0, self - scan.TotalScanNs());
 }
 
+std::string FormatScanCategories(const ScanMetrics& scan, int width) {
+  std::string out;
+  char cell[64];
+  for (const ScanField& f : kScanFields) {
+    if (f.kind != MetricKind::kTime) continue;
+    std::snprintf(cell, sizeof(cell), "%s%s %*s", out.empty() ? "" : " | ",
+                  f.name, width, FormatNanos(scan.*f.ns).c_str());
+    out += cell;
+  }
+  return out;
+}
+
+std::string FormatScanLabels(const ScanMetrics& scan) {
+  std::string tiers, rows, rest;
+  for (const ScanField& f : kScanFields) {
+    if (f.label == nullptr) continue;
+    std::string value = std::to_string(f.Word(scan));
+    if (f.kind == MetricKind::kTier) {
+      const char* sep = tiers.empty() ? "" : "/";
+      tiers += sep + std::string(f.label);
+      rows += sep + value;
+    } else {
+      rest += " | " + std::string(f.label) + " " + value;
+    }
+  }
+  return "rows " + tiers + " " + rows + rest;
+}
+
 std::string RenderAnalyze(const PlanProfiler& profiler,
                           const QueryMetrics& metrics) {
   std::string out;
@@ -128,27 +156,12 @@ std::string RenderAnalyze(const PlanProfiler& profiler,
                 FormatNanos(output_ns).c_str(),
                 FormatNanos(metrics.total_ns).c_str());
   out += line;
-  const ScanMetrics& s = metrics.scan;
-  std::snprintf(line, sizeof(line),
-                "accounted %.1f%% of wall time | rows store/cache/raw "
-                "%llu/%llu/%llu | zone-skipped blocks %llu\n",
-                coverage,
-                static_cast<unsigned long long>(s.rows_from_store),
-                static_cast<unsigned long long>(s.rows_from_cache),
-                static_cast<unsigned long long>(s.rows_from_raw),
-                static_cast<unsigned long long>(s.zone_skipped_blocks));
+  std::snprintf(line, sizeof(line), "accounted %.1f%% of wall time | ",
+                coverage);
   out += line;
-  std::snprintf(line, sizeof(line),
-                "scan io %s | locate %s | tokenize %s | convert %s | "
-                "maintain %s | filter %s | other %s\n",
-                FormatNanos(s.io_ns).c_str(),
-                FormatNanos(s.parsing_ns).c_str(),
-                FormatNanos(s.tokenize_ns).c_str(),
-                FormatNanos(s.convert_ns).c_str(),
-                FormatNanos(s.nodb_ns).c_str(),
-                FormatNanos(s.filter_ns).c_str(),
-                FormatNanos(ScanOtherNs(profiler, s)).c_str());
-  out += line;
+  out += FormatScanLabels(metrics.scan) + "\n";
+  out += "scan " + FormatScanCategories(metrics.scan) + " | other " +
+         FormatNanos(ScanOtherNs(profiler, metrics.scan)) + "\n";
   return out;
 }
 

@@ -68,12 +68,21 @@ class PlanProfiler {
   std::vector<const Node*> order_;
 };
 
-/// Scan time the five ScanMetrics categories (io, locate, tokenize,
-/// convert, maintain) do not cover: the summed self time of the
-/// profiler's scan nodes minus `scan.TotalScanNs()`, floored at 0 —
-/// batch assembly, pushed-predicate evaluation, map-served row
-/// location and the timers' own cost.
+/// Scan time the six ScanMetrics categories (io, locate, tokenize,
+/// convert, maintain, filter) do not cover: the summed self time of
+/// the profiler's scan nodes minus `scan.TotalScanNs()`, floored at 0 —
+/// batch assembly, map-served row location and the timers' own cost.
 int64_t ScanOtherNs(const PlanProfiler& profiler, const ScanMetrics& scan);
+
+/// The six categories as "io <t> | locate <t> | ... | filter <t>", each
+/// time right-aligned in `width` columns: EXPLAIN ANALYZE's scan line
+/// (width 0) and the panel's breakdown row.
+std::string FormatScanCategories(const ScanMetrics& scan, int width = 0);
+
+/// The labelled counters of kScanFields: the tiers as one group, then
+/// each other labelled field — "rows store/cache/raw a/b/c |
+/// zone-skipped blocks n".
+std::string FormatScanLabels(const ScanMetrics& scan);
 
 /// Renders the annotated plan: one line per operator (bottom-up, the
 /// same order as EXPLAIN) with inclusive/self times, row and batch

@@ -240,71 +240,43 @@ Result<size_t> DecodeBatchInto(WireReader* r, RecordBatch* batch) {
   return static_cast<size_t>(nrows);
 }
 
+namespace {
+
+/// One table's run of the metrics block: a u32 field count, then one
+/// 8-byte word per field in table order.
+template <typename Record, size_t N>
+void EncodeFields(const Record& record, const MetricField<Record> (&fields)[N],
+                  WireWriter* w) {
+  w->PutU32(static_cast<uint32_t>(N));
+  for (const MetricField<Record>& f : fields) w->PutU64(f.Word(record));
+}
+
+/// Fills the fields a run carries; a shorter run (an older sender)
+/// leaves the rest 0 and a longer one (a newer sender) has its extra
+/// words skipped. A count past the payload fails on the first missing
+/// word, with nothing allocated from it.
+template <typename Record, size_t N>
+Status DecodeFields(WireReader* r, const MetricField<Record> (&fields)[N],
+                    Record* record) {
+  NODB_ASSIGN_OR_RETURN(uint32_t count, r->GetU32());
+  for (uint32_t i = 0; i < count; ++i) {
+    NODB_ASSIGN_OR_RETURN(uint64_t word, r->GetU64());
+    if (i < N) fields[i].SetWord(record, word);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 void EncodeQueryMetrics(const QueryMetrics& metrics, WireWriter* w) {
-  w->PutI64(metrics.total_ns);
-  w->PutI64(metrics.parse_ns);
-  w->PutI64(metrics.plan_ns);
-  w->PutI64(metrics.drain_ns);
-  const ScanMetrics& s = metrics.scan;
-  w->PutI64(s.io_ns);
-  w->PutI64(s.parsing_ns);
-  w->PutI64(s.tokenize_ns);
-  w->PutI64(s.convert_ns);
-  w->PutI64(s.nodb_ns);
-  w->PutU64(s.rows_scanned);
-  w->PutU64(s.bytes_read);
-  w->PutU64(s.fields_tokenized);
-  w->PutU64(s.fields_converted);
-  w->PutU64(s.cache_block_hits);
-  w->PutU64(s.cache_block_misses);
-  w->PutU64(s.map_exact_probes);
-  w->PutU64(s.map_anchor_probes);
-  w->PutU64(s.map_blind_rows);
-  w->PutU64(s.store_block_hits);
-  w->PutU64(s.rows_from_store);
-  w->PutU64(s.rows_from_cache);
-  w->PutU64(s.rows_from_raw);
-  w->PutU64(s.zone_skipped_blocks);
-  w->PutU64(s.zone_skipped_rows);
-  w->PutU64(s.pushdown_rows_pruned);
-  w->PutU64(s.pushdown_phase1_fields);
-  w->PutU64(s.pushdown_phase2_fields);
-  w->PutU64(s.scans_using_recovered_map);
-  w->PutU64(s.scans_using_recovered_store);
+  EncodeFields(metrics, kQueryFields, w);
+  EncodeFields(metrics.scan, kScanFields, w);
 }
 
 Result<QueryMetrics> DecodeQueryMetrics(WireReader* r) {
   QueryMetrics m;
-  NODB_ASSIGN_OR_RETURN(m.total_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(m.parse_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(m.plan_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(m.drain_ns, r->GetI64());
-  ScanMetrics& s = m.scan;
-  NODB_ASSIGN_OR_RETURN(s.io_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(s.parsing_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(s.tokenize_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(s.convert_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(s.nodb_ns, r->GetI64());
-  NODB_ASSIGN_OR_RETURN(s.rows_scanned, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.bytes_read, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.fields_tokenized, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.fields_converted, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.cache_block_hits, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.cache_block_misses, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.map_exact_probes, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.map_anchor_probes, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.map_blind_rows, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.store_block_hits, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.rows_from_store, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.rows_from_cache, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.rows_from_raw, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.zone_skipped_blocks, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.zone_skipped_rows, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.pushdown_rows_pruned, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.pushdown_phase1_fields, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.pushdown_phase2_fields, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.scans_using_recovered_map, r->GetU64());
-  NODB_ASSIGN_OR_RETURN(s.scans_using_recovered_store, r->GetU64());
+  NODB_RETURN_NOT_OK(DecodeFields(r, kQueryFields, &m));
+  NODB_RETURN_NOT_OK(DecodeFields(r, kScanFields, &m.scan));
   return m;
 }
 

@@ -40,7 +40,7 @@ namespace server {
 /// NoDbConfig::server_result_batch_rows rows per frame, so the first
 /// rows of a large answer arrive while the scan is still running.
 inline constexpr char kMagic[4] = {'N', 'o', 'D', 'B'};
-inline constexpr uint16_t kProtocolVersion = 1;
+inline constexpr uint16_t kProtocolVersion = 2;
 
 enum class FrameType : uint8_t {
   kHello = 1,
@@ -124,7 +124,12 @@ Result<size_t> DecodeBatchInto(WireReader* r, RecordBatch* batch);
 
 /// The full cost breakdown travels in RESULT_DONE so a remote shell's
 /// `\timing` renders through the same MonitorPanel code as a local one
-/// (the sql text stays client-side and is not re-sent).
+/// (the sql text stays client-side and is not re-sent). The block is
+/// two runs, kQueryFields then kScanFields, each a u32 field count and
+/// that many 8-byte words in table order. Fields append at the end of
+/// their table, so either side may be newer without a version bump:
+/// the decoder skips words it has no field for and leaves fields the
+/// sender did not send at 0.
 void EncodeQueryMetrics(const QueryMetrics& metrics, WireWriter* w);
 Result<QueryMetrics> DecodeQueryMetrics(WireReader* r);
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "io/file.h"
 #include "io/temp_dir.h"
 #include "monitor/panel.h"
@@ -44,6 +49,22 @@ TEST(QueryMetricsTest, ScanMetricsAddIsComponentWise) {
   EXPECT_EQ(a.map_exact_probes, 7u);
 }
 
+TEST(QueryMetricsTest, AddAndTotalCoverEveryTableField) {
+  ScanMetrics a;
+  for (size_t i = 0; i < std::size(kScanFields); ++i) {
+    kScanFields[i].SetWord(&a, 1 + i);
+  }
+  ScanMetrics sum = a;
+  sum.Add(a);
+  int64_t times = 0;
+  for (const ScanField& f : kScanFields) {
+    EXPECT_EQ(f.Word(sum), 2 * f.Word(a)) << f.name;
+    if (f.kind == MetricKind::kTime) times += a.*f.ns;
+  }
+  EXPECT_EQ(a.TotalScanNs(), times);
+  EXPECT_EQ(times, 1 + 2 + 3 + 4 + 5 + 6);  // the six categories lead
+}
+
 TEST(EngineTotalsTest, DataToQueryTime) {
   EngineTotals totals;
   totals.init_ns = 100;
@@ -71,8 +92,9 @@ TEST(PanelTest, BreakdownLineContainsAllCategories) {
   metrics.scan.io_ns = 1000000;
   metrics.scan.tokenize_ns = 500000;
   std::string line = MonitorPanel::RenderBreakdown("label", metrics);
-  for (const char* token : {"label", "total", "proc", "io", "convert",
-                            "parse", "tokenize", "nodb"}) {
+  // The scan categories carry EXPLAIN ANALYZE's names.
+  for (const char* token : {"label", "total", "proc", "io", "locate",
+                            "tokenize", "convert", "maintain", "filter"}) {
     EXPECT_NE(line.find(token), std::string::npos) << token;
   }
 }
@@ -91,7 +113,9 @@ TEST(PanelTest, BreakdownClampsNegativeProcessing) {
   ASSERT_GT(metrics.scan.TotalScanNs(), metrics.total_ns);
   std::string line = MonitorPanel::RenderBreakdown("tiny", metrics);
   EXPECT_NE(line.find(FormatNanos(0)), std::string::npos) << line;
-  EXPECT_EQ(line.find('-'), std::string::npos) << line;
+  // Every value follows a space; the footer's "zone-skipped" is the
+  // only hyphen the line may hold.
+  EXPECT_EQ(line.find(" -"), std::string::npos) << line;
 }
 
 TEST(PanelTest, CsvRowAlignsWithHeader) {
@@ -101,6 +125,17 @@ TEST(PanelTest, CsvRowAlignsWithHeader) {
   std::string row = MonitorPanel::BreakdownCsvRow("x", metrics);
   EXPECT_EQ(SplitString(header, ',').size(), SplitString(row, ',').size());
   EXPECT_EQ(SplitString(row, ',')[0], "x");
+  // One column per table field, named by its short name.
+  const std::vector<std::string> columns = SplitString(header, ',');
+  EXPECT_EQ(columns.size(),
+            2 + std::size(kQueryFields) + std::size(kScanFields));
+  for (const char* column : {"total_ns", "processing_ns", "locate_ns",
+                             "maintain_ns", "filter_ns", "rows_scanned",
+                             "pushdown_phase2_fields"}) {
+    EXPECT_NE(std::find(columns.begin(), columns.end(), column),
+              columns.end())
+        << column;
+  }
 }
 
 TEST(PanelTest, TableStatePanelShowsStructures) {

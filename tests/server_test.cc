@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,34 +114,105 @@ TEST(WireTest, BatchRoundTripWithNulls) {
   }
 }
 
-TEST(WireTest, QueryMetricsRoundTrip) {
+/// A distinct word per field: field i of the query table gets 100 + i,
+/// field i of the scan table 200 + i, a time negated so its sign
+/// travels too.
+template <typename Record, size_t N>
+void FillDistinct(const MetricField<Record> (&fields)[N], uint64_t base,
+                  Record* record) {
+  for (size_t i = 0; i < N; ++i) {
+    const int64_t v = static_cast<int64_t>(base + i);
+    const bool time = fields[i].kind == MetricKind::kTime;
+    fields[i].SetWord(record, static_cast<uint64_t>(time ? -v : v));
+  }
+}
+
+QueryMetrics DistinctMetrics() {
   QueryMetrics m;
-  m.total_ns = 123456;
-  m.parse_ns = 11;
-  m.plan_ns = 22;
-  m.drain_ns = 33;
-  m.scan.io_ns = 44;
-  m.scan.rows_scanned = 1000;
-  m.scan.rows_from_store = 600;
-  m.scan.pushdown_rows_pruned = 17;
-  m.scan.scans_using_recovered_store = 2;
+  FillDistinct(kQueryFields, 100, &m);
+  FillDistinct(kScanFields, 200, &m.scan);
+  return m;
+}
+
+void ExpectSameFields(const QueryMetrics& got, const QueryMetrics& want) {
+  for (const QueryField& f : kQueryFields) {
+    EXPECT_EQ(f.Word(got), f.Word(want)) << f.name;
+  }
+  for (const ScanField& f : kScanFields) {
+    EXPECT_EQ(f.Word(got.scan), f.Word(want.scan)) << f.name;
+  }
+}
+
+TEST(WireTest, QueryMetricsRoundTrip) {
+  const QueryMetrics m = DistinctMetrics();
   WireWriter w;
   EncodeQueryMetrics(m, &w);
   WireReader r(w.data());
   auto decoded = DecodeQueryMetrics(&r);
-  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(r.ExpectEnd().ok());
-  EXPECT_EQ(decoded->total_ns, m.total_ns);
-  EXPECT_EQ(decoded->parse_ns, m.parse_ns);
-  EXPECT_EQ(decoded->plan_ns, m.plan_ns);
-  EXPECT_EQ(decoded->drain_ns, m.drain_ns);
-  EXPECT_EQ(decoded->scan.io_ns, m.scan.io_ns);
-  EXPECT_EQ(decoded->scan.rows_scanned, m.scan.rows_scanned);
-  EXPECT_EQ(decoded->scan.rows_from_store, m.scan.rows_from_store);
-  EXPECT_EQ(decoded->scan.pushdown_rows_pruned,
-            m.scan.pushdown_rows_pruned);
-  EXPECT_EQ(decoded->scan.scans_using_recovered_store,
-            m.scan.scans_using_recovered_store);
+  ExpectSameFields(*decoded, m);
+  EXPECT_NE(decoded->scan.filter_ns, 0);
+  EXPECT_EQ(decoded->scan.filter_ns, m.scan.filter_ns);
+}
+
+/// A metrics block written by hand: each run's count, then the words.
+std::string MetricsBlock(const QueryMetrics& m, size_t query_count,
+                         size_t scan_count) {
+  WireWriter w;
+  w.PutU32(static_cast<uint32_t>(query_count));
+  for (size_t i = 0; i < query_count; ++i) {
+    w.PutU64(i < std::size(kQueryFields) ? kQueryFields[i].Word(m) : 7 + i);
+  }
+  w.PutU32(static_cast<uint32_t>(scan_count));
+  for (size_t i = 0; i < scan_count; ++i) {
+    w.PutU64(i < std::size(kScanFields) ? kScanFields[i].Word(m.scan) : 7 + i);
+  }
+  return w.Take();
+}
+
+TEST(WireTest, QueryMetricsSkipsTrailingFieldsOfANewerSender) {
+  const QueryMetrics m = DistinctMetrics();
+  const std::string block = MetricsBlock(m, std::size(kQueryFields) + 3,
+                                         std::size(kScanFields) + 3);
+  WireReader r(block);
+  auto decoded = DecodeQueryMetrics(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  ExpectSameFields(*decoded, m);
+}
+
+TEST(WireTest, QueryMetricsLeavesFieldsAnOlderSenderLacksAtZero) {
+  const QueryMetrics m = DistinctMetrics();
+  const std::string block = MetricsBlock(m, 2, 5);
+  WireReader r(block);
+  auto decoded = DecodeQueryMetrics(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(r.ExpectEnd().ok());
+  for (size_t i = 0; i < std::size(kQueryFields); ++i) {
+    EXPECT_EQ(kQueryFields[i].Word(*decoded),
+              i < 2 ? kQueryFields[i].Word(m) : 0u)
+        << kQueryFields[i].name;
+  }
+  for (size_t i = 0; i < std::size(kScanFields); ++i) {
+    EXPECT_EQ(kScanFields[i].Word(decoded->scan),
+              i < 5 ? kScanFields[i].Word(m.scan) : 0u)
+        << kScanFields[i].name;
+  }
+}
+
+TEST(WireTest, QueryMetricsCountPastThePayloadIsAParseError) {
+  for (bool in_scan_run : {false, true}) {
+    WireWriter w;
+    w.PutU32(in_scan_run ? 0 : 0xffffffffu);
+    if (in_scan_run) w.PutU32(std::size(kScanFields));
+    w.PutU64(1);
+    w.PutU64(2);
+    WireReader r(w.data());
+    auto decoded = DecodeQueryMetrics(&r);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status().ToString();
+  }
 }
 
 /// ---- Admission control -------------------------------------------------
@@ -492,6 +564,52 @@ TEST_F(ServerTest, MalformedFramesGetErrorsAndLeakNoSlots) {
   ASSERT_TRUE(conn.ok());
   auto outcome = conn->Execute("SELECT COUNT(*) FROM sales");
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST_F(ServerTest, OldProtocolVersionGetsAnErrorAndServingGoesOn) {
+  NoDbConfig config = ServerConfig();
+  NoDbEngine engine(catalog_, config);
+  Server server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(WriteFully(*fd, kMagic, sizeof(kMagic)).ok());
+  WireWriter w;
+  w.PutU16(1);
+  w.PutString("old-tenant");
+  w.PutString("old-client");
+  ASSERT_TRUE(WriteFrame(*fd, FrameType::kHello, w.data()).ok());
+  auto reply = ReadFrame(*fd, 1u << 20);
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, FrameType::kError);
+  EXPECT_NE(reply->payload.find("protocol version 1 not supported"),
+            std::string::npos);
+  CloseFd(*fd);
+
+  auto conn = ClientConnection::Connect("127.0.0.1", server.port(),
+                                        "new-tenant", "new-client");
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  auto outcome = conn->Execute("SELECT COUNT(*) FROM sales");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->result.Row(0)[0], Value::Int64(2000));
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST_F(ServerTest, RemoteQueryCarriesThePushedFilterTime) {
+  NoDbConfig config = ServerConfig();
+  NoDbEngine engine(catalog_, config);
+  Server server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+  auto conn = ClientConnection::Connect("127.0.0.1", server.port(),
+                                        "tenant-a", "filter-test");
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  auto outcome = conn->Execute("SELECT id FROM sales WHERE amount > 50.0");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_GT(outcome->result.num_rows(), 0u);
+  EXPECT_GT(outcome->metrics.scan.pushdown_rows_pruned, 0u);
+  EXPECT_GT(outcome->metrics.scan.filter_ns, 0);
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
