@@ -17,7 +17,6 @@
 #include "engines/nodb_engine.h"
 #include "io/temp_dir.h"
 #include "simd/simd.h"
-#include "util/thread_pool.h"
 
 using namespace nodb;
 using namespace nodb::bench;
@@ -105,11 +104,7 @@ int main(int argc, char** argv) {
   NoDbEngine raw_nostore(catalog, nostore_config, "PostgresRaw.nostore");
   // The cold columns are each a fresh engine's first query, so no query
   // inherits what the ones before it adapted. Scalar.cold runs with the
-  // scalar tier forced (the before/after of the SIMD kernels);
-  // Raw.par.cold pre-builds the NoDB structures with one worker per
-  // hardware core (the parallel chunked first-touch scan).
-  NoDbConfig par_config;
-  par_config.num_threads = 0;  // 0 = one thread per core
+  // scalar tier forced (the before/after of the SIMD kernels).
   auto run_cold = [&](const NoDbConfig& config, const char* label,
                       const NamedQuery& q) {
     // The destructor waits for the engine's background promotion, so a
@@ -119,22 +114,19 @@ int main(int argc, char** argv) {
   };
   LoadFirstEngine pg(catalog, LoadProfile::kPostgres);
   int64_t load_ns = CheckOk(pg.Initialize(), "load");
-  std::printf("PostgreSQL load time: %s (PostgresRaw: none)\n",
+  std::printf("PostgreSQL load time: %s (PostgresRaw: none)\n\n",
               FormatNanos(load_ns).c_str());
-  std::printf("parallel scan threads: %u\n\n",
-              static_cast<unsigned>(ThreadPool::DefaultThreadCount()));
 
   bool all_match = true;
   std::printf(
-      "%-24s %12s %12s %12s %12s %12s %12s  match  store rows s/c/r\n",
-      "query", "Scalar.cold", "Raw.cold", "Raw.par.cold", "Raw.warm.off",
-      "Raw.warm.on", "PostgreSQL");
+      "%-24s %12s %12s %12s %12s %12s  match  store rows s/c/r\n",
+      "query", "Scalar.cold", "Raw.cold", "Raw.warm.off", "Raw.warm.on",
+      "PostgreSQL");
   for (const auto& q : queries) {
     simd::ForceLevel(simd::SimdLevel::kScalar);
     auto scalar_cold = run_cold(NoDbConfig(), "PostgresRaw.scalar", q);
     simd::ClearForcedLevel();
     auto cold = run_cold(NoDbConfig(), "PostgresRaw.cold", q);
-    auto par_cold = run_cold(par_config, "PostgresRaw.par", q);
     auto first_on = CheckOk(raw.Execute(q.sql), q.name);
     // Second touch crosses the promotion threshold; settle background
     // promotion so the third run measures pure store serving.
@@ -152,13 +144,11 @@ int main(int argc, char** argv) {
         warm_on.result.CanonicalRows() == conv.result.CanonicalRows() &&
         hot_on.result.CanonicalRows() == conv.result.CanonicalRows() &&
         hot_off.result.CanonicalRows() == conv.result.CanonicalRows() &&
-        par_cold.result.CanonicalRows() == conv.result.CanonicalRows() &&
         scalar_cold.result.CanonicalRows() == conv.result.CanonicalRows();
     all_match = all_match && match;
-    std::printf("%-24s %12s %12s %12s %12s %12s %12s  %-5s %llu/%llu/%llu\n",
+    std::printf("%-24s %12s %12s %12s %12s %12s  %-5s %llu/%llu/%llu\n",
                 q.name, FormatNanos(scalar_cold.metrics.total_ns).c_str(),
                 FormatNanos(cold.metrics.total_ns).c_str(),
-                FormatNanos(par_cold.metrics.total_ns).c_str(),
                 FormatNanos(hot_off.metrics.total_ns).c_str(),
                 FormatNanos(hot_on.metrics.total_ns).c_str(),
                 FormatNanos(conv.metrics.total_ns).c_str(),
@@ -171,11 +161,10 @@ int main(int argc, char** argv) {
                     hot_on.metrics.scan.rows_from_raw));
   }
 
-  // Byte-identity sweep over the kernel/thread matrix: fresh engines at
-  // every runnable SIMD tier x {1, 2, 8} threads, all against the
-  // load-first reference. Failing this (or any per-query match above)
-  // fails the bench — CI's guarantee that the SIMD tiers are pure
-  // accelerators.
+  // Byte-identity sweep over the kernels: a fresh engine at every
+  // runnable SIMD tier, each against the load-first reference. Failing
+  // this (or any per-query match above) fails the bench — CI's
+  // guarantee that the SIMD tiers are pure accelerators.
   {
     const char* probe_sql = queries[1].sql;  // Q6: ints, doubles, dates
     auto reference = CheckOk(pg.Execute(probe_sql), "identity reference");
@@ -183,27 +172,20 @@ int main(int argc, char** argv) {
     std::string swept;
     for (const simd::SimdLevel level : simd::RunnableLevels()) {
       simd::ForceLevel(level);
-      for (const uint32_t threads : {1u, 2u, 8u}) {
-        NoDbConfig config;
-        config.num_threads = threads;
-        NoDbEngine probe(catalog, config, "identity-probe");
-        auto got = CheckOk(probe.Execute(probe_sql), "identity probe");
-        probe.WaitForPromotions();
-        if (got.result.CanonicalRows() != want) {
-          std::fprintf(stderr,
-                       "FAIL: identity sweep diverged (%s, threads=%u)\n",
-                       simd::LevelName(level), threads);
-          return 1;
-        }
+      NoDbEngine probe(catalog, NoDbConfig(), "identity-probe");
+      auto got = CheckOk(probe.Execute(probe_sql), "identity probe");
+      probe.WaitForPromotions();
+      if (got.result.CanonicalRows() != want) {
+        std::fprintf(stderr, "FAIL: identity sweep diverged (%s)\n",
+                     simd::LevelName(level));
+        return 1;
       }
       simd::ClearForcedLevel();
       swept += swept.empty() ? "" : ",";
       swept += simd::LevelName(level);
     }
-    std::printf(
-        "\nidentity sweep: {%s} x {1,2,8} threads byte-identical to "
-        "PostgreSQL\n",
-        swept.c_str());
+    std::printf("\nidentity sweep: {%s} byte-identical to PostgreSQL\n",
+                swept.c_str());
   }
   if (!all_match) {
     std::fprintf(stderr, "FAIL: cross-engine row sets diverged\n");

@@ -31,15 +31,7 @@ Result<std::shared_ptr<ColumnStoreTable>> LoadCsv(
 
   uint64_t offset = 0;
   uint64_t rows = 0;
-  if (dialect.has_header && reader.file_size() > 0) {
-    uint64_t header_end = 0;
-    Status s = reader.FindNewline(0, &header_end);
-    // OutOfRange is a header-only file (zero data rows); any other
-    // error leaves header_end unset and must not be swallowed — the
-    // loader would otherwise treat the header line as data.
-    if (!s.ok() && !s.IsOutOfRange()) return s;
-    offset = header_end + 1;
-  }
+  if (dialect.has_header) NODB_RETURN_NOT_OK(reader.SkipHeader(&offset));
 
   while (offset < reader.file_size()) {
     uint64_t line_end = 0;

@@ -9,7 +9,6 @@
 #include "obs/plan_profile.h"
 #include "obs/tenant.h"
 #include "persist/snapshot.h"
-#include "raw/parallel_scan.h"
 #include "raw/raw_scan.h"
 #include "raw/stats_collector.h"
 #include "sql/parser.h"
@@ -50,7 +49,6 @@ class NoDbEngine::Factory final : public ScanFactory {
     NODB_ASSIGN_OR_RETURN(RawTableState * state,
                           engine_->GetOrCreateState(table));
     std::vector<uint32_t> attrs(projection.begin(), projection.end());
-    NODB_RETURN_NOT_OK(engine_->MaybeParallelPrewarm(state, attrs));
     auto scan = std::make_unique<RawScanOperator>(state, std::move(attrs),
                                                   metrics_);
     if (pushdown != nullptr &&
@@ -176,36 +174,6 @@ Result<RawTableState*> NoDbEngine::GetOrCreateState(
                                   flags_.store);
   }
   return it->second.get();
-}
-
-Status NoDbEngine::MaybeParallelPrewarm(RawTableState* state,
-                                        const std::vector<uint32_t>& attrs) {
-  uint32_t threads =
-      config_.num_threads == 0
-          ? static_cast<uint32_t>(ThreadPool::DefaultThreadCount())
-          : config_.num_threads;
-  if (threads <= 1) return Status::OK();
-  if (state->info().dialect.allow_quoting) {
-    // Chunk boundaries split on raw '\n', which a quoted field may
-    // contain: fall back to the serial first-touch path (the claim is
-    // left untaken, so parallel_prewarmed() stays false).
-    return Status::OK();
-  }
-  if (!state->component_flags().any()) {
-    return Status::OK();  // Baseline mode: nothing would be retained.
-  }
-  // Only a genuinely cold table qualifies; once the serial scan has
-  // started discovering rows, the adaptive path owns the state.
-  if (state->map().known_rows() > 0 || state->map().rows_complete()) {
-    return Status::OK();
-  }
-  if (!state->TryClaimParallelPrewarm()) {
-    return Status::OK();  // one attempt per file generation
-  }
-  // A failure (e.g. malformed row) carries the exact message the serial
-  // scan would have produced for that row, so surfacing it here keeps
-  // the engine's observable behaviour identical.
-  return ParallelChunkedScan(state, attrs, threads).status();
 }
 
 Result<QueryOutcome> NoDbEngine::Execute(std::string_view sql) {

@@ -183,13 +183,6 @@ class NoDbEngine final : public Engine {
   Result<RawTableState*> GetOrCreateState(const std::string& table)
       EXCLUDES(states_mu_);
 
-  /// Runs the parallel chunked first-touch scan (raw/parallel_scan.h)
-  /// over `attrs` when the config asks for threads, the table is still
-  /// cold and at least one NoDB structure is enabled. At most one
-  /// attempt per file generation; a no-op at num_threads <= 1.
-  Status MaybeParallelPrewarm(RawTableState* state,
-                              const std::vector<uint32_t>& attrs);
-
   /// The shared client pool, created on first concurrent batch and
   /// grown (replaced) when a batch asks for more workers; batches hold
   /// a shared_ptr so an in-flight batch keeps its pool alive.

@@ -14,10 +14,9 @@ namespace nodb {
 /// The executing thread installs it with ScopedQueryCancel for the
 /// duration of one query; QueryResult::Drain polls it at every batch
 /// boundary and aborts with Status::Cancelled. Cancellation is
-/// strictly cooperative: a batch in flight finishes, and worker
-/// threads of a parallel first-touch scan are not interrupted
-/// mid-block — the drain loop is the single check point, which keeps
-/// the hot path at one relaxed-ish load per batch.
+/// strictly cooperative: a batch in flight finishes — the drain loop
+/// is the single check point, which keeps the hot path at one
+/// relaxed-ish load per batch.
 class QueryCancelFlag {
  public:
   QueryCancelFlag() = default;

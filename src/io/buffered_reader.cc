@@ -92,6 +92,15 @@ Status BufferedReader::FindNewline(uint64_t offset, uint64_t* line_end) {
   return Status::OutOfRange("no newline before end of file");
 }
 
+Status BufferedReader::SkipHeader(uint64_t* data_begin) {
+  uint64_t header_end = 0;
+  Status s = FindNewline(0, &header_end);
+  if (!s.ok() && !s.IsOutOfRange()) return s;
+  // OutOfRange leaves header_end at the file size: no data rows.
+  *data_begin = std::min<uint64_t>(header_end + 1, file_size_);
+  return Status::OK();
+}
+
 Status BufferedReader::FindRows(uint64_t offset, uint64_t limit,
                                 size_t max_rows, simd::SimdLevel level,
                                 std::vector<uint64_t>* starts,

@@ -47,6 +47,12 @@ class BufferedReader {
   /// the final unterminated line ends at EOF).
   Status FindNewline(uint64_t offset, uint64_t* line_end);
 
+  /// Skips the header line: `*data_begin` is one past its newline,
+  /// where the data rows start (the file size for a header-only file,
+  /// 0 for an empty one). Any read error is returned, `*data_begin`
+  /// untouched, so a failed skip never reads the header as a row.
+  Status SkipHeader(uint64_t* data_begin);
+
   /// The row finder shared by every scan. Finds the rows that start at
   /// `offset` (a row start) within one window of buffered bytes: the
   /// bytes already buffered from `offset`, else a buffer read there.

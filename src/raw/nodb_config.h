@@ -109,15 +109,6 @@ struct NoDbConfig {
   /// I/O buffer for the raw-file reader.
   size_t read_buffer_bytes = 1u << 20;
 
-  /// Worker threads for the parallel first touch (raw/parallel_scan.h):
-  /// a cold table's first query finds the file's rows in parallel, then
-  /// runs ranges of row-blocks through the scan operator on this many
-  /// threads, pre-building the enabled NoDB structures and attacking
-  /// the first-query penalty. 1 = the paper's fully serial adaptive
-  /// behaviour (default); 0 = one thread per hardware core. Results
-  /// are byte-identical to the serial path at any setting.
-  uint32_t num_threads = 1;
-
   /// ---- Server front end (server/server.h) ----------------------------
   /// Knobs below only matter when a Server is constructed around the
   /// engine; a purely in-process engine never reads them.

@@ -56,16 +56,6 @@ void PositionalMap::EnsureDiscoveryStartsAt(uint64_t offset) {
   }
 }
 
-void PositionalMap::PublishRowIndex(std::vector<uint64_t> starts,
-                                    uint64_t cursor, uint64_t file_size) {
-  WriterLock lock(mu_);
-  if (!row_starts_.empty() || rows_complete_) return;  // no longer cold
-  row_starts_ = std::move(starts);
-  next_discovery_offset_ = std::max(next_discovery_offset_, cursor);
-  rows_complete_ = true;
-  indexed_file_size_ = file_size;
-}
-
 void PositionalMap::ReopenForAppend() {
   WriterLock lock(mu_);
   rows_complete_ = false;

@@ -93,15 +93,6 @@ class PositionalMap {
   /// index (skipping a header line). No-op once rows are published.
   void EnsureDiscoveryStartsAt(uint64_t offset) EXCLUDES(mu_);
 
-  /// Replaces an *empty* row index in one publication: `starts` holds
-  /// every row start in file order, `cursor` is one past the last
-  /// row's end, and the index is marked complete for `file_size`
-  /// bytes. The parallel first-touch scan merges through this so
-  /// concurrent readers never observe a half-built index. No-op when
-  /// rows were already published.
-  void PublishRowIndex(std::vector<uint64_t> starts, uint64_t cursor,
-                       uint64_t file_size) EXCLUDES(mu_);
-
   /// Reopens discovery after an append: the file grew but existing
   /// boundaries remain valid.
   void ReopenForAppend() EXCLUDES(mu_);

@@ -280,10 +280,7 @@ Status RawScanOperator::Open() {
                                              config.read_buffer_bytes);
   NODB_RETURN_NOT_OK(reader_->Refresh());
 
-  if (start_block_ > 0 && !use_map_) {
-    return Status::InvalidArgument("a scan past block 0 needs the map");
-  }
-  row_ = start_block_ * uint64_t{config.rows_per_block};
+  row_ = 0;
   rows_emitted_ = 0;
   exhausted_ = false;
   window_first_ = 0;
@@ -299,12 +296,9 @@ Status RawScanOperator::Open() {
   // Header line: data rows start after it. A map whose discovery has
   // started already knows where they start.
   local_offset_ = 0;
-  if (state_->info().dialect.has_header && reader_->file_size() > 0 &&
+  if (state_->info().dialect.has_header &&
       (!use_map_ || state_->map().next_discovery_offset() == 0)) {
-    uint64_t header_end = 0;
-    Status s = reader_->FindNewline(0, &header_end);
-    (void)s;  // a header-only file simply has zero data rows
-    local_offset_ = std::min<uint64_t>(header_end + 1, reader_->file_size());
+    NODB_RETURN_NOT_OK(reader_->SkipHeader(&local_offset_));
   }
   if (use_map_) state_->map().EnsureDiscoveryStartsAt(local_offset_);
 

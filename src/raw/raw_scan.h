@@ -154,12 +154,6 @@ class RawScanOperator final : public ExecOperator {
   /// statistics, zone entry or promotion. Call before Open.
   void SetRowLimit(uint64_t limit) { row_limit_ = limit; }
 
-  /// Starts the scan at row-block `block` instead of block 0 (the
-  /// parallel first touch gives each worker a range of blocks). Needs
-  /// the positional map, which locates the block's first row. Call
-  /// before Open.
-  void SetStartBlock(uint64_t block) { start_block_ = block; }
-
   Status Open() override;
   Result<BatchPtr> Next() override;
   std::shared_ptr<Schema> output_schema() const override { return schema_; }
@@ -278,7 +272,6 @@ class RawScanOperator final : public ExecOperator {
   uint64_t local_offset_ = 0;  // row-finding cursor when the map is off
   bool exhausted_ = false;
   uint64_t row_limit_ = UINT64_MAX;  // see SetRowLimit
-  uint64_t start_block_ = 0;         // see SetStartBlock
   uint64_t rows_emitted_ = 0;
 
   // Lock-free row location: published bounds of rows

@@ -139,18 +139,6 @@ std::vector<uint64_t> RawTableState::attribute_access_counts() const {
   return access_counts_;
 }
 
-bool RawTableState::TryClaimParallelPrewarm() {
-  MutexLock lock(mu_);
-  if (parallel_prewarmed_) return false;
-  parallel_prewarmed_ = true;
-  return true;
-}
-
-bool RawTableState::parallel_prewarmed() const {
-  MutexLock lock(mu_);
-  return parallel_prewarmed_;
-}
-
 bool RawTableState::TryBeginPromotion(std::vector<uint32_t> hot_attrs,
                                       uint64_t known_rows) {
   MutexLock lock(mu_);
@@ -296,7 +284,6 @@ void RawTableState::InvalidateAllLocked() {
   stats_.Clear();
   store_.Clear();
   zones_.Clear();
-  parallel_prewarmed_ = false;
   promoted_hot_.clear();
   promoted_rows_ = UINT64_MAX;
   // Recovered state just got dropped with everything else; stop

@@ -94,13 +94,6 @@ class RawTableState {
       EXCLUDES(mu_);
   std::vector<uint64_t> attribute_access_counts() const EXCLUDES(mu_);
 
-  /// Claims the one parallel first-touch scan allowed per file
-  /// generation: true exactly once until the file is rewritten or
-  /// replaced. Concurrent first queries race here; the loser proceeds
-  /// with the serial adaptive path.
-  bool TryClaimParallelPrewarm() EXCLUDES(mu_);
-  bool parallel_prewarmed() const EXCLUDES(mu_);
-
   /// Claims a background shadow-store promotion pass for the given
   /// (hot-attribute set, known-row count) target. Returns false while
   /// another pass is in flight, or when the last *completed* pass
@@ -180,7 +173,6 @@ class RawTableState {
   std::shared_ptr<RandomAccessFile> file_ GUARDED_BY(mu_);
   FileSignature signature_ GUARDED_BY(mu_);
   std::vector<uint64_t> access_counts_ GUARDED_BY(mu_);
-  bool parallel_prewarmed_ GUARDED_BY(mu_) = false;
 
   bool promotion_in_flight_ GUARDED_BY(mu_) = false;
   std::vector<uint32_t> staged_hot_ GUARDED_BY(mu_);  // in-flight target

@@ -136,13 +136,4 @@ void TaskGroup::Wait() {
   }
 }
 
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  TaskGroup group(pool);
-  for (size_t i = 0; i < n; ++i) {
-    group.Submit([&fn, i] { fn(i); });
-  }
-  group.Wait();
-}
-
 }  // namespace nodb

@@ -29,11 +29,10 @@ struct ThreadPoolMetrics {
 
 /// A fixed-size pool of worker threads draining a FIFO task queue.
 ///
-/// Small by design: the parallel raw scan needs fork/join over file
-/// chunks and the concurrent query path needs a shared set of client
-/// workers, nothing more. Submit() never blocks; Wait() blocks the
-/// caller until every task submitted so far has finished, after which
-/// the pool is reusable for the next batch.
+/// Small by design: concurrent query batches and the background store
+/// promoter need a shared set of workers, nothing more. Submit() never
+/// blocks; Wait() blocks the caller until every task submitted so far
+/// has finished, after which the pool is reusable for the next batch.
 ///
 /// A task that throws does not take the process down: the first
 /// exception is captured and rethrown by Wait() (tasks submitted
@@ -120,12 +119,6 @@ class TaskGroup {
   size_t pending_ GUARDED_BY(mu_) = 0;
   std::exception_ptr first_error_ GUARDED_BY(mu_);
 };
-
-/// Runs fn(0) .. fn(n-1) on `pool` and blocks until all complete; the
-/// first exception thrown by any fn is rethrown in the caller. Safe on
-/// a shared pool (uses a TaskGroup internally).
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace nodb
 

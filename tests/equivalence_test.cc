@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "engines/load_first_engine.h"
 #include "engines/nodb_engine.h"
 #include "io/temp_dir.h"
-#include "raw/parallel_scan.h"
 #include "util/random.h"
 
 namespace nodb {
@@ -310,65 +310,32 @@ TEST(LimitEquivalence, LimitWithoutOrderMatchesLoadFirstOnEveryTier) {
   }
 }
 
-/// The parallel chunked first-touch scan (NoDbConfig::num_threads) must
-/// be invisible in query results: for any thread count, cold and warm
-/// answers equal both the serial NoDB engine's and the load-first
+/// Runs each query cold, then warm, on a fresh NoDB engine over
+/// `catalog` (64-row blocks); both answers must equal the load-first
 /// reference's.
-class ParallelEquivalence : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(ParallelEquivalence, ThreadedEngineMatchesSerialAndReference) {
-  const uint32_t threads = GetParam();
-  auto dir = TempDir::Create("nodb-equiv-par");
-  ASSERT_TRUE(dir.ok());
-
-  SyntheticSpec spec;
-  spec.num_tuples = 600;
-  spec.num_attributes = 8;
-  spec.ints_per_cycle = 1;
-  spec.doubles_per_cycle = 1;
-  spec.strings_per_cycle = 1;
-  spec.dates_per_cycle = 1;
-  spec.attribute_width = 7;
-  spec.null_fraction = 0.05;
-  spec.seed = 4321;
-  std::string path = dir->FilePath("t.csv");
-  ASSERT_TRUE(GenerateSyntheticCsv(path, spec, CsvDialect()).ok());
-
-  Catalog catalog;
-  auto schema = spec.MakeSchema();
-  ASSERT_TRUE(
-      catalog.RegisterTable({"t", path, schema, CsvDialect()}).ok());
-
-  NoDbConfig config;
-  config.rows_per_block = 64;
-  NoDbEngine serial(catalog, config);
-  config.num_threads = threads;
-  NoDbEngine parallel(catalog, config);
+void ExpectColdAndWarmMatchReference(const Catalog& catalog,
+                                     const std::vector<std::string>& queries) {
   LoadFirstEngine reference(catalog, LoadProfile::kPostgres);
   ASSERT_TRUE(reference.Initialize().ok());
-
-  QueryGenerator generator(*schema, 2024);
-  for (int q = 0; q < 20; ++q) {
-    std::string sql = generator.Next();
-    SCOPED_TRACE("threads " + std::to_string(threads) + " query " +
-                 std::to_string(q) + ": " + sql);
+  NoDbConfig config;
+  config.rows_per_block = 64;
+  NoDbEngine nodb(catalog, config);
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
     auto expected = reference.Execute(sql);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    auto serial_out = serial.Execute(sql);
-    ASSERT_TRUE(serial_out.ok()) << serial_out.status().ToString();
-    auto parallel_out = parallel.Execute(sql);
-    ASSERT_TRUE(parallel_out.ok()) << parallel_out.status().ToString();
-    EXPECT_EQ(parallel_out->result.CanonicalRows(),
-              expected->result.CanonicalRows());
-    EXPECT_EQ(parallel_out->result.CanonicalRows(),
-              serial_out->result.CanonicalRows());
+    auto cold = nodb.Execute(sql);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(cold->result.CanonicalRows(), expected->result.CanonicalRows());
+    auto warm = nodb.Execute(sql);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->result.CanonicalRows(), expected->result.CanonicalRows());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalence,
-                         ::testing::Values(1u, 2u, 8u));
-
-TEST(ParallelEquivalenceCrlf, CrlfFileMatchesReferenceAtEveryThreadCount) {
+/// CRLF line endings are part of the terminator: no string column
+/// comes back with a trailing '\r', cold or warm.
+TEST(CrlfEquivalence, CrlfFileMatchesReference) {
   auto dir = TempDir::Create("nodb-equiv-crlf");
   ASSERT_TRUE(dir.ok());
   std::string content;
@@ -385,47 +352,20 @@ TEST(ParallelEquivalenceCrlf, CrlfFileMatchesReferenceAtEveryThreadCount) {
                               {"x", DataType::kDouble}});
   ASSERT_TRUE(
       catalog.RegisterTable({"t", path, schema, CsvDialect()}).ok());
-  LoadFirstEngine reference(catalog, LoadProfile::kPostgres);
-  ASSERT_TRUE(reference.Initialize().ok());
-
-  const char* queries[] = {
-      "SELECT grp, COUNT(*) AS n, SUM(x) AS s FROM t GROUP BY grp "
-      "ORDER BY grp",
-      "SELECT id, grp FROM t WHERE x > 100 ORDER BY id LIMIT 20",
-      "SELECT COUNT(*) AS n FROM t",
-  };
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    NoDbConfig config;
-    config.rows_per_block = 64;
-    config.num_threads = threads;
-    NoDbEngine nodb(catalog, config);
-    for (const char* sql : queries) {
-      SCOPED_TRACE(std::to_string(threads) + " threads: " + sql);
-      auto expected = reference.Execute(sql);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      auto cold = nodb.Execute(sql);
-      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      EXPECT_EQ(cold->result.CanonicalRows(),
-                expected->result.CanonicalRows());
-      auto warm = nodb.Execute(sql);
-      ASSERT_TRUE(warm.ok());
-      EXPECT_EQ(warm->result.CanonicalRows(),
-                expected->result.CanonicalRows());
-    }
-  }
+  ExpectColdAndWarmMatchReference(
+      catalog, {"SELECT grp, COUNT(*) AS n, SUM(x) AS s FROM t GROUP BY grp "
+                "ORDER BY grp",
+                "SELECT id, grp FROM t WHERE x > 100 ORDER BY id LIMIT 20",
+                "SELECT COUNT(*) AS n FROM t"});
 }
 
-/// Quoted CSV must not take the parallel chunked first-touch path:
-/// chunk boundaries are aligned on raw '\n' bytes, which RFC-4180
-/// quoting allows *inside* a field, so a boundary could split a record
-/// mid-quote. The engine falls back to the serial first-touch path
-/// (and the direct parallel scan collapses to a single chunk).
-TEST(QuotedCsvFallback, QuotedFieldsMatchReferenceAtEveryThreadCount) {
+/// Quoted CSV: embedded delimiters and doubled quotes inside quoted
+/// fields decode as the load-first engine decodes them.
+TEST(QuotedCsvEquivalence, QuotedFieldsMatchReference) {
   auto dir = TempDir::Create("nodb-equiv-quoted");
   ASSERT_TRUE(dir.ok());
   std::string content;
   for (int i = 0; i < 300; ++i) {
-    // Embedded delimiters and doubled quotes inside quoted fields.
     content += std::to_string(i) + ",\"v," + std::to_string(i % 7) +
                ",\"\"q\"\"\"," + std::to_string(i) + ".25\n";
   }
@@ -439,85 +379,39 @@ TEST(QuotedCsvFallback, QuotedFieldsMatchReferenceAtEveryThreadCount) {
   ASSERT_TRUE(
       catalog.RegisterTable({"t", path, schema, CsvDialect::QuotedCsv()})
           .ok());
-  LoadFirstEngine reference(catalog, LoadProfile::kPostgres);
-  ASSERT_TRUE(reference.Initialize().ok());
-
-  const char* queries[] = {
-      "SELECT txt, COUNT(*) AS n FROM t GROUP BY txt ORDER BY txt",
-      "SELECT id, txt, x FROM t WHERE x > 100 ORDER BY id LIMIT 20",
-      "SELECT COUNT(*) AS n FROM t",
-  };
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    NoDbConfig config;
-    config.rows_per_block = 64;
-    config.num_threads = threads;
-    NoDbEngine nodb(catalog, config);
-    for (const char* sql : queries) {
-      SCOPED_TRACE(std::to_string(threads) + " threads: " + sql);
-      auto expected = reference.Execute(sql);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      auto cold = nodb.Execute(sql);
-      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      EXPECT_EQ(cold->result.CanonicalRows(),
-                expected->result.CanonicalRows());
-      auto warm = nodb.Execute(sql);
-      ASSERT_TRUE(warm.ok());
-      EXPECT_EQ(warm->result.CanonicalRows(),
-                expected->result.CanonicalRows());
-    }
-    // The fallback really engaged: no parallel prewarm was claimed.
-    const RawTableState* state = nodb.table_state("t");
-    ASSERT_NE(state, nullptr);
-    EXPECT_FALSE(state->parallel_prewarmed());
-  }
+  ExpectColdAndWarmMatchReference(
+      catalog, {"SELECT txt, COUNT(*) AS n FROM t GROUP BY txt ORDER BY txt",
+                "SELECT id, txt, x FROM t WHERE x > 100 ORDER BY id LIMIT 20",
+                "SELECT COUNT(*) AS n FROM t"});
 }
 
-TEST(QuotedCsvFallback, DirectParallelScanCollapsesToOneChunk) {
-  auto dir = TempDir::Create("nodb-equiv-quoted-direct");
+/// Quoted fields holding raw newlines: every raw '\n' ends a row, in
+/// every dialect, so each record here is two rows — for the in-situ
+/// scan and the load-first engine alike.
+TEST(QuotedCsvEquivalence, RawNewlinesInQuotesEndRowsLikeReference) {
+  auto dir = TempDir::Create("nodb-equiv-quoted-newlines");
   ASSERT_TRUE(dir.ok());
-  // Quoted fields containing raw newlines: exactly the bytes that
-  // would corrupt rows if chunk boundaries split on them. The direct
-  // parallel entry point must degrade to a single serial chunk, so
-  // its structures match what the serial scan builds.
   std::string content;
   for (int i = 0; i < 200; ++i) {
     content += std::to_string(i) + ",\"a\nb" + std::to_string(i) + "\"\n";
   }
   std::string path = dir->FilePath("newlines.csv");
   ASSERT_TRUE(WriteStringToFile(path, content).ok());
-  RawTableInfo info{"t", path,
-                    Schema::Make({{"id", DataType::kString},
-                                  {"txt", DataType::kString}}),
-                    CsvDialect::QuotedCsv()};
-  NoDbConfig config;
-  config.rows_per_block = 64;
-  RawTableState state(info, config);
-  ASSERT_TRUE(state.Open().ok());
 
-  auto stats = ParallelChunkedScan(&state, {0}, 8);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->byte_chunks, 1u);
-
-  // Engine-level: the same file through the threaded engine config
-  // equals the serial engine (both see raw-newline row semantics).
   Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterTable(info).ok());
-  NoDbConfig serial_config;
-  serial_config.rows_per_block = 64;
-  NoDbEngine serial(catalog, serial_config);
-  NoDbConfig par_config = serial_config;
-  par_config.num_threads = 8;
-  NoDbEngine parallel(catalog, par_config);
-  const char* sql = "SELECT COUNT(*) AS n FROM t";
-  auto serial_out = serial.Execute(sql);
-  ASSERT_TRUE(serial_out.ok()) << serial_out.status().ToString();
-  auto parallel_out = parallel.Execute(sql);
-  ASSERT_TRUE(parallel_out.ok()) << parallel_out.status().ToString();
-  EXPECT_EQ(parallel_out->result.CanonicalRows(),
-            serial_out->result.CanonicalRows());
-  const RawTableState* par_state = parallel.table_state("t");
-  ASSERT_NE(par_state, nullptr);
-  EXPECT_FALSE(par_state->parallel_prewarmed());
+  ASSERT_TRUE(catalog
+                  .RegisterTable({"t", path,
+                                  Schema::Make({{"id", DataType::kString}}),
+                                  CsvDialect::QuotedCsv()})
+                  .ok());
+  ExpectColdAndWarmMatchReference(
+      catalog, {"SELECT COUNT(*) AS n FROM t",
+                "SELECT id, COUNT(*) AS n FROM t GROUP BY id ORDER BY id "
+                "LIMIT 30"});
+  NoDbEngine nodb(catalog, NoDbConfig());
+  auto count = nodb.Execute("SELECT COUNT(*) AS n FROM t");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->result.Row(0)[0], Value::Int64(400));
 }
 
 /// The concurrent-serving property: N clients hammering one shared

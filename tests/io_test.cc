@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "io/buffered_reader.h"
 #include "io/file.h"
@@ -167,6 +169,57 @@ TEST_F(BufferedReaderTest, FindNewlineOnUnterminatedTail) {
   Status s = reader.FindNewline(4, &end);
   EXPECT_TRUE(s.IsOutOfRange());
   EXPECT_EQ(end, 7u);  // the unterminated line ends at EOF
+}
+
+/// Fails its first `failures` reads with an IOError, then reads through.
+class FlakyFile : public RandomAccessFile {
+ public:
+  FlakyFile(std::shared_ptr<RandomAccessFile> base, int failures)
+      : base_(std::move(base)), failures_left_(failures) {}
+
+  Status Read(uint64_t offset, size_t length, char* scratch,
+              Slice* out) const override {
+    if (failures_left_ > 0) {
+      --failures_left_;
+      return Status::IOError("injected transient read failure");
+    }
+    return base_->Read(offset, length, scratch, out);
+  }
+  Result<uint64_t> Size() const override { return base_->Size(); }
+  const std::string& path() const override { return base_->path(); }
+
+ private:
+  std::shared_ptr<RandomAccessFile> base_;
+  mutable int failures_left_;
+};
+
+TEST_F(BufferedReaderTest, SkipHeaderSurfacesReadErrorThenSkips) {
+  std::string path = Path("header.csv");
+  ASSERT_TRUE(WriteStringToFile(path, "a,b\n1,2\n").ok());
+  auto file = OpenRandomAccessFile(path);
+  ASSERT_TRUE(file.ok());
+  BufferedReader reader(std::make_shared<FlakyFile>(
+      std::shared_ptr<RandomAccessFile>(std::move(*file)), 1));
+  // The failed read is returned, not taken for a header-only file, and
+  // the data start is left as it was.
+  uint64_t data_begin = 99;
+  Status s = reader.SkipHeader(&data_begin);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(data_begin, 99u);
+  ASSERT_TRUE(reader.SkipHeader(&data_begin).ok());
+  EXPECT_EQ(data_begin, 4u);
+
+  // A header-only file has no data rows; an empty file has no header.
+  for (const auto& [content, want] :
+       {std::pair<std::string, uint64_t>{"a,b", 3},
+        std::pair<std::string, uint64_t>{"", 0}}) {
+    ASSERT_TRUE(WriteStringToFile(path, content).ok());
+    auto again = OpenRandomAccessFile(path);
+    ASSERT_TRUE(again.ok());
+    BufferedReader plain(std::shared_ptr<RandomAccessFile>(std::move(*again)));
+    ASSERT_TRUE(plain.SkipHeader(&data_begin).ok());
+    EXPECT_EQ(data_begin, want) << "'" << content << "'";
+  }
 }
 
 TEST_F(BufferedReaderTest, IoCountersAccumulateAndReset) {

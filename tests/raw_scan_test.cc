@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -16,7 +17,6 @@
 #include "exec/query_result.h"
 #include "io/file.h"
 #include "io/temp_dir.h"
-#include "raw/parallel_scan.h"
 #include "raw/raw_scan.h"
 #include "util/random.h"
 
@@ -466,237 +466,6 @@ TEST_F(RawScanTest, RandomizedAgainstBulkLoader) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Parallel chunked scan: the multi-threaded first-touch path must leave
-// the table state — and therefore every later query — byte-identical to
-// what the serial scan produces, at any thread count.
-
-TEST_F(RawScanTest, ParallelPrewarmServesWarmScans) {
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    auto info =
-        WriteFixture("p" + std::to_string(threads), 500, 8);
-    RawTableState state(info, SmallBlocks(true, true, true));
-    auto stats = ParallelChunkedScan(&state, {1, 4, 6}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->rows, 500u);
-
-    // The scan behaves fully warm: no tokenizing, no raw-file I/O.
-    ScanMetrics warm;
-    VerifyScan(&state, {1, 4, 6}, 500, &warm);
-    EXPECT_EQ(warm.fields_tokenized, 0u) << threads << " threads";
-    EXPECT_EQ(warm.bytes_read, 0u) << threads << " threads";
-    EXPECT_GT(warm.cache_block_hits, 0u);
-  }
-}
-
-TEST_F(RawScanTest, ParallelStateIdenticalToSerialAtAnyThreadCount) {
-  // 777 rows with 64-row blocks: a partial tail block included.
-  auto info = WriteFixture("serial", 777, 6);
-  RawTableState serial(info, SmallBlocks(true, true, true));
-  VerifyScan(&serial, {0, 2, 5}, 777);  // cold serial scan adapts
-
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    RawTableState state(info, SmallBlocks(true, true, true));
-    auto stats = ParallelChunkedScan(&state, {0, 2, 5}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    EXPECT_EQ(state.map().known_rows(), serial.map().known_rows());
-    EXPECT_TRUE(state.map().rows_complete());
-    EXPECT_EQ(state.map().num_chunks(), serial.map().num_chunks());
-    EXPECT_EQ(state.map().bytes_used(), serial.map().bytes_used());
-    EXPECT_EQ(state.cache().num_segments(),
-              serial.cache().num_segments());
-    EXPECT_EQ(state.cache().bytes_used(), serial.cache().bytes_used());
-    EXPECT_EQ(state.zones().num_entries(), serial.zones().num_entries());
-    EXPECT_EQ(state.stats().CoveredAttributes(),
-              serial.stats().CoveredAttributes());
-    VerifyScan(&state, {0, 2, 5}, 777);
-  }
-}
-
-TEST_F(RawScanTest, ParallelPrewarmCrlfFixture) {
-  std::string content;
-  for (int r = 0; r < 200; ++r) {
-    content += std::to_string(r) + "," + std::to_string(r * 2) + ",s" +
-               std::to_string(r) + "\r\n";
-  }
-  std::string path = dir_->FilePath("crlf_par.csv");
-  ASSERT_TRUE(WriteStringToFile(path, content).ok());
-  RawTableInfo info{"crlfp", path,
-                    Schema::Make({{"a", DataType::kInt64},
-                                  {"b", DataType::kInt64},
-                                  {"s", DataType::kString}}),
-                    CsvDialect()};
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    RawTableState state(info, SmallBlocks(true, true, true));
-    auto stats = ParallelChunkedScan(&state, {0, 1, 2}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->rows, 200u);
-    RawScanOperator scan(&state, {0, 1, 2}, nullptr);
-    auto result = QueryResult::Drain(&scan);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->num_rows(), 200u);
-    // No '\r' leaked into the cached last column.
-    EXPECT_EQ(result->Row(7)[2], Value::String("s7"));
-    EXPECT_EQ(result->Row(199)[1], Value::Int64(398));
-  }
-}
-
-TEST_F(RawScanTest, ParallelPrewarmHeaderAndMissingFinalNewline) {
-  auto with_header = WriteFixture("hdr", 150, 4, /*header=*/true);
-  RawTableState hstate(with_header, SmallBlocks(true, true, true));
-  ASSERT_TRUE(ParallelChunkedScan(&hstate, {0, 3}, 8).ok());
-  VerifyScan(&hstate, {0, 3}, 150);
-
-  std::string path = dir_->FilePath("nonl_par.csv");
-  ASSERT_TRUE(WriteStringToFile(path, "1,2\n3,4\n5,6").ok());
-  RawTableInfo info{"nonlp", path,
-                    Schema::Make({{"a", DataType::kInt64},
-                                  {"b", DataType::kInt64}}),
-                    CsvDialect()};
-  RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {0, 1}, 8);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->rows, 3u);
-  RawScanOperator scan(&state, {0, 1}, nullptr);
-  auto result = QueryResult::Drain(&scan);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->num_rows(), 3u);
-  EXPECT_EQ(result->Row(2)[1], Value::Int64(6));
-}
-
-TEST_F(RawScanTest, ParallelMapOnlyNoFinalNewlineLastRowIntact) {
-  // Regression: empty tail chunks (boundary targets landing inside a
-  // row) used to clobber the discovery cursor, truncating the final
-  // unterminated row. Map-only config so nothing is served from cache.
-  std::string path = dir_->FilePath("nonl_maponly.csv");
-  ASSERT_TRUE(WriteStringToFile(path, "1,2\n3,4\n5,6").ok());
-  RawTableInfo info{"nonlm", path,
-                    Schema::Make({{"a", DataType::kInt64},
-                                  {"b", DataType::kInt64}}),
-                    CsvDialect()};
-  for (uint32_t threads : {2u, 8u, 16u}) {
-    RawTableState state(info, SmallBlocks(true, false, false));
-    auto stats = ParallelChunkedScan(&state, {0, 1}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->rows, 3u);
-    RawScanOperator scan(&state, {0, 1}, nullptr);
-    auto result = QueryResult::Drain(&scan);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->num_rows(), 3u);
-    EXPECT_EQ(result->Row(2)[0], Value::Int64(5)) << threads;
-    EXPECT_EQ(result->Row(2)[1], Value::Int64(6)) << threads;
-  }
-}
-
-TEST_F(RawScanTest, ParallelBoundaryTargetsInsideOneRowStillSplit) {
-  // Regression: when one boundary target fell inside the previous
-  // boundary's row, every later boundary collapsed to end-of-file and
-  // the scan degraded to a single chunk. A long first row followed by
-  // many short rows must still produce multiple non-empty chunks.
-  std::string content = "9";
-  content.append(2000, '0');  // one very long first field
-  content += ",1\n";
-  for (int r = 0; r < 50; ++r) {
-    content += std::to_string(r) + "," + std::to_string(r * 2) + "\n";
-  }
-  std::string path = dir_->FilePath("longrow.csv");
-  ASSERT_TRUE(WriteStringToFile(path, content).ok());
-  RawTableInfo info{"longrow", path,
-                    Schema::Make({{"a", DataType::kString},
-                                  {"b", DataType::kInt64}}),
-                    CsvDialect()};
-  RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {0, 1}, 8);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->rows, 51u);
-  RawScanOperator scan(&state, {0, 1}, nullptr);
-  auto result = QueryResult::Drain(&scan);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->num_rows(), 51u);
-  EXPECT_EQ(result->Row(50)[1], Value::Int64(98));
-}
-
-TEST_F(RawScanTest, ParallelPrewarmEmptyProjectionBuildsRowIndex) {
-  auto info = WriteFixture("count", 321, 4);
-  RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {}, 4);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->rows, 321u);
-  EXPECT_EQ(state.map().known_rows(), 321u);
-  EXPECT_TRUE(state.map().rows_complete());
-  // A COUNT(*)-style scan now locates rows without newline hunting.
-  ScanMetrics metrics;
-  RawScanOperator scan(&state, {}, &metrics);
-  auto result = QueryResult::Drain(&scan);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_rows(), 321u);
-  EXPECT_EQ(metrics.parsing_ns, 0);
-}
-
-TEST_F(RawScanTest, ParallelPrewarmSurfacesSerialErrorUntouched) {
-  std::string path = dir_->FilePath("bad_par.csv");
-  ASSERT_TRUE(WriteStringToFile(path, "1,2\n3,oops\n5,6\n").ok());
-  RawTableInfo info{"badp", path,
-                    Schema::Make({{"a", DataType::kInt64},
-                                  {"b", DataType::kInt64}}),
-                    CsvDialect()};
-  RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {1}, 8);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_TRUE(stats.status().IsParseError());
-  // Same "row N" the serial scan reports, and the state a failed serial
-  // scan leaves on a fresh state: the row index, no segments.
-  EXPECT_NE(stats.status().message().find("row 1"), std::string::npos);
-  RawTableState serial(info, SmallBlocks(true, true, true));
-  RawScanOperator serial_scan(&serial, {1}, nullptr);
-  ASSERT_FALSE(QueryResult::Drain(&serial_scan).ok());
-  EXPECT_EQ(state.map().known_rows(), serial.map().known_rows());
-  EXPECT_EQ(state.map().known_rows(), 3u);
-  EXPECT_EQ(state.cache().num_segments(), serial.cache().num_segments());
-  EXPECT_EQ(state.cache().num_segments(), 0u);
-
-  // Short rows likewise mirror the serial field-count error.
-  std::string short_path = dir_->FilePath("short_par.csv");
-  ASSERT_TRUE(WriteStringToFile(short_path, "1,2,3\n4,5\n6,7,8\n").ok());
-  RawTableInfo short_info{"shortp", short_path,
-                          Schema::Make({{"a", DataType::kInt64},
-                                        {"b", DataType::kInt64},
-                                        {"c", DataType::kInt64}}),
-                          CsvDialect()};
-  RawTableState short_state(short_info, SmallBlocks(true, true, true));
-  auto short_stats = ParallelChunkedScan(&short_state, {2}, 8);
-  ASSERT_FALSE(short_stats.ok());
-  EXPECT_TRUE(short_stats.status().IsParseError());
-  EXPECT_NE(short_stats.status().message().find("row 1"),
-            std::string::npos);
-
-  // Many block ranges, two of them failing: the first failing range
-  // holds the first failing row, and its message is the serial one.
-  std::string many;
-  for (int r = 0; r < 640; ++r) {
-    many += std::to_string(r) + "," +
-            (r == 100 || r == 500 ? "bad" : std::to_string(r)) + "\n";
-  }
-  std::string many_path = dir_->FilePath("many_bad_par.csv");
-  ASSERT_TRUE(WriteStringToFile(many_path, many).ok());
-  RawTableInfo many_info{"manyp", many_path,
-                         Schema::Make({{"a", DataType::kInt64},
-                                       {"b", DataType::kInt64}}),
-                         CsvDialect()};
-  RawTableState many_serial(many_info, SmallBlocks(true, true, true));
-  RawScanOperator many_scan(&many_serial, {0, 1}, nullptr);
-  auto serial_error = QueryResult::Drain(&many_scan);
-  ASSERT_FALSE(serial_error.ok());
-  RawTableState many_state(many_info, SmallBlocks(true, true, true));
-  auto many_stats = ParallelChunkedScan(&many_state, {0, 1}, 8);
-  ASSERT_FALSE(many_stats.ok());
-  EXPECT_NE(many_stats.status().message().find("row 100"),
-            std::string::npos);
-  EXPECT_EQ(many_stats.status().message(),
-            serial_error.status().message());
-}
-
 // -------------------------------------------- pushdown and zone maps
 
 /// Drains `scan` into a QueryResult, asserting success.
@@ -717,12 +486,20 @@ TEST_F(RawScanTest, ErrorsStayInRowOrder) {
   // The scan tokenizes a whole block, then converts it column by
   // column; the error it reports must still be the first failing field
   // in row order — the one a row-at-a-time parse stops at. Within one
-  // row the field-count check comes first, as it always has.
+  // row the field-count check comes first, as it always has. A failed
+  // block caches nothing; the row index it found stays.
   struct Case {
-    const char* content;
+    std::string content;
     std::vector<uint32_t> projection;
     const char* message;
   };
+  // 640 rows, malformed at rows 100 and 500: the first failure lies
+  // past the first 64-row block and is the one reported.
+  std::string many;
+  for (int r = 0; r < 640; ++r) {
+    many += std::to_string(r) + "," +
+            (r == 100 || r == 500 ? "bad" : std::to_string(r)) + "\n";
+  }
   const Case cases[] = {
       // Row 1 attr 1, then row 2 attr 0, then a short row 3: a
       // column-at-a-time walk would meet row 2 first.
@@ -737,6 +514,12 @@ TEST_F(RawScanTest, ErrorsStayInRowOrder) {
       // Both in one row: the field count fails first.
       {"1,2,3\nx,5\n", {0, 2},
        "bad: row 1 has 2 fields, attribute 2 requested (file "},
+      // One projected attribute, malformed or missing.
+      {"1,2\n3,oops\n5,6\n", {1},
+       "bad: row 1, attribute 1: not an integer: 'oops'"},
+      {"1,2,3\n4,5\n6,7,8\n", {2},
+       "bad: row 1 has 2 fields, attribute 2 requested (file "},
+      {many, {0, 1}, "bad: row 100, attribute 1: not an integer: 'bad'"},
   };
   for (const Case& c : cases) {
     std::string path = dir_->FilePath("bad.csv");
@@ -755,6 +538,12 @@ TEST_F(RawScanTest, ErrorsStayInRowOrder) {
       EXPECT_EQ(result.status().message().rfind(c.message, 0), 0u)
           << c.content << " mask " << mask << ": "
           << result.status().message();
+      if (c.content.size() < 100) {  // one block, the failing one
+        const uint64_t rows = static_cast<uint64_t>(
+            std::count(c.content.begin(), c.content.end(), '\n'));
+        EXPECT_EQ(state.map().known_rows(), (mask & 1) ? rows : 0u);
+        EXPECT_EQ(state.cache().num_segments(), 0u);
+      }
     }
   }
 }
@@ -1234,43 +1023,6 @@ TEST_F(RawScanTest, BlockCutShortByRowLimitTeachesNothing) {
   EXPECT_FALSE(state.cache().Contains(1, 1));
 }
 
-TEST_F(RawScanTest, ParallelPrewarmBuildsZoneMaps) {
-  auto info = WriteFixture("pz", 300, 4);
-  RawTableState state(info, SmallBlocks(true, true, true));
-  ASSERT_TRUE(state.Open().ok());
-  ASSERT_TRUE(ParallelChunkedScan(&state, {0, 2}, 4).ok());
-  EXPECT_GT(state.zones().num_entries(), 0u);
-
-  // The first post-prewarm query already zone-skips.
-  ScanMetrics metrics;
-  RawScanOperator scan(&state, {0, 2}, &metrics);
-  scan.SetPushdownPredicates({LessThan(0, "c0", 5000)});
-  QueryResult result = MustDrain(&scan);
-  EXPECT_EQ(result.num_rows(), 50u);
-  EXPECT_GT(metrics.zone_skipped_blocks, 0u);
-  EXPECT_EQ(metrics.rows_scanned + metrics.zone_skipped_rows, 300u);
-}
-
-TEST_F(RawScanTest, ParallelPrewarmKnobSubsets) {
-  // Each knob subset only populates its enabled structures.
-  auto info = WriteFixture("knobs", 300, 5);
-  for (int mask = 0; mask < 8; ++mask) {
-    RawTableState state(info, SmallBlocks(mask & 1, mask & 2, mask & 4));
-    ASSERT_TRUE(ParallelChunkedScan(&state, {1, 3}, 4).ok());
-    if (mask & 1) {
-      EXPECT_EQ(state.map().known_rows(), 300u);
-    } else {
-      EXPECT_EQ(state.map().known_rows(), 0u);
-    }
-    if (mask & 2) {
-      EXPECT_GT(state.cache().num_segments(), 0u);
-    } else {
-      EXPECT_EQ(state.cache().num_segments(), 0u);
-    }
-    VerifyScan(&state, {1, 3}, 300);
-  }
-}
-
 // -------------------------------------------- row finding and cutting
 
 TEST_F(RawScanTest, WarmReadsFetchWhatTheRunNeeds) {
@@ -1344,10 +1096,9 @@ std::vector<Value> NaiveFirstFields(const std::string& content,
 TEST_F(RawScanTest, RowFinderMatchesNaiveSplitProperty) {
   // Random files — empty rows, rows longer than any buffer, CRLF
   // endings, a header, no final newline — scanned cold, then again
-  // after an append, by the serial scan with and without the map and by
-  // the parallel row pass, at every SIMD tier, buffer size and block
-  // size: the row index is the naive split, and the rows' first fields
-  // are the naive ones.
+  // after an append, with and without the map, at every SIMD tier,
+  // buffer size and block size: the row index is the naive split, and
+  // the rows' first fields are the naive ones.
   Random rng(1919);
   auto rows = [&](size_t n, bool crlf, bool terminated) {
     std::string out;
@@ -1385,13 +1136,13 @@ TEST_F(RawScanTest, RowFinderMatchesNaiveSplitProperty) {
       simd::ForceLevel(level);
       for (size_t buffer : {size_t{4096}, size_t{20000}, size_t{65536}}) {
         for (uint32_t rows_per_block : {3u, 64u, 1024u}) {
-          for (int mode = 0; mode < 3; ++mode) {  // map, no map, parallel
+          for (const bool use_map : {true, false}) {
             SCOPED_TRACE("trial " + std::to_string(trial) + " level " +
                          simd::LevelName(level) + " buffer " +
                          std::to_string(buffer) + " block " +
-                         std::to_string(rows_per_block) + " mode " +
-                         std::to_string(mode));
-            NoDbConfig config = SmallBlocks(mode != 1, false, false);
+                         std::to_string(rows_per_block) + " map " +
+                         std::to_string(use_map));
+            NoDbConfig config = SmallBlocks(use_map, false, false);
             config.enable_store = false;
             config.rows_per_block = rows_per_block;
             config.read_buffer_bytes = buffer;
@@ -1413,21 +1164,15 @@ TEST_F(RawScanTest, RowFinderMatchesNaiveSplitProperty) {
               uint64_t next = 0;
               const std::vector<uint64_t> want =
                   NaiveRowStarts(content, header, &next);
-              if (mode == 2 && pass == 0) {
-                auto stats = ParallelChunkedScan(&state, {}, 3);
-                ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-                EXPECT_EQ(stats->rows, want.size());
-              } else {
-                RawScanOperator scan(&state, {0}, nullptr);
-                QueryResult result = MustDrain(&scan);
-                const std::vector<Value> fields =
-                    NaiveFirstFields(content, want);
-                ASSERT_EQ(result.num_rows(), fields.size());
-                for (size_t r = 0; r < fields.size(); ++r) {
-                  ASSERT_EQ(result.Row(r)[0], fields[r]) << "row " << r;
-                }
+              RawScanOperator scan(&state, {0}, nullptr);
+              QueryResult result = MustDrain(&scan);
+              const std::vector<Value> fields =
+                  NaiveFirstFields(content, want);
+              ASSERT_EQ(result.num_rows(), fields.size());
+              for (size_t r = 0; r < fields.size(); ++r) {
+                ASSERT_EQ(result.Row(r)[0], fields[r]) << "row " << r;
               }
-              if (mode == 1) continue;
+              if (!use_map) continue;
               PositionalMap::Image image = state.map().ExportImage();
               EXPECT_EQ(image.row_starts, want);
               EXPECT_TRUE(image.rows_complete);

@@ -264,7 +264,7 @@ std::string MakeRandomCsv(Random* rng, const EndToEndCase& dialect_case,
   return content;
 }
 
-TEST_P(SimdEngineDifferential, ByteIdenticalResultsAcrossLevelsAndThreads) {
+TEST_P(SimdEngineDifferential, ByteIdenticalResultsAcrossLevels) {
   const EndToEndCase param = GetParam();
   auto dir = TempDir::Create("nodb-simd-e2e");
   ASSERT_TRUE(dir.ok());
@@ -300,27 +300,22 @@ TEST_P(SimdEngineDifferential, ByteIdenticalResultsAcrossLevelsAndThreads) {
     const auto want = expected->result.CanonicalRows();
     for (SimdLevel level : simd::RunnableLevels()) {
       simd::ForceLevel(level);
-      for (const uint32_t threads : {1u, 2u, 8u}) {
-        // Tiny read buffers force many slabs per chunk, landing rows,
-        // CRLF pairs and quoted fields across slab boundaries.
-        for (const size_t read_buffer : {size_t{16}, size_t{1} << 20}) {
-          SCOPED_TRACE(std::string(sql) + " level=" +
-                       simd::LevelName(level) + " threads=" +
-                       std::to_string(threads) + " buf=" +
-                       std::to_string(read_buffer));
-          NoDbConfig config;
-          config.num_threads = threads;
-          config.rows_per_block = 64;
-          config.read_buffer_bytes = read_buffer;
-          NoDbEngine nodb(catalog, config);
-          auto cold = nodb.Execute(sql);
-          ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-          EXPECT_EQ(cold->result.CanonicalRows(), want);
-          auto warm = nodb.Execute(sql);
-          ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-          EXPECT_EQ(warm->result.CanonicalRows(), want);
-          nodb.WaitForPromotions();
-        }
+      // Tiny read buffers force many slabs per block, landing rows,
+      // CRLF pairs and quoted fields across slab boundaries.
+      for (const size_t read_buffer : {size_t{16}, size_t{1} << 20}) {
+        SCOPED_TRACE(std::string(sql) + " level=" + simd::LevelName(level) +
+                     " buf=" + std::to_string(read_buffer));
+        NoDbConfig config;
+        config.rows_per_block = 64;
+        config.read_buffer_bytes = read_buffer;
+        NoDbEngine nodb(catalog, config);
+        auto cold = nodb.Execute(sql);
+        ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+        EXPECT_EQ(cold->result.CanonicalRows(), want);
+        auto warm = nodb.Execute(sql);
+        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+        EXPECT_EQ(warm->result.CanonicalRows(), want);
+        nodb.WaitForPromotions();
       }
     }
     simd::ClearForcedLevel();
@@ -356,19 +351,15 @@ TEST(SimdEngineDifferential, MalformedFileFailsIdenticallyAtEveryLevel) {
   std::string scalar_message;
   for (SimdLevel level : simd::RunnableLevels()) {
     simd::ForceLevel(level);
-    for (const uint32_t threads : {1u, 2u, 8u}) {
-      NoDbConfig config;
-      config.num_threads = threads;
-      NoDbEngine nodb(catalog, config);
-      auto out = nodb.Execute("SELECT SUM(x) AS s FROM t");
-      nodb.WaitForPromotions();
-      ASSERT_FALSE(out.ok());
-      if (scalar_message.empty()) {
-        scalar_message = out.status().ToString();
-      } else {
-        EXPECT_EQ(out.status().ToString(), scalar_message)
-            << "level=" << simd::LevelName(level) << " threads=" << threads;
-      }
+    NoDbEngine nodb(catalog, NoDbConfig());
+    auto out = nodb.Execute("SELECT SUM(x) AS s FROM t");
+    nodb.WaitForPromotions();
+    ASSERT_FALSE(out.ok());
+    if (scalar_message.empty()) {
+      scalar_message = out.status().ToString();
+    } else {
+      EXPECT_EQ(out.status().ToString(), scalar_message)
+          << "level=" << simd::LevelName(level);
     }
   }
   simd::ClearForcedLevel();

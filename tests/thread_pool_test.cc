@@ -1,15 +1,13 @@
-// Tests for the util/thread_pool fork/join primitive backing the
-// parallel chunked raw scan.
+// Tests for util/thread_pool: the worker pool behind concurrent query
+// batches and background store promotion.
 
 #include "obs/metrics.h"
-#include "util/mutex.h"
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -68,44 +66,27 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversExactlyTheRange) {
-  ThreadPool pool(4);
-  Mutex mu;
-  std::set<size_t> seen;
-  ParallelFor(&pool, 257, [&](size_t i) {
-    MutexLock lock(mu);
-    seen.insert(i);
-  });
-  ASSERT_EQ(seen.size(), 257u);
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), 256u);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIterations) {
-  ThreadPool pool(2);
-  int calls = 0;
-  ParallelFor(&pool, 0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
 TEST(ThreadPoolTest, TasksActuallyRunConcurrently) {
   // With 4 workers, 4 tasks that each wait for the others to start can
   // only finish if they run at the same time.
   ThreadPool pool(4);
   std::atomic<int> started{0};
   std::atomic<bool> timed_out{false};
-  ParallelFor(&pool, 4, [&](size_t) {
-    ++started;
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (started.load() < 4) {
-      if (std::chrono::steady_clock::now() > deadline) {
-        timed_out = true;
-        return;
+  for (int i = 0; i < 4; ++i) {
+    pool.Submit([&] {
+      ++started;
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 4) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out = true;
+          return;
+        }
+        std::this_thread::yield();
       }
-      std::this_thread::yield();
-    }
-  });
+    });
+  }
+  pool.Wait();
   EXPECT_FALSE(timed_out.load());
   EXPECT_EQ(started.load(), 4);
 }
@@ -212,19 +193,6 @@ TEST(ThreadPoolTest, OnlyFirstExceptionIsDelivered) {
   }
   EXPECT_THROW(pool.Wait(), std::runtime_error);
   pool.Wait();  // drained and cleared: no rethrow
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesBodyException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(ParallelFor(&pool, 16,
-                           [](size_t i) {
-                             if (i == 7) throw std::logic_error("bad lane");
-                           }),
-               std::logic_error);
-  // The pool survives for the next fork/join.
-  std::atomic<int> count{0};
-  ParallelFor(&pool, 8, [&](size_t) { ++count; });
-  EXPECT_EQ(count.load(), 8);
 }
 
 // ----------------------------------------------------------- groups

@@ -30,6 +30,11 @@ generic linter cannot know:
                    `NO_THREAD_SAFETY_ANALYSIS: <why>` comment
   void-discard     `(void)Call(...)` discards need a nearby comment
                    saying why dropping the result is correct
+  status-discard   `(void)x;` where `Status x` was declared a few lines
+                   above, comment or not: an expected error is tested
+                   (`if (!s.ok() && !s.IsOutOfRange()) return s;`),
+                   any other one returned — a discarded read error
+                   leaves its out-parameters unset
   header-guard     headers carry a NODB_*_H_ include guard (or
                    #pragma once)
   include-order    contiguous runs of same-kind #include lines are
@@ -103,6 +108,8 @@ MUTEX_MEMBER_RE = re.compile(
 NOLINT_RE = re.compile(r"NOLINT\w*")
 NOLINT_FORM_RE = re.compile(r"NOLINT(?:NEXTLINE)?\([\w\-,. ]+\): \S")
 VOID_DISCARD_RE = re.compile(r"^\s*\(void\)\s*[\w:]+(?:\.\w+|->\w+)*\s*\(")
+VOID_NAME_RE = re.compile(r"^\s*\(void\)\s*([A-Za-z_]\w*)\s*;")
+STATUS_DISCARD_BACK = 8  # lines above a `(void)x;` searched for `Status x`
 DROP_CALL_RE = re.compile(r"\.\s*DropBlocksFrom\s*\(|\w+_\.\s*Clear\s*\(")
 ISA_MACRO_RE = re.compile(r"\bNODB_HAVE_[A-Z0-9_]+\b")
 INCLUDE_RE = re.compile(r'^#include\s+(["<])([^">]+)[">]')
@@ -308,6 +315,21 @@ def check_void_discards(path, lines, code, problems):
             problems.append(
                 f"{path}:{i}: [void-discard] discarded call result "
                 "without a comment saying why dropping it is correct")
+
+
+def check_status_discards(path, code, problems):
+    for i, line in enumerate(code, start=1):
+        m = VOID_NAME_RE.match(line)
+        if m is None:
+            continue
+        decl = re.compile(
+            r"\b(?:nodb::)?Status\s+" + re.escape(m.group(1)) + r"\b")
+        above = code[max(0, i - 1 - STATUS_DISCARD_BACK):i - 1]
+        if any(decl.search(prev) for prev in above):
+            problems.append(
+                f"{path}:{i}: [status-discard] Status `{m.group(1)}` "
+                "discarded; test the expected error (e.g. IsOutOfRange()) "
+                "and return any other")
 
 
 def check_header_guard(path, lines, problems):
@@ -566,6 +588,7 @@ def check_file(path):
     check_nolint(path, lines, problems)
     check_ntsa(path, lines, problems)
     check_void_discards(path, lines, code, problems)
+    check_status_discards(path, code, problems)
     check_header_guard(path, lines, problems)
     check_include_order(path, lines, problems)
     check_generation_tags(path, lines, code, problems)
