@@ -107,6 +107,7 @@ inline double ReportTokenizerKernels(const std::string& path,
   std::shared_ptr<RandomAccessFile> file =
       CheckOk(OpenRandomAccessFile(path), "open raw file");
   BufferedReader reader(file);
+  CheckOk(reader.Refresh(), "stat raw file");
   std::vector<uint64_t> row_starts;
   std::vector<double> find_rows_ns(levels.size(), 1e30);
   for (int rep = 0; rep < reps; ++rep) {

@@ -2,22 +2,38 @@
 //
 // A workload whose WHERE mixes a cheap, highly selective numeric
 // predicate with an expensive LIKE predicate. Without statistics the
-// planner keeps source order (LIKE first → evaluated on every row);
-// with statistics gathered as a side-effect of the *first* query, the
-// numeric conjunct is ordered first and the LIKE only sees the
-// survivors. Also reports the accuracy of the collected statistics.
+// planner keeps source order (LIKE first); with statistics gathered as
+// a side-effect of the *first* query, the numeric conjunct is ordered
+// first. Also reports the accuracy of the collected sample.
+//
+// Gate: exits non-zero unless the statistics engine's plan orders the
+// numeric conjunct first (the no-statistics plan keeps the LIKE first),
+// and its best warm query is no slower than the no-statistics engine's
+// (within a 1.25x noise margin; the two engines' warm queries
+// alternate).
+//
+// Usage: stats_bench (fixed scale)
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "datagen/synthetic.h"
 #include "engines/nodb_engine.h"
 #include "io/temp_dir.h"
-#include "util/stopwatch.h"
 
 using namespace nodb;
 using namespace nodb::bench;
+
+namespace {
+
+/// Best warm time a stats-on run may take, as a multiple of stats-off.
+constexpr double kWarmMargin = 1.25;
+constexpr int kWarmQueries = 9;
+
+}  // namespace
 
 int main() {
   PrintHeader("E9 / on-the-fly statistics and predicate ordering");
@@ -42,58 +58,97 @@ int main() {
   // attr0/attr1 INT, attr2 STRING, repeating. The LIKE pattern with a
   // leading wildcard must inspect whole strings; the numeric predicate
   // passes ~0.1% of rows.
+  const std::string selective = "attr0 < 1000";
   const std::string sql =
       "SELECT COUNT(*) AS n FROM skewed "
-      "WHERE attr2 LIKE '%zz%' AND attr0 < 1000";
+      "WHERE attr2 LIKE '%zz%' AND " + selective;
 
-  auto run_engine = [&](bool stats_on) {
-    NoDbConfig config;
-    config.enable_statistics = stats_on;
-    NoDbEngine engine(catalog, config,
-                      stats_on ? "with-stats" : "no-stats");
-    // Query 1 is identical for both: no statistics exist yet. It
-    // builds map+cache (and, when enabled, statistics).
-    auto q1 = CheckOk(engine.Execute(sql), "q1");
-    // Query 2 runs over warm structures; only predicate order differs.
-    auto q2 = CheckOk(engine.Execute(sql), "q2");
-    auto q3 = CheckOk(engine.Execute(sql), "q3");
-    std::printf(
-        "%-11s q1 %8.2f ms   q2 %8.2f ms   q3 %8.2f ms   (n=%s)\n",
-        std::string(engine.name()).c_str(), q1.metrics.total_ns / 1e6,
-        q2.metrics.total_ns / 1e6, q3.metrics.total_ns / 1e6,
-        q1.result.Row(0)[0].ToString().c_str());
-    return q2.metrics.total_ns + q3.metrics.total_ns;
+  // Query 1 is identical for both engines: no statistics exist yet.
+  // It builds map+cache (and, when enabled, statistics); query 2
+  // crosses the promotion threshold, so once promotion settles both
+  // engines serve the warm queries from the same tier and only the
+  // predicate order differs. The warm queries alternate between the
+  // engines, so drift hits both sides alike.
+  struct Side {
+    std::unique_ptr<NoDbEngine> engine;
+    double q1_ms = 0;
+    bool numeric_first = false;
+    int64_t best_warm_ns = INT64_MAX;
   };
+  Side sides[2];  // [0] without statistics, [1] with
+  for (int s = 0; s < 2; ++s) {
+    NoDbConfig config;
+    config.enable_statistics = s == 1;
+    sides[s].engine = std::make_unique<NoDbEngine>(
+        catalog, config, s == 1 ? "with-stats" : "no-stats");
+    NoDbEngine& engine = *sides[s].engine;
+    sides[s].q1_ms =
+        CheckOk(engine.Execute(sql), "q1").metrics.total_ns / 1e6;
+    CheckOk(engine.Execute(sql).status(), "q2");
+    engine.WaitForPromotions();
+    const std::string plan = CheckOk(engine.Explain(sql), "explain");
+    sides[s].numeric_first =
+        plan.find("PUSHDOWN (" + selective + ")") < plan.find("LIKE");
+  }
+  std::string n;
+  for (int q = 0; q < kWarmQueries; ++q) {
+    for (Side& side : sides) {
+      auto warm = CheckOk(side.engine->Execute(sql), "warm");
+      side.best_warm_ns = std::min(side.best_warm_ns, warm.metrics.total_ns);
+      n = warm.result.Row(0)[0].ToString();
+    }
+  }
 
   std::printf("\npredicate: LIKE-first in source order; selectivity of "
-              "numeric conjunct ~0.1%%\n\n");
-  int64_t without = run_engine(false);
-  int64_t with = run_engine(true);
-  std::printf(
-      "\nshape: with statistics the warm queries run %.1fx faster "
-      "(selective conjunct ordered first)\n",
-      static_cast<double>(without) / static_cast<double>(with));
+              "numeric conjunct ~0.1%% (n=%s)\n\n",
+              n.c_str());
+  for (const Side& side : sides) {
+    std::printf("%-11s q1 %8.2f ms   best warm %8.2f ms   "
+                "first conjunct: %s\n",
+                std::string(side.engine->name()).c_str(), side.q1_ms,
+                side.best_warm_ns / 1e6,
+                side.numeric_first ? selective.c_str() : "LIKE");
+  }
+  const double ratio = static_cast<double>(sides[0].best_warm_ns) /
+                       static_cast<double>(sides[1].best_warm_ns);
+  std::printf("\nshape: with statistics the warm queries run %.2fx the "
+              "speed of without\n",
+              ratio);
 
-  // --- statistics accuracy report.
-  NoDbConfig config;
-  NoDbEngine engine(catalog, config);
-  CheckOk(engine.Execute("SELECT attr0, attr1 FROM skewed LIMIT 1")
-              .status(),
-          "touch");
-  CheckOk(engine.Execute("SELECT COUNT(*) FROM skewed WHERE attr0 > 0 "
-                         "AND attr1 > 0")
-              .status(),
-          "full scan");
+  // --- sample accuracy report, after one cold scan of attr0.
+  NoDbEngine engine(catalog, NoDbConfig());
+  auto count = CheckOk(
+      engine.Execute("SELECT COUNT(*) FROM skewed WHERE " + selective),
+      "full scan");
   const RawTableState* state = engine.table_state("skewed");
   const AttributeStats* stats = state->stats().GetStats(0);
   if (stats != nullptr) {
+    const double truth = count.result.Row(0)[0].AsDouble() /
+                         static_cast<double>(spec.num_tuples);
     std::printf(
-        "\nattr0 statistics after 2 queries: rows=%llu nulls=%llu "
-        "min=%.0f max=%.0f ndv~%.0f (domain=1000000)\n",
+        "\nattr0 statistics after one scan: rows=%llu sample=%zu   "
+        "%s: estimated %.5f, true %.5f\n",
         static_cast<unsigned long long>(stats->row_count()),
-        static_cast<unsigned long long>(stats->null_count()),
-        stats->numeric_min().value_or(-1),
-        stats->numeric_max().value_or(-1), stats->EstimateDistinct());
+        stats->ExportImage().numeric_sample.size(), selective.c_str(),
+        stats->EstimateCompareSelectivity(CompareOp::kLt, Value::Int64(1000))
+            .value_or(-1),
+        truth);
   }
-  return 0;
+
+  bool ok = true;
+  if (sides[0].numeric_first || !sides[1].numeric_first) {
+    std::fprintf(stderr,
+                 "GATE FAILED: expected the no-statistics plan to keep the "
+                 "LIKE first and the statistics plan to order %s first\n",
+                 selective.c_str());
+    ok = false;
+  }
+  if (ratio * kWarmMargin < 1.0) {
+    std::fprintf(stderr,
+                 "GATE FAILED: warm queries with statistics ran %.2fx "
+                 "slower than without (margin %.2fx)\n",
+                 1.0 / ratio, kWarmMargin);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 }

@@ -192,6 +192,33 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Statistics upkeep: the scan's `maintain` time on a cold Q6 with
+  // statistics on against off, each run a fresh engine, the two sides
+  // interleaved (alternating which goes first), medians reported.
+  {
+    constexpr int kRuns = 11;
+    std::vector<int64_t> maintain_ns[2], total_ns[2];
+    for (int i = 0; i < kRuns; ++i) {
+      for (const bool stats_on : {i % 2 == 0, i % 2 != 0}) {
+        NoDbConfig config;
+        config.enable_statistics = stats_on;
+        auto cold = run_cold(config, "PostgresRaw.upkeep", queries[1]);
+        maintain_ns[stats_on].push_back(cold.metrics.scan.nodb_ns);
+        total_ns[stats_on].push_back(cold.metrics.total_ns);
+      }
+    }
+    const int64_t on = MedianNs(maintain_ns[1]);
+    const int64_t off = MedianNs(maintain_ns[0]);
+    std::printf(
+        "\nstatistics upkeep (cold Q6, median of %d interleaved fresh "
+        "engines per side): maintain on %s, off %s (%+.2f ms); "
+        "total on %s, off %s\n",
+        kRuns, FormatNanos(on).c_str(), FormatNanos(off).c_str(),
+        static_cast<double>(on - off) / 1e6,
+        FormatNanos(MedianNs(total_ns[1])).c_str(),
+        FormatNanos(MedianNs(total_ns[0])).c_str());
+  }
+
   // Tracing overhead gate: the warm path (everything adapted, store
   // serving) is where per-span bookkeeping would hurt, so measure it
   // there. Trials interleave tracer-off and tracer-on executions to

@@ -56,6 +56,7 @@ Result<InferredTable> InferSchema(const std::string& path,
                                   const InferenceOptions& options) {
   NODB_ASSIGN_OR_RETURN(auto file, OpenRandomAccessFile(path));
   BufferedReader reader(std::shared_ptr<RandomAccessFile>(std::move(file)));
+  NODB_RETURN_NOT_OK(reader.Refresh());
   CsvTokenizer tokenizer(dialect);
 
   // Collect the raw fields of up to sample_rows+1 rows (the +1 is the

@@ -22,6 +22,7 @@ Result<std::shared_ptr<ColumnStoreTable>> LoadCsv(
     LoadStats* stats) {
   Stopwatch watch;
   BufferedReader reader(std::move(file));
+  NODB_RETURN_NOT_OK(reader.Refresh());
   CsvTokenizer tokenizer(dialect);
 
   auto table = std::make_shared<ColumnStoreTable>(schema);

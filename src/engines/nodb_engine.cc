@@ -252,22 +252,9 @@ Result<QueryOutcome> NoDbEngine::RunQuery(std::string_view sql,
 
   phase_start = watch.ElapsedNanos();
   obs::ScopedSpan plan_span(trace, "query.plan");
-  // On-the-fly statistics feed the planner's predicate ordering. The
-  // estimator holds collector pointers, which stay valid for the
-  // engine's lifetime (states are never erased, stats reset in place).
   StatsSelectivityEstimator estimator;
-  bool use_stats;
-  {
-    MutexLock lock(states_mu_);
-    use_stats = flags_.stats;
-    if (use_stats) {
-      for (const auto& [table, state] : states_) {
-        estimator.Register(table, &state->stats(), state->info().schema);
-      }
-    }
-  }
   PlannerOptions options;
-  options.stats = use_stats ? &estimator : nullptr;
+  options.stats = PrepareEstimator(&estimator);
   options.profile = profile;
 
   Factory factory(this, &outcome.metrics.scan);
@@ -449,21 +436,21 @@ ConcurrentBatchOutcome NoDbEngine::ExecuteConcurrent(
   return out;
 }
 
+const SelectivityEstimator* NoDbEngine::PrepareEstimator(
+    StatsSelectivityEstimator* estimator) {
+  MutexLock lock(states_mu_);
+  if (!flags_.stats) return nullptr;
+  for (const auto& [table, state] : states_) {
+    estimator->Register(table, &state->stats(), state->info().schema);
+  }
+  return estimator;
+}
+
 Result<std::string> NoDbEngine::Explain(std::string_view sql) {
   StatsSelectivityEstimator estimator;
-  bool use_stats;
-  {
-    MutexLock lock(states_mu_);
-    use_stats = flags_.stats;
-    if (use_stats) {
-      for (const auto& [table, state] : states_) {
-        estimator.Register(table, &state->stats(), state->info().schema);
-      }
-    }
-  }
   std::string text;
   PlannerOptions options;
-  options.stats = use_stats ? &estimator : nullptr;
+  options.stats = PrepareEstimator(&estimator);
   options.explain = &text;
   ScanMetrics scratch;
   Factory factory(this, &scratch);

@@ -197,6 +197,14 @@ class NoDbEngine final : public Engine {
   void SchedulePromotions(uint64_t triggered_by)
       EXCLUDES(states_mu_, promo_mu_, pool_mu_);
 
+  /// On-the-fly statistics feed the planner's predicate ordering:
+  /// registers every table's collector with `estimator` and returns it,
+  /// or null while statistics are off. The collector pointers stay
+  /// valid for the engine's lifetime (states are never erased, stats
+  /// reset in place).
+  const SelectivityEstimator* PrepareEstimator(
+      StatsSelectivityEstimator* estimator) EXCLUDES(states_mu_);
+
   /// Pushes the engine-level component flags down to every table
   /// state.
   void ApplyComponentFlagsLocked() REQUIRES(states_mu_);

@@ -21,10 +21,7 @@ BufferedReader::BufferedReader(std::shared_ptr<RandomAccessFile> file,
       // Left uninitialized: only bytes a read filled are ever viewed,
       // so a scan that never reads pays no zeroing or page faults.
       buffer_(std::unique_ptr<char[]>(new char[buffer_size_])),
-      buffer_capacity_(buffer_size_) {
-  auto size = file_->Size();
-  file_size_ = size.ok() ? *size : 0;
-}
+      buffer_capacity_(buffer_size_) {}
 
 Status BufferedReader::Refresh() {
   NODB_ASSIGN_OR_RETURN(file_size_, file_->Size());

@@ -73,11 +73,14 @@ class BufferedReader {
                   simd::SimdLevel level, std::vector<uint64_t>* starts,
                   uint64_t* next);
 
-  /// Cached size captured at construction; Refresh() re-stats the file.
+  /// The size the last Refresh() saw; 0 before the first.
   uint64_t file_size() const { return file_size_; }
   /// The configured buffer size: a ReadAt of at most this many bytes
   /// never grows the buffer.
   size_t buffer_size() const { return buffer_size_; }
+  /// Stats the file: the one way a reader learns its size, so a failed
+  /// stat is returned to the caller instead of read as an empty file.
+  /// Call it before the first read, and again to see a grown file.
   Status Refresh();
 
   int64_t io_nanos() const { return io_nanos_; }

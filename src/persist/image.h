@@ -39,7 +39,7 @@ struct RecoveryReport {
   FileChange change = FileChange::kUnchanged;
 
   bool map_recovered = false;    ///< row index + chunks restored
-  bool stats_recovered = false;  ///< sketches + heat restored
+  bool stats_recovered = false;  ///< samples + heat restored
   bool zones_recovered = false;  ///< zone-map summaries restored
   bool store_recovered = false;  ///< shadow-store segments restored
 

@@ -160,12 +160,15 @@ void EncodeStats(const StatsCollector::Image& image, std::string* out) {
     Put<uint8_t>(out, attr.has_value() ? 1 : 0);
     if (!attr.has_value()) continue;
     Put<uint64_t>(out, attr->count);
-    Put<uint64_t>(out, attr->nulls);
-    Put<uint8_t>(out, attr->has_min ? 1 : 0);
-    Put<double>(out, attr->min);
-    Put<uint8_t>(out, attr->has_max ? 1 : 0);
-    Put<double>(out, attr->max);
-    PutArray<uint64_t>(out, attr->kmv);
+    // Version 1 also holds a null count, global bounds and a distinct-
+    // value sketch: the null count is what the sample did not see, the
+    // bounds and the sketch are written empty.
+    Put<uint64_t>(out, attr->count - attr->sampled_stream);
+    Put<uint8_t>(out, 0);
+    Put<double>(out, 0);
+    Put<uint8_t>(out, 0);
+    Put<double>(out, 0);
+    Put<uint64_t>(out, 0);
     PutArray<uint64_t>(out, attr->numeric_sample);
     Put<uint64_t>(out, attr->string_sample.size());
     for (const std::string& s : attr->string_sample) PutStr(out, s);
@@ -185,15 +188,12 @@ bool DecodeStats(const char* data, size_t size,
     if (r.Get<uint8_t>() == 0) continue;
     AttributeStats::Image& attr = slot.emplace();
     attr.count = r.Get<uint64_t>();
-    attr.nulls = r.Get<uint64_t>();
-    attr.has_min = r.Get<uint8_t>() != 0;
-    attr.min = r.Get<double>();
-    attr.has_max = r.Get<uint8_t>() != 0;
-    attr.max = r.Get<double>();
-    if (!r.GetArray<uint64_t>(&attr.kmv) ||
-        !r.GetArray<uint64_t>(&attr.numeric_sample)) {
-      return false;
-    }
+    // The null count, the bounds and the sketch are skipped.
+    r.Take(8 + 2 * (1 + 8));
+    const uint64_t sketch = r.Get<uint64_t>();
+    if (!r.FitsCount(sketch, 8)) return false;
+    r.Take(sketch * 8);
+    if (!r.GetArray<uint64_t>(&attr.numeric_sample)) return false;
     const uint64_t nstr = r.Get<uint64_t>();
     if (!r.FitsCount(nstr, 4)) return false;
     attr.string_sample.reserve(nstr);
@@ -201,6 +201,7 @@ bool DecodeStats(const char* data, size_t size,
       attr.string_sample.emplace_back(r.Str());
     }
     attr.sampled_stream = r.Get<uint64_t>();
+    if (attr.sampled_stream > attr.count) return false;
   }
   return r.GetArray<uint64_t>(&out->heat) &&
          r.GetArray<uint64_t>(&out->observed) && r.ok();

@@ -18,7 +18,7 @@ namespace nodb::persist {
 /// the paper notes the positional map "can also be written to disk"
 /// so its benefit survives restarts. This subsystem does exactly that
 /// for all four structures — positional map (row index + chunks),
-/// on-the-fly statistics (sketches, heat), zone maps, and the shadow
+/// on-the-fly statistics (samples, heat), zone maps, and the shadow
 /// column store — in a versioned sidecar next to the raw file
 /// (`<data>.nodbmeta` by default).
 ///
@@ -58,7 +58,7 @@ class Snapshot {
 
   // Section ids (directory entries appear in this order).
   static constexpr uint32_t kSectionMap = 1;    ///< row index + chunks
-  static constexpr uint32_t kSectionStats = 2;  ///< sketches + heat
+  static constexpr uint32_t kSectionStats = 2;  ///< samples + heat
   static constexpr uint32_t kSectionZones = 3;
   static constexpr uint32_t kSectionStore = 4;  ///< manifest + segments
 };

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iterator>
-
-#include "util/hash.h"
 
 namespace nodb {
 
@@ -14,188 +11,136 @@ AttributeStats::AttributeStats(DataType type) : type_(type) {
   if (type == DataType::kString) string_sample_.reserve(kReservoirSize);
 }
 
-uint64_t AttributeStats::DrawSlot() {
-  // Lemire's multiply-shift: the high word of x * n is uniform in
-  // [0, n) once the rare low words below 2^64 mod n are redrawn.
-  using U128 = unsigned __int128;
-  const uint64_t n = sampled_stream_;
-  U128 m = static_cast<U128>(rng_.NextUint64()) * n;
-  if (static_cast<uint64_t>(m) < n) {
-    const uint64_t reject = (0 - n) % n;
-    while (static_cast<uint64_t>(m) < reject) {
-      m = static_cast<U128>(rng_.NextUint64()) * n;
+namespace {
+
+/// A geometric proposal: probability `p` and 1 / log(1 - p).
+struct Proposal {
+  double p = 0;  ///< 0: not set yet
+  double inv_log = 0;
+};
+
+/// Stream index (1-based) of the next value to enter a full reservoir
+/// of `k` slots, `offered` values having been offered. Value number m
+/// enters with probability k / m, independently of every other value
+/// (Algorithm R), so the draw depends on k and `offered` alone. It is
+/// drawn by thinning: a candidate comes a geometric skip away at a
+/// bound p that no later value's probability exceeds, and is accepted
+/// with probability (k / candidate) / p; a rejected candidate restarts
+/// the draw there. `bound` carries p across the draws of one segment
+/// and is tightened to k / (m + 1) once it overshoots that by 10%, so
+/// a draw costs about one logarithm.
+uint64_t NextReplacement(double k, uint64_t offered, Proposal* bound,
+                         Random* rng) {
+  uint64_t m = offered;
+  for (;;) {
+    const double next = k / static_cast<double>(m + 1);
+    if (bound->p == 0 || bound->p > 1.1 * next) {
+      bound->p = std::min(1.0, next);
+      // log(1 - p), not the slower log1p(-p): the rounding of 1 - p
+      // stays far below the sample's own noise for any stream length.
+      bound->inv_log = 1.0 / std::log(1.0 - bound->p);
     }
+    const double u = 1.0 - rng->NextDouble();  // (0, 1]: log(u) is finite
+    const double skip = std::floor(std::log(u) * bound->inv_log);
+    m += 1 + static_cast<uint64_t>(std::min(skip, 1e18));
+    if (rng->NextDouble() * bound->p * static_cast<double>(m) < k) return m;
   }
-  return static_cast<uint64_t>(m >> 64);
 }
 
-void AttributeStats::Sample(double numeric, std::string_view text) {
-  ++sampled_stream_;
-  if (type_ == DataType::kString) {
-    if (string_sample_.size() < kReservoirSize) {
-      string_sample_.emplace_back(text);
-    } else {
-      uint64_t j = DrawSlot();
-      if (j < kReservoirSize) string_sample_[j].assign(text);
+/// How many of `sample` satisfy `v op lit`.
+template <typename T>
+size_t CountMatching(const std::vector<T>& sample, CompareOp op,
+                     const T& lit) {
+  size_t pass = 0;
+  for (const T& v : sample) {
+    switch (op) {
+      case CompareOp::kEq:
+        pass += v == lit;
+        break;
+      case CompareOp::kNe:
+        pass += v != lit;
+        break;
+      case CompareOp::kLt:
+        pass += v < lit;
+        break;
+      case CompareOp::kLe:
+        pass += v <= lit;
+        break;
+      case CompareOp::kGt:
+        pass += v > lit;
+        break;
+      case CompareOp::kGe:
+        pass += v >= lit;
+        break;
     }
-    return;
   }
-  if (numeric_sample_.size() < kReservoirSize) {
-    numeric_sample_.push_back(numeric);
-  } else {
-    uint64_t j = DrawSlot();
-    if (j < kReservoirSize) numeric_sample_[j] = numeric;
-  }
+  return pass;
 }
+
+}  // namespace
 
 void AttributeStats::Reset() {
   MutexLock lock(mu_);
   count_ = 0;
-  nulls_ = 0;
-  min_.reset();
-  max_.reset();
-  kmv_.clear();
   numeric_sample_.clear();
   string_sample_.clear();
   sampled_stream_ = 0;
+  next_replacement_ = 0;
 }
 
 void AttributeStats::Observe(const ColumnVector& column) {
-  // Hash the segment before taking the lock: one typed loop per type,
-  // with the hash functions the persisted sketches were built with.
   const size_t n = column.size();
   const uint8_t* valid = column.validity();
-  std::vector<uint64_t> hashes;
-  hashes.reserve(n);
-  std::vector<double> numeric;
-  switch (type_) {
-    case DataType::kString:
-      for (size_t i = 0; i < n; ++i) {
-        if (!valid[i]) continue;
-        std::string_view s = column.GetString(i);
-        hashes.push_back(Fnv1a64(s.data(), s.size()));
-      }
-      break;
-    case DataType::kDouble:
-    case DataType::kInt64:
-    case DataType::kDate:
-      numeric.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (!valid[i]) continue;
-        numeric.push_back(column.GetNumeric(i));
-      }
-      for (double v : numeric) {
-        uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(v));
-        hashes.push_back(MixHash64(bits));
-      }
-      break;
-  }
-
+  const bool strings = type_ == DataType::kString;
+  const bool has_null = std::memchr(valid, 0, n) != nullptr;
   MutexLock lock(mu_);
   count_ += n;
-  nulls_ += n - hashes.size();
-  if (type_ == DataType::kString) {
-    for (size_t i = 0; i < n; ++i) {
-      if (valid[i]) Sample(0, column.GetString(i));
+  uint64_t offered = sampled_stream_;
+  size_t i = 0;
+  // The first k values fill the reservoir.
+  for (size_t held = strings ? string_sample_.size() : numeric_sample_.size();
+       i < n && held < kReservoirSize; ++i) {
+    if (!valid[i]) continue;
+    ++offered;
+    ++held;
+    if (strings) {
+      string_sample_.emplace_back(column.GetString(i));
+    } else {
+      numeric_sample_.push_back(column.GetNumeric(i));
     }
-  } else if (!numeric.empty()) {
-    // The running rule, value by value: a NaN seen first sticks, a NaN
-    // seen later never replaces a bound.
-    bool has_min = min_.has_value();
-    bool has_max = max_.has_value();
-    double lo = min_.value_or(0);
-    double hi = max_.value_or(0);
-    for (double v : numeric) {
-      if (!has_min || v < lo) lo = v;
-      if (!has_max || v > hi) hi = v;
-      has_min = has_max = true;
-      Sample(v, {});
+  }
+  // Then only the drawn values replace a uniform slot; the valid rows
+  // in between are counted, or skipped over when none is NULL.
+  uint64_t next = next_replacement_;
+  Proposal bound;
+  while (i < n) {
+    if (next == 0) {
+      next = NextReplacement(kReservoirSize, offered, &bound, &rng_);
     }
-    min_ = lo;
-    max_ = hi;
-  }
-  MergeHashes(&hashes);
-}
-
-void AttributeStats::MergeHashes(std::vector<uint64_t>* hashes) {
-  // Only hashes below the current k-th smallest can enter a full
-  // sketch.
-  const bool full = kmv_.size() >= kKmvSize;
-  const uint64_t kth = full ? kmv_.back() : UINT64_MAX;
-  size_t kept = 0;
-  for (uint64_t h : *hashes) {
-    if (!full || h < kth) (*hashes)[kept++] = h;
-  }
-  hashes->resize(kept);
-  if (kept == 0) return;
-
-  // Deduplicate by open addressing (the hashes are already mixed, so
-  // their low bits index the table); 0 marks an empty slot.
-  size_t slots = 16;
-  while (slots < 2 * kept) slots *= 2;
-  std::vector<uint64_t> dedup(slots, 0);
-  bool has_zero = false;
-  size_t unique = 0;
-  for (size_t i = 0; i < kept; ++i) {
-    const uint64_t h = (*hashes)[i];
-    if (h == 0) {
-      if (!has_zero) (*hashes)[unique++] = 0;
-      has_zero = true;
-      continue;
+    if (has_null) {
+      while (i < n && offered < next) offered += valid[i++];
+    } else {
+      const uint64_t rows = std::min<uint64_t>(next - offered, n - i);
+      i += rows;
+      offered += rows;
     }
-    size_t s = h & (slots - 1);
-    while (dedup[s] != 0 && dedup[s] != h) s = (s + 1) & (slots - 1);
-    if (dedup[s] == h) continue;
-    dedup[s] = h;
-    (*hashes)[unique++] = h;
+    if (offered < next) break;
+    const size_t slot = rng_.Uniform(kReservoirSize);
+    if (strings) {
+      string_sample_[slot].assign(column.GetString(i - 1));
+    } else {
+      numeric_sample_[slot] = column.GetNumeric(i - 1);
+    }
+    next = 0;
   }
-  hashes->resize(unique);
-  if (hashes->size() > kKmvSize) {
-    std::nth_element(hashes->begin(), hashes->begin() + kKmvSize,
-                     hashes->end());
-    hashes->resize(kKmvSize);
-  }
-  std::sort(hashes->begin(), hashes->end());
-
-  std::vector<uint64_t> merged;
-  merged.reserve(kmv_.size() + hashes->size());
-  std::set_union(kmv_.begin(), kmv_.end(), hashes->begin(), hashes->end(),
-                 std::back_inserter(merged));
-  if (merged.size() > kKmvSize) merged.resize(kKmvSize);
-  kmv_ = std::move(merged);
-}
-
-double AttributeStats::EstimateDistinct() const {
-  MutexLock lock(mu_);
-  return EstimateDistinctLocked();
-}
-
-double AttributeStats::EstimateDistinctLocked() const {
-  if (kmv_.empty()) return 0;
-  if (kmv_.size() < kKmvSize) return static_cast<double>(kmv_.size());
-  // Standard KMV estimator: (k-1) / normalized kth-minimum. Degenerate
-  // sketches (kth-minimum of 0 or denormal) would divide by zero or
-  // blow up to inf; fall back on the sketch size, which is a valid
-  // lower bound.
-  double kth = static_cast<double>(kmv_.back()) /
-               static_cast<double>(UINT64_MAX);
-  if (kth <= 0) return static_cast<double>(kmv_.size());
-  double estimate = (static_cast<double>(kKmvSize) - 1.0) / kth;
-  if (!std::isfinite(estimate)) return static_cast<double>(kmv_.size());
-  return estimate;
+  sampled_stream_ = offered;
+  next_replacement_ = next;
 }
 
 AttributeStats::Image AttributeStats::ExportImage() const {
   MutexLock lock(mu_);
   Image image;
   image.count = count_;
-  image.nulls = nulls_;
-  image.has_min = min_.has_value();
-  image.min = min_.value_or(0);
-  image.has_max = max_.has_value();
-  image.max = max_.value_or(0);
-  image.kmv = kmv_;
   image.numeric_sample = numeric_sample_;
   image.string_sample = string_sample_;
   image.sampled_stream = sampled_stream_;
@@ -206,13 +151,6 @@ bool AttributeStats::ImportImage(Image image) {
   MutexLock lock(mu_);
   if (count_ != 0) return false;  // observed since: live wins
   count_ = image.count;
-  nulls_ = image.nulls;
-  if (image.has_min) min_ = image.min;
-  if (image.has_max) max_ = image.max;
-  kmv_ = std::move(image.kmv);
-  std::sort(kmv_.begin(), kmv_.end());
-  kmv_.erase(std::unique(kmv_.begin(), kmv_.end()), kmv_.end());
-  if (kmv_.size() > kKmvSize) kmv_.resize(kKmvSize);
   numeric_sample_ = std::move(image.numeric_sample);
   if (numeric_sample_.size() > kReservoirSize) {
     numeric_sample_.resize(kReservoirSize);
@@ -222,114 +160,30 @@ bool AttributeStats::ImportImage(Image image) {
     string_sample_.resize(kReservoirSize);
   }
   sampled_stream_ = image.sampled_stream;
+  next_replacement_ = 0;
   return true;
 }
 
 std::optional<double> AttributeStats::EstimateCompareSelectivity(
     CompareOp op, const Value& literal) const {
   MutexLock lock(mu_);
+  size_t pass;
+  size_t size;
   if (type_ == DataType::kString) {
     if (!literal.is_string() || string_sample_.empty()) return std::nullopt;
-    const std::string& lit = literal.str();
-    size_t pass = 0;
-    for (const auto& s : string_sample_) {
-      int cmp = s.compare(lit);
-      bool ok = false;
-      switch (op) {
-        case CompareOp::kEq:
-          ok = cmp == 0;
-          break;
-        case CompareOp::kNe:
-          ok = cmp != 0;
-          break;
-        case CompareOp::kLt:
-          ok = cmp < 0;
-          break;
-        case CompareOp::kLe:
-          ok = cmp <= 0;
-          break;
-        case CompareOp::kGt:
-          ok = cmp > 0;
-          break;
-        case CompareOp::kGe:
-          ok = cmp >= 0;
-          break;
-      }
-      if (ok) ++pass;
+    pass = CountMatching(string_sample_, op, literal.str());
+    size = string_sample_.size();
+  } else {
+    if (literal.is_null() || literal.is_string() || numeric_sample_.empty()) {
+      return std::nullopt;
     }
-    return static_cast<double>(pass) / string_sample_.size();
+    pass = CountMatching(numeric_sample_, op, literal.AsDouble());
+    size = numeric_sample_.size();
   }
-  if (literal.is_null() || literal.is_string() || numeric_sample_.empty()) {
-    return std::nullopt;
-  }
-  double lit = literal.AsDouble();
-  size_t pass = 0;
-  for (double v : numeric_sample_) {
-    bool ok = false;
-    switch (op) {
-      case CompareOp::kEq:
-        ok = v == lit;
-        break;
-      case CompareOp::kNe:
-        ok = v != lit;
-        break;
-      case CompareOp::kLt:
-        ok = v < lit;
-        break;
-      case CompareOp::kLe:
-        ok = v <= lit;
-        break;
-      case CompareOp::kGt:
-        ok = v > lit;
-        break;
-      case CompareOp::kGe:
-        ok = v >= lit;
-        break;
-    }
-    if (ok) ++pass;
-  }
-  double frac = static_cast<double>(pass) / numeric_sample_.size();
-  if (op == CompareOp::kEq && pass == 0) {
-    // Equality that misses the sample: fall back on 1/NDV. A
-    // degenerate sketch (no distinct values observed, e.g. an all-NULL
-    // column whose sample is somehow non-empty) must not divide by
-    // zero or return inf — keep the sample fraction instead.
-    double ndv = EstimateDistinctLocked();
-    if (ndv > 0 && std::isfinite(1.0 / ndv)) return 1.0 / ndv;
-    return frac;
-  }
-  return frac;
-}
-
-std::optional<double> AttributeStats::EstimateLikeSelectivity(
-    std::string_view pattern, bool negated) const {
-  MutexLock lock(mu_);
-  if (string_sample_.empty()) return std::nullopt;
-  size_t pass = 0;
-  for (const auto& s : string_sample_) {
-    if (LikeExpr::Match(s, pattern) != negated) ++pass;
-  }
-  return static_cast<double>(pass) / string_sample_.size();
-}
-
-std::vector<uint64_t> AttributeStats::SampleHistogram(size_t buckets) const {
-  MutexLock lock(mu_);
-  std::vector<uint64_t> hist(buckets, 0);
-  if (numeric_sample_.empty() || !min_ || !max_ || buckets == 0) {
-    return hist;
-  }
-  double lo = *min_;
-  double width = (*max_ - lo) / static_cast<double>(buckets);
-  if (width <= 0) {
-    hist[0] = numeric_sample_.size();
-    return hist;
-  }
-  for (double v : numeric_sample_) {
-    size_t b = static_cast<size_t>((v - lo) / width);
-    if (b >= buckets) b = buckets - 1;
-    ++hist[b];
-  }
-  return hist;
+  // An equality the sample misses is rarer than one sampled value, but
+  // not impossible: half of one.
+  if (op == CompareOp::kEq && pass == 0) return 0.5 / size;
+  return static_cast<double>(pass) / size;
 }
 
 StatsCollector::StatsCollector(std::shared_ptr<Schema> schema)
@@ -402,7 +256,7 @@ void StatsCollector::Clear() {
 
 StatsCollector::Image StatsCollector::ExportImage() const {
   // Collect the slot pointers under the collector lock, then export
-  // each sketch under its own lock (the ObserveBlock discipline).
+  // each sample under its own lock (the ObserveBlock discipline).
   std::vector<AttributeStats*> slots;
   Image image;
   {
@@ -567,9 +421,9 @@ void StatsSelectivityEstimator::Register(const std::string& table,
 
 namespace {
 
-/// Selectivities are fractions; degenerate stats (empty samples,
-/// zero-width ranges, broken sketches) must never leak NaN/inf into
-/// the planner's ordering comparisons.
+/// Selectivities are fractions; degenerate stats (empty samples, NaN
+/// values) must never leak NaN/inf into the planner's ordering
+/// comparisons.
 std::optional<double> ClampSelectivity(std::optional<double> sel) {
   if (!sel.has_value()) return sel;
   if (!std::isfinite(*sel)) return std::nullopt;
@@ -614,19 +468,6 @@ std::optional<double> StatsSelectivityEstimator::EstimateSelectivity(
     if (lit == nullptr) return std::nullopt;
     return ClampSelectivity(
         stats->EstimateCompareSelectivity(op, lit->value()));
-  }
-
-  if (const auto* like = dynamic_cast<const LikeExpr*>(&predicate)) {
-    // LikeExpr does not expose its input publicly beyond CollectColumns;
-    // resolve via collected column indices against the projected schema
-    // is not possible here, so estimate only simple column LIKEs.
-    (void)like;
-    return std::nullopt;
-  }
-
-  if (const auto* isnull = dynamic_cast<const IsNullExpr*>(&predicate)) {
-    (void)isnull;
-    return std::nullopt;
   }
 
   // AND of estimable conjuncts: product (independence assumption).

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -23,25 +22,25 @@ namespace nodb {
 /// Per-attribute statistics built on-the-fly during raw scans
 /// (paper §3.3): only for *requested* attributes, from values that were
 /// parsed anyway, incrementally covering more of the file as queries
-/// touch more of it.
+/// touch more of it. What the planner reads is one uniform reservoir
+/// sample of the attribute's non-null values; exact per-block bounds
+/// live in the zone maps.
 ///
 /// Thread-safe: one internal mutex serializes observation against the
 /// planner-side estimator reads, so concurrent queries can fold blocks
 /// in while another query's planner consults the same attribute. The
-/// sketches themselves are order-dependent (reservoir, KMV), so
-/// concurrent workloads may produce different — equally valid —
-/// estimates than a serial replay; query *results* never depend on
-/// them.
+/// sample is order-dependent, so concurrent workloads may produce
+/// different — equally valid — estimates than a serial replay; query
+/// *results* never depend on them.
 class AttributeStats {
  public:
   static constexpr size_t kReservoirSize = 512;
-  static constexpr size_t kKmvSize = 256;
 
   explicit AttributeStats(DataType type);
 
-  /// Folds a parsed column segment into the stats, column at a time:
-  /// the segment's values are hashed first, and only hashes below the
-  /// sketch's current k-th smallest are deduplicated and merged in.
+  /// Folds a parsed column segment into the stats. Once the reservoir
+  /// is full, a skip count says how many values pass before the next
+  /// one replaces a slot, so the rest of the segment is only counted.
   void Observe(const ColumnVector& column) EXCLUDES(mu_);
 
   /// Forgets everything observed (file rewritten) without destroying
@@ -52,27 +51,6 @@ class AttributeStats {
     MutexLock lock(mu_);
     return count_;
   }
-  uint64_t null_count() const {
-    MutexLock lock(mu_);
-    return nulls_;
-  }
-  double null_fraction() const {
-    MutexLock lock(mu_);
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(nulls_) /
-                             static_cast<double>(count_);
-  }
-  std::optional<double> numeric_min() const {
-    MutexLock lock(mu_);
-    return min_;
-  }
-  std::optional<double> numeric_max() const {
-    MutexLock lock(mu_);
-    return max_;
-  }
-
-  /// KMV (k minimum values) distinct-count estimate.
-  double EstimateDistinct() const EXCLUDES(mu_);
 
   /// Fraction of non-null values satisfying `op` against `literal`,
   /// estimated from the reservoir sample. nullopt when the sample is
@@ -81,31 +59,15 @@ class AttributeStats {
                                                    const Value& literal) const
       EXCLUDES(mu_);
 
-  /// Fraction of sampled strings matching a LIKE pattern.
-  std::optional<double> EstimateLikeSelectivity(std::string_view pattern,
-                                                bool negated) const
-      EXCLUDES(mu_);
-
-  /// Equi-width histogram over the sample (numeric attributes).
-  std::vector<uint64_t> SampleHistogram(size_t buckets) const
-      EXCLUDES(mu_);
-
-  /// Serializable copy of the sketch state (persist/). The reservoir
-  /// RNG is not part of the image: a thawed reservoir resumes with a
-  /// fresh stream, which is just another valid sample order (the
-  /// sketches are order-dependent by design; estimates, never results,
-  /// depend on them).
+  /// Serializable copy of the sample (persist/). Neither the RNG nor
+  /// the pending replacement is part of the image: the next replacement
+  /// is drawn from the reservoir size and `sampled_stream` alone, so a
+  /// thawed reservoir draws a fresh one and stays a uniform sample.
   struct Image {
     uint64_t count = 0;
-    uint64_t nulls = 0;
-    bool has_min = false;
-    double min = 0;
-    bool has_max = false;
-    double max = 0;
-    std::vector<uint64_t> kmv;
     std::vector<double> numeric_sample;
     std::vector<std::string> string_sample;
-    uint64_t sampled_stream = 0;
+    uint64_t sampled_stream = 0;  ///< non-null values offered so far
   };
 
   Image ExportImage() const;
@@ -114,29 +76,16 @@ class AttributeStats {
   /// value has been observed.
   bool ImportImage(Image image);
 
-  DataType type() const { return type_; }
-
  private:
-  /// Offers value number sampled_stream_ (1-based) to the reservoir.
-  void Sample(double numeric, std::string_view text) REQUIRES(mu_);
-  /// Reservoir slot for the current value: uniform in
-  /// [0, sampled_stream_), by multiply-shift with rejection.
-  uint64_t DrawSlot() REQUIRES(mu_);
-  /// Merges `hashes` (the segment's non-null value hashes) into kmv_.
-  void MergeHashes(std::vector<uint64_t>* hashes) REQUIRES(mu_);
-  double EstimateDistinctLocked() const REQUIRES(mu_);
-
   const DataType type_;
   mutable Mutex mu_;
   uint64_t count_ GUARDED_BY(mu_) = 0;
-  uint64_t nulls_ GUARDED_BY(mu_) = 0;
-  std::optional<double> min_ GUARDED_BY(mu_);
-  std::optional<double> max_ GUARDED_BY(mu_);
-  /// The k smallest distinct value hashes, ascending.
-  std::vector<uint64_t> kmv_ GUARDED_BY(mu_);
   std::vector<double> numeric_sample_ GUARDED_BY(mu_);
   std::vector<std::string> string_sample_ GUARDED_BY(mu_);
-  uint64_t sampled_stream_ GUARDED_BY(mu_) = 0;  // reservoir index
+  uint64_t sampled_stream_ GUARDED_BY(mu_) = 0;
+  /// Stream index (1-based) of the next value to replace a slot; 0
+  /// while not drawn yet.
+  uint64_t next_replacement_ GUARDED_BY(mu_) = 0;
   Random rng_ GUARDED_BY(mu_){0x5747u};
 };
 
@@ -178,7 +127,7 @@ class StatsCollector {
   void Clear() EXCLUDES(mu_);
 
   /// Serializable copy of the whole collector (persist/): per-attribute
-  /// sketches (absent for never-observed attributes), access heat and
+  /// samples (absent for never-observed attributes), access heat and
   /// the observed-(attr, block) dedup set.
   struct Image {
     std::vector<std::optional<AttributeStats::Image>> attrs;

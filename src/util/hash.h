@@ -8,8 +8,8 @@ namespace nodb {
 
 /// 64-bit FNV-1a over a byte range.
 ///
-/// Used for the KMV distinct-count sketch, hash-join/aggregate keys and
-/// the file-prefix checksum in update detection. Not cryptographic.
+/// Used for the file-prefix checksum in update detection and the
+/// snapshot's schema fingerprint. Not cryptographic.
 inline uint64_t Fnv1a64(const char* data, size_t size,
                         uint64_t seed = 0xcbf29ce484222325ULL) {
   uint64_t h = seed;

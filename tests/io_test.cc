@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "engines/csv_loader.h"
 #include "io/buffered_reader.h"
 #include "io/file.h"
 #include "io/file_signature.h"
@@ -100,6 +101,7 @@ class BufferedReaderTest : public IoTest {
     ASSERT_TRUE(file.ok());
     reader_ = std::make_unique<BufferedReader>(
         std::shared_ptr<RandomAccessFile>(std::move(*file)), buffer_size);
+    ASSERT_TRUE(reader_->Refresh().ok());
     content_ = std::move(content);
   }
 
@@ -163,6 +165,7 @@ TEST_F(BufferedReaderTest, FindNewlineOnUnterminatedTail) {
   auto file = OpenRandomAccessFile(path);
   ASSERT_TRUE(file.ok());
   BufferedReader reader(std::shared_ptr<RandomAccessFile>(std::move(*file)));
+  ASSERT_TRUE(reader.Refresh().ok());
   uint64_t end = 0;
   ASSERT_TRUE(reader.FindNewline(0, &end).ok());
   EXPECT_EQ(end, 3u);
@@ -171,11 +174,15 @@ TEST_F(BufferedReaderTest, FindNewlineOnUnterminatedTail) {
   EXPECT_EQ(end, 7u);  // the unterminated line ends at EOF
 }
 
-/// Fails its first `failures` reads with an IOError, then reads through.
+/// Fails its first `failures` reads with an IOError, then reads through;
+/// with `size_fails`, every Size() fails too.
 class FlakyFile : public RandomAccessFile {
  public:
-  FlakyFile(std::shared_ptr<RandomAccessFile> base, int failures)
-      : base_(std::move(base)), failures_left_(failures) {}
+  FlakyFile(std::shared_ptr<RandomAccessFile> base, int failures,
+            bool size_fails = false)
+      : base_(std::move(base)),
+        failures_left_(failures),
+        size_fails_(size_fails) {}
 
   Status Read(uint64_t offset, size_t length, char* scratch,
               Slice* out) const override {
@@ -185,12 +192,16 @@ class FlakyFile : public RandomAccessFile {
     }
     return base_->Read(offset, length, scratch, out);
   }
-  Result<uint64_t> Size() const override { return base_->Size(); }
+  Result<uint64_t> Size() const override {
+    if (size_fails_) return Status::IOError("injected stat failure");
+    return base_->Size();
+  }
   const std::string& path() const override { return base_->path(); }
 
  private:
   std::shared_ptr<RandomAccessFile> base_;
   mutable int failures_left_;
+  const bool size_fails_;
 };
 
 TEST_F(BufferedReaderTest, SkipHeaderSurfacesReadErrorThenSkips) {
@@ -200,6 +211,7 @@ TEST_F(BufferedReaderTest, SkipHeaderSurfacesReadErrorThenSkips) {
   ASSERT_TRUE(file.ok());
   BufferedReader reader(std::make_shared<FlakyFile>(
       std::shared_ptr<RandomAccessFile>(std::move(*file)), 1));
+  ASSERT_TRUE(reader.Refresh().ok());
   // The failed read is returned, not taken for a header-only file, and
   // the data start is left as it was.
   uint64_t data_begin = 99;
@@ -217,9 +229,29 @@ TEST_F(BufferedReaderTest, SkipHeaderSurfacesReadErrorThenSkips) {
     auto again = OpenRandomAccessFile(path);
     ASSERT_TRUE(again.ok());
     BufferedReader plain(std::shared_ptr<RandomAccessFile>(std::move(*again)));
+    ASSERT_TRUE(plain.Refresh().ok());
     ASSERT_TRUE(plain.SkipHeader(&data_begin).ok());
     EXPECT_EQ(data_begin, want) << "'" << content << "'";
   }
+}
+
+TEST_F(BufferedReaderTest, FailedSizeFailsTheLoadInsteadOfAnEmptyTable) {
+  // A file whose stat fails is an error, not an empty table: the
+  // loader and the reader both return the IOError.
+  std::string path = Path("unsized.csv");
+  ASSERT_TRUE(WriteStringToFile(path, "1,a\n2,b\n").ok());
+  auto file = OpenRandomAccessFile(path);
+  ASSERT_TRUE(file.ok());
+  auto flaky = std::make_shared<FlakyFile>(
+      std::shared_ptr<RandomAccessFile>(std::move(*file)), 0,
+      /*size_fails=*/true);
+  auto schema =
+      Schema::Make({{"n", DataType::kInt64}, {"s", DataType::kString}});
+  auto table = LoadCsv(flaky, path, schema, CsvDialect());
+  EXPECT_TRUE(table.status().IsIOError()) << table.status().ToString();
+
+  BufferedReader reader(flaky);
+  EXPECT_TRUE(reader.Refresh().IsIOError());
 }
 
 TEST_F(BufferedReaderTest, IoCountersAccumulateAndReset) {
@@ -238,6 +270,7 @@ TEST_F(BufferedReaderTest, RefreshSeesGrownFile) {
   auto file = OpenRandomAccessFile(path);
   ASSERT_TRUE(file.ok());
   BufferedReader reader(std::shared_ptr<RandomAccessFile>(std::move(*file)));
+  ASSERT_TRUE(reader.Refresh().ok());
   EXPECT_EQ(reader.file_size(), 4u);
   auto app = OpenAppendableFile(path);
   ASSERT_TRUE(app.ok());

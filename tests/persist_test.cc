@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engines/load_first_engine.h"
@@ -618,6 +619,82 @@ TEST_F(PersistDecoderFuzzTest, StoreSegmentsAreChecked) {
     Append<int64_t>(&p, 42);
     ExpectMalformed(store, p, "segment type differs from the schema");
   }
+}
+
+TEST_F(PersistDecoderFuzzTest, StatsSectionWithBoundsAndSketchStillLoads) {
+  // Version-1 stats sections written before the statistics shrank to
+  // one sample carry a null count, global bounds and a non-empty
+  // distinct-value sketch. They still decode: the sample and the
+  // counts come back, the rest is dropped.
+  SaveAndSnapshotBytes();
+  std::vector<double> sample;
+  for (int r = 0; r < 200; r += 2) sample.push_back(r);
+  std::string p;
+  Append<uint32_t>(&p, 3);  // attributes a, b, c
+  Append<uint8_t>(&p, 1);   // a: observed
+  Append<uint64_t>(&p, 200);  // rows
+  Append<uint64_t>(&p, 0);    // nulls
+  Append<uint8_t>(&p, 1);     // has_min, min
+  Append<double>(&p, 0);
+  Append<uint8_t>(&p, 1);     // has_max, max
+  Append<double>(&p, 199);
+  Append<uint64_t>(&p, 3);    // the sketch's hashes
+  for (uint64_t h : {11u, 22u, 33u}) Append<uint64_t>(&p, h);
+  Append<uint64_t>(&p, sample.size());
+  for (double v : sample) Append<double>(&p, v);
+  Append<uint64_t>(&p, 0);    // no string sample
+  Append<uint64_t>(&p, 200);  // sampled_stream
+  Append<uint8_t>(&p, 0);     // b: never observed
+  Append<uint8_t>(&p, 1);     // c: observed, with a sketch and no bounds
+  Append<uint64_t>(&p, 200);
+  Append<uint64_t>(&p, 10);
+  Append<uint8_t>(&p, 0);
+  Append<double>(&p, 0);
+  Append<uint8_t>(&p, 0);
+  Append<double>(&p, 0);
+  Append<uint64_t>(&p, 1);
+  Append<uint64_t>(&p, 44);
+  Append<uint64_t>(&p, 0);  // no numeric sample
+  Append<uint64_t>(&p, 2);
+  for (std::string_view str : {"s1", "s6"}) {
+    Append<uint32_t>(&p, static_cast<uint32_t>(str.size()));
+    p += str;
+  }
+  Append<uint64_t>(&p, 190);
+  Append<uint64_t>(&p, 3);  // heat
+  for (uint64_t h : {5u, 0u, 4u}) Append<uint64_t>(&p, h);
+  Append<uint64_t>(&p, 0);  // no observed blocks
+  WriteWithPayload(persist::Snapshot::kSectionStats, p);
+
+  NoDbEngine engine(MakeCatalog(), Config());
+  auto report = engine.LoadSnapshot("t");
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->stats_recovered) << report->detail;
+  const StatsCollector& stats = engine.table_state("t")->stats();
+  EXPECT_EQ(stats.CoveredAttributes(), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(stats.access_heat_counts(), (std::vector<uint64_t>{5, 0, 4}));
+  const AttributeStats::Image a = stats.GetStats(0)->ExportImage();
+  EXPECT_EQ(a.count, 200u);
+  EXPECT_EQ(a.sampled_stream, 200u);
+  EXPECT_EQ(a.numeric_sample, sample);
+  const AttributeStats::Image c = stats.GetStats(2)->ExportImage();
+  EXPECT_EQ(c.count, 200u);
+  EXPECT_EQ(c.sampled_stream, 190u);
+  EXPECT_EQ(c.string_sample, (std::vector<std::string>{"s1", "s6"}));
+  auto outcome = engine.Execute(kQuery);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->result.CanonicalRows(), reference_);
+
+  // A sample offered more values than its column has rows is corrupt.
+  std::string bad;
+  Append<uint32_t>(&bad, 3);
+  Append<uint8_t>(&bad, 1);
+  Append<uint64_t>(&bad, 10);  // rows
+  // Nulls, bounds, and empty sketch, numeric and string samples.
+  bad.append(8 + 2 * (1 + 8) + 3 * 8, '\0');
+  Append<uint64_t>(&bad, 11);  // sampled_stream
+  ExpectMalformed(persist::Snapshot::kSectionStats, bad,
+                  "sample stream past the row count");
 }
 
 TEST_F(PersistDecoderFuzzTest, PayloadCutShortInEverySection) {

@@ -1,15 +1,15 @@
-// Tests for the on-the-fly statistics: min/max/null tracking, KMV
-// distinct estimation, sample-based selectivity and the planner bridge.
+// Tests for the on-the-fly statistics: the skip-counted reservoir
+// sample, sample-based selectivity, the planner bridge and zone maps.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <set>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "raw/stats_collector.h"
-#include "util/hash.h"
-#include "util/random.h"
 
 namespace nodb {
 namespace {
@@ -27,114 +27,90 @@ ColumnVector IntColumn(const std::vector<int64_t>& values,
   return col;
 }
 
-TEST(AttributeStatsTest, MinMaxNullCounts) {
+TEST(AttributeStatsTest, RowCountAndSampleSkipNulls) {
   AttributeStats stats(DataType::kInt64);
   stats.Observe(IntColumn({5, -3, 10, 0}, {false, false, false, true}));
   EXPECT_EQ(stats.row_count(), 4u);
-  EXPECT_EQ(stats.null_count(), 1u);
-  EXPECT_DOUBLE_EQ(stats.null_fraction(), 0.25);
-  EXPECT_DOUBLE_EQ(*stats.numeric_min(), -3.0);
-  EXPECT_DOUBLE_EQ(*stats.numeric_max(), 10.0);
+  auto image = stats.ExportImage();
+  EXPECT_EQ(image.sampled_stream, 3u);
+  EXPECT_EQ(image.numeric_sample, (std::vector<double>{5, -3, 10}));
 }
 
-TEST(AttributeStatsTest, DistinctEstimateExactWhenSmall) {
-  AttributeStats stats(DataType::kInt64);
-  stats.Observe(IntColumn({1, 2, 3, 1, 2, 3, 1, 2, 3}));
-  EXPECT_DOUBLE_EQ(stats.EstimateDistinct(), 3.0);
-}
-
-TEST(AttributeStatsTest, DistinctEstimateWithinBandWhenLarge) {
-  AttributeStats stats(DataType::kInt64);
-  Random rng(1);
-  ColumnVector col(DataType::kInt64);
-  const int64_t kTrueNdv = 20000;
-  for (int i = 0; i < 100000; ++i) {
-    col.AppendInt64(static_cast<int64_t>(rng.Uniform(kTrueNdv)));
-  }
-  stats.Observe(col);
-  double est = stats.EstimateDistinct();
-  // KMV with k=256 has ~1/sqrt(k) ≈ 6% relative error; allow 25%.
-  EXPECT_GT(est, kTrueNdv * 0.75);
-  EXPECT_LT(est, kTrueNdv * 1.25);
-}
-
-TEST(AttributeStatsTest, KmvSketchIsTheKSmallestDistinctHashes) {
-  // Blocks of low- and high-cardinality ints, doubles and strings: the
-  // block-wise fold must keep exactly the k smallest distinct hashes a
-  // value-at-a-time std::set would keep.
-  Random rng(3);
-  for (DataType type :
-       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
-    for (uint64_t domain : {uint64_t{50}, uint64_t{1000000000}}) {
-      AttributeStats stats(type);
-      std::set<uint64_t> reference;
-      for (int block = 0; block < 6; ++block) {
-        ColumnVector col(type);
-        for (int i = 0; i < 700; ++i) {
-          uint64_t v = rng.Uniform(domain);
-          uint64_t hash;
-          if (i % 13 == 0) {
-            col.AppendNull();
-            continue;
-          }
-          if (type == DataType::kString) {
-            std::string s = "value_" + std::to_string(v);
-            col.AppendString(s);
-            hash = Fnv1a64(s.data(), s.size());
-          } else {
-            double d = static_cast<double>(v);
-            if (type == DataType::kDouble) {
-              d /= 7;
-              col.AppendDouble(d);
-            } else {
-              col.AppendInt64(static_cast<int64_t>(v));
-            }
-            uint64_t bits;
-            std::memcpy(&bits, &d, sizeof(d));
-            hash = MixHash64(bits);
-          }
-          reference.insert(hash);
-          while (reference.size() > AttributeStats::kKmvSize) {
-            reference.erase(std::prev(reference.end()));
-          }
-        }
-        stats.Observe(col);
-        EXPECT_EQ(stats.ExportImage().kmv,
-                  std::vector<uint64_t>(reference.begin(), reference.end()))
-            << DataTypeToString(type) << " domain " << domain << " block "
-            << block;
-      }
-    }
+/// Value `v` as a `type` cell: itself, or a zero-padded string that
+/// sorts and parses back like the number.
+void AppendValue(ColumnVector* col, int64_t v) {
+  if (col->type() == DataType::kString) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "v%07lld", static_cast<long long>(v));
+    col->AppendString(buf);
+  } else {
+    col->AppendInt64(v);
   }
 }
 
 TEST(AttributeStatsTest, ReservoirIsAUniformSample) {
-  // 200 000 values 0..199 999 in blocks: the 512-value sample's mean
-  // sits near the middle, and every sampled value was observed.
-  AttributeStats stats(DataType::kInt64);
+  // Values 0..199 999 in blocks of 4096 rows, every other block with a
+  // NULL in every seventh row (so both the counting and the skipping
+  // walk run): the 512-value sample's mean sits near the middle,
+  // every decile holds its share, and every sampled value was observed.
+  // A reservoir exported halfway and imported into fresh stats resumes
+  // with a fresh skip and stays just as uniform.
   const int64_t kValues = 200000;
-  for (int64_t base = 0; base < kValues; base += 4096) {
-    ColumnVector col(DataType::kInt64);
-    for (int64_t v = base; v < std::min(kValues, base + 4096); ++v) {
-      col.AppendInt64(v);
+  for (DataType type : {DataType::kInt64, DataType::kString}) {
+    for (bool thaw_halfway : {false, true}) {
+      SCOPED_TRACE(std::string(DataTypeToString(type)) +
+                   (thaw_halfway ? ", thawed halfway" : ""));
+      auto stats = std::make_unique<AttributeStats>(type);
+      int64_t next = 0;
+      uint64_t nulls = 0;
+      bool thawed = false;
+      for (int block = 0; next < kValues; ++block) {
+        if (thaw_halfway && !thawed && next >= kValues / 2) {
+          auto fresh = std::make_unique<AttributeStats>(type);
+          ASSERT_TRUE(fresh->ImportImage(stats->ExportImage()));
+          stats = std::move(fresh);
+          thawed = true;
+        }
+        ColumnVector col(type);
+        for (int row = 0; row < 4096 && next < kValues; ++row) {
+          if (block % 2 == 1 && row % 7 == 3) {
+            col.AppendNull();
+            ++nulls;
+          } else {
+            AppendValue(&col, next++);
+          }
+        }
+        stats->Observe(col);
+      }
+      EXPECT_EQ(stats->row_count(), kValues + nulls);
+      auto image = stats->ExportImage();
+      EXPECT_EQ(image.sampled_stream, static_cast<uint64_t>(kValues));
+      std::vector<double> sample = image.numeric_sample;
+      if (type == DataType::kString) {
+        ASSERT_TRUE(sample.empty());
+        for (const std::string& s : image.string_sample) {
+          ASSERT_EQ(s.size(), 8u) << s;
+          sample.push_back(std::stod(s.substr(1)));
+        }
+      }
+      ASSERT_EQ(sample.size(), AttributeStats::kReservoirSize);
+      double sum = 0;
+      std::vector<int> deciles(10, 0);
+      for (double v : sample) {
+        ASSERT_GE(v, 0);
+        ASSERT_LT(v, kValues);
+        sum += v;
+        ++deciles[static_cast<size_t>(v * 10 / kValues)];
+      }
+      // Mean of 512 uniform draws: standard error ~2 550; allow ~4
+      // sigma. A decile holds 51.2 on average, standard deviation ~6.8.
+      EXPECT_NEAR(sum / sample.size(), kValues / 2.0, 10000);
+      for (int d = 0; d < 10; ++d) {
+        EXPECT_GT(deciles[d], 20) << "decile " << d;
+        EXPECT_LT(deciles[d], 85) << "decile " << d;
+      }
     }
-    stats.Observe(col);
   }
-  auto image = stats.ExportImage();
-  ASSERT_EQ(image.numeric_sample.size(), AttributeStats::kReservoirSize);
-  EXPECT_EQ(image.sampled_stream, static_cast<uint64_t>(kValues));
-  double sum = 0;
-  size_t late = 0;
-  for (double v : image.numeric_sample) {
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, kValues);
-    sum += v;
-    late += v >= kValues / 2;
-  }
-  // Mean of 512 uniform draws: standard error ~2 550; allow ~4 sigma.
-  EXPECT_NEAR(sum / image.numeric_sample.size(), kValues / 2.0, 10000);
-  EXPECT_GT(late, 200u);
-  EXPECT_LT(late, 312u);
 }
 
 TEST(AttributeStatsTest, CompareSelectivityFromSample) {
@@ -155,12 +131,12 @@ TEST(AttributeStatsTest, CompareSelectivityFromSample) {
   EXPECT_FALSE(none.has_value());
 }
 
-TEST(AttributeStatsTest, EqualityMissFallsBackToNdv) {
+TEST(AttributeStatsTest, EqualityMissGetsHalfASampledValue) {
   AttributeStats stats(DataType::kInt64);
   ColumnVector col(DataType::kInt64);
   for (int i = 0; i < 1000; ++i) col.AppendInt64(i);
   stats.Observe(col);
-  // A value outside the sample: estimate ~1/NDV, not zero.
+  // A value outside the sample: rarer than one sampled value, not zero.
   auto sel = stats.EstimateCompareSelectivity(CompareOp::kEq,
                                               Value::Int64(-12345));
   ASSERT_TRUE(sel.has_value());
@@ -168,7 +144,7 @@ TEST(AttributeStatsTest, EqualityMissFallsBackToNdv) {
   EXPECT_LT(*sel, 0.01);
 }
 
-TEST(AttributeStatsTest, StringSelectivityAndLike) {
+TEST(AttributeStatsTest, StringSelectivity) {
   AttributeStats stats(DataType::kString);
   ColumnVector col(DataType::kString);
   const char* words[] = {"apple", "banana", "cherry", "apricot"};
@@ -178,25 +154,6 @@ TEST(AttributeStatsTest, StringSelectivityAndLike) {
                                              Value::String("apple"));
   ASSERT_TRUE(eq.has_value());
   EXPECT_NEAR(*eq, 0.25, 0.1);
-  auto like = stats.EstimateLikeSelectivity("ap%", false);
-  ASSERT_TRUE(like.has_value());
-  EXPECT_NEAR(*like, 0.5, 0.12);  // apple + apricot
-}
-
-TEST(AttributeStatsTest, SampleHistogramShapesUniform) {
-  AttributeStats stats(DataType::kInt64);
-  ColumnVector col(DataType::kInt64);
-  Random rng(2);
-  for (int i = 0; i < 5000; ++i) {
-    col.AppendInt64(static_cast<int64_t>(rng.Uniform(1000)));
-  }
-  stats.Observe(col);
-  auto hist = stats.SampleHistogram(10);
-  ASSERT_EQ(hist.size(), 10u);
-  uint64_t total = 0;
-  for (uint64_t b : hist) total += b;
-  EXPECT_EQ(total, AttributeStats::kReservoirSize);
-  for (uint64_t b : hist) EXPECT_GT(b, 10u);  // roughly uniform
 }
 
 TEST(StatsCollectorTest, ObserveBlockDeduplicates) {
@@ -264,18 +221,12 @@ TEST(AttributeStatsTest, AllNullColumnIsDegenerateButSafe) {
   for (int i = 0; i < 100; ++i) col.AppendNull();
   stats.Observe(col);
   EXPECT_EQ(stats.row_count(), 100u);
-  EXPECT_EQ(stats.null_count(), 100u);
-  EXPECT_DOUBLE_EQ(stats.null_fraction(), 1.0);
-  EXPECT_FALSE(stats.numeric_min().has_value());
-  EXPECT_FALSE(stats.numeric_max().has_value());
-  EXPECT_DOUBLE_EQ(stats.EstimateDistinct(), 0.0);
+  EXPECT_EQ(stats.ExportImage().sampled_stream, 0u);
   // No sample -> no estimate; never NaN or a division by zero.
-  EXPECT_FALSE(stats.EstimateCompareSelectivity(CompareOp::kLt,
-                                                Value::Int64(5))
-                   .has_value());
-  auto hist = stats.SampleHistogram(8);
-  ASSERT_EQ(hist.size(), 8u);
-  for (uint64_t b : hist) EXPECT_EQ(b, 0u);
+  for (CompareOp op : {CompareOp::kLt, CompareOp::kEq}) {
+    EXPECT_FALSE(
+        stats.EstimateCompareSelectivity(op, Value::Int64(5)).has_value());
+  }
 }
 
 TEST(AttributeStatsTest, ZeroWidthRangeStaysFinite) {
@@ -283,8 +234,6 @@ TEST(AttributeStatsTest, ZeroWidthRangeStaysFinite) {
   ColumnVector col(DataType::kInt64);
   for (int i = 0; i < 1000; ++i) col.AppendInt64(7);
   stats.Observe(col);
-  EXPECT_DOUBLE_EQ(*stats.numeric_min(), 7.0);
-  EXPECT_DOUBLE_EQ(*stats.numeric_max(), 7.0);
   for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                        CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
     for (int64_t lit : {6, 7, 8}) {
@@ -295,9 +244,6 @@ TEST(AttributeStatsTest, ZeroWidthRangeStaysFinite) {
       EXPECT_LE(*sel, 1.0);
     }
   }
-  // Zero-width histogram range: everything lands in one bucket.
-  auto hist = stats.SampleHistogram(4);
-  EXPECT_EQ(hist[0], AttributeStats::kReservoirSize);
 }
 
 TEST(AttributeStatsTest, NanValuesNeverPoisonEstimates) {
@@ -311,7 +257,6 @@ TEST(AttributeStatsTest, NanValuesNeverPoisonEstimates) {
     }
   }
   stats.Observe(col);
-  EXPECT_TRUE(std::isfinite(stats.EstimateDistinct()));
   for (CompareOp op : {CompareOp::kEq, CompareOp::kLt, CompareOp::kGe}) {
     auto sel = stats.EstimateCompareSelectivity(op, Value::Double(50.0));
     if (sel.has_value()) {
