@@ -8,6 +8,8 @@
 //   Baseline      — naive external-files access: in-situ, but every
 //                   query re-tokenizes and re-parses the whole file.
 //   PostgresRaw   — in-situ with positional map + cache + statistics.
+//   PostgresRaw (store off) — the same without the shadow column store,
+//                   so warm queries show what the scan's cache learned.
 //
 // The paper reports a stacked breakdown (Processing / IO / Convert /
 // Parsing / Tokenizing / NoDB); this bench prints the same categories
@@ -76,6 +78,18 @@ int main() {
     raw_metrics.push_back(outcome.metrics);
   }
 
+  // --- PostgresRaw without the store: warm queries are served by the
+  // cache the scan filled, not by background promotion.
+  NoDbConfig store_off_config;
+  store_off_config.enable_store = false;
+  NoDbEngine store_off(w.catalog, store_off_config, "PostgresRaw.nostore");
+  std::vector<QueryMetrics> off_metrics;
+  for (int q = 0; q < kQueries; ++q) {
+    auto outcome = CheckOk(store_off.Execute(QuerySql(q)),
+                           "postgresraw (store off) query");
+    off_metrics.push_back(outcome.metrics);
+  }
+
   std::printf("--- first query (cold) ---\n");
   std::printf("%s", MonitorPanel::RenderBreakdown("PostgreSQL (post-load)",
                                                   pg_metrics[0])
@@ -100,6 +114,10 @@ int main() {
                                                   raw_metrics[kQueries - 1])
                         .c_str());
 
+  std::printf("%s", MonitorPanel::RenderBreakdown("PostgresRaw (store off)",
+                                                  off_metrics[kQueries - 1])
+                        .c_str());
+
   std::printf("\n--- per-query series (CSV) ---\n%s\n",
               MonitorPanel::BreakdownCsvHeader().c_str());
   for (int q = 0; q < kQueries; ++q) {
@@ -118,6 +136,12 @@ int main() {
     std::printf("%s\n", MonitorPanel::BreakdownCsvRow(
                             "PostgresRaw.q" + std::to_string(q + 1),
                             raw_metrics[q])
+                            .c_str());
+  }
+  for (int q = 0; q < kQueries; ++q) {
+    std::printf("%s\n", MonitorPanel::BreakdownCsvRow(
+                            "PostgresRaw.nostore.q" + std::to_string(q + 1),
+                            off_metrics[q])
                             .c_str());
   }
 
@@ -139,12 +163,46 @@ int main() {
   std::printf("bytes: PostgresRaw first query read %" PRIu64
               " B of a %s file (%.3fx, gate <= 1.01x)\n",
               first_read, FormatBytes(w.file_bytes).c_str(), ratio);
+  int status = 0;
   if (ratio > 1.01) {
     std::fprintf(stderr,
                  "fig3_breakdown: the first PostgresRaw query read %.3fx "
                  "the raw file (gate 1.01x)\n",
                  ratio);
-    return 1;
+    status = 1;
   }
-  return 0;
+
+  // Gate: each field is cut once. The first query cuts every row up to
+  // its predicate attribute and resumes the passing rows' cuts from
+  // there, so it tokenizes no more fields than Baseline's single pass.
+  const uint64_t raw_fields = raw_metrics[0].scan.fields_tokenized;
+  const uint64_t base_fields = base_metrics[0].scan.fields_tokenized;
+  std::printf("fields: PostgresRaw first query tokenized %" PRIu64
+              " fields, Baseline %" PRIu64 " (gate <=)\n",
+              raw_fields, base_fields);
+  if (raw_fields > base_fields) {
+    std::fprintf(stderr,
+                 "fig3_breakdown: the first PostgresRaw query tokenized "
+                 "%" PRIu64 " fields, more than Baseline's %" PRIu64 "\n",
+                 raw_fields, base_fields);
+    status = 1;
+  }
+
+  // Gate: what a query parses, the cache keeps. The predicate prunes no
+  // row, so every column of the first query holds every row and is
+  // cached; with the store off the fifth query reads no raw byte.
+  const ScanMetrics& off_q5 = off_metrics[kQueries - 1].scan;
+  std::printf("cache: PostgresRaw (store off) fifth query read %" PRIu64
+              " raw B, %" PRIu64 " of %" PRIu64
+              " rows from the cache (gate 0 B, all rows)\n",
+              off_q5.bytes_read, off_q5.rows_from_cache, kTuples);
+  if (off_q5.bytes_read != 0 || off_q5.rows_from_cache != kTuples) {
+    std::fprintf(stderr,
+                 "fig3_breakdown: the store-off fifth query read %" PRIu64
+                 " raw B and took %" PRIu64 " of %" PRIu64
+                 " rows from the cache\n",
+                 off_q5.bytes_read, off_q5.rows_from_cache, kTuples);
+    status = 1;
+  }
+  return status;
 }

@@ -79,14 +79,14 @@ double CutNsPerRow(const std::vector<Slice>& lines, uint32_t attr,
   const std::string table = "map";
   const std::string path = "map.csv";
   SpanCutter cutter(&tokenizer, &table, &path);
-  cutter.Prepare(&plan, attrs, {0}, true);
+  cutter.Prepare(&plan, attrs, {0});
   ScanMetrics metrics;
   Status error;
   uint32_t start = 0;
   uint32_t end = 0;
   const double ms = MedianMs(reps, [&] {
     for (uint32_t r = 0; r < rows; ++r) {
-      if (!cutter.Cut(lines[r], r, &start, &end, &metrics, &error)) break;
+      if (!cutter.CutFirst(lines[r], r, &start, &end, &metrics, &error)) break;
     }
   });
   CheckOk(error, "cut");

@@ -657,6 +657,16 @@ Result<std::shared_ptr<ColumnVector>> LikeExpr::Evaluate(
   return out;
 }
 
+Result<size_t> LikeExpr::Select(const RecordBatch& batch, const uint32_t* in,
+                                size_t n, uint32_t* out) const {
+  NODB_ASSIGN_OR_RETURN(auto col, input_->Evaluate(batch));
+  SelectSink sink{in, n, out};
+  sink.Run(ArrayIn<uint8_t>{col->validity()}, [&](size_t i) {
+    return Match(col->GetString(i), pattern_) != negated_;
+  });
+  return sink.count;
+}
+
 std::string LikeExpr::ToString() const {
   return "(" + input_->ToString() + (negated_ ? " NOT LIKE '" : " LIKE '") +
          pattern_ + "')";

@@ -79,8 +79,8 @@ class Expr {
   /// `in` is null, else in[0..n); `out` may alias `in`, so a later
   /// conjunct narrows an earlier one's selection in place. This default
   /// evaluates every row and selects from the mask (SelectTrue);
-  /// comparisons compare and compact the candidates in one loop, and
-  /// AND chains its children.
+  /// comparisons and LIKE test and compact only the candidates in one
+  /// loop, and AND chains its children.
   virtual Result<size_t> Select(const RecordBatch& batch, const uint32_t* in,
                                 size_t n, uint32_t* out) const;
 
@@ -258,6 +258,8 @@ class LikeExpr final : public Expr {
   Result<DataType> OutputType(const Schema& schema) const override;
   Result<std::shared_ptr<ColumnVector>> Evaluate(
       const RecordBatch& batch) const override;
+  Result<size_t> Select(const RecordBatch& batch, const uint32_t* in,
+                        size_t n, uint32_t* out) const override;
   void CollectColumns(std::vector<size_t>* cols) const override {
     input_->CollectColumns(cols);
   }

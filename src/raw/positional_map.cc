@@ -17,22 +17,6 @@ uint64_t PositionalMap::known_rows() const {
   return row_starts_.size();
 }
 
-uint64_t PositionalMap::row_start(uint64_t row) const {
-  ReaderLock lock(mu_);
-  return row_starts_[row];
-}
-
-void PositionalMap::AddRowStart(uint64_t offset) {
-  WriterLock lock(mu_);
-  row_starts_.push_back(offset);
-}
-
-void PositionalMap::MarkRowsComplete(uint64_t file_size) {
-  WriterLock lock(mu_);
-  rows_complete_ = true;
-  indexed_file_size_ = file_size;
-}
-
 bool PositionalMap::rows_complete() const {
   ReaderLock lock(mu_);
   return rows_complete_;
@@ -244,10 +228,12 @@ bool PositionalMap::ShouldIndexCombination(const BlockPlan& plan) const {
 // --------------------------------------------------- chunk population
 
 void PositionalMap::ChunkBuilder::AddRow(const uint32_t* starts,
-                                         const uint32_t* ends) {
+                                         const uint32_t* ends,
+                                         const size_t* cols) {
   for (size_t j = 0; j < attrs_.size(); ++j) {
-    data_.push_back(starts[j]);
-    data_.push_back(ends[j]);
+    const size_t c = cols != nullptr ? cols[j] : j;
+    data_.push_back(starts[c]);
+    data_.push_back(ends[c]);
   }
   ++rows_;
 }

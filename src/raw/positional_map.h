@@ -36,7 +36,7 @@ namespace nodb {
 ///     in each row, relative to the row start. Chunks are the LRU
 ///     eviction unit.
 ///
-/// Lookup returns either the exact span of the requested attribute or
+/// A probe returns either the exact span of the requested attribute or
 /// the best *anchor* — the known start of the greatest attribute not
 /// exceeding the request — from which the tokenizer resumes scanning
 /// mid-row instead of from byte 0.
@@ -71,17 +71,8 @@ class PositionalMap {
   /// Rows whose start offsets are known (contiguous from row 0).
   uint64_t known_rows() const EXCLUDES(mu_);
 
-  /// Byte offset where row `row` starts. Requires row < known_rows().
-  uint64_t row_start(uint64_t row) const EXCLUDES(mu_);
-
-  /// Records the start of row known_rows() (sequential discovery).
-  /// Prefer Discovery::PublishRows, which also publishes the rows' end;
-  /// this remains for single-threaded index construction in tests.
-  void AddRowStart(uint64_t offset) EXCLUDES(mu_);
-
-  /// Marks that the discovery scan reached end of file: exactly
-  /// known_rows() rows exist in `file_size` bytes.
-  void MarkRowsComplete(uint64_t file_size) EXCLUDES(mu_);
+  /// The discovery scan reached end of file (Discovery::MarkComplete):
+  /// exactly known_rows() rows exist in indexed_file_size() bytes.
   bool rows_complete() const EXCLUDES(mu_);
   uint64_t indexed_file_size() const EXCLUDES(mu_);
 
@@ -185,11 +176,6 @@ class PositionalMap {
     /// Valid while the plan lives.
     Column Resolve(size_t i) const;
 
-    /// Probes (row, attrs[i]); `row` is absolute.
-    Probe Lookup(uint64_t row, size_t i) const {
-      return Resolve(i).At(row - block_first_row_);
-    }
-
     uint64_t first_row() const { return block_first_row_; }
 
     /// Number of distinct chunks this plan draws from.
@@ -228,8 +214,11 @@ class PositionalMap {
   /// by CommitChunk.
   class ChunkBuilder {
    public:
-    /// `spans` holds (start, end) per attribute, parallel to `attrs`.
-    void AddRow(const uint32_t* starts, const uint32_t* ends);
+    /// Adds a row's (start, end) per attribute: starts[j]/ends[j],
+    /// parallel to `attrs`, or starts[cols[j]]/ends[cols[j]] when
+    /// `cols` is given.
+    void AddRow(const uint32_t* starts, const uint32_t* ends,
+                const size_t* cols = nullptr);
     size_t rows() const { return rows_; }
 
    private:

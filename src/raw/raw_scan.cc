@@ -13,9 +13,9 @@ namespace nodb {
 
 namespace {
 
-/// Span scratch of one tokenize/convert batch (see ParsePass): the
-/// batch's rows shrink as the projection widens, so a scan's transient
-/// memory stays the same however wide or long its blocks are.
+/// Span scratch of one parse batch (see ParsePass): the batch's rows
+/// shrink as the projection widens, so a scan's transient memory stays
+/// the same however wide or long its blocks are.
 constexpr size_t kSpanScratchBytes = 64 * 1024;
 
 /// Accumulates (wall time − I/O time that elapsed inside the region)
@@ -85,16 +85,14 @@ bool FieldCountError(const std::string& table, const std::string& path,
 
 void SpanCutter::Prepare(const PositionalMap::BlockPlan* plan,
                          const std::vector<uint32_t>& attrs,
-                         const std::vector<size_t>& subset,
-                         bool count_blind) {
+                         const std::vector<size_t>& first) {
   first_row_ = plan != nullptr ? plan->first_row() : 0;
-  count_blind_ = count_blind;
-  attrs_.clear();
+  attrs_ = attrs;
   segments_.clear();
-  for (size_t k = 0; k < subset.size(); ++k) {
+  std::vector<bool> helped(attrs_.size(), false);  // its segment jumps to it
+  for (size_t k = 0; k < attrs_.size(); ++k) {
     PositionalMap::BlockPlan::Column source;
-    if (plan != nullptr) source = plan->Resolve(subset[k]);
-    attrs_.push_back(attrs[subset[k]]);
+    if (plan != nullptr) source = plan->Resolve(k);
     // Cutting the previous attribute leaves the scan at the start of
     // the next one; an anchor helps only when it starts further on.
     const uint32_t progress = k == 0 ? 0 : attrs_[k - 1] + 1;
@@ -105,14 +103,34 @@ void SpanCutter::Prepare(const PositionalMap::BlockPlan* plan,
       segments_.back().end = k + 1;  // extends the run
       continue;
     }
-    segments_.push_back(
-        Segment{k, k + 1, anchors ? source : PositionalMap::BlockPlan::Column()});
+    helped[k] = anchors;
+    segments_.push_back(Segment{
+        k, k, k + 1, anchors ? source : PositionalMap::BlockPlan::Column()});
   }
   field_starts_.resize(attrs_.empty() ? 0 : attrs_.back() + 2);
+
+  // The first cut ends at the last marked attribute. Walking down from
+  // it, an unmarked attribute is left out when a later one up to the
+  // next marked one starts with an anchor or exact span: the marked
+  // one's cut jumps over it. Each segment's first-cut part runs through
+  // its last attribute the first cut takes.
+  size_t j = first.size();  // first[j - 1] is the next marked one down
+  bool jump = false;
+  for (size_t k = j == 0 ? 0 : first[j - 1] + 1; k-- > 0;) {
+    const bool marked = j > 0 && first[j - 1] == k;
+    if (marked) --j;
+    const bool left = !marked && jump;
+    jump = marked ? helped[k] : jump || helped[k];
+    if (left) continue;
+    for (Segment& seg : segments_) {
+      if (seg.begin <= k && k < seg.end) seg.cut = std::max(seg.cut, k + 1);
+    }
+  }
 }
 
-bool SpanCutter::Cut(Slice line, uint64_t row, uint32_t* starts,
-                     uint32_t* ends, ScanMetrics* metrics, Status* error) {
+bool SpanCutter::CutPart(bool rest, Slice line, uint64_t row,
+                         uint32_t* starts, uint32_t* ends, ScanMetrics* metrics,
+                         Status* error) {
   const uint32_t size = static_cast<uint32_t>(line.size());
   // A span ending at the end of the record (a trailing '\r' is line
   // terminator) closes its last field: no attribute past it exists,
@@ -120,23 +138,32 @@ bool SpanCutter::Cut(Slice line, uint64_t row, uint32_t* starts,
   uint32_t content = size;
   if (content > 0 && line[content - 1] == '\r') --content;
   uint32_t record_fields = UINT32_MAX;
-  uint32_t field = 0;  // the scan stands at this field's start...
+  uint32_t field = 0;   // the scan stands at this field's start...
   uint32_t offset = 0;  // ...at this offset
-  bool had_help = false;
   const uint64_t rel = row - first_row_;
   for (const Segment& seg : segments_) {
-    if (attrs_[seg.begin] >= record_fields) {
+    size_t begin = rest ? seg.cut : seg.begin;
+    const size_t end = rest ? seg.end : seg.cut;
+    if (begin == end) continue;  // a part the other cut takes
+    if (rest && begin > 0) {
+      // The attribute before the part is cut: resume from its span. (The
+      // first cut skips only ahead of an anchor or exact span, which
+      // needs no resuming.)
+      field = attrs_[begin - 1] + 1;
+      offset = std::min(ends[begin - 1] + 1, size);
+      record_fields = ends[begin - 1] >= content ? field : UINT32_MAX;
+    }
+    if (attrs_[begin] >= record_fields) {
       return FieldCountError(*table_, *path_, row, record_fields,
-                             attrs_[seg.begin], error);
+                             attrs_[begin], error);
     }
     const PositionalMap::Probe probe = seg.source.At(rel);
-    if (probe.exact) {
-      starts[seg.begin] = probe.start;
-      ends[seg.begin] = probe.end;
+    if (probe.exact) {  // an exact segment is one attribute
+      starts[begin] = probe.start;
+      ends[begin] = probe.end;
       ++metrics->map_exact_probes;
-      had_help = true;
-      if (probe.end >= content) record_fields = attrs_[seg.begin] + 1;
-      field = attrs_[seg.begin] + 1;
+      if (probe.end >= content) record_fields = attrs_[begin] + 1;
+      field = attrs_[begin] + 1;
       offset = std::min(probe.end + 1, size);
       continue;
     }
@@ -144,12 +171,12 @@ bool SpanCutter::Cut(Slice line, uint64_t row, uint32_t* starts,
       field = probe.anchor_attr;
       offset = std::min(probe.anchor_rel, size);
       ++metrics->map_anchor_probes;
-      had_help = true;
+    } else if (begin == 0) {
+      ++metrics->map_blind_rows;
     }
-    const uint32_t last = attrs_[seg.end - 1];
-    const uint32_t high = tokenizer_->ScanStarts(line, field, offset,
-                                                 last + 1, field_starts_.data());
-    for (size_t k = seg.begin; k < seg.end; ++k) {
+    const uint32_t high = tokenizer_->ScanStarts(
+        line, field, offset, attrs_[end - 1] + 1, field_starts_.data());
+    for (size_t k = begin; k < end; ++k) {
       // A field that ends the record ends the ScanStarts call, so
       // `high` is record_fields for the attributes past it.
       const uint32_t attr = attrs_[k];
@@ -163,9 +190,6 @@ bool SpanCutter::Cut(Slice line, uint64_t row, uint32_t* starts,
       field = attr + 1;
     }
     offset = std::min(field_starts_[field], size);
-  }
-  if (count_blind_ && !had_help && !segments_.empty()) {
-    ++metrics->map_blind_rows;
   }
   return true;
 }
@@ -562,7 +586,9 @@ Result<bool> RawScanOperator::TryStoreBlock(uint64_t block,
   size_t passing = rows;
   if (!predicates_.empty()) {
     PhaseTimer timer(&metrics_->filter_ns, reader_.get());
-    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(*out, &sel_));
+    sel_.resize(rows);
+    NODB_ASSIGN_OR_RETURN(passing,
+                          EvaluatePushdown(*out, nullptr, rows, sel_.data()));
     if (passing < rows) out = GatherRows(*out, sel_.data(), passing);
   }
   ++metrics_->store_block_hits;
@@ -576,17 +602,15 @@ Result<bool> RawScanOperator::TryStoreBlock(uint64_t block,
   return true;
 }
 
-Result<size_t> RawScanOperator::EvaluatePushdown(
-    const RecordBatch& batch, std::vector<uint32_t>* sel) const {
-  const size_t n = batch.num_rows();
-  sel->resize(n);
+Result<size_t> RawScanOperator::EvaluatePushdown(const RecordBatch& batch,
+                                                 const uint32_t* in, size_t n,
+                                                 uint32_t* out) const {
   size_t passing = n;
   for (size_t p = 0; p < predicates_.size() && passing > 0; ++p) {
-    // The first conjunct selects from all rows; each later one visits
-    // only the rows still selected and narrows the selection in place.
-    NODB_ASSIGN_OR_RETURN(
-        passing, predicates_[p]->Select(batch, p == 0 ? nullptr : sel->data(),
-                                        passing, sel->data()));
+    // The first conjunct selects from the candidates; each later one
+    // visits only the rows still selected and narrows them in place.
+    NODB_ASSIGN_OR_RETURN(passing, predicates_[p]->Select(
+                                       batch, p == 0 ? in : out, passing, out));
   }
   return passing;
 }
@@ -598,96 +622,146 @@ Slice RawScanOperator::RowLine(size_t r) const {
                         static_cast<size_t>(end - start));
 }
 
-Status RawScanOperator::ParsePass(
-    uint64_t first, const uint32_t* rows, size_t n,
-    const std::optional<PositionalMap::BlockPlan>& plan,
-    const std::vector<uint32_t>& probe_attrs,
-    const std::vector<size_t>& probe_slots,
-    const std::vector<size_t>& subset, bool count_blind,
-    PositionalMap::ChunkBuilder* chunk,
-    std::vector<std::shared_ptr<ColumnVector>>* cols) {
-  if (!slab_loaded_) {
-    slab_base_ = bounds_[rows[0]].first;
-    NODB_RETURN_NOT_OK(reader_->ReadAt(
-        slab_base_,
-        static_cast<size_t>(bounds_[rows[n - 1]].second - slab_base_),
-        &slab_));
-    slab_loaded_ = true;
-  }
+Status RawScanOperator::ConvertRows(uint64_t first, const uint32_t* rows,
+                                    size_t n, size_t at,
+                                    const std::vector<size_t>& probes,
+                                    BlockParse* block, Status cut_error) {
+  // One typed loop per column. The first failing field in (row,
+  // attribute) order is the one reported, so after a failure later
+  // columns only need the rows before it — and a conversion error in a
+  // row before the failed cut wins over it, as it did row at a time.
+  const size_t width = block->probe_attrs.size();
+  Status convert_error;
+  size_t limit = n;
   {
-    PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
-    cutter_.Prepare(plan.has_value() ? &*plan : nullptr, probe_attrs, subset,
-                    count_blind);
+    // NOLINTNEXTLINE(row-clock): once per batch of rows
+    PhaseTimer timer(&metrics_->convert_ns, reader_.get());
+    for (size_t k : probes) {
+      const size_t slot = block->probe_slots[k];
+      auto text_at = [&](size_t i) {
+        const size_t cell = (rows[i] - at) * width + k;
+        return tokenizer_.DecodeField(
+            CsvTokenizer::RawField(RowLine(rows[i]), span_starts_[cell],
+                                   span_ends_[cell] + 1),
+            &decode_scratch_);
+      };
+      size_t failed = 0;
+      Status s = ValueParser::ParseColumn(limit, types_[slot], text_at,
+                                          block->columns[slot].get(), &failed);
+      if (s.ok()) continue;
+      limit = failed;
+      convert_error = Status::ParseError(
+          table_name_ + ": row " + std::to_string(first + rows[failed]) +
+          ", attribute " + std::to_string(projection_[slot]) + ": " +
+          s.message());
+    }
   }
+  NODB_RETURN_NOT_OK(convert_error);
+  return cut_error;
+}
+
+Status RawScanOperator::ParsePass(uint64_t first, size_t lo, size_t hi,
+                                  BlockParse* block) {
+  const size_t width = block->probe_attrs.size();
+  const bool filtered = !predicates_.empty();
+  // Reads the bytes of rows [a, b] of bounds_: the run's, when every
+  // row is cut, else each batch's passing rows'.
+  auto read_slab = [&](size_t a, size_t b) {
+    slab_base_ = bounds_[a].first;
+    return reader_->ReadAt(
+        slab_base_, static_cast<size_t>(bounds_[b].second - slab_base_),
+        &slab_);
+  };
   // Batches in row order: the first failing batch holds the first
   // failing field.
-  const size_t width = subset.size();
-  const size_t batch = std::max<size_t>(
-      1, kSpanScratchBytes / (2 * sizeof(uint32_t) * width));
-  span_starts_.resize(std::min(batch, n) * width);
-  span_ends_.resize(std::min(batch, n) * width);
-  for (size_t at = 0; at < n; at += batch) {
-    const uint32_t* batch_rows = rows + at;
-    const size_t count = std::min(batch, n - at);
+  const size_t row_bytes = 2 * sizeof(uint32_t) * std::max<size_t>(width, 1);
+  const size_t batch = std::max<size_t>(1, kSpanScratchBytes / row_bytes);
+  span_starts_.resize(std::min(batch, hi - lo) * width);
+  span_ends_.resize(std::min(batch, hi - lo) * width);
+  if (!block->phase1.empty()) NODB_RETURN_NOT_OK(read_slab(lo, hi - 1));
+  for (size_t at = lo; at < hi; at += batch) {
+    const size_t count = std::min(batch, hi - at);
+    // The batch's rows enter sel_; phase 1 parses them all, and the
+    // conjuncts narrow them in place.
+    const size_t base = sel_.size();
+    sel_.resize(base + count);
+    uint32_t* rows = sel_.data() + base;
+    std::iota(rows, rows + count, static_cast<uint32_t>(at));
 
-    // Tokenize: every row's spans, row-major. A row that fails stops
-    // the pass, but the rows before it still convert below — a
-    // conversion error in an earlier row wins, exactly as it did row at
-    // a time.
-    size_t tokenized = 0;
-    Status tokenize_error;
-    {
+    // ---- phase 1: every row's first cut (through the last phase-1
+    // attribute, with the phase-2 ones it walks past anyway), the
+    // phase-1 columns' conversion and their spans in the chunk.
+    size_t cut = count;
+    Status cut_error;
+    if (!block->phase1.empty()) {
       // NOLINTNEXTLINE(row-clock): once per batch of rows
       PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
-      for (; tokenized < count; ++tokenized) {
-        if (!cutter_.Cut(RowLine(batch_rows[tokenized]),
-                         first + batch_rows[tokenized],
-                         &span_starts_[tokenized * width],
-                         &span_ends_[tokenized * width], metrics_,
-                         &tokenize_error)) {
+      for (cut = 0; cut < count; ++cut) {
+        if (!cutter_.CutFirst(RowLine(at + cut), first + at + cut,
+                              &span_starts_[cut * width],
+                              &span_ends_[cut * width], metrics_,
+                              &cut_error)) {
           break;
         }
       }
     }
-
-    // Convert: one typed loop per column. The first failing field in
-    // (row, attribute) order is the one reported, so after a failure
-    // later columns only need the rows before it.
-    Status convert_error;
-    size_t limit = tokenized;
-    {
-      // NOLINTNEXTLINE(row-clock): once per batch of rows
-      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-      for (size_t k = 0; k < width; ++k) {
-        const size_t slot = probe_slots[subset[k]];
-        auto text_at = [&](size_t i) {
-          const size_t cell = i * width + k;
-          return tokenizer_.DecodeField(
-              CsvTokenizer::RawField(RowLine(batch_rows[i]),
-                                     span_starts_[cell], span_ends_[cell] + 1),
-              &decode_scratch_);
-        };
-        size_t failed = 0;
-        Status s = ValueParser::ParseColumn(limit, types_[slot], text_at,
-                                            (*cols)[slot].get(), &failed);
-        if (s.ok()) continue;
-        limit = failed;
-        convert_error = Status::ParseError(
-            table_name_ + ": row " + std::to_string(first + batch_rows[failed]) +
-            ", attribute " + std::to_string(projection_[slot]) + ": " +
-            s.message());
-      }
-    }
-    NODB_RETURN_NOT_OK(convert_error);
-    NODB_RETURN_NOT_OK(tokenize_error);
-    metrics_->fields_converted += count * width;
-    if (chunk != nullptr) {
+    NODB_RETURN_NOT_OK(ConvertRows(first, rows, cut, at, block->phase1, block,
+                                   cut_error));
+    const size_t phase1_fields = count * block->phase1.size();
+    metrics_->fields_converted += phase1_fields;
+    if (filtered) metrics_->pushdown_phase1_fields += phase1_fields;
+    if (block->chunk.has_value()) {
       // NOLINTNEXTLINE(row-clock): once per batch of rows
       PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
       for (size_t r = 0; r < count; ++r) {
-        chunk->AddRow(&span_starts_[r * width], &span_ends_[r * width]);
+        block->chunk->AddRow(&span_starts_[r * width], &span_ends_[r * width],
+                             block->phase1.data());
       }
     }
+    if (!block->deferred.ok() || !filtered) continue;
+
+    // ---- the conjuncts, over the block's columns at the batch's rows.
+    Result<size_t> selected = size_t{0};
+    {
+      // NOLINTNEXTLINE(row-clock): once per batch of rows
+      PhaseTimer timer(&metrics_->filter_ns, reader_.get());
+      selected = EvaluatePushdown(
+          RecordBatch(schema_, block->columns, at + count), rows, count, rows);
+    }
+    if (!selected.ok()) {
+      block->deferred = selected.status();
+      continue;
+    }
+    const size_t passed = *selected;
+    sel_.resize(base + passed);
+    if (block->phase2.empty() || passed == 0) continue;
+
+    // ---- phase 2: the passing rows finish their cuts — past the last
+    // phase-1 attribute by resuming the first cut — and convert the
+    // phase-2 columns (the paper's selective tuple formation,
+    // predicate-aware).
+    if (block->phase1.empty()) {
+      NODB_RETURN_NOT_OK(read_slab(rows[0], rows[passed - 1]));
+    }
+    size_t finished = 0;
+    Status rest_error;
+    {
+      // NOLINTNEXTLINE(row-clock): once per batch of rows
+      PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
+      for (; finished < passed; ++finished) {
+        const size_t r = rows[finished] - at;
+        if (!cutter_.CutRest(RowLine(rows[finished]), first + rows[finished],
+                             &span_starts_[r * width], &span_ends_[r * width],
+                             metrics_, &rest_error)) {
+          break;
+        }
+      }
+    }
+    block->deferred = ConvertRows(first, rows, finished, at, block->phase2,
+                                  block, rest_error);
+    const size_t phase2_fields = passed * block->phase2.size();
+    metrics_->fields_converted += phase2_fields;
+    metrics_->pushdown_phase2_fields += phase2_fields;
   }
   return Status::OK();
 }
@@ -705,152 +779,74 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
                : std::min<uint64_t>(rows_per_block,
                                     row_limit_ - rows_emitted_);
 
-  // ---- resolve cache residency and split the probes into phases:
-  // phase-1 columns (the predicate columns, or all of them when there
-  // are no conjuncts) parse for every row, the rest only for
-  // qualifying rows (phase 2).
+  // ---- one slot per projected attribute: a cache-resident segment, or
+  // a column this block parses — phase 1 (the predicate columns, or all
+  // of them when there are no conjuncts) for every row, phase 2 for the
+  // passing rows only.
   const size_t n_slots = projection_.size();
-  std::vector<std::shared_ptr<const ColumnVector>> cached(n_slots);
-  std::vector<std::shared_ptr<ColumnVector>> built(n_slots);
-  std::vector<uint32_t> probe_attrs;
-  std::vector<size_t> probe_slots;
-  std::vector<size_t> p1_idx, p2_idx;  // indices into probe_attrs
+  BlockParse parse;
+  parse.columns.resize(n_slots);
+  parse.cached.assign(n_slots, false);
   std::optional<PositionalMap::BlockPlan> plan;
-  std::optional<PositionalMap::ChunkBuilder> chunk;
   {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
+    std::vector<uint32_t> chunk_attrs;
     for (size_t i = 0; i < n_slots; ++i) {
       uint32_t attr = projection_[i];
       if (use_cache_) {
         auto seg = state_->cache().Get(attr, block);
         if (seg != nullptr && SegmentCoversBlock(seg->size(), block)) {
-          cached[i] = std::move(seg);
+          parse.columns[i] = std::const_pointer_cast<ColumnVector>(seg);
+          parse.cached[i] = true;
           ++metrics_->cache_block_hits;
           continue;
         }
         ++metrics_->cache_block_misses;
       }
+      parse.columns[i] = std::make_shared<ColumnVector>(types_[i]);
       if (!filtered || pred_slot_[i]) {
-        p1_idx.push_back(probe_attrs.size());
-        built[i] = std::make_shared<ColumnVector>(types_[i]);
-        built[i]->Reserve(static_cast<size_t>(want));
+        parse.columns[i]->Reserve(static_cast<size_t>(want));
+        parse.phase1.push_back(parse.probe_attrs.size());
+        chunk_attrs.push_back(attr);
       } else {
-        p2_idx.push_back(probe_attrs.size());
+        parse.phase2.push_back(parse.probe_attrs.size());
       }
-      probe_attrs.push_back(attr);
-      probe_slots.push_back(i);
+      parse.probe_attrs.push_back(attr);
+      parse.probe_slots.push_back(i);
     }
-    if (use_map_ && !probe_attrs.empty()) {
-      plan = map.PrepareBlock(first, probe_attrs);
-      // The distance policy still decides per combination, but only the
-      // phase-1 columns have spans for every row of the block — the
-      // chunk records exactly those.
-      if (!p1_idx.empty() && map.ShouldIndexCombination(*plan)) {
-        std::vector<uint32_t> chunk_attrs;
-        chunk_attrs.reserve(p1_idx.size());
-        for (size_t j : p1_idx) chunk_attrs.push_back(probe_attrs[j]);
-        chunk = map.StartChunk(first, chunk_attrs);
+    if (use_map_ && !parse.probe_attrs.empty()) {
+      plan = map.PrepareBlock(first, parse.probe_attrs);
+      // The distance policy still decides per combination, and the
+      // chunk records the phase-1 columns, the ones cut for every row.
+      if (!chunk_attrs.empty() && map.ShouldIndexCombination(*plan)) {
+        parse.chunk = map.StartChunk(first, chunk_attrs);
       }
     }
+  }
+  {
+    PhaseTimer timer(&metrics_->tokenize_ns, reader_.get());
+    cutter_.Prepare(plan.has_value() ? &*plan : nullptr, parse.probe_attrs,
+                    parse.phase1);
   }
 
-  // ---- the block's rows are located and go through phase 1, the
-  // conjuncts and phase 2 one run at a time (LocateRun): the rows whose
-  // bytes fit the read buffer. Each run's bytes are read once — a cold
-  // run's by the window that found its rows, a known run's on first
-  // need (the slab) — so phase 2 never re-reads and a scan never holds
-  // more than a buffer of raw bytes; a block whose columns are all
+  // ---- the block's rows are located and parsed one run at a time
+  // (LocateRun): the rows whose bytes fit the read buffer. Each run's
+  // bytes are read once — a cold run's by the window that found its
+  // rows, a known run's by ParsePass — so a scan never holds more than a
+  // buffer of raw bytes, and a block whose columns are all
   // cache-resident is one run that never touches the raw file — the
-  // paper's "eliminating the need to access hot raw data". Errors come
-  // out as from one whole-block pass: a phase-1 error anywhere in the
-  // block wins, else the first conjunct or phase-2 error.
-  std::vector<std::shared_ptr<ColumnVector>> parsed2(n_slots);
-  for (size_t j : p2_idx) {
-    const size_t i = probe_slots[j];
-    parsed2[i] = std::make_shared<ColumnVector>(types_[i]);
-  }
+  // paper's "eliminating the need to access hot raw data".
   bounds_.clear();
   sel_.clear();
-  Status deferred;
   for (bool last = false; !last;) {
     const size_t lo = bounds_.size();
     NODB_ASSIGN_OR_RETURN(
-        last, LocateRun(first + lo, want - lo, !probe_attrs.empty()));
+        last, LocateRun(first + lo, want - lo, !parse.probe_attrs.empty()));
     const size_t hi = bounds_.size();
     if (hi == lo) break;  // end of file
-    const size_t n = hi - lo;
-    const bool whole = lo == 0 && last;
-    run_rows_.resize(n);
-    std::iota(run_rows_.begin(), run_rows_.end(), static_cast<uint32_t>(lo));
-    slab_loaded_ = false;
-
-    // ---- phase 1: tokenize and convert the phase-1 columns of every
-    // row of the run and record their spans in the map chunk.
-    if (!p1_idx.empty()) {
-      NODB_RETURN_NOT_OK(ParsePass(
-          first, run_rows_.data(), n, plan, probe_attrs, probe_slots,
-          p1_idx, /*count_blind=*/true,
-          chunk.has_value() ? &*chunk : nullptr, &built));
-      if (filtered) metrics_->pushdown_phase1_fields += n * p1_idx.size();
-    }
-    if (!deferred.ok()) continue;  // only a phase-1 error can still win
-
-    // ---- vectorize the conjuncts over the run's partial batch: the
-    // block's columns when the run is the block, else copies of the
-    // run's rows of the predicate columns. Other slots hold empty
-    // placeholder columns. With no conjunct every row of the run
-    // qualifies.
-    size_t passed = n;
-    if (!filtered) {
-      for (size_t r = lo; r < hi; ++r) sel_.push_back(static_cast<uint32_t>(r));
-    } else {
-      Result<size_t> selected = size_t{0};
-      {
-        // NOLINTNEXTLINE(row-clock): once per run, a pass over its rows
-        PhaseTimer timer(&metrics_->filter_ns, reader_.get());
-        std::vector<std::shared_ptr<ColumnVector>> run_cols(n_slots);
-        for (size_t i = 0; i < n_slots; ++i) {
-          std::shared_ptr<const ColumnVector> src = built[i];
-          if (src == nullptr) src = cached[i];
-          if (src != nullptr) NODB_CHECK(src->size() >= hi);
-          if (src != nullptr && whole) {
-            run_cols[i] = std::const_pointer_cast<ColumnVector>(src);
-            continue;
-          }
-          run_cols[i] = std::make_shared<ColumnVector>(types_[i]);
-          if (src != nullptr && pred_slot_[i]) {
-            run_cols[i]->AppendRange(*src, lo, n);
-          }
-        }
-        selected = EvaluatePushdown(
-            RecordBatch(schema_, std::move(run_cols), n), &run_sel_);
-        if (selected.ok()) {
-          for (size_t k = 0; k < *selected; ++k) run_sel_[k] += lo;
-          sel_.insert(sel_.end(), run_sel_.begin(),
-                      run_sel_.begin() + *selected);
-        }
-      }
-      if (!selected.ok()) {
-        deferred = selected.status();
-        continue;
-      }
-      passed = *selected;
-    }
-
-    // ---- phase 2: qualifying rows only — tokenize/convert the
-    // remaining columns (the paper's selective tuple formation, now
-    // predicate-aware). Blind-row attribution happened in phase 1 when
-    // predicate columns probed; count here only when phase 2 is the
-    // row's first tokenize pass.
-    if (!p2_idx.empty() && passed > 0) {
-      deferred = ParsePass(first, run_sel_.data(), passed, plan,
-                           probe_attrs, probe_slots, p2_idx,
-                           /*count_blind=*/p1_idx.empty(), nullptr,
-                           &parsed2);
-      metrics_->pushdown_phase2_fields += passed * p2_idx.size();
-    }
+    NODB_RETURN_NOT_OK(ParsePass(first, lo, hi, &parse));
   }
-  NODB_RETURN_NOT_OK(deferred);
+  NODB_RETURN_NOT_OK(parse.deferred);
   const size_t rows = bounds_.size();
   if (rows == 0) {
     exhausted_ = true;
@@ -861,71 +857,60 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
   const bool cut_short = rows == want && want < rows_per_block;
   const size_t passing = sel_.size();
 
-  // ---- form the output tuples. Columns already in binary form
-  // (phase-1 parsed or cache-resident) are gathered whole; when every
-  // row qualifies, a segment of exactly the block's rows is handed out
-  // as-is.
+  // ---- form the output tuples. A column holding exactly the passing
+  // rows (a phase-2 column, or any column when every row passed) is
+  // handed out as-is; a column holding every row is gathered.
   std::vector<std::shared_ptr<ColumnVector>> out_cols(n_slots);
   {
     PhaseTimer timer(&metrics_->convert_ns, reader_.get());
     for (size_t i = 0; i < n_slots; ++i) {
-      if (parsed2[i] != nullptr) {
-        out_cols[i] = std::move(parsed2[i]);
-        continue;
-      }
-      std::shared_ptr<const ColumnVector> src = built[i];
-      if (src == nullptr) src = cached[i];
-      if (passing == rows && src->size() == rows) {
-        out_cols[i] = std::const_pointer_cast<ColumnVector>(src);
+      const std::shared_ptr<ColumnVector>& col = parse.columns[i];
+      if (col->size() == passing) {
+        out_cols[i] = col;
         continue;
       }
       out_cols[i] = std::make_shared<ColumnVector>(types_[i]);
       if (passing == rows) {
-        out_cols[i]->AppendRange(*src, 0, rows);
+        out_cols[i]->AppendRange(*col, 0, rows);
       } else {
-        out_cols[i]->AppendSelected(*src, sel_.data(), passing);
+        out_cols[i]->AppendSelected(*col, sel_.data(), passing);
       }
     }
   }
   auto out = std::make_shared<RecordBatch>(schema_, std::move(out_cols),
                                            passing);
 
-  // ---- side effects: phase-1 columns covered the whole block, so
-  // they feed the map, cache, statistics, zone maps and promotion;
-  // phase-2 columns were only parsed for qualifying rows and teach
-  // nothing.
+  // ---- side effects: a column holding every row of the block feeds
+  // the map, cache, statistics, zone maps and promotion, whichever
+  // phase parsed it; a phase-2 column that missed rejected rows
+  // teaches nothing.
   if (!cut_short) {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    if (chunk.has_value() && chunk->rows() > 0) {
-      map.CommitChunk(std::move(*chunk));
+    if (parse.chunk.has_value() && parse.chunk->rows() > 0) {
+      map.CommitChunk(std::move(*parse.chunk));
     }
     for (size_t i = 0; i < n_slots; ++i) {
-      uint32_t attr = projection_[i];
-      bool promote = use_store_ && promote_attr_[i] &&
-                     !state_->store().Contains(attr, block);
-      if (built[i] != nullptr) {
-        MaybeObserveZone(attr, block, *built[i]);
-        if (use_stats_) {
-          state_->stats().ObserveBlock(attr, block, *built[i]);
-        }
+      const uint32_t attr = projection_[i];
+      const std::shared_ptr<ColumnVector>& col = parse.columns[i];
+      if (!parse.cached[i] && col->size() != rows) continue;
+      MaybeObserveZone(attr, block, *col);
+      if (!parse.cached[i]) {
+        if (use_stats_) state_->stats().ObserveBlock(attr, block, *col);
         if (use_cache_) {
-          state_->cache().Put(attr, block, built[i], cache_generation_);
+          state_->cache().Put(attr, block, col, cache_generation_);
         }
-        if (promote && SegmentCoversBlock(built[i]->size(), block)) {
-          state_->store().Put(attr, block, built[i], store_generation_);
-        }
-      } else if (cached[i] != nullptr) {
-        MaybeObserveZone(attr, block, *cached[i]);
-        if (promote) {
-          state_->store().Put(attr, block, cached[i], store_generation_);
-        }
+      }
+      if (use_store_ && promote_attr_[i] &&
+          !state_->store().Contains(attr, block) &&
+          SegmentCoversBlock(col->size(), block)) {
+        state_->store().Put(attr, block, col, store_generation_);
       }
     }
   }
 
   metrics_->rows_scanned += rows;
   metrics_->pushdown_rows_pruned += rows - passing;
-  if (probe_attrs.empty()) {
+  if (parse.probe_attrs.empty()) {
     metrics_->rows_from_cache += rows;
   } else {
     metrics_->rows_from_raw += rows;

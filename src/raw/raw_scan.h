@@ -16,13 +16,16 @@
 namespace nodb {
 
 /// The tokenize pass of a raw scan. Prepare resolves the block plan
-/// once per pass and groups the pass's attributes into segments; per
-/// row, an attribute the map knows exactly is copied from its chunk,
-/// and each run of attributes without an exact span is cut by one
+/// once per block and groups its attributes into segments; per row, an
+/// attribute the map knows exactly is copied from its chunk, and each
+/// run of attributes without an exact span is cut by one
 /// CsvTokenizer::ScanStarts call from the run's best anchor, never past
 /// its last attribute (*selective tokenizing*). A run breaks wherever an
 /// anchor would jump past the previous attribute, so spans, counters
-/// and errors are those of cutting each attribute alone.
+/// and errors are those of cutting each attribute alone. A row is cut
+/// in two parts, CutFirst and CutRest; a part that starts after an
+/// attribute resumes from that attribute's span, so no field is cut
+/// twice.
 class SpanCutter {
  public:
   /// The pointees (`table` and `path` name errors) outlive the cutter.
@@ -30,32 +33,52 @@ class SpanCutter {
              const std::string* path)
       : tokenizer_(tokenizer), table_(table), path_(path) {}
 
-  /// Starts a pass over attrs[subset[k]] (`attrs` ascending, as `plan`
-  /// was prepared with; null = no map). `count_blind` counts rows cut
-  /// from byte 0 in map_blind_rows — set it on a row's first pass only.
+  /// Starts a block's cuts of `attrs` (ascending; `plan`, if not null,
+  /// was prepared with them). A row's first cut takes the attributes
+  /// through the last one `first` marks (ascending indices into
+  /// `attrs`), except each unmarked one that an anchor or exact span
+  /// jumps over on the way to the next marked one; the rest of the row
+  /// takes the others.
   void Prepare(const PositionalMap::BlockPlan* plan,
                const std::vector<uint32_t>& attrs,
-               const std::vector<size_t>& subset, bool count_blind);
+               const std::vector<size_t>& first);
 
-  /// Cuts absolute row `row` (`line`: its bytes without the '\n') into
-  /// starts[k]/ends[k] and counts into `metrics`. A short row returns
-  /// false with its first missing attribute's error in `*error`.
-  bool Cut(Slice line, uint64_t row, uint32_t* starts, uint32_t* ends,
-           ScanMetrics* metrics, Status* error);
+  /// Cuts the first-cut attributes of absolute row `row` (`line`: its
+  /// bytes without the '\n') into starts[k]/ends[k] and counts into
+  /// `metrics`; a row whose attribute 0 is cut from byte 0 counts in
+  /// map_blind_rows. A short row returns false with its first missing
+  /// attribute's error in `*error`.
+  bool CutFirst(Slice line, uint64_t row, uint32_t* starts, uint32_t* ends,
+                ScanMetrics* metrics, Status* error) {
+    return CutPart(false, line, row, starts, ends, metrics, error);
+  }
+
+  /// After CutFirst, cuts the row's other attributes into the same
+  /// arrays, each part resuming from the span before it. The two give
+  /// one whole cut's spans; when the first cut leaves no attribute out,
+  /// also its counters and errors.
+  bool CutRest(Slice line, uint64_t row, uint32_t* starts, uint32_t* ends,
+               ScanMetrics* metrics, Status* error) {
+    return CutPart(true, line, row, starts, ends, metrics, error);
+  }
 
  private:
   /// Attributes [begin, end): one exact span, or one ScanStarts run.
+  /// The first cut takes [begin, cut), the rest [cut, end).
   struct Segment {
     size_t begin = 0;
+    size_t cut = 0;
     size_t end = 0;
     PositionalMap::BlockPlan::Column source;  // of attribute `begin`
   };
+
+  bool CutPart(bool rest, Slice line, uint64_t row, uint32_t* starts,
+               uint32_t* ends, ScanMetrics* metrics, Status* error);
 
   const CsvTokenizer* tokenizer_;
   const std::string* table_;
   const std::string* path_;
   uint64_t first_row_ = 0;  // the plan's block's first row
-  bool count_blind_ = false;
   std::vector<uint32_t> attrs_;
   std::vector<Segment> segments_;
   std::vector<uint32_t> field_starts_;  // ScanStarts scratch
@@ -76,37 +99,41 @@ class SpanCutter {
 ///      map's row index and are read once; past its frontier one buffer
 ///      *window* is read and its newlines found (under the discovery
 ///      baton, up to the block's last wanted row), its rows published
-///      with one lock and tokenized from the same bytes. Each run runs
-///      **phase 1**, per batch of rows (as many as a fixed span scratch
-///      holds), passes each under one timer: *tokenize* the phase-1
-///      columns' spans for every row (SpanCutter: exactly from a map
-///      chunk, or from the nearest map anchor, never past the last
-///      requested attribute — *selective tokenizing*); *convert* them
-///      column by column (*selective parsing*); and add the spans to
-///      the map chunk. Cache-resident segments need no parsing, and a
-///      block whose columns are all cache-resident never reads the file;
-///   4. evaluates the pushed conjuncts over the run's partial batch
-///      and, in **phase 2**, runs the same tokenize and convert passes
-///      for the remaining columns over the qualifying rows only, cut
-///      from the same bytes (*selective tuple formation*,
-///      predicate-aware). Errors are reported as one whole-block pass
-///      would: the first failing phase-1 field in row order, else the
-///      first failing phase-2 field;
-///   5. as side effects populates the map (per the distance policy),
-///      the cache, the statistics and the zone maps for the block —
-///      and, for attributes whose access heat crossed the promotion
-///      threshold, hands the fully parsed (or cache-resident) segments
-///      to the shadow column store (piggybacked promotion: the scan
-///      that parsed a hot column pays for it exactly once).
+///      with one lock and tokenized from the same bytes. Each run is
+///      parsed one batch of rows (as many as a fixed span scratch holds)
+///      at a time, each pass under one timer. **Phase 1** *tokenizes*
+///      every row through the last phase-1 (predicate) attribute
+///      (SpanCutter::CutFirst: exactly from a map chunk, or from the
+///      nearest map anchor, never further — *selective tokenizing*),
+///      skipping a phase-2 attribute an anchor jumps over, *converts* the
+///      phase-1 columns column by column (*selective parsing*) and adds
+///      their spans to the map chunk. Cache-resident segments need no
+///      parsing, and a block whose columns are all cache-resident never
+///      reads the file;
+///   4. evaluates the pushed conjuncts over the batch and, in **phase
+///      2**, finishes each passing row's cut (SpanCutter::CutRest,
+///      resuming where phase 1 stopped it, so no field past it is cut
+///      twice) and converts the remaining columns for those rows only
+///      (*selective tuple formation*, predicate-aware).
+///      Errors are reported as one whole-block pass would: the first
+///      failing phase-1 field in row order, else the first failing
+///      conjunct or phase-2 field;
+///   5. as side effects populates the map (per the distance policy)
+///      with the phase-1 spans, and feeds every column that holds every
+///      row of the block — phase 1's, and phase 2's when every row
+///      passed — to the cache, the statistics and the zone maps; for
+///      attributes whose access heat crossed the promotion threshold it
+///      hands those (or cache-resident) segments to the shadow column
+///      store (piggybacked promotion: the scan that parsed a hot column
+///      pays for it exactly once).
 ///
 /// A scan with no pushed conjuncts runs the same pipeline: every
-/// column is phase 1 and every row qualifies. A block in which every
-/// row qualifies and no phase-2 column is left is emitted as its
-/// segments (freshly parsed, cache-resident or store-resident) with no
-/// copy. Store-served and raw blocks interleave freely and results are
-/// byte-identical either way. Store serving requires the
-/// positional-map component (the raw residue relies on it to locate
-/// rows after a served block).
+/// column is phase 1 and every row qualifies. A column holding exactly
+/// the block's qualifying rows is emitted as it is (freshly parsed,
+/// cache-resident or store-resident), with no copy. Store-served and
+/// raw blocks interleave freely and results are byte-identical either
+/// way. Store serving requires the positional-map component (the raw
+/// residue relies on it to locate rows after a served block).
 ///
 /// All NoDB structures honor the per-table NoDbConfig; with everything
 /// disabled this operator *is* the paper's "Baseline" external-files
@@ -187,35 +214,53 @@ class RawScanOperator final : public ExecOperator {
   Result<bool> TryStoreBlock(uint64_t block, BatchPtr* staged);
   Result<BatchPtr> RawBlock(uint64_t block);
 
-  /// Narrows one selection vector through every pushed conjunct in
-  /// turn with Expr::Select (SQL WHERE: NULL drops); each conjunct
-  /// after the first visits only the rows still selected. Fills `sel`
-  /// with the qualifying rows, in order, and returns their number.
-  /// Called only when there are conjuncts.
+  /// Narrows the candidate rows (rows [0, n) when `in` is null, else
+  /// in[0..n)) through every pushed conjunct in turn with Expr::Select
+  /// (SQL WHERE: NULL drops); each conjunct after the first visits only
+  /// the rows still selected. Writes the qualifying rows, in order, to
+  /// `out` (which may alias `in`) and returns their number. Called only
+  /// when there are conjuncts.
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
-                                  std::vector<uint32_t>* sel) const;
+                                  const uint32_t* in, size_t n,
+                                  uint32_t* out) const;
 
   /// Row `r` of bounds_, cut from the slab.
   Slice RowLine(size_t r) const;
 
-  /// One phase of one run of a raw block, for rows rows[0..n) (indices
-  /// into bounds_, ascending, all in the run): reads the run's bytes
-  /// (the slab) unless this run already did, prepares the tokenize pass
-  /// for the columns of `subset` (indices into `probe_attrs`, which
-  /// `plan` was prepared with), then per batch of rows whose span
-  /// scratch stays within a fixed size cuts their spans into
-  /// span_starts_/span_ends_ (row-major), converts them column by
-  /// column into (*cols)[slot] and records them in `chunk` when one is
-  /// given — each pass under one timer. On malformed input returns the
-  /// error of the first failing field in row order, exactly as a
-  /// row-at-a-time parse would.
-  Status ParsePass(uint64_t first, const uint32_t* rows, size_t n,
-                   const std::optional<PositionalMap::BlockPlan>& plan,
-                   const std::vector<uint32_t>& probe_attrs,
-                   const std::vector<size_t>& probe_slots,
-                   const std::vector<size_t>& subset, bool count_blind,
-                   PositionalMap::ChunkBuilder* chunk,
-                   std::vector<std::shared_ptr<ColumnVector>>* cols);
+  /// A raw block's columns, one slot per projected attribute: a cache
+  /// segment, or the column the block parses — for every row (phase
+  /// 1), or for the passing rows only (phase 2) — and how the cutter
+  /// reaches the parsed ones.
+  struct BlockParse {
+    std::vector<std::shared_ptr<ColumnVector>> columns;  // per slot
+    std::vector<bool> cached;                            // per slot
+    std::vector<uint32_t> probe_attrs;  // the attributes the cutter cuts
+    std::vector<size_t> probe_slots;    // ...and their slots
+    std::vector<size_t> phase1, phase2;  // indices into probe_attrs
+    std::optional<PositionalMap::ChunkBuilder> chunk;  // phase-1 spans
+    Status deferred;  // the first conjunct or phase-2 error in row order
+  };
+
+  /// Parses rows [lo, hi) of bounds_ (one run) into `block`, per batch
+  /// of rows whose span scratch stays within a fixed size, each pass
+  /// under one timer: reads the bytes of the rows it cuts (the slab),
+  /// gives every row its first cut (SpanCutter::CutFirst), converts the
+  /// phase-1 columns and records them in the chunk, selects the batch's
+  /// rows into sel_ with the conjuncts, finishes the passing rows' cuts
+  /// (CutRest) and converts their phase-2 columns. A phase-1 error is
+  /// returned at once; a conjunct or phase-2 error is deferred, and
+  /// later batches then run phase 1 only — so the error is the one a
+  /// whole-block pass would report.
+  Status ParsePass(uint64_t first, size_t lo, size_t hi, BlockParse* block);
+
+  /// Converts `probes` (indices into block->probe_attrs) of block rows
+  /// rows[0..n) — whose spans sit in the scratch from row `at` on —
+  /// into their columns. Returns the first failing field's error in
+  /// (row, attribute) order, else `cut_error` (the cut that stopped
+  /// after row rows[n - 1]).
+  Status ConvertRows(uint64_t first, const uint32_t* rows, size_t n,
+                     size_t at, const std::vector<size_t>& probes,
+                     BlockParse* block, Status cut_error);
 
   /// True when `segment_rows` provably covers the whole of `block`
   /// (full block, or the known tail of a completed row index) — the
@@ -291,13 +336,10 @@ class RawScanOperator final : public ExecOperator {
   std::string decode_scratch_;
   std::vector<std::pair<uint64_t, uint64_t>> bounds_;  // row byte spans
   std::vector<uint32_t> sel_;  // qualifying rows of the block
-  std::vector<uint32_t> run_rows_;  // the current run's rows
-  std::vector<uint32_t> run_sel_;   // the current run's qualifying rows
-  // The run's bytes (see ParsePass): valid until the next reader call.
+  // The batch's bytes (see ParsePass): valid until the next reader call.
   Slice slab_;
   uint64_t slab_base_ = 0;  // file offset of slab_[0]
-  bool slab_loaded_ = false;
-  // ParsePass scratch: the rows' spans.
+  // ParsePass scratch: one batch of rows' spans.
   std::vector<uint32_t> span_starts_;
   std::vector<uint32_t> span_ends_;
 };

@@ -43,12 +43,15 @@ TEST(PositionalMapTest, RowIndexDiscovery) {
   PositionalMap map = MakeMap();
   EXPECT_EQ(map.known_rows(), 0u);
   EXPECT_FALSE(map.rows_complete());
-  map.AddRowStart(0);
-  map.AddRowStart(100);
-  map.AddRowStart(200);
-  EXPECT_EQ(map.known_rows(), 3u);
-  EXPECT_EQ(map.row_start(1), 100u);
-  map.MarkRowsComplete(300);
+  {
+    PositionalMap::Discovery discovery(&map);
+    discovery.PublishRows({0, 100, 200}, 300);
+    EXPECT_EQ(map.known_rows(), 3u);
+    std::vector<uint64_t> bounds;
+    EXPECT_EQ(map.SnapshotRows(1, 1, &bounds).rows, 1u);
+    EXPECT_EQ(bounds[0], 100u);
+    discovery.MarkComplete(300);
+  }
   EXPECT_TRUE(map.rows_complete());
   EXPECT_EQ(map.indexed_file_size(), 300u);
   map.ReopenForAppend();
@@ -62,11 +65,11 @@ TEST(PositionalMapTest, ExactProbeFromCommittedChunk) {
   auto plan = map.PrepareBlock(0, {3, 7});
   EXPECT_TRUE(plan.fully_covered());
   EXPECT_EQ(plan.chunks_used(), 1u);
-  auto probe = plan.Lookup(5, 0);  // row 5, attr 3
+  auto probe = plan.Resolve(0).At(5);  // row 5, attr 3
   EXPECT_TRUE(probe.exact);
   EXPECT_EQ(probe.start, 35u);  // 3*10 + 5
   EXPECT_EQ(probe.end, 40u);
-  auto probe7 = plan.Lookup(5, 1);
+  auto probe7 = plan.Resolve(1).At(5);
   EXPECT_TRUE(probe7.exact);
   EXPECT_EQ(probe7.start, 75u);
 }
@@ -77,7 +80,7 @@ TEST(PositionalMapTest, AnchorProbeForUncoveredAttribute) {
   // Attr 5 is not indexed; the best anchor is "attr 4 starts at end(3)+1".
   auto plan = map.PrepareBlock(0, {5});
   EXPECT_FALSE(plan.fully_covered());
-  auto probe = plan.Lookup(2, 0);
+  auto probe = plan.Resolve(0).At(2);
   EXPECT_FALSE(probe.exact);
   EXPECT_EQ(probe.anchor_attr, 4u);
   EXPECT_EQ(probe.anchor_rel, 38u);  // end(3,row2) = 3*10+5+2 = 37, +1
@@ -86,7 +89,7 @@ TEST(PositionalMapTest, AnchorProbeForUncoveredAttribute) {
 TEST(PositionalMapTest, NoInformationMeansAttrZeroAnchor) {
   PositionalMap map = MakeMap();
   auto plan = map.PrepareBlock(0, {4});
-  auto probe = plan.Lookup(0, 0);
+  auto probe = plan.Resolve(0).At(0);
   EXPECT_FALSE(probe.exact);
   EXPECT_EQ(probe.anchor_attr, 0u);
   EXPECT_EQ(probe.anchor_rel, 0u);
@@ -97,7 +100,7 @@ TEST(PositionalMapTest, AnchorPicksGreatestAttributeAcrossChunks) {
   CommitChunk(&map, 0, 64, {1});
   CommitChunk(&map, 0, 64, {4});
   auto plan = map.PrepareBlock(0, {9});
-  auto probe = plan.Lookup(0, 0);
+  auto probe = plan.Resolve(0).At(0);
   EXPECT_FALSE(probe.exact);
   EXPECT_EQ(probe.anchor_attr, 5u);  // from the {4} chunk
 }
@@ -106,8 +109,8 @@ TEST(PositionalMapTest, RowBeyondChunkCoverageHasNoInfo) {
   PositionalMap map = MakeMap();
   CommitChunk(&map, 0, 10, {2});  // partial chunk: rows 0..9
   auto plan = map.PrepareBlock(0, {2});
-  EXPECT_TRUE(plan.Lookup(5, 0).exact);
-  auto beyond = plan.Lookup(20, 0);
+  EXPECT_TRUE(plan.Resolve(0).At(5).exact);
+  auto beyond = plan.Resolve(0).At(20);
   EXPECT_FALSE(beyond.exact);
   EXPECT_EQ(beyond.anchor_attr, 0u);
 }
@@ -178,7 +181,9 @@ TEST(PositionalMapTest, ChunksArePerBlock) {
 
 TEST(PositionalMapTest, CoverageFraction) {
   PositionalMap map = MakeMap(kBudget, 64, 1);
-  for (int i = 0; i < 128; ++i) map.AddRowStart(i * 10);
+  std::vector<uint64_t> starts;
+  for (uint64_t i = 0; i < 128; ++i) starts.push_back(i * 10);
+  PositionalMap::Discovery(&map).PublishRows(starts, 1280);
   CommitChunk(&map, 0, 64, {3});
   EXPECT_DOUBLE_EQ(map.CoverageFraction(3), 0.5);
   EXPECT_DOUBLE_EQ(map.CoverageFraction(4), 0.0);
@@ -188,9 +193,12 @@ TEST(PositionalMapTest, CoverageFraction) {
 
 TEST(PositionalMapTest, ClearDropsEverything) {
   PositionalMap map = MakeMap();
-  map.AddRowStart(0);
+  {
+    PositionalMap::Discovery discovery(&map);
+    discovery.PublishRows({0}, 1000);
+    discovery.MarkComplete(1000);
+  }
   CommitChunk(&map, 0, 64, {1});
-  map.MarkRowsComplete(1000);
   map.Clear();
   EXPECT_EQ(map.known_rows(), 0u);
   EXPECT_EQ(map.num_chunks(), 0u);
@@ -228,7 +236,7 @@ TEST_P(MapPropertySweep, InvariantsUnderRandomWorkload) {
     for (int p = 0; p < 20; ++p) {
       uint32_t want = static_cast<uint32_t>(rng.Uniform(30));
       auto plan = map.PrepareBlock(first, {want});
-      auto probe = plan.Lookup(first + rng.Uniform(rows_per_block), 0);
+      auto probe = plan.Resolve(0).At(rng.Uniform(rows_per_block));
       if (probe.exact) {
         // Exact spans obey the deterministic generator.
         EXPECT_EQ(probe.end - probe.start, 5u);
@@ -306,8 +314,10 @@ TEST(PositionalMapConcurrencyTest, RacingScannersDiscoverEachRowOnce) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_TRUE(map.rows_complete());
   ASSERT_EQ(map.known_rows(), kRows);
+  std::vector<uint64_t> bounds;
   for (uint64_t row = 0; row < kRows; row += 97) {
-    EXPECT_EQ(map.row_start(row), row * kWidth);
+    ASSERT_EQ(map.SnapshotRows(row, 1, &bounds).rows, 1u);
+    EXPECT_EQ(bounds[0], row * kWidth);
   }
 }
 
@@ -343,7 +353,7 @@ TEST(PositionalMapConcurrencyTest, ProbesStayValidUnderConcurrentEviction) {
         std::vector<uint32_t> attrs{3, 7};
         auto plan = map.PrepareBlock(block * 64, attrs);
         for (uint64_t r = 0; r < 64; r += 13) {
-          auto probe = plan.Lookup(block * 64 + r, 0);
+          auto probe = plan.Resolve(0).At(r);
           if (probe.exact &&
               probe.start != 3 * 10 + static_cast<uint32_t>(r % 7)) {
             ++errors;

@@ -1023,6 +1023,51 @@ TEST_F(RawScanTest, BlockCutShortByRowLimitTeachesNothing) {
   EXPECT_FALSE(state.cache().Contains(1, 1));
 }
 
+TEST_F(RawScanTest, PhaseTwoResumesThePhaseOneCut) {
+  // Projection {1, 3, 5} with `c3 < 20003`: the predicate attribute
+  // lies between the two phase-2 attributes. Every row is cut once up
+  // to c3 (fields 0-3); a passing row's cut resumes there for c5
+  // (fields 4-5) and never restarts from byte 0. Rows 0-199 pass.
+  auto info = WriteFixture("resume", 500, 8);
+  for (int mask = 0; mask < 8; ++mask) {
+    RawTableState state(info, SmallBlocks(mask & 1, mask & 2, mask & 4));
+    ScanMetrics metrics;
+    RawScanOperator scan(&state, {1, 3, 5}, &metrics);
+    scan.SetPushdownPredicates({LessThan(1, "c3", 20003)});
+    QueryResult result = MustDrain(&scan);
+    ASSERT_EQ(result.num_rows(), 200u) << "mask " << mask;
+    for (size_t r = 0; r < 200; ++r) {
+      const auto value = static_cast<int64_t>(r * 100);
+      ASSERT_EQ(result.Row(r)[0], Value::Int64(value + 1));
+      ASSERT_EQ(result.Row(r)[2], Value::Int64(value + 5));
+    }
+    EXPECT_EQ(metrics.fields_tokenized, 300u * 4 + 200u * 6) << "mask " << mask;
+    EXPECT_EQ(metrics.pushdown_phase1_fields, 500u);
+    EXPECT_EQ(metrics.pushdown_phase2_fields, 200u * 2);
+  }
+}
+
+TEST_F(RawScanTest, PhaseTwoColumnsOfABlockWhereEveryRowPassedAreCached) {
+  // Every row passes `c3 < 1000000`, so the phase-2 columns c1 and c5
+  // hold every row of each block and are cached like the predicate
+  // column. With the store off, a second query on c1 and c5 reads no
+  // raw byte.
+  auto info = WriteFixture("teach", 300, 8);
+  NoDbConfig config = SmallBlocks(true, true, true);
+  config.enable_store = false;
+  RawTableState state(info, config);
+  {
+    RawScanOperator scan(&state, {1, 3, 5}, nullptr);
+    scan.SetPushdownPredicates({LessThan(1, "c3", 1000000)});
+    ASSERT_EQ(MustDrain(&scan).num_rows(), 300u);
+  }
+  ScanMetrics second;
+  VerifyScan(&state, {1, 5}, 300, &second);
+  EXPECT_EQ(second.bytes_read, 0u);
+  EXPECT_EQ(second.rows_from_cache, 300u);
+  EXPECT_EQ(second.fields_tokenized, 0u);
+}
+
 // -------------------------------------------- row finding and cutting
 
 TEST_F(RawScanTest, WarmReadsFetchWhatTheRunNeeds) {
@@ -1046,7 +1091,9 @@ TEST_F(RawScanTest, WarmReadsFetchWhatTheRunNeeds) {
   scan.SetRowLimit(10);
   EXPECT_EQ(MustDrain(&scan).num_rows(), 10u);
   EXPECT_GT(peek.bytes_read, 0u);
-  EXPECT_LE(peek.bytes_read, state.map().row_start(11));
+  std::vector<uint64_t> bounds;
+  ASSERT_EQ(state.map().SnapshotRows(11, 1, &bounds).rows, 1u);
+  EXPECT_LE(peek.bytes_read, bounds[0]);
 
   ScanMetrics full;
   VerifyScan(&state, {2, 19}, 3000, &full);
@@ -1187,13 +1234,12 @@ TEST_F(RawScanTest, RowFinderMatchesNaiveSplitProperty) {
 }
 
 /// The per-row reference for SpanCutter: each attribute cut on its own
-/// by one ScanStarts call from its best anchor, one Lookup per (row,
-/// attribute).
+/// by one ScanStarts call from its best anchor, one probe per (row,
+/// attribute). A row whose first attribute is cut from byte 0 is blind.
 Status ReferenceCut(const CsvTokenizer& tokenizer, Slice line, uint64_t row,
                     const PositionalMap::BlockPlan* plan,
-                    const std::vector<uint32_t>& attrs,
-                    const std::vector<size_t>& subset, bool count_blind,
-                    uint32_t* starts, uint32_t* ends, ScanMetrics* metrics,
+                    const std::vector<uint32_t>& attrs, uint32_t* starts,
+                    uint32_t* ends, ScanMetrics* metrics,
                     const std::string& table, const std::string& path) {
   auto error = [&](uint32_t fields, uint32_t attr) {
     return Status::ParseError(table + ": row " + std::to_string(row) +
@@ -1208,17 +1254,15 @@ Status ReferenceCut(const CsvTokenizer& tokenizer, Slice line, uint64_t row,
   uint32_t record_fields = UINT32_MAX;
   uint32_t field = 0;
   uint32_t offset = 0;
-  bool had_help = false;
-  for (size_t k = 0; k < subset.size(); ++k) {
-    const uint32_t attr = attrs[subset[k]];
+  for (size_t k = 0; k < attrs.size(); ++k) {
+    const uint32_t attr = attrs[k];
     if (attr >= record_fields) return error(record_fields, attr);
     PositionalMap::Probe probe;
-    if (plan != nullptr) probe = plan->Lookup(row, subset[k]);
+    if (plan != nullptr) probe = plan->Resolve(k).At(row - plan->first_row());
     if (probe.exact) {
       starts[k] = probe.start;
       ends[k] = probe.end;
       ++metrics->map_exact_probes;
-      had_help = true;
       if (probe.end >= content) record_fields = attr + 1;
       field = attr + 1;
       offset = std::min(probe.end + 1, size);
@@ -1228,7 +1272,8 @@ Status ReferenceCut(const CsvTokenizer& tokenizer, Slice line, uint64_t row,
       field = probe.anchor_attr;
       offset = std::min(probe.anchor_rel, size);
       ++metrics->map_anchor_probes;
-      had_help = true;
+    } else if (k == 0) {
+      ++metrics->map_blind_rows;
     }
     const uint32_t high = tokenizer.ScanStarts(line, field, offset, attr + 1,
                                                field_starts.data());
@@ -1240,7 +1285,6 @@ Status ReferenceCut(const CsvTokenizer& tokenizer, Slice line, uint64_t row,
     field = attr + 1;
     offset = std::min(field_starts[attr + 1], size);
   }
-  if (count_blind && !had_help && !subset.empty()) ++metrics->map_blind_rows;
   return Status::OK();
 }
 
@@ -1248,9 +1292,11 @@ TEST(SpanCutterTest, PerPassCutMatchesPerRowReference) {
   // Random rows (short, empty, CRLF-terminated, and for the quoting
   // dialect quoted, escaped and unterminated fields), random exact and
   // anchor chunks over a leading part of the block, random attribute
-  // sets reaching past the rows' ends: at every SIMD tier, for both
+  // sets reaching past the rows' ends, each row's cut stopped at a
+  // random attribute and resumed: at every SIMD tier, for both
   // dialects, SpanCutter's spans, the four tokenize/map counters and
-  // the errors equal the per-row reference's, row by row.
+  // the errors equal the per-row reference's, row by row. A random
+  // first cut that leaves attributes out still gives the same spans.
   const std::string table = "t";
   const std::string path = "t.csv";
   constexpr uint32_t kBlock = 48;
@@ -1316,42 +1362,69 @@ TEST(SpanCutterTest, PerPassCutMatchesPerRowReference) {
         }
         std::vector<uint32_t> attrs;
         for (uint32_t a = 0; a < kFields + 2; ++a) {
-          if (rng.Bernoulli(0.3)) attrs.push_back(a);
+          if (rng.Bernoulli(0.2)) attrs.push_back(a);
         }
         if (attrs.empty()) attrs.push_back(static_cast<uint32_t>(rng.Uniform(kFields)));
-        std::vector<size_t> subset;
-        for (size_t j = 0; j < attrs.size(); ++j) {
-          if (rng.Bernoulli(0.7)) subset.push_back(j);
-        }
-        if (subset.empty()) subset.push_back(0);
         const bool use_plan = rng.Bernoulli(0.8);
-        const bool count_blind = rng.Bernoulli(0.5);
         std::optional<PositionalMap::BlockPlan> plan;
         if (use_plan) plan = map.PrepareBlock(kFirst, attrs);
         const PositionalMap::BlockPlan* plan_ptr =
             use_plan ? &*plan : nullptr;
-
+        // Each row's cut stops after a random attribute and resumes:
+        // a first cut of the attributes before `split`, all marked.
+        std::vector<size_t> prefix(rng.Uniform(attrs.size() + 1));
+        std::iota(prefix.begin(), prefix.end(), size_t{0});
         SpanCutter cutter(&tokenizer, &table, &path);
-        cutter.Prepare(plan_ptr, attrs, subset, count_blind);
+        cutter.Prepare(plan_ptr, attrs, prefix);
+        // A random first cut, which may leave attributes out.
+        std::vector<size_t> first;
+        for (size_t k = 0; k < attrs.size(); ++k) {
+          if (rng.Bernoulli(0.4)) first.push_back(k);
+        }
+        SpanCutter skipping(&tokenizer, &table, &path);
+        skipping.Prepare(plan_ptr, attrs, first);
+
         ScanMetrics got;
         ScanMetrics want;
-        std::vector<uint32_t> gs(subset.size()), ge(subset.size());
-        std::vector<uint32_t> ws(subset.size()), we(subset.size());
+        std::vector<uint32_t> gs(attrs.size()), ge(attrs.size());
+        std::vector<uint32_t> ws(attrs.size()), we(attrs.size());
+        std::vector<uint32_t> fs(attrs.size()), fe(attrs.size());
         for (uint32_t r = 0; r < kBlock; ++r) {
           const Slice line(lines[r]);
           Status g;
           const bool cut =
-              cutter.Cut(line, kFirst + r, gs.data(), ge.data(), &got, &g);
+              cutter.CutFirst(line, kFirst + r, gs.data(), ge.data(), &got,
+                              &g) &&
+              cutter.CutRest(line, kFirst + r, gs.data(), ge.data(), &got, &g);
           EXPECT_EQ(cut, g.ok());
           Status w = ReferenceCut(tokenizer, line, kFirst + r, plan_ptr, attrs,
-                                  subset, count_blind, ws.data(), we.data(),
-                                  &want, table, path);
+                                  ws.data(), we.data(), &want, table, path);
           ASSERT_EQ(g.ok(), w.ok()) << "row " << r << ": " << w.ToString();
           if (w.ok()) {
             ASSERT_EQ(gs, ws) << "row " << r;
             ASSERT_EQ(ge, we) << "row " << r;
           } else {
             ASSERT_EQ(g.message(), w.message()) << "row " << r;
+          }
+          // With attributes left out: the same spans. Only the first cut
+          // may name a later missing attribute than the whole cut (it
+          // skips the ones an anchor jumps over); once it succeeds, the
+          // rest fails exactly as the whole cut.
+          ScanMetrics unused;
+          Status f;
+          const bool first_ok = skipping.CutFirst(line, kFirst + r, fs.data(),
+                                                  fe.data(), &unused, &f);
+          if (first_ok && skipping.CutRest(line, kFirst + r, fs.data(),
+                                           fe.data(), &unused, &f)) {
+            ASSERT_TRUE(w.ok()) << "row " << r;
+            ASSERT_EQ(fs, ws) << "row " << r;
+            ASSERT_EQ(fe, we) << "row " << r;
+          } else {
+            ASSERT_FALSE(w.ok()) << "row " << r;
+            ASSERT_TRUE(f.IsParseError()) << "row " << r;
+            if (first_ok) {
+              ASSERT_EQ(f.message(), w.message()) << "row " << r;
+            }
           }
           ASSERT_EQ(got.fields_tokenized, want.fields_tokenized) << "row " << r;
           ASSERT_EQ(got.map_exact_probes, want.map_exact_probes) << "row " << r;

@@ -1,4 +1,4 @@
-// Unit tests for the foundation utilities: Status/Result, Slice, Arena,
+// Unit tests for the foundation utilities: Status/Result, Slice,
 // Random/Zipf, string helpers and hashing.
 
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include <cmath>
 #include <set>
 
-#include "util/arena.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -108,41 +107,6 @@ TEST(SliceTest, Equality) {
   EXPECT_NE(Slice("abc"), Slice("abd"));
   EXPECT_NE(Slice("abc"), Slice("ab"));
   EXPECT_EQ(Slice(), Slice(""));
-}
-
-// ------------------------------------------------------------------- Arena
-
-TEST(ArenaTest, AllocationsAreDistinctAndAligned) {
-  Arena arena(1024);
-  char* a = arena.Allocate(100);
-  char* b = arena.Allocate(100);
-  EXPECT_NE(a, b);
-  char* aligned = arena.Allocate(8, 64);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(aligned) % 64, 0u);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsDedicatedBlock) {
-  Arena arena(1024);
-  char* big = arena.Allocate(10000);
-  ASSERT_NE(big, nullptr);
-  big[9999] = 'x';  // must be writable to the end
-  EXPECT_GE(arena.bytes_reserved(), 10000u);
-}
-
-TEST(ArenaTest, CopyBytesRoundTrips) {
-  Arena arena;
-  const char* src = "positional map";
-  char* copy = arena.CopyBytes(src, 14);
-  EXPECT_EQ(std::string(copy, 14), "positional map");
-}
-
-TEST(ArenaTest, ResetReclaimsEverything) {
-  Arena arena(256);
-  for (int i = 0; i < 100; ++i) arena.Allocate(64);
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
 }
 
 // ------------------------------------------------------------------ Random
