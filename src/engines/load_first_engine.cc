@@ -2,6 +2,7 @@
 
 #include "engines/csv_loader.h"
 #include "sql/planner.h"
+#include "types/row_codec.h"
 #include "util/stopwatch.h"
 
 namespace nodb {
@@ -59,38 +60,15 @@ Status LoadFirstEngine::LoadTable(const RawTableInfo& info) {
   if (profile_ == LoadProfile::kMySql) {
     // Row-store conversion: materialize a row-major image. This is the
     // real extra pass a row-oriented storage engine performs at COPY.
-    std::string& rows = row_copies_[info.name];
-    rows.reserve(table->MemoryUsage());
+    // Each row's cells are in the shared row layout (types/row_codec.h).
+    ByteWriter rows;
+    rows.Reserve(table->MemoryUsage());
     for (size_t r = 0; r < table->num_rows(); ++r) {
       for (size_t c = 0; c < table->schema()->num_fields(); ++c) {
-        const ColumnVector& col = table->column(c);
-        if (col.IsNull(r)) {
-          rows.push_back('\0');
-          continue;
-        }
-        rows.push_back('\1');
-        switch (col.type()) {
-          case DataType::kInt64:
-          case DataType::kDate: {
-            int64_t v = col.GetInt64(r);
-            rows.append(reinterpret_cast<const char*>(&v), sizeof(v));
-            break;
-          }
-          case DataType::kDouble: {
-            double v = col.GetDouble(r);
-            rows.append(reinterpret_cast<const char*>(&v), sizeof(v));
-            break;
-          }
-          case DataType::kString: {
-            std::string_view s = col.GetString(r);
-            uint32_t len = static_cast<uint32_t>(s.size());
-            rows.append(reinterpret_cast<const char*>(&len), sizeof(len));
-            rows.append(s.data(), s.size());
-            break;
-          }
-        }
+        EncodeRows(table->column(c), r, r + 1, &rows);
       }
     }
+    row_copies_[info.name] = rows.Take();
   }
 
   if (profile_ == LoadProfile::kDbmsX) {

@@ -1,13 +1,13 @@
 #include "persist/snapshot.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
-#include <type_traits>
 
 #include "io/file.h"
 #include "obs/metrics.h"
+#include "types/row_codec.h"
+#include "util/bytes.h"
 #include "util/checksum.h"
 #include "util/hash.h"
 #include "util/stopwatch.h"
@@ -16,122 +16,23 @@ namespace nodb::persist {
 
 namespace {
 
-// ------------------------------------------------- binary primitives
-// The format is little-endian fixed-width; on a little-endian host a
-// value's or an array's in-memory bytes are its encoding, so every
-// field and counted array moves with one copy. std::string is the
-// write buffer.
-static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-              "snapshot sections are copied as little-endian host bytes");
-
-template <typename T>
-void Put(std::string* out, T v) {
-  static_assert(std::is_arithmetic_v<T>);
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-/// A `Count`-wide element count, then the elements.
-template <typename Count, typename T>
-void PutArray(std::string* out, const std::vector<T>& v) {
-  Put<Count>(out, static_cast<Count>(v.size()));
-  out->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-void PutStr(std::string* out, std::string_view s) {
-  Put<uint32_t>(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-/// Reads a T at `p` and steps past it; the caller has bounds-checked.
-template <typename T>
-T Load(const char*& p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  p += sizeof(T);
-  return v;
-}
-
-/// Bounds-checked sequential reader over a section payload. Any
-/// overrun flips `ok` and every subsequent read returns zero — the
-/// caller checks `ok` once at the end and drops the section.
-class ByteReader {
- public:
-  ByteReader(const char* data, size_t size)
-      : p_(data), end_(data + size) {}
-
-  bool ok() const { return ok_; }
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
-
-  /// The next `n` bytes, or nullptr (and !ok()) when fewer are left.
-  const char* Take(size_t n) {
-    if (remaining() < n) {
-      ok_ = false;
-      p_ = end_;
-      return nullptr;
-    }
-    const char* at = p_;
-    p_ += n;
-    return at;
-  }
-
-  template <typename T>
-  T Get() {
-    const char* at = Take(sizeof(T));
-    return at == nullptr ? T{} : Load<T>(at);
-  }
-
-  /// A counted array written by PutArray: one bounds check, one copy.
-  template <typename Count, typename T>
-  bool GetArray(std::vector<T>* out) {
-    const uint64_t n = Get<Count>();
-    if (!FitsCount(n, sizeof(T))) return false;
-    out->resize(n);
-    const char* at = Take(n * sizeof(T));
-    if (n > 0) std::memcpy(out->data(), at, n * sizeof(T));
-    return true;
-  }
-
-  /// A string written by PutStr, viewed in the payload.
-  std::string_view Str() {
-    const uint32_t len = Get<uint32_t>();
-    const char* at = Take(len);
-    return at == nullptr ? std::string_view() : std::string_view(at, len);
-  }
-
-  /// Guards a count field against absurd values: each element needs at
-  /// least `elem_bytes` more payload, so a corrupt count that slipped
-  /// past the CRC cannot drive a huge allocation.
-  bool FitsCount(uint64_t count, size_t elem_bytes) {
-    if (!ok_ || count > remaining() / elem_bytes) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
- private:
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
-};
-
 // ---------------------------------------------------- section codecs
 
-void EncodeMap(const PositionalMap::Image& image, std::string* out) {
-  PutArray<uint64_t>(out, image.row_starts);
-  Put<uint8_t>(out, image.rows_complete ? 1 : 0);
-  Put<uint64_t>(out, image.indexed_file_size);
-  Put<uint64_t>(out, image.next_discovery_offset);
-  Put<uint64_t>(out, image.chunks.size());
+void EncodeMap(const PositionalMap::Image& image, ByteWriter* out) {
+  out->PutArray<uint64_t>(image.row_starts);
+  out->Put<uint8_t>(image.rows_complete ? 1 : 0);
+  out->Put<uint64_t>(image.indexed_file_size);
+  out->Put<uint64_t>(image.next_discovery_offset);
+  out->Put<uint64_t>(image.chunks.size());
   for (const auto& chunk : image.chunks) {
-    Put<uint64_t>(out, chunk.first_row);
-    PutArray<uint32_t>(out, chunk.attrs);
-    PutArray<uint64_t>(out, chunk.data);
+    out->Put<uint64_t>(chunk.first_row);
+    out->PutArray<uint32_t>(chunk.attrs);
+    out->PutArray<uint64_t>(chunk.data);
   }
 }
 
-bool DecodeMap(const char* data, size_t size, PositionalMap::Image* out) {
-  ByteReader r(data, size);
+bool DecodeMap(std::string_view payload, PositionalMap::Image* out) {
+  ByteReader r(payload);
   if (!r.GetArray<uint64_t>(&out->row_starts)) return false;
   out->rows_complete = r.Get<uint8_t>() != 0;
   out->indexed_file_size = r.Get<uint64_t>();
@@ -154,33 +55,32 @@ bool DecodeMap(const char* data, size_t size, PositionalMap::Image* out) {
   return r.ok();
 }
 
-void EncodeStats(const StatsCollector::Image& image, std::string* out) {
-  Put<uint32_t>(out, static_cast<uint32_t>(image.attrs.size()));
+void EncodeStats(const StatsCollector::Image& image, ByteWriter* out) {
+  out->Put<uint32_t>(static_cast<uint32_t>(image.attrs.size()));
   for (const auto& attr : image.attrs) {
-    Put<uint8_t>(out, attr.has_value() ? 1 : 0);
+    out->Put<uint8_t>(attr.has_value() ? 1 : 0);
     if (!attr.has_value()) continue;
-    Put<uint64_t>(out, attr->count);
+    out->Put<uint64_t>(attr->count);
     // Version 1 also holds a null count, global bounds and a distinct-
     // value sketch: the null count is what the sample did not see, the
     // bounds and the sketch are written empty.
-    Put<uint64_t>(out, attr->count - attr->sampled_stream);
-    Put<uint8_t>(out, 0);
-    Put<double>(out, 0);
-    Put<uint8_t>(out, 0);
-    Put<double>(out, 0);
-    Put<uint64_t>(out, 0);
-    PutArray<uint64_t>(out, attr->numeric_sample);
-    Put<uint64_t>(out, attr->string_sample.size());
-    for (const std::string& s : attr->string_sample) PutStr(out, s);
-    Put<uint64_t>(out, attr->sampled_stream);
+    out->Put<uint64_t>(attr->count - attr->sampled_stream);
+    out->Put<uint8_t>(0);
+    out->Put<double>(0);
+    out->Put<uint8_t>(0);
+    out->Put<double>(0);
+    out->Put<uint64_t>(0);
+    out->PutArray<uint64_t>(attr->numeric_sample);
+    out->Put<uint64_t>(attr->string_sample.size());
+    for (const std::string& s : attr->string_sample) out->PutStr(s);
+    out->Put<uint64_t>(attr->sampled_stream);
   }
-  PutArray<uint64_t>(out, image.heat);
-  PutArray<uint64_t>(out, image.observed);
+  out->PutArray<uint64_t>(image.heat);
+  out->PutArray<uint64_t>(image.observed);
 }
 
-bool DecodeStats(const char* data, size_t size,
-                 StatsCollector::Image* out) {
-  ByteReader r(data, size);
+bool DecodeStats(std::string_view payload, StatsCollector::Image* out) {
+  ByteReader r(payload);
   const uint32_t nattrs = r.Get<uint32_t>();
   if (!r.FitsCount(nattrs, 1)) return false;
   out->attrs.resize(nattrs);
@@ -210,27 +110,27 @@ bool DecodeStats(const char* data, size_t size,
 // attr, block, flags, min_i, max_i, min_d, max_d, rows.
 constexpr size_t kZoneEntryBytes = 4 + 8 + 1 + 8 * 5;
 
-void EncodeZones(const ZoneMaps::Image& image, std::string* out) {
-  Put<uint64_t>(out, image.entries.size());
+void EncodeZones(const ZoneMaps::Image& image, ByteWriter* out) {
+  out->Put<uint64_t>(image.entries.size());
   for (const auto& ei : image.entries) {
-    Put<uint32_t>(out, ei.attr);
-    Put<uint64_t>(out, ei.block);
+    out->Put<uint32_t>(ei.attr);
+    out->Put<uint64_t>(ei.block);
     uint8_t flags = 0;
     if (ei.entry.is_int) flags |= 1;
     if (ei.entry.has_null) flags |= 2;
     if (ei.entry.non_null) flags |= 4;
     if (ei.entry.unsafe) flags |= 8;
-    Put<uint8_t>(out, flags);
-    Put<int64_t>(out, ei.entry.min_i);
-    Put<int64_t>(out, ei.entry.max_i);
-    Put<double>(out, ei.entry.min_d);
-    Put<double>(out, ei.entry.max_d);
-    Put<uint64_t>(out, ei.entry.rows);
+    out->Put<uint8_t>(flags);
+    out->Put<int64_t>(ei.entry.min_i);
+    out->Put<int64_t>(ei.entry.max_i);
+    out->Put<double>(ei.entry.min_d);
+    out->Put<double>(ei.entry.max_d);
+    out->Put<uint64_t>(ei.entry.rows);
   }
 }
 
-bool DecodeZones(const char* data, size_t size, ZoneMaps::Image* out) {
-  ByteReader r(data, size);
+bool DecodeZones(std::string_view payload, ZoneMaps::Image* out) {
+  ByteReader r(payload);
   const uint64_t n = r.Get<uint64_t>();
   if (!r.FitsCount(n, kZoneEntryBytes)) return false;
   const char* p = r.Take(n * kZoneEntryBytes);
@@ -252,98 +152,24 @@ bool DecodeZones(const char* data, size_t size, ZoneMaps::Image* out) {
   return r.ok();
 }
 
-// A store segment's rows are each a flag byte (0 = NULL) followed, for
-// a valid row, by its value: 8 bytes for INT, DATE and DOUBLE, a
-// u32-length-prefixed string for STRING.
+// A store segment is its attr, block, type byte and row count, then
+// its rows in the shared row layout (types/row_codec.h).
 
-void EncodeRows(const ColumnVector& col, std::string* out) {
-  const uint8_t* validity = col.validity();
-  if (col.type() == DataType::kString) {
-    for (size_t i = 0; i < col.size(); ++i) {
-      Put<uint8_t>(out, validity[i] != 0 ? 1 : 0);
-      if (validity[i] != 0) PutStr(out, col.GetString(i));
-    }
-    return;
-  }
-  // Both fixed-width payload arrays hold 8-byte values.
-  const char* values =
-      col.type() == DataType::kDouble
-          ? reinterpret_cast<const char*>(col.double_data())
-          : reinterpret_cast<const char*>(col.int64_data());
-  const size_t begin = out->size();
-  out->resize(begin + col.size() * 9);  // as if every row were valid
-  char* p = out->data() + begin;
-  for (size_t i = 0; i < col.size(); ++i) {
-    *p++ = validity[i] != 0 ? 1 : 0;
-    if (validity[i] == 0) continue;
-    std::memcpy(p, values + 8 * i, 8);
-    p += 8;
-  }
-  out->resize(static_cast<size_t>(p - out->data()));
-}
-
-bool DecodeFixedRows(ByteReader* r, uint64_t rows, ColumnVector* col) {
-  ColumnVector::FixedWriter w = col->WriteFixed(rows);
-  char* values = w.ints != nullptr ? reinterpret_cast<char*>(w.ints)
-                                   : reinterpret_cast<char*>(w.doubles);
-  uint64_t i = 0;
-  // No row takes more than 9 bytes, so the next remaining()/9 rows fit
-  // whatever their flags say: one bounds check covers all of them.
-  // That is every row unless this segment ends the section.
-  while (i < rows) {
-    const uint64_t safe = std::min<uint64_t>(rows - i, r->remaining() / 9);
-    if (safe == 0) break;
-    const char* const start = r->Take(0);
-    const char* p = start;
-    for (const uint64_t end = i + safe; i < end; ++i) {
-      const bool valid = Load<uint8_t>(p) != 0;
-      w.validity[i] = valid ? 1 : 0;
-      if (!valid) continue;
-      std::memcpy(values + 8 * i, p, 8);
-      p += 8;
-    }
-    r->Take(static_cast<size_t>(p - start));
-  }
-  // Fewer than 9 bytes are left, too few for a valid row: the rest
-  // must be NULL flags.
-  const uint64_t tail = rows - i;
-  if (!r->FitsCount(tail, 1)) return false;
-  const char* flags = r->Take(tail);
-  for (uint64_t k = 0; k < tail; ++k, ++i) {
-    if (flags[k] != 0) return false;
-    w.validity[i] = 0;
-  }
-  return true;
-}
-
-bool DecodeStringRows(ByteReader* r, uint64_t rows, ColumnVector* col) {
-  col->Reserve(rows);
-  for (uint64_t i = 0; i < rows; ++i) {
-    if (r->Get<uint8_t>() == 0) {
-      col->AppendNull();
-      continue;
-    }
-    const std::string_view s = r->Str();
-    col->AppendString(Slice(s.data(), s.size()));
-  }
-  return r->ok();
-}
-
-void EncodeStore(const SegmentStore::Image& image, std::string* out) {
-  Put<uint64_t>(out, image.segments.size());
+void EncodeStore(const SegmentStore::Image& image, ByteWriter* out) {
+  out->Put<uint64_t>(image.segments.size());
   for (const auto& seg : image.segments) {
     const ColumnVector& col = *seg.segment;
-    Put<uint32_t>(out, seg.attr);
-    Put<uint64_t>(out, seg.block);
-    Put<uint8_t>(out, static_cast<uint8_t>(col.type()));
-    Put<uint64_t>(out, col.size());
-    EncodeRows(col, out);
+    out->Put<uint32_t>(seg.attr);
+    out->Put<uint64_t>(seg.block);
+    out->Put<uint8_t>(static_cast<uint8_t>(col.type()));
+    out->Put<uint64_t>(col.size());
+    EncodeRows(col, 0, col.size(), out);
   }
 }
 
-bool DecodeStore(const char* data, size_t size, const Schema& schema,
+bool DecodeStore(std::string_view payload, const Schema& schema,
                  SegmentStore::Image* out) {
-  ByteReader r(data, size);
+  ByteReader r(payload);
   const uint64_t n = r.Get<uint64_t>();
   if (!r.FitsCount(n, 4 + 8 + 1 + 8)) return false;
   out->segments.reserve(n);
@@ -352,8 +178,7 @@ bool DecodeStore(const char* data, size_t size, const Schema& schema,
     const uint64_t block = r.Get<uint64_t>();
     const uint8_t type_byte = r.Get<uint8_t>();
     const uint64_t rows = r.Get<uint64_t>();
-    if (!r.FitsCount(rows, 1) ||
-        type_byte > static_cast<uint8_t>(DataType::kDate)) {
+    if (!r.ok() || type_byte > static_cast<uint8_t>(DataType::kDate)) {
       return false;
     }
     // The schema fingerprint makes a segment of another attribute or
@@ -363,10 +188,7 @@ bool DecodeStore(const char* data, size_t size, const Schema& schema,
       return false;
     }
     auto col = std::make_shared<ColumnVector>(type);
-    const bool decoded = type == DataType::kString
-                             ? DecodeStringRows(&r, rows, col.get())
-                             : DecodeFixedRows(&r, rows, col.get());
-    if (!decoded) return false;
+    if (!DecodeRows(&r, rows, col.get())) return false;
     out->segments.push_back(
         SegmentStore::Image::SegmentImage{attr, block, std::move(col)});
   }
@@ -392,7 +214,7 @@ bool ParseLayout(const std::string& bytes, SnapshotLayout* layout,
     *error = "not a NoDB snapshot (bad magic)";
     return false;
   }
-  ByteReader r(bytes.data() + kMagicLen, bytes.size() - kMagicLen);
+  ByteReader r(std::string_view(bytes).substr(kMagicLen));
   layout->version = r.Get<uint32_t>();
   if (layout->version != Snapshot::kVersion) {
     *error = "unsupported snapshot version " +
@@ -512,7 +334,8 @@ Status WriteSnapshot(const RawTableState& state, const std::string& path) {
   // column segments are never held in a second snapshot-sized copy.
   constexpr size_t kNumSections = 4;
   const size_t header_len = HeaderLen(kNumSections);
-  std::string out(header_len, '\0');
+  ByteWriter out;
+  out.Extend(header_len);
   SectionInfo dir[kNumSections];
   for (size_t i = 0; i < kNumSections; ++i) {
     SectionInfo& section = dir[i];
@@ -536,34 +359,35 @@ Status WriteSnapshot(const RawTableState& state, const std::string& path) {
         break;
     }
     section.length = out.size() - section.offset;
-    section.crc = Crc32c(out.data() + section.offset, section.length);
+    section.crc = Crc32c(out.data().data() + section.offset, section.length);
   }
 
-  std::string header;
-  header.reserve(header_len);
-  header.append(Snapshot::kMagic, kMagicLen);
-  Put<uint32_t>(&header, Snapshot::kVersion);
-  Put<uint32_t>(&header, state.config().rows_per_block);
-  Put<uint64_t>(&header, sig.size());
-  Put<int64_t>(&header, sig.mtime_nanos());
-  Put<uint64_t>(&header, sig.head_hash());
-  Put<uint64_t>(&header, sig.tail_hash());
-  Put<uint64_t>(&header, FileSignature::kProbeBytes);
-  Put<uint64_t>(&header, SchemaFingerprint(state.info()));
-  Put<uint32_t>(&header, kNumSections);
+  ByteWriter header;
+  header.Reserve(header_len);
+  header.PutBytes(std::string_view(Snapshot::kMagic, kMagicLen));
+  header.Put<uint32_t>(Snapshot::kVersion);
+  header.Put<uint32_t>(state.config().rows_per_block);
+  header.Put<uint64_t>(sig.size());
+  header.Put<int64_t>(sig.mtime_nanos());
+  header.Put<uint64_t>(sig.head_hash());
+  header.Put<uint64_t>(sig.tail_hash());
+  header.Put<uint64_t>(FileSignature::kProbeBytes);
+  header.Put<uint64_t>(SchemaFingerprint(state.info()));
+  header.Put<uint32_t>(kNumSections);
   for (const SectionInfo& section : dir) {
-    Put<uint32_t>(&header, section.id);
-    Put<uint64_t>(&header, section.offset);
-    Put<uint64_t>(&header, section.length);
-    Put<uint32_t>(&header, section.crc);
+    header.Put<uint32_t>(section.id);
+    header.Put<uint64_t>(section.offset);
+    header.Put<uint64_t>(section.length);
+    header.Put<uint32_t>(section.crc);
   }
-  Put<uint32_t>(&header, Crc32c(header.data(), header.size()));
+  header.Put<uint32_t>(Crc32c(header.data().data(), header.size()));
   NODB_CHECK(header.size() == header_len);
-  out.replace(0, header_len, header);
-  Status status = WriteFileAtomic(path, Slice(out.data(), out.size()));
+  std::string bytes = out.Take();
+  bytes.replace(0, header_len, header.data());
+  Status status = WriteFileAtomic(path, Slice(bytes.data(), bytes.size()));
   if (status.ok()) {
     saves->Add(1);
-    saved_bytes->Add(out.size());
+    saved_bytes->Add(bytes.size());
     save_ns->Record(watch.ElapsedNanos());
   }
   return status;
@@ -666,8 +490,9 @@ Result<RecoveryReport> LoadSnapshotImpl(RawTableState* state,
       note(section.id, "truncated");
       continue;
     }
-    const char* payload = bytes.data() + section.offset;
-    if (Crc32c(payload, section.length) != section.crc) {
+    const std::string_view payload(bytes.data() + section.offset,
+                                   section.length);
+    if (Crc32c(payload.data(), payload.size()) != section.crc) {
       note(section.id, "checksum mismatch");
       continue;
     }
@@ -675,26 +500,26 @@ Result<RecoveryReport> LoadSnapshotImpl(RawTableState* state,
     switch (section.id) {
       case Snapshot::kSectionMap: {
         PositionalMap::Image map_image;
-        decoded = DecodeMap(payload, section.length, &map_image);
+        decoded = DecodeMap(payload, &map_image);
         if (decoded) image.map = std::move(map_image);
         break;
       }
       case Snapshot::kSectionStats: {
         StatsCollector::Image stats_image;
-        decoded = DecodeStats(payload, section.length, &stats_image);
+        decoded = DecodeStats(payload, &stats_image);
         if (decoded) image.stats = std::move(stats_image);
         break;
       }
       case Snapshot::kSectionZones: {
         ZoneMaps::Image zones_image;
-        decoded = DecodeZones(payload, section.length, &zones_image);
+        decoded = DecodeZones(payload, &zones_image);
         if (decoded) image.zones = std::move(zones_image);
         break;
       }
       case Snapshot::kSectionStore: {
         SegmentStore::Image store_image;
-        decoded = DecodeStore(payload, section.length,
-                              *state->info().schema, &store_image);
+        decoded =
+            DecodeStore(payload, *state->info().schema, &store_image);
         if (decoded) image.store = std::move(store_image);
         break;
       }

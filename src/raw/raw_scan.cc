@@ -421,29 +421,19 @@ void RawScanOperator::MaybeObserveZone(uint32_t attr, uint64_t block,
   // Summaries admit exactly like store segments: the values must
   // provably cover the whole block, else a skip could hide rows.
   if (!collect_zones_ || !ZoneEligibleType(segment.type())) return;
-  if (!SegmentCoversBlock(segment.size(), block)) return;
+  if (!CoversBlock(segment.size(), block)) return;
   if (state_->zones().Contains(attr, block)) return;
   state_->zones().Observe(attr, block, segment, zone_generation_);
 }
 
-bool RawScanOperator::SegmentCoversBlock(size_t segment_rows,
-                                         uint64_t block) const {
-  const uint32_t rows_per_block = state_->config().rows_per_block;
-  if (segment_rows >= rows_per_block) return true;
-  if (use_map_ && state_->map().rows_complete()) {
-    uint64_t known = state_->map().known_rows();
-    uint64_t first = block * uint64_t{rows_per_block};
-    uint64_t expected =
-        first >= known ? 0
-                       : std::min<uint64_t>(rows_per_block, known - first);
-    return segment_rows >= expected;
-  }
-  return false;
+bool RawScanOperator::CoversBlock(uint64_t rows, uint64_t block) const {
+  const uint64_t rows_per_block = state_->config().rows_per_block;
+  return rows >= rows_per_block ||
+         (state_->map().rows_complete() &&
+          block * rows_per_block + rows == state_->map().known_rows());
 }
 
 bool RawScanOperator::FetchStoreBlock(uint64_t block, size_t* rows) {
-  const uint32_t rows_per_block = state_->config().rows_per_block;
-  const uint64_t first = block * uint64_t{rows_per_block};
   {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
     if (!state_->store().GetBlock(projection_, block, &store_segments_)) {
@@ -451,20 +441,17 @@ bool RawScanOperator::FetchStoreBlock(uint64_t block, size_t* rows) {
     }
   }
   // Serve-time validation. A short segment claims to be the file's
-  // tail, which would end the scan at its last row — so it must match
-  // the completed row index *right now*; and all attributes of the
-  // block must agree on its row count. A stale segment (e.g. a
-  // pre-append tail committed by a racing promotion) fails these, is
-  // evicted, and the block re-parses through the raw path.
+  // tail, which would end the scan at its last row — so it must cover
+  // the block *right now*; and all attributes of the block must agree
+  // on its row count. A stale segment (e.g. a pre-append tail committed
+  // by a racing promotion) fails these, is evicted, and the block
+  // re-parses through the raw path.
   *rows = store_segments_[0]->size();
   bool aligned = true;
   for (const auto& seg : store_segments_) {
     aligned = aligned && seg->size() == *rows;
   }
-  if (!aligned ||
-      (*rows < rows_per_block &&
-       (!state_->map().rows_complete() ||
-        first + *rows != state_->map().known_rows()))) {
+  if (!aligned || !CoversBlock(*rows, block)) {
     state_->store().DropBlock(block);
     store_segments_.clear();
     return false;
@@ -525,7 +512,6 @@ Result<BatchPtr> RawScanOperator::ProcessBlock() {
 bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
                                      uint64_t* rows_in_block) const {
   const uint32_t rows_per_block = state_->config().rows_per_block;
-  const uint64_t first = block * uint64_t{rows_per_block};
   const ZoneMaps& zones = state_->zones();
   for (const ZonePredicate& zp : zone_preds_) {
     std::optional<ZoneMaps::Entry> entry = zones.Get(zp.attr, block);
@@ -535,15 +521,10 @@ bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
     // skipped: their rows' fate is decided row-by-row, exactly like
     // FilterOperator would.
     if (e.has_null || e.unsafe || !e.non_null) continue;
-    // The entry must provably cover the block *right now*: a full
-    // block, or the tail of the currently-complete row index. (Append
+    // The entry must provably cover the block *right now*. (Append
     // truncation and generation tagging make stale entries disappear,
     // but serve-time validation keeps even a racing one harmless.)
-    if (e.rows < rows_per_block &&
-        (!state_->map().rows_complete() ||
-         first + e.rows != state_->map().known_rows())) {
-      continue;
-    }
+    if (!CoversBlock(e.rows, block)) continue;
     bool disjoint =
         e.is_int && zp.lit_is_int
             ? ZoneDisjoint<int64_t>(zp.op, e.min_i, e.max_i, zp.lit_i)
@@ -795,7 +776,7 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
       uint32_t attr = projection_[i];
       if (use_cache_) {
         auto seg = state_->cache().Get(attr, block);
-        if (seg != nullptr && SegmentCoversBlock(seg->size(), block)) {
+        if (seg != nullptr && CoversBlock(seg->size(), block)) {
           parse.columns[i] = std::const_pointer_cast<ColumnVector>(seg);
           parse.cached[i] = true;
           ++metrics_->cache_block_hits;
@@ -902,7 +883,7 @@ Result<BatchPtr> RawScanOperator::RawBlock(uint64_t block) {
       }
       if (use_store_ && promote_attr_[i] &&
           !state_->store().Contains(attr, block) &&
-          SegmentCoversBlock(col->size(), block)) {
+          CoversBlock(col->size(), block)) {
         state_->store().Put(attr, block, col, store_generation_);
       }
     }

@@ -262,10 +262,11 @@ class RawScanOperator final : public ExecOperator {
                      size_t at, const std::vector<size_t>& probes,
                      BlockParse* block, Status cut_error);
 
-  /// True when `segment_rows` provably covers the whole of `block`
-  /// (full block, or the known tail of a completed row index) — the
-  /// admission rule shared by cache residency and store promotion.
-  bool SegmentCoversBlock(size_t segment_rows, uint64_t block) const;
+  /// True when `rows` rows provably are the whole of `block`: a full
+  /// block, or exactly the tail of the completed row index right now.
+  /// The one tail rule for cache residency, store promotion and
+  /// serving, and zone-map admission and skipping.
+  bool CoversBlock(uint64_t rows, uint64_t block) const;
 
   /// The one zone-map admission path for this scan: installs a summary
   /// for (attr, block) iff collection is on, the attribute's payload

@@ -63,26 +63,11 @@ Result<FileChange> RawTableState::CheckForUpdates() {
       clean_append = s.ok() && got.size() == 1 && got[0] == '\n';
     }
     if (clean_append) {
-      // The block containing the old frontier is about to gain rows:
-      // its promoted store segments no longer cover the whole block.
-      // Earlier full blocks keep their promotion (the tail is
-      // re-promoted by heat once re-scanned). Reopen discovery first —
-      // tail admission requires a complete row index, so a concurrent
-      // scan cannot re-promote the stale tail after the drop.
+      // Reopen discovery before the frontier drop: tail admission
+      // requires a complete row index, so a concurrent scan cannot
+      // re-admit the stale tail after the drop.
       map_.ReopenForAppend();
-      // No generation bump: surviving blocks stay valid, and stale
-      // producers racing the drop are fenced by serve-time tail
-      // re-validation against the live row index (the store's
-      // FetchStoreBlock, the cache's SegmentCoversBlock).
-      const uint64_t frontier = map_.known_rows() / config_.rows_per_block;
-      store_.DropBlocksFrom(frontier);
-      // The cache truncates the same way, so its stale frontier-block
-      // segment (no generation bump) is never even probed again.
-      cache_.DropBlocksFrom(frontier);
-      // The zone maps truncate exactly like the store: the frontier
-      // block's summary no longer covers it, earlier full blocks stay
-      // (fenced the same way — tail re-validation, not generations).
-      zones_.DropBlocksFrom(frontier);
+      DropFrontierBlock();
       promoted_rows_ = UINT64_MAX;  // re-arm the background promoter
     } else {
       change = FileChange::kRewritten;
@@ -172,6 +157,20 @@ FileSignature RawTableState::signature() const {
   return signature_;
 }
 
+void RawTableState::DropFrontierBlock() {
+  // The block holding the index's old frontier gains appended rows, so
+  // its store and cache segments and its zone summary no longer cover
+  // it; earlier full blocks keep theirs (the tail is re-promoted by
+  // heat once re-scanned). No generation bump: the surviving blocks
+  // stay valid, and a stale producer racing the drop is fenced by the
+  // scan's serve-time tail re-validation against the live row index
+  // (RawScanOperator::CoversBlock).
+  const uint64_t frontier = map_.known_rows() / config_.rows_per_block;
+  store_.DropBlocksFrom(frontier);
+  cache_.DropBlocksFrom(frontier);
+  zones_.DropBlocksFrom(frontier);
+}
+
 persist::AdaptiveImage RawTableState::Freeze() const {
   persist::AdaptiveImage image;
   image.map = map_.ExportImage();
@@ -219,26 +218,16 @@ persist::RecoveryReport RawTableState::Thaw(persist::AdaptiveImage image,
 
   if (change == FileChange::kAppended && report.map_recovered) {
     // Mirror CheckForUpdates' clean-append path: the index was already
-    // imported reopened (above), so only the frontier block — whose
-    // segments/summaries no longer cover it — is dropped. Earlier full
-    // blocks keep their recovered state.
+    // imported reopened (above), so only the frontier block is dropped.
     //
     // Gated on the map actually having been recovered: when the import
     // was refused the live map already reflects the appended file, and
     // running the drop against it would discard valid live tail state;
     // when the map *section* was lost but store/zones recovered, the
     // old frontier is unknowable — the serve-time tail re-validation
-    // (FetchStoreBlock / zone tail checks against the live row index)
-    // already rejects the one possibly-stale frontier-block entry.
-    uint64_t frontier = map_.known_rows() / config_.rows_per_block;
-    // No generation bump here either: the thawed blocks below the
-    // frontier are valid, and the serve-time tail re-validation fences
-    // the one possibly-stale frontier block (see comment above).
-    store_.DropBlocksFrom(frontier);
-    // Same generation story for the cache (empty unless queries beat
-    // the thaw here): no bump, tail re-validation fences the frontier.
-    cache_.DropBlocksFrom(frontier);
-    zones_.DropBlocksFrom(frontier);
+    // against the live row index already rejects the one
+    // possibly-stale frontier-block entry.
+    DropFrontierBlock();
     if (report.store_recovered) {
       report.store_segments_recovered = store_.num_segments();
     }

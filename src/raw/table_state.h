@@ -144,6 +144,9 @@ class RawTableState {
  private:
   Status OpenLocked() REQUIRES(mu_);
   void InvalidateAllLocked() REQUIRES(mu_);
+  /// Drops the block an append extends from store, cache and zones —
+  /// CheckForUpdates' clean-append path and Thaw's appended path.
+  void DropFrontierBlock();
 
   /// Mutated only by ReplaceFile, which the API contract requires to
   /// run with no queries in flight; scans read it lock-free through

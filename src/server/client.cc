@@ -17,18 +17,17 @@ constexpr size_t kClientMaxFrameBytes = 256u << 20;
 
 Status DecodeError(const Frame& frame) {
   WireReader r(frame.payload);
-  Result<uint8_t> code = r.GetU8();
-  if (!code.ok()) return code.status();
-  Result<std::string> message = r.GetString();
-  if (!message.ok()) return message.status();
-  return Status(StatusCodeFromWire(*code), std::move(*message));
+  const uint8_t code = r.Get<uint8_t>();
+  const std::string_view message = r.Str();
+  NODB_RETURN_NOT_OK(ReadStatus(r));
+  return Status(StatusCodeFromWire(code), std::string(message));
 }
 
 Status DecodeRejected(const Frame& frame) {
   WireReader r(frame.payload);
-  Result<std::string> message = r.GetString();
-  if (!message.ok()) return message.status();
-  return Status::Unavailable(std::move(*message));
+  const std::string_view message = r.Str();
+  NODB_RETURN_NOT_OK(ReadStatus(r));
+  return Status::Unavailable(std::string(message));
 }
 
 }  // namespace
@@ -41,9 +40,9 @@ Result<ClientConnection> ClientConnection::Connect(
   NODB_ASSIGN_OR_RETURN(conn.fd_, ConnectTcp(host, port));
   NODB_RETURN_NOT_OK(WriteFully(conn.fd_, kMagic, sizeof(kMagic)));
   WireWriter hello;
-  hello.PutU16(kProtocolVersion);
-  hello.PutString(tenant);
-  hello.PutString(client_name);
+  hello.Put<uint16_t>(kProtocolVersion);
+  hello.PutStr(tenant);
+  hello.PutStr(client_name);
   NODB_RETURN_NOT_OK(WriteFrame(conn.fd_, FrameType::kHello, hello.data()));
   NODB_ASSIGN_OR_RETURN(Frame frame,
                         ReadFrame(conn.fd_, conn.max_frame_bytes_));
@@ -52,12 +51,14 @@ Result<ClientConnection> ClientConnection::Connect(
     return Status::ParseError("expected HELLO_OK from server");
   }
   WireReader r(frame.payload);
-  NODB_ASSIGN_OR_RETURN(uint16_t version, r.GetU16());
+  const uint16_t version = r.Get<uint16_t>();
+  NODB_RETURN_NOT_OK(ReadStatus(r));
   if (version != kProtocolVersion) {
     return Status::InvalidArgument("server speaks protocol version " +
                                    std::to_string(version));
   }
-  NODB_ASSIGN_OR_RETURN(conn.server_name_, r.GetString());
+  conn.server_name_ = std::string(r.Str());
+  NODB_RETURN_NOT_OK(ReadStatus(r));
   return conn;
 }
 
@@ -89,7 +90,7 @@ void ClientConnection::Close() {
 Result<QueryOutcome> ClientConnection::Execute(std::string_view sql) {
   if (fd_ < 0) return Status::IOError("not connected");
   WireWriter query;
-  query.PutString(sql);
+  query.PutStr(sql);
   Status sent = WriteFrame(fd_, FrameType::kQuery, query.data());
   if (!sent.ok()) {
     CloseFd(fd_);
@@ -111,7 +112,7 @@ Result<QueryOutcome> ClientConnection::Execute(std::string_view sql) {
       case FrameType::kResultHeader: {
         WireReader r(frame->payload);
         NODB_ASSIGN_OR_RETURN(schema, DecodeSchema(&r));
-        NODB_RETURN_NOT_OK(r.ExpectEnd());
+        NODB_RETURN_NOT_OK(ExpectEnd(r));
         rows = std::make_shared<RecordBatch>(schema);
         break;
       }
@@ -121,7 +122,7 @@ Result<QueryOutcome> ClientConnection::Execute(std::string_view sql) {
         }
         WireReader r(frame->payload);
         NODB_RETURN_NOT_OK(DecodeBatchInto(&r, rows.get()).status());
-        NODB_RETURN_NOT_OK(r.ExpectEnd());
+        NODB_RETURN_NOT_OK(ExpectEnd(r));
         break;
       }
       case FrameType::kResultDone: {
@@ -129,7 +130,8 @@ Result<QueryOutcome> ClientConnection::Execute(std::string_view sql) {
           return Status::ParseError("RESULT_DONE before RESULT_HEADER");
         }
         WireReader r(frame->payload);
-        NODB_ASSIGN_OR_RETURN(uint64_t total_rows, r.GetU64());
+        const uint64_t total_rows = r.Get<uint64_t>();
+        NODB_RETURN_NOT_OK(ReadStatus(r));
         if (total_rows != rows->num_rows()) {
           return Status::Internal(
               "row count mismatch: server sent " +
@@ -137,7 +139,7 @@ Result<QueryOutcome> ClientConnection::Execute(std::string_view sql) {
               std::to_string(rows->num_rows()));
         }
         NODB_ASSIGN_OR_RETURN(QueryMetrics metrics, DecodeQueryMetrics(&r));
-        NODB_RETURN_NOT_OK(r.ExpectEnd());
+        NODB_RETURN_NOT_OK(ExpectEnd(r));
         metrics.sql = std::string(sql);
         QueryOutcome outcome;
         outcome.result = QueryResult::FromParts(schema, std::move(rows));
@@ -157,7 +159,7 @@ Result<QueryOutcome> ClientConnection::Execute(std::string_view sql) {
 Result<std::string> ClientConnection::FetchMetrics(bool prometheus) {
   if (fd_ < 0) return Status::IOError("not connected");
   WireWriter request;
-  request.PutU8(prometheus ? 1 : 0);
+  request.Put<uint8_t>(prometheus ? 1 : 0);
   NODB_RETURN_NOT_OK(
       WriteFrame(fd_, FrameType::kMetricsRequest, request.data()));
   NODB_ASSIGN_OR_RETURN(Frame frame, ReadFrame(fd_, max_frame_bytes_));
@@ -166,8 +168,8 @@ Result<std::string> ClientConnection::FetchMetrics(bool prometheus) {
     return Status::ParseError("expected METRICS_REPLY from server");
   }
   WireReader r(frame.payload);
-  NODB_ASSIGN_OR_RETURN(std::string body, r.GetString());
-  NODB_RETURN_NOT_OK(r.ExpectEnd());
+  std::string body(r.Str());
+  NODB_RETURN_NOT_OK(ExpectEnd(r));
   return body;
 }
 

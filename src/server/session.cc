@@ -90,8 +90,8 @@ void ServerSession::Run() {
 
 Status ServerSession::SendError(const Status& error) {
   WireWriter w;
-  w.PutU8(WireCodeFor(error.code()));
-  w.PutString(error.message());
+  w.Put<uint8_t>(WireCodeFor(error.code()));
+  w.PutStr(error.message());
   return WriteFrame(fd_, FrameType::kError, w.data());
 }
 
@@ -151,51 +151,52 @@ void ServerSession::RunBinary() {
 Status ServerSession::HandleHello(const std::string& payload,
                                   bool* saw_hello) {
   WireReader r(payload);
-  Result<uint16_t> version = r.GetU16();
-  if (!version.ok()) return SendError(version.status());
-  if (*version != kProtocolVersion) {
+  // The version comes first and is checked before the rest is read:
+  // another version's HELLO may lay its fields out differently.
+  const uint16_t version = r.Get<uint16_t>();
+  Status read = ReadStatus(r);
+  if (!read.ok()) return SendError(read);
+  if (version != kProtocolVersion) {
     return SendError(Status::InvalidArgument(
-        "protocol version " + std::to_string(*version) +
+        "protocol version " + std::to_string(version) +
         " not supported (server speaks " +
         std::to_string(kProtocolVersion) + ")"));
   }
-  Result<std::string> tenant = r.GetString();
-  if (!tenant.ok()) return SendError(tenant.status());
-  Result<std::string> client = r.GetString();
-  if (!client.ok()) return SendError(client.status());
-  Status end = r.ExpectEnd();
+  const std::string tenant(r.Str());
+  const std::string_view client = r.Str();
+  Status end = ExpectEnd(r);
   if (!end.ok()) return SendError(end);
-  if (tenant->empty()) {
+  if (tenant.empty()) {
     return SendError(
         Status::InvalidArgument("HELLO must name a non-empty tenant"));
   }
-  tenant_id_ = obs::TenantIdFor(*tenant);
+  tenant_id_ = obs::TenantIdFor(tenant);
   session_ = std::make_unique<QuerySession>(
-      env_->engine, *tenant + "/" + *client + "#" + std::to_string(id_));
+      env_->engine,
+      tenant + "/" + std::string(client) + "#" + std::to_string(id_));
   *saw_hello = true;
   WireWriter w;
-  w.PutU16(kProtocolVersion);
-  w.PutString(env_->server_name);
+  w.Put<uint16_t>(kProtocolVersion);
+  w.PutStr(env_->server_name);
   return WriteFrame(fd_, FrameType::kHelloOk, w.data());
 }
 
 Status ServerSession::HandleQuery(const std::string& payload) {
   WireReader r(payload);
-  Result<std::string> sql = r.GetString();
-  if (!sql.ok()) return SendError(sql.status());
-  Status end = r.ExpectEnd();
+  const std::string_view sql = r.Str();
+  Status end = ExpectEnd(r);
   if (!end.ok()) return SendError(end);
 
   if (draining_.load(std::memory_order_acquire)) {
     WireWriter w;
-    w.PutString("server is draining");
+    w.PutStr("server is draining");
     return WriteFrame(fd_, FrameType::kRejected, w.data());
   }
   Result<AdmissionTicket> ticket = env_->admission->Admit(tenant_id_);
   if (!ticket.ok()) {
     if (ticket.status().IsUnavailable()) {
       WireWriter w;
-      w.PutString(ticket.status().message());
+      w.PutStr(ticket.status().message());
       return WriteFrame(fd_, FrameType::kRejected, w.data());
     }
     return SendError(ticket.status());
@@ -204,7 +205,7 @@ Status ServerSession::HandleQuery(const std::string& payload) {
   WireBatchSink sink(fd_, env_->config->server_result_batch_rows);
   obs::ScopedTenantLabel tenant_label(tenant_id_);
   Result<QueryOutcome> outcome =
-      session_->ExecuteStreaming(*sql, &sink, &cancel_);
+      session_->ExecuteStreaming(sql, &sink, &cancel_);
   // Release before the terminal frame goes out: a client that has seen
   // RESULT_DONE/ERROR may immediately issue (or observe) another query,
   // and its slot must already be free by then.
@@ -217,23 +218,22 @@ Status ServerSession::HandleQuery(const std::string& payload) {
   }
   env_->admission->RecordRowsServed(tenant_id_, sink.rows_sent());
   WireWriter w;
-  w.PutU64(sink.rows_sent());
+  w.Put<uint64_t>(sink.rows_sent());
   EncodeQueryMetrics(outcome->metrics, &w);
   return WriteFrame(fd_, FrameType::kResultDone, w.data());
 }
 
 Status ServerSession::HandleMetrics(const std::string& payload) {
   WireReader r(payload);
-  Result<uint8_t> format = r.GetU8();
-  if (!format.ok()) return SendError(format.status());
-  Status end = r.ExpectEnd();
+  const uint8_t format = r.Get<uint8_t>();
+  Status end = ExpectEnd(r);
   if (!end.ok()) return SendError(end);
-  if (*format > 1) {
+  if (format > 1) {
     return SendError(Status::InvalidArgument(
-        "unknown metrics format " + std::to_string(*format)));
+        "unknown metrics format " + std::to_string(format)));
   }
   WireWriter w;
-  w.PutString(env_->render_metrics(*format == 1));
+  w.PutStr(env_->render_metrics(format == 1));
   return WriteFrame(fd_, FrameType::kMetricsReply, w.data());
 }
 

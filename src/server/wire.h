@@ -9,6 +9,7 @@
 #include "monitor/query_metrics.h"
 #include "types/record_batch.h"
 #include "types/schema.h"
+#include "util/bytes.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -40,7 +41,7 @@ namespace server {
 /// NoDbConfig::server_result_batch_rows rows per frame, so the first
 /// rows of a large answer arrive while the scan is still running.
 inline constexpr char kMagic[4] = {'N', 'o', 'D', 'B'};
-inline constexpr uint16_t kProtocolVersion = 2;
+inline constexpr uint16_t kProtocolVersion = 3;
 
 enum class FrameType : uint8_t {
   kHello = 1,
@@ -63,63 +64,35 @@ struct Frame {
   std::string payload;
 };
 
-/// Appends wire-encoded primitives to a payload buffer.
-class WireWriter {
- public:
-  void PutU8(uint8_t v);
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI64(int64_t v);
-  void PutDouble(double v);
-  void PutString(std::string_view s);
+/// Payloads are written and read with the shared byte codec
+/// (util/bytes.h), the one the snapshot sidecar uses. A read past the
+/// payload latches the reader's error, so a fuzzer's truncated frame
+/// becomes an ERROR reply, never a crash.
+using WireWriter = ByteWriter;
+using WireReader = ByteReader;
 
-  const std::string& data() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
+/// ParseError("truncated frame payload") once a read ran past the
+/// payload, else OK. A decoder checks it before it acts on a value.
+Status ReadStatus(const WireReader& r);
 
- private:
-  std::string buf_;
-};
-
-/// Bounds-checked cursor over a received payload. Every getter fails
-/// with ParseError instead of reading past the end — a fuzzer's
-/// truncated frame becomes an ERROR reply, never a crash.
-class WireReader {
- public:
-  explicit WireReader(std::string_view payload) : data_(payload) {}
-
-  Result<uint8_t> GetU8();
-  Result<uint16_t> GetU16();
-  Result<uint32_t> GetU32();
-  Result<uint64_t> GetU64();
-  Result<int64_t> GetI64();
-  Result<double> GetDouble();
-  Result<std::string> GetString();
-
-  size_t remaining() const { return data_.size() - pos_; }
-
-  /// Trailing bytes after the last field are a protocol error.
-  Status ExpectEnd() const;
-
- private:
-  Status Need(size_t n) const;
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+/// ReadStatus, then a ParseError when bytes are left after the last
+/// field (a protocol error).
+Status ExpectEnd(const WireReader& r);
 
 /// ---- Typed payloads ---------------------------------------------------
 
 void EncodeSchema(const Schema& schema, WireWriter* w);
 Result<std::shared_ptr<Schema>> DecodeSchema(WireReader* r);
 
-/// Rows [row_begin, row_end) of `batch`, column-major: per column the
-/// validity bytes then the non-null values.
+/// Rows [row_begin, row_end) of `batch`: u32 row count, u32 column
+/// count, then per column a u8 type and its rows in the shared row
+/// layout (types/row_codec.h).
 void EncodeBatchRows(const RecordBatch& batch, size_t row_begin,
                      size_t row_end, WireWriter* w);
 
 /// Appends the frame's rows onto `batch` (whose schema must match the
-/// preceding RESULT_HEADER). Returns the row count appended.
+/// preceding RESULT_HEADER). Returns the row count appended. A row
+/// count the payload cannot hold fails before anything is sized.
 Result<size_t> DecodeBatchInto(WireReader* r, RecordBatch* batch);
 
 /// The full cost breakdown travels in RESULT_DONE so a remote shell's

@@ -461,37 +461,43 @@ void Append(std::string* out, T v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-/// Corruptions that keep every checksum valid: the section's payload is
-/// replaced, and its directory entry, its CRC and the header CRC are
-/// recomputed, so only the section decoder's own checks stand between
-/// the bytes and the engine.
+/// `out`, a sidecar laid out as `layout`, with section `id`'s payload
+/// replaced by `payload`: its directory entry, its CRC and the header
+/// CRC are recomputed, so only the section decoder's own checks stand
+/// between the bytes and the engine.
+std::string WithSectionPayload(std::string out,
+                               const persist::SnapshotLayout& layout,
+                               uint32_t id, const std::string& payload) {
+  // The directory follows the fixed header (magic, version,
+  // rows_per_block, five signature words, schema hash, section
+  // count); each entry is id u32, offset u64, length u64, crc u32.
+  constexpr size_t kFixedHeader = 8 + 4 + 4 + 40 + 8 + 4;
+  constexpr size_t kEntry = 4 + 8 + 8 + 4;
+  const uint64_t offset = out.size();
+  const uint64_t length = payload.size();
+  const uint32_t crc = Crc32c(payload.data(), payload.size());
+  out += payload;  // the old payload stays, unreferenced
+  bool found = false;
+  for (size_t i = 0; i < layout.sections.size(); ++i) {
+    if (layout.sections[i].id != id) continue;
+    char* entry = out.data() + kFixedHeader + i * kEntry;
+    std::memcpy(entry + 4, &offset, 8);
+    std::memcpy(entry + 12, &length, 8);
+    std::memcpy(entry + 20, &crc, 4);
+    found = true;
+  }
+  EXPECT_TRUE(found) << persist::SectionName(id);
+  const size_t header_len = kFixedHeader + layout.sections.size() * kEntry;
+  const uint32_t header_crc = Crc32c(out.data(), header_len);
+  std::memcpy(out.data() + header_len, &header_crc, 4);
+  return out;
+}
+
+/// Corruptions that keep every checksum valid (WithSectionPayload).
 class PersistDecoderFuzzTest : public PersistFuzzTest {
  protected:
   void WriteWithPayload(uint32_t id, const std::string& payload) {
-    // The directory follows the fixed header (magic, version,
-    // rows_per_block, five signature words, schema hash, section
-    // count); each entry is id u32, offset u64, length u64, crc u32.
-    constexpr size_t kFixedHeader = 8 + 4 + 4 + 40 + 8 + 4;
-    constexpr size_t kEntry = 4 + 8 + 8 + 4;
-    std::string out = bytes_;
-    const uint64_t offset = out.size();
-    const uint64_t length = payload.size();
-    const uint32_t crc = Crc32c(payload.data(), payload.size());
-    out += payload;  // the old payload stays, unreferenced
-    bool found = false;
-    for (size_t i = 0; i < layout_.sections.size(); ++i) {
-      if (layout_.sections[i].id != id) continue;
-      char* entry = out.data() + kFixedHeader + i * kEntry;
-      std::memcpy(entry + 4, &offset, 8);
-      std::memcpy(entry + 12, &length, 8);
-      std::memcpy(entry + 20, &crc, 4);
-      found = true;
-    }
-    ASSERT_TRUE(found) << persist::SectionName(id);
-    const size_t header_len =
-        kFixedHeader + layout_.sections.size() * kEntry;
-    const uint32_t header_crc = Crc32c(out.data(), header_len);
-    std::memcpy(out.data() + header_len, &header_crc, 4);
+    const std::string out = WithSectionPayload(bytes_, layout_, id, payload);
     ASSERT_TRUE(
         WriteFileAtomic(SidecarPath(), Slice(out.data(), out.size())).ok());
   }
@@ -839,6 +845,89 @@ TEST_F(PersistAllTypesTest, ResaveIsByteIdenticalAndAnswersMatch) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->metrics.scan.rows_from_store, 150u);
   EXPECT_EQ(outcome->metrics.scan.rows_from_raw, 0u);
+}
+
+TEST_F(PersistAllTypesTest, HandBuiltVersionOneStoreSectionLoads) {
+  // A version-1 store section written byte by byte: block 0's segment
+  // of every column, each row a flag byte (0 = NULL) and, when valid,
+  // 8 little-endian bytes or a u32 length and the bytes. It pins the
+  // sidecar's row layout independently of the codec that writes it.
+  const std::string sidecar = persist::DefaultSnapshotPath(path_);
+  {
+    NoDbEngine engine(MakeCatalog(), Config());
+    Run(&engine, "SELECT i, d, s, dt FROM u");
+    ASSERT_TRUE(engine.SaveSnapshot("u").ok());
+  }
+  auto layout = persist::InspectSnapshot(sidecar);
+  ASSERT_TRUE(layout.ok());
+
+  LoadFirstEngine reference(MakeCatalog(), LoadProfile::kPostgres);
+  auto block0 = reference.Execute("SELECT i, d, s, dt FROM u LIMIT 32");
+  ASSERT_TRUE(block0.ok());
+  ASSERT_EQ(block0->result.num_rows(), 32u);
+  std::string p;
+  Append<uint64_t>(&p, 4);  // segments
+  for (uint32_t attr = 0; attr < 4; ++attr) {
+    const DataType type = schema_->field(attr).type;
+    Append<uint32_t>(&p, attr);
+    Append<uint64_t>(&p, 0);  // block
+    Append<uint8_t>(&p, static_cast<uint8_t>(type));
+    Append<uint64_t>(&p, 32);  // rows
+    size_t nulls = 0;
+    for (size_t r = 0; r < 32; ++r) {
+      const Value v = block0->result.Row(r)[attr];
+      if (v.is_null()) {
+        Append<uint8_t>(&p, 0);
+        ++nulls;
+        continue;
+      }
+      Append<uint8_t>(&p, 1);
+      switch (type) {
+        case DataType::kInt64:
+          Append<int64_t>(&p, v.int64());
+          break;
+        case DataType::kDouble:
+          Append<double>(&p, v.dbl());
+          break;
+        case DataType::kString:
+          Append<uint32_t>(&p, static_cast<uint32_t>(v.str().size()));
+          p += v.str();
+          break;
+        case DataType::kDate:
+          Append<int64_t>(&p, v.date_days());
+          break;
+      }
+    }
+    EXPECT_GT(nulls, 0u) << schema_->field(attr).name;
+  }
+  auto bytes = ReadFileToString(sidecar);
+  ASSERT_TRUE(bytes.ok());
+  const std::string out = WithSectionPayload(
+      *bytes, *layout, persist::Snapshot::kSectionStore, p);
+  ASSERT_TRUE(WriteFileAtomic(sidecar, Slice(out.data(), out.size())).ok());
+
+  NoDbEngine engine(MakeCatalog(), Config());
+  auto report = engine.LoadSnapshot("u");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->detail, "recovered");
+  EXPECT_TRUE(report->store_recovered);
+  EXPECT_EQ(report->store_segments_recovered, 4u);
+  // Saved again before any query, the section comes back byte for byte.
+  ASSERT_TRUE(engine.SaveSnapshot("u").ok());
+  auto resaved = persist::InspectSnapshot(sidecar);
+  ASSERT_TRUE(resaved.ok());
+  const std::string again = Sidecar();
+  for (const persist::SectionInfo& section : resaved->sections) {
+    if (section.id != persist::Snapshot::kSectionStore) continue;
+    EXPECT_TRUE(again.substr(section.offset, section.length) == p)
+        << "re-saved store section differs";
+  }
+
+  const std::string all = "SELECT i, d, s, dt FROM u";
+  auto outcome = engine.Execute(all);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->metrics.scan.rows_from_store, 32u);
+  EXPECT_EQ(outcome->result.CanonicalRows(), Run(&reference, all));
 }
 
 }  // namespace

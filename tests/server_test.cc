@@ -33,43 +33,55 @@ namespace {
 
 TEST(WireTest, PrimitivesRoundTrip) {
   WireWriter w;
-  w.PutU8(0xab);
-  w.PutU16(0xbeef);
-  w.PutU32(0xdeadbeefu);
-  w.PutU64(0x0123456789abcdefull);
-  w.PutI64(-42);
-  w.PutDouble(3.14159);
-  w.PutString("hello");
-  w.PutString("");
+  w.Put<uint8_t>(0xab);
+  w.Put<uint16_t>(0xbeef);
+  w.Put<uint32_t>(0xdeadbeefu);
+  w.Put<uint64_t>(0x0123456789abcdefull);
+  w.Put<int64_t>(-42);
+  w.Put<double>(3.14159);
+  w.PutStr("hello");
+  w.PutStr("");
+  // Little-endian on the wire.
+  EXPECT_EQ(w.data().substr(3, 4), "\xef\xbe\xad\xde");
 
   WireReader r(w.data());
-  EXPECT_EQ(*r.GetU8(), 0xab);
-  EXPECT_EQ(*r.GetU16(), 0xbeef);
-  EXPECT_EQ(*r.GetU32(), 0xdeadbeefu);
-  EXPECT_EQ(*r.GetU64(), 0x0123456789abcdefull);
-  EXPECT_EQ(*r.GetI64(), -42);
-  EXPECT_EQ(*r.GetDouble(), 3.14159);
-  EXPECT_EQ(*r.GetString(), "hello");
-  EXPECT_EQ(*r.GetString(), "");
-  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_EQ(r.Get<uint8_t>(), 0xab);
+  EXPECT_EQ(r.Get<uint16_t>(), 0xbeef);
+  EXPECT_EQ(r.Get<uint32_t>(), 0xdeadbeefu);
+  EXPECT_EQ(r.Get<uint64_t>(), 0x0123456789abcdefull);
+  EXPECT_EQ(r.Get<int64_t>(), -42);
+  EXPECT_EQ(r.Get<double>(), 3.14159);
+  EXPECT_EQ(r.Str(), "hello");
+  EXPECT_EQ(r.Str(), "");
+  EXPECT_TRUE(ExpectEnd(r).ok());
 }
 
 TEST(WireTest, TruncatedReadsFailWithParseError) {
   WireWriter w;
-  w.PutU32(7);
+  w.Put<uint32_t>(7);
   {
+    // The overrun latches: this read and every later one return 0.
     WireReader r(w.data());
-    EXPECT_FALSE(r.GetU64().ok());
-    EXPECT_TRUE(r.GetU64().status().IsParseError());
+    EXPECT_EQ(r.Get<uint64_t>(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.Get<uint8_t>(), 0);
+    EXPECT_TRUE(ReadStatus(r).IsParseError());
+    EXPECT_TRUE(ExpectEnd(r).IsParseError());
   }
   {
     // String length prefix promising more bytes than the payload has.
     WireWriter s;
-    s.PutU32(100);
+    s.Put<uint32_t>(100);
     WireReader r(s.data());
-    auto got = r.GetString();
-    EXPECT_FALSE(got.ok());
-    EXPECT_TRUE(got.status().IsParseError());
+    EXPECT_EQ(r.Str(), "");
+    EXPECT_TRUE(ReadStatus(r).IsParseError());
+  }
+  {
+    // Bytes left after the last field are a protocol error too.
+    WireReader r(w.data());
+    EXPECT_EQ(r.Get<uint16_t>(), 7);
+    EXPECT_TRUE(ReadStatus(r).ok());
+    EXPECT_TRUE(ExpectEnd(r).IsParseError());
   }
 }
 
@@ -84,7 +96,7 @@ TEST(WireTest, SchemaRoundTrip) {
   auto decoded = DecodeSchema(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(**decoded == *schema);
-  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(ExpectEnd(r).ok());
 }
 
 TEST(WireTest, BatchRoundTripWithNulls) {
@@ -107,11 +119,29 @@ TEST(WireTest, BatchRoundTripWithNulls) {
   auto rows = DecodeBatchInto(&r, &decoded);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(*rows, 3u);
-  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(ExpectEnd(r).ok());
   ASSERT_EQ(decoded.num_rows(), 3u);
   for (size_t i = 0; i < batch.num_rows(); ++i) {
     EXPECT_EQ(batch.Row(i), decoded.Row(i)) << "row " << i;
   }
+}
+
+TEST(WireTest, BatchRowCountPastThePayloadFailsBeforeSizing) {
+  // Claims 2^32 - 1 rows of one INT column and carries three NULL
+  // flags: the decoder must refuse the count before it sizes a column.
+  auto schema = Schema::Make({{"i", DataType::kInt64}});
+  WireWriter w;
+  w.Put<uint32_t>(0xffffffffu);
+  w.Put<uint32_t>(1);
+  w.Put<uint8_t>(static_cast<uint8_t>(DataType::kInt64));
+  w.PutBytes(std::string(3, '\0'));
+  WireReader r(w.data());
+  RecordBatch batch(schema);
+  auto rows = DecodeBatchInto(&r, &batch);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsParseError()) << rows.status().ToString();
+  EXPECT_EQ(batch.num_rows(), 0u);
+  EXPECT_EQ(batch.column(0).size(), 0u);
 }
 
 /// A distinct word per field: field i of the query table gets 100 + i,
@@ -150,7 +180,7 @@ TEST(WireTest, QueryMetricsRoundTrip) {
   WireReader r(w.data());
   auto decoded = DecodeQueryMetrics(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(ExpectEnd(r).ok());
   ExpectSameFields(*decoded, m);
   EXPECT_NE(decoded->scan.filter_ns, 0);
   EXPECT_EQ(decoded->scan.filter_ns, m.scan.filter_ns);
@@ -160,13 +190,15 @@ TEST(WireTest, QueryMetricsRoundTrip) {
 std::string MetricsBlock(const QueryMetrics& m, size_t query_count,
                          size_t scan_count) {
   WireWriter w;
-  w.PutU32(static_cast<uint32_t>(query_count));
+  w.Put<uint32_t>(static_cast<uint32_t>(query_count));
   for (size_t i = 0; i < query_count; ++i) {
-    w.PutU64(i < std::size(kQueryFields) ? kQueryFields[i].Word(m) : 7 + i);
+    w.Put<uint64_t>(i < std::size(kQueryFields) ? kQueryFields[i].Word(m)
+                                                : 7 + i);
   }
-  w.PutU32(static_cast<uint32_t>(scan_count));
+  w.Put<uint32_t>(static_cast<uint32_t>(scan_count));
   for (size_t i = 0; i < scan_count; ++i) {
-    w.PutU64(i < std::size(kScanFields) ? kScanFields[i].Word(m.scan) : 7 + i);
+    w.Put<uint64_t>(i < std::size(kScanFields) ? kScanFields[i].Word(m.scan)
+                                               : 7 + i);
   }
   return w.Take();
 }
@@ -178,7 +210,7 @@ TEST(WireTest, QueryMetricsSkipsTrailingFieldsOfANewerSender) {
   WireReader r(block);
   auto decoded = DecodeQueryMetrics(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(ExpectEnd(r).ok());
   ExpectSameFields(*decoded, m);
 }
 
@@ -188,7 +220,7 @@ TEST(WireTest, QueryMetricsLeavesFieldsAnOlderSenderLacksAtZero) {
   WireReader r(block);
   auto decoded = DecodeQueryMetrics(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(ExpectEnd(r).ok());
   for (size_t i = 0; i < std::size(kQueryFields); ++i) {
     EXPECT_EQ(kQueryFields[i].Word(*decoded),
               i < 2 ? kQueryFields[i].Word(m) : 0u)
@@ -204,10 +236,10 @@ TEST(WireTest, QueryMetricsLeavesFieldsAnOlderSenderLacksAtZero) {
 TEST(WireTest, QueryMetricsCountPastThePayloadIsAParseError) {
   for (bool in_scan_run : {false, true}) {
     WireWriter w;
-    w.PutU32(in_scan_run ? 0 : 0xffffffffu);
-    if (in_scan_run) w.PutU32(std::size(kScanFields));
-    w.PutU64(1);
-    w.PutU64(2);
+    w.Put<uint32_t>(in_scan_run ? 0 : 0xffffffffu);
+    if (in_scan_run) w.Put<uint32_t>(std::size(kScanFields));
+    w.Put<uint64_t>(1);
+    w.Put<uint64_t>(2);
     WireReader r(w.data());
     auto decoded = DecodeQueryMetrics(&r);
     ASSERT_FALSE(decoded.ok());
@@ -482,9 +514,9 @@ TEST_F(ServerTest, MalformedFramesGetErrorsAndLeakNoSlots) {
   };
   auto hello = [&](int fd) {
     WireWriter w;
-    w.PutU16(kProtocolVersion);
-    w.PutString("fuzz-tenant");
-    w.PutString("fuzz");
+    w.Put<uint16_t>(kProtocolVersion);
+    w.PutStr("fuzz-tenant");
+    w.PutStr("fuzz");
     ASSERT_TRUE(WriteFrame(fd, FrameType::kHello, w.data()).ok());
     auto reply = ReadFrame(fd, 1u << 20);
     ASSERT_TRUE(reply.ok());
@@ -497,14 +529,14 @@ TEST_F(ServerTest, MalformedFramesGetErrorsAndLeakNoSlots) {
     int fd = dial();
     hello(fd);
     WireWriter w;
-    w.PutU32(1000);  // length prefix, no bytes behind it
+    w.Put<uint32_t>(1000);  // length prefix, no bytes behind it
     ASSERT_TRUE(WriteFrame(fd, FrameType::kQuery, w.data()).ok());
     auto reply = ReadFrame(fd, 1u << 20);
     ASSERT_TRUE(reply.ok());
     EXPECT_EQ(reply->type, FrameType::kError);
 
     WireWriter q;
-    q.PutString("SELECT COUNT(*) FROM sales");
+    q.PutStr("SELECT COUNT(*) FROM sales");
     ASSERT_TRUE(WriteFrame(fd, FrameType::kQuery, q.data()).ok());
     auto header = ReadFrame(fd, 1u << 20);
     ASSERT_TRUE(header.ok());
@@ -533,8 +565,8 @@ TEST_F(ServerTest, MalformedFramesGetErrorsAndLeakNoSlots) {
     int fd = dial();
     hello(fd);
     WireWriter header;
-    header.PutU32(0x7fffffff);
-    header.PutU8(static_cast<uint8_t>(FrameType::kQuery));
+    header.Put<uint32_t>(0x7fffffff);
+    header.Put<uint8_t>(static_cast<uint8_t>(FrameType::kQuery));
     ASSERT_TRUE(WriteFully(fd, header.data().data(), 5).ok());
     auto reply = ReadFrame(fd, 1u << 20);
     ASSERT_TRUE(reply.ok());
@@ -573,20 +605,23 @@ TEST_F(ServerTest, OldProtocolVersionGetsAnErrorAndServingGoesOn) {
   Server server(&engine, config);
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd = ConnectTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(WriteFully(*fd, kMagic, sizeof(kMagic)).ok());
-  WireWriter w;
-  w.PutU16(1);
-  w.PutString("old-tenant");
-  w.PutString("old-client");
-  ASSERT_TRUE(WriteFrame(*fd, FrameType::kHello, w.data()).ok());
-  auto reply = ReadFrame(*fd, 1u << 20);
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->type, FrameType::kError);
-  EXPECT_NE(reply->payload.find("protocol version 1 not supported"),
-            std::string::npos);
-  CloseFd(*fd);
+  for (uint16_t version : {1, 2}) {
+    auto fd = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(WriteFully(*fd, kMagic, sizeof(kMagic)).ok());
+    WireWriter w;
+    w.Put<uint16_t>(version);
+    w.PutStr("old-tenant");
+    w.PutStr("old-client");
+    ASSERT_TRUE(WriteFrame(*fd, FrameType::kHello, w.data()).ok());
+    auto reply = ReadFrame(*fd, 1u << 20);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply->type, FrameType::kError);
+    EXPECT_NE(reply->payload.find("protocol version " +
+                                  std::to_string(version) + " not supported"),
+              std::string::npos);
+    CloseFd(*fd);
+  }
 
   auto conn = ClientConnection::Connect("127.0.0.1", server.port(),
                                         "new-tenant", "new-client");
@@ -594,6 +629,28 @@ TEST_F(ServerTest, OldProtocolVersionGetsAnErrorAndServingGoesOn) {
   auto outcome = conn->Execute("SELECT COUNT(*) FROM sales");
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->result.Row(0)[0], Value::Int64(2000));
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST_F(ServerTest, TruncatedHelloIsAParseErrorNotVersionZero) {
+  NoDbConfig config = ServerConfig();
+  NoDbEngine engine(catalog_, config);
+  Server server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(WriteFully(*fd, kMagic, sizeof(kMagic)).ok());
+  // One byte of a two-byte version.
+  ASSERT_TRUE(WriteFrame(*fd, FrameType::kHello, std::string(1, '\3')).ok());
+  auto reply = ReadFrame(*fd, 1u << 20);
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->type, FrameType::kError);
+  WireReader r(reply->payload);
+  EXPECT_EQ(StatusCodeFromWire(r.Get<uint8_t>()), StatusCode::kParseError);
+  EXPECT_EQ(r.Str(), "truncated frame payload");
+  EXPECT_TRUE(ExpectEnd(r).ok());
+  CloseFd(*fd);
   EXPECT_TRUE(server.Shutdown().ok());
 }
 

@@ -1,14 +1,19 @@
 // Unit tests for the type system: DataType, dates, Value, Schema,
-// ColumnVector and RecordBatch.
+// ColumnVector, RecordBatch and the shared row codec.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "types/column_vector.h"
 #include "types/data_type.h"
 #include "types/date_util.h"
 #include "types/record_batch.h"
+#include "types/row_codec.h"
 #include "types/schema.h"
 #include "types/value.h"
+#include "util/bytes.h"
 #include "util/random.h"
 
 namespace nodb {
@@ -197,6 +202,113 @@ TEST(RecordBatchTest, ConstructFromColumns) {
   RecordBatch batch(schema, {col}, 1);
   EXPECT_EQ(batch.num_rows(), 1u);
   EXPECT_EQ(batch.column(0).GetInt64(0), 9);
+}
+
+/// `n` random rows of `type`, about a quarter of them NULL. Doubles
+/// are random bit patterns (NaNs included), strings random bytes
+/// (NULs included).
+ColumnVector RandomColumn(DataType type, size_t n, Random* rng) {
+  ColumnVector col(type);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->Uniform(4) == 0) {
+      col.AppendNull();
+      continue;
+    }
+    switch (type) {
+      case DataType::kInt64:
+        col.AppendInt64(static_cast<int64_t>(rng->NextUint64()));
+        break;
+      case DataType::kDate:
+        col.AppendDate(rng->UniformRange(-100000, 100000));
+        break;
+      case DataType::kDouble: {
+        const uint64_t bits = rng->NextUint64();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        col.AppendDouble(v);
+        break;
+      }
+      case DataType::kString: {
+        std::string s(rng->Uniform(20), '\0');
+        for (char& c : s) c = static_cast<char>(rng->Uniform(256));
+        col.AppendString(Slice(s));
+        break;
+      }
+    }
+  }
+  return col;
+}
+
+/// Same rows, bit for bit: validity, the payload arrays (0 in NULL
+/// rows) and every string's bytes.
+void ExpectSameRows(const ColumnVector& got, const ColumnVector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const size_t n = want.size();
+  EXPECT_EQ(std::memcmp(got.validity(), want.validity(), n), 0);
+  switch (want.type()) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      EXPECT_EQ(std::memcmp(got.int64_data(), want.int64_data(), 8 * n), 0);
+      break;
+    case DataType::kDouble:
+      EXPECT_EQ(std::memcmp(got.double_data(), want.double_data(), 8 * n),
+                0);
+      break;
+    case DataType::kString:
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got.GetString(i), want.GetString(i)) << "row " << i;
+      }
+      break;
+  }
+}
+
+TEST(RowCodecTest, RandomRangesRoundTripAndEveryStrictPrefixFails) {
+  Random rng(2029);
+  for (DataType type : {DataType::kInt64, DataType::kDouble,
+                        DataType::kString, DataType::kDate}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const size_t n = rng.Uniform(40);
+      const ColumnVector col = RandomColumn(type, n, &rng);
+      const size_t begin = rng.Uniform(n + 1);
+      const size_t end = begin + rng.Uniform(n - begin + 1);
+      const std::string label = std::string(DataTypeToString(type)) +
+                                " trial " + std::to_string(trial);
+      ByteWriter w;
+      EncodeRows(col, begin, end, &w);
+
+      // Decoding appends: onto a column holding rows already, it must
+      // give those rows, then AppendRange of the encoded ones.
+      const ColumnVector prefix = RandomColumn(type, 3, &rng);
+      ColumnVector want(type);
+      want.AppendRange(prefix, 0, prefix.size());
+      want.AppendRange(col, begin, end - begin);
+      ColumnVector got(type);
+      got.AppendRange(prefix, 0, prefix.size());
+      ByteReader r(w.data());
+      ASSERT_TRUE(DecodeRows(&r, end - begin, &got)) << label;
+      EXPECT_TRUE(r.ok()) << label;
+      EXPECT_EQ(r.remaining(), 0u) << label;
+      ExpectSameRows(got, want);
+
+      for (size_t len = 0; len < w.size(); ++len) {
+        ByteReader cut(std::string_view(w.data()).substr(0, len));
+        ColumnVector partial(type);
+        EXPECT_FALSE(DecodeRows(&cut, end - begin, &partial))
+            << label << ", prefix of " << len << " of " << w.size();
+      }
+    }
+  }
+}
+
+TEST(RowCodecTest, RowCountPastThePayloadFailsBeforeSizing) {
+  for (DataType type : {DataType::kInt64, DataType::kString}) {
+    const std::string payload(3, '\0');  // three NULL flags
+    ByteReader r(payload);
+    ColumnVector col(type);
+    EXPECT_FALSE(DecodeRows(&r, uint64_t{1} << 40, &col));
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(col.size(), 0u);
+  }
 }
 
 }  // namespace

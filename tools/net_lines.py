@@ -10,8 +10,9 @@ directory (files at the root are grouped under ".") it prints two
 triples: all lines, and non-blank non-comment ("ncnb") lines. A line
 is a comment when, stripped, it starts with // /* * or */ in C/C++
 sources, or with # in Python, shell, CMake and YAML files. Markdown
-and other text count every non-blank line. Always exits 0 when git
-succeeds: it reports, it does not gate.
+and other text count every non-blank line. Exits 0 when git succeeds
+(it reports, it does not gate) and 2, with git's message, when git
+rejects a revision. -h or --help prints this text.
 """
 
 import collections
@@ -40,15 +41,23 @@ def top_dir(path):
 
 
 def main(argv):
+    if len(argv) > 1 and argv[1] in ("-h", "--help"):
+        print(__doc__.strip())
+        return 0
     if len(argv) not in (2, 3):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     base, head = argv[1], argv[2:]
-    diff = subprocess.run(
-        ["git", "diff", "--no-color", "--no-ext-diff", "-U0", "-M", base]
-        + head,
-        check=True, capture_output=True, text=True,
-        errors="replace").stdout
+    # "--end-of-options" keeps a revision that starts with "-" from
+    # being read as a git option.
+    proc = subprocess.run(
+        ["git", "diff", "--no-color", "--no-ext-diff", "-U0", "-M",
+         "--end-of-options", base] + head,
+        capture_output=True, text=True, errors="replace")
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return 2
+    diff = proc.stdout
 
     # dir -> [added, removed, ncnb added, ncnb removed]
     counts = collections.defaultdict(lambda: [0, 0, 0, 0])
